@@ -154,6 +154,23 @@ def golden_hadamard(
     return variant.g / np.sqrt(xi(q, variant.n_root)) * block
 
 
+def bpr_equivalent_channels(
+    q: int, variant: GoldenVariant, h: np.ndarray, phi1: np.ndarray, phi2: np.ndarray
+) -> np.ndarray:
+    """``F^H h`` for each row of ``h``, F being :func:`build_bpr_atb` with that row's phases.
+
+    Column k of F is ``g/sqrt(xi)`` times ``W[:, k]`` rotated by
+    ``phi1[k]`` (top block) and ``phi2[k]`` (bottom block), so with the
+    symmetric real ``W`` no per-row matrix is formed.
+    """
+    half = 2 ** (q - 1)
+    w = hadamard(half).astype(np.float64)
+    top = h[..., :half] @ w
+    bot = h[..., half:] @ w
+    scale = np.conj(variant.g) / np.sqrt(xi(q, variant.n_root))
+    return scale * (np.exp(-1j * phi1) * top + np.exp(-1j * phi2) * bot)
+
+
 def build_bpr_atb(
     q: int, variant: GoldenVariant, phi1: np.ndarray, phi2: np.ndarray
 ) -> BeamformingMatrix:
@@ -187,14 +204,14 @@ def build_bpr_atb(
 
 
 def equivalent_channel(bf: BeamformingMatrix | np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Low-dimensional channel ``F^H h`` seen after analog beamforming."""
+    """Low-dimensional channel ``F^H h`` for each channel row (last axis) of ``h``."""
     mat = bf.matrix if isinstance(bf, BeamformingMatrix) else np.asarray(bf)
     h = np.asarray(h)
-    if h.shape != (mat.shape[0],):
+    if h.shape[-1:] != (mat.shape[0],):
         raise ValueError(
             f"channel length {h.shape} does not match beamformer rows {mat.shape[0]}"
         )
-    return mat.conj().T @ h
+    return h @ mat.conj()
 
 
 def export_matrix(bf: BeamformingMatrix, csv_path: str | Path) -> Path:

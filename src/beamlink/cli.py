@@ -93,8 +93,8 @@ def main(argv: list[str] | None = None) -> int:
                 "fig2": harness.run_fig2,
                 "fig3": harness.run_fig3,
             }[args.verb]
-            cfg.to_json(out_dir / "config.json")
             results = [runner(cfg, out_dir)]
+            cfg.to_json(out_dir / "config.json")
             harness.write_manifest(out_dir, cfg, results, time.perf_counter() - start)
         for res in results:
             print(f"{res.name}: {len(res.rows)} rows -> {res.path}")

@@ -8,7 +8,8 @@ CSV output and sweep points can be computed in any order.
 
 Monte-Carlo error counting is done in fixed-size trial blocks; block b
 of a sweep point always consumes the same substream regardless of how
-many blocks the stopping rule ends up needing.
+many blocks the stopping rule ends up needing. Each block is one call
+of each batched layer kernel; the harness holds no copy of their math.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import hadamard
 
 from . import analysis, beamformer, channel, phase_opt, stbc
 from .rng import substream
@@ -127,7 +127,7 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# vectorized internals
+# per-block pipeline over the layer kernels
 
 
 def _sample_channels(cfg: ExperimentConfig, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -137,28 +137,8 @@ def _sample_channels(cfg: ExperimentConfig, n: int, rng: np.random.Generator) ->
 
 
 def _batch_greedy_phases(h: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized mirror of :func:`beamlink.phase_opt.greedy_bpr_phases`
-    over the rows of ``h``; returns (phi1, phi2) per row."""
-    b, n = h.shape
-    half = n // 2
-    grid1, grid2 = phase_opt.block_grids(q)
-    hc = h.conj()
-    acc = np.zeros(b, dtype=np.complex128)
-    alive = np.ones((b, n), dtype=bool)
-    phi = [np.empty((b, half)), np.empty((b, half))]
-    rows = np.arange(b)
-    for block, grid in enumerate((grid1, grid2)):
-        rotations = np.exp(1j * grid.angles)
-        for slot in range(half):
-            scores = np.abs(acc[:, None, None] + hc[:, :, None] * rotations[None, None, :])
-            scores[~alive] = -np.inf
-            # first flat maximum = lowest element index, then lowest grid
-            # index, matching the scalar tie-breaking
-            flat = scores.reshape(b, -1).argmax(axis=1)
-            elem, gidx = np.divmod(flat, rotations.size)
-            phi[block][:, slot] = grid.angles[gidx]
-            acc = acc + hc[rows, elem] * rotations[gidx]
-            alive[rows, elem] = False
+    """(phi1, phi2) per row of ``h`` from :func:`beamlink.phase_opt._greedy`."""
+    phi, _, _, _ = phase_opt._greedy(h, q)
     return phi[0], phi[1]
 
 
@@ -167,18 +147,12 @@ def _batch_equivalent_channels(
 ) -> np.ndarray:
     """Per-row equivalent channels ``F^H h`` with per-row phase selection
     for the blockwise schemes."""
-    q = cfg.q
-    if scheme in (beamformer.DFT, beamformer.HADAMARD):
-        bf = _fixed_beamformer(scheme, q)
-        return h @ bf.matrix.conj()
-    variant = beamformer.golden_variant(scheme)
-    half = cfg.n_antennas // 2
-    phi1, phi2 = _batch_greedy_phases(h, q)
-    w = hadamard(half).astype(np.float64)
-    top = h[:, :half] @ w
-    bot = h[:, half:] @ w
-    scale = np.conj(variant.g) / np.sqrt(beamformer.xi(q, variant.n_root))
-    return scale * (np.exp(-1j * phi1) * top + np.exp(-1j * phi2) * bot)
+    if scheme in beamformer.BPR_SCHEMES:
+        phi1, phi2 = _batch_greedy_phases(h, cfg.q)
+        return beamformer.bpr_equivalent_channels(
+            cfg.q, beamformer.golden_variant(scheme), h, phi1, phi2
+        )
+    return beamformer.equivalent_channel(_fixed_beamformer(scheme, cfg.q), h)
 
 
 def _fixed_beamformer(scheme: str, q: int) -> beamformer.BeamformingMatrix:
@@ -187,22 +161,6 @@ def _fixed_beamformer(scheme: str, q: int) -> beamformer.BeamformingMatrix:
     if scheme == beamformer.HADAMARD:
         return beamformer.build_hadamard_atb(q)
     raise ValueError(f"{scheme!r} has no channel-independent beamformer")
-
-
-def _link_amplitude(cfg: ExperimentConfig, gamma0: float, kappa: float) -> float:
-    """Scale multiplying ``h_eq^H S`` in the received block.
-
-    Under ``eq1`` the codeword is F S and the link applies the
-    received-signal prefactor sqrt(P N_t / L) (or sqrt(P) when the array
-    gain factor is disabled); under ``eq10`` the explicit sqrt(gamma0 *
-    kappa) codeword scaling is the only amplitude, so the bound formulas
-    describe the link exactly.
-    """
-    if cfg.normalization == stbc.NORM_EQ10:
-        return float(np.sqrt(gamma0 * kappa))
-    if cfg.include_array_gain:
-        return stbc.eq1_amplitude(gamma0, cfg.n_antennas, cfg.n_paths)
-    return float(np.sqrt(gamma0))
 
 
 def _ber_block(
@@ -214,29 +172,12 @@ def _ber_block(
 ) -> int:
     """Simulate one block of codewords over the given equivalent channels
     and return the bit error count."""
-    n = h_eq.shape[0]
     k = const.bits_per_symbol
-    bits = rng.integers(0, 2, (n, 2 * k), dtype=np.uint8)
-    weights = 1 << np.arange(k - 1, -1, -1)
-    idx1 = bits[:, :k] @ weights
-    idx2 = bits[:, k:] @ weights
-    s1 = const.points[idx1]
-    s2 = const.points[idx2]
-    g1, g2 = h_eq[:, 0], h_eq[:, 1]
-    y1 = amplitude * (np.conj(g1) * s1 + np.conj(g2) * s2)
-    y2 = amplitude * (-np.conj(g1) * np.conj(s2) + np.conj(g2) * np.conj(s1))
-    noise = np.sqrt(sigma2 / 2.0) * (
-        rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
-    )
-    y1 = y1 + noise[:, 0]
-    y2 = y2 + noise[:, 1]
-    denom = amplitude * (np.abs(g1) ** 2 + np.abs(g2) ** 2)
-    denom = np.where(denom == 0.0, 1.0, denom)
-    s1_hat = (g1 * y1 + np.conj(g2) * np.conj(y2)) / denom
-    s2_hat = (g2 * y1 - np.conj(g1) * np.conj(y2)) / denom
-    idx1_hat = np.abs(s1_hat[:, None] - const.points[None, :]).argmin(axis=1)
-    idx2_hat = np.abs(s2_hat[:, None] - const.points[None, :]).argmin(axis=1)
-    decoded = np.concatenate([const.labels[idx1_hat], const.labels[idx2_hat]], axis=1)
+    bits = rng.integers(0, 2, (h_eq.shape[0], 2 * k), dtype=np.uint8)
+    symbols = stbc.map_bits(bits.reshape(-1, 2, k), const)
+    s = stbc.alamouti_codeword(symbols[:, 0], symbols[:, 1])
+    y = stbc.transmit_receive(s, h_eq, rng, amplitude, sigma2)
+    decoded = stbc.decode_alamouti(y, h_eq, const, amplitude)
     return int(np.count_nonzero(decoded != bits))
 
 
@@ -252,7 +193,10 @@ def _ber_point(
     scheme = cfg.schemes[scheme_idx]
     const = stbc.make_constellation(cfg.modulation)
     gamma0 = 10.0 ** (gamma0_db / 10.0)
-    amplitude = _link_amplitude(cfg, gamma0, beamformer.kappa(scheme, cfg.q))
+    amplitude = stbc.link_amplitude(
+        gamma0, beamformer.kappa(scheme, cfg.q), cfg.normalization,
+        cfg.include_array_gain, cfg.n_antennas, cfg.n_paths,
+    )
     bits_per_cw = 2 * const.bits_per_symbol
     errors = 0
     trials = 0
@@ -438,8 +382,15 @@ def monotonicity_notes(scheme: str, curve: list[tuple[float, float, float]]) -> 
     return notes
 
 
+def _check_fig3(cfg: ExperimentConfig) -> None:
+    # Alamouti needs 2 RF chains, and every beamformer has n_antennas / 2 columns
+    if cfg.n_antennas != 4:
+        raise ValueError(f"fig3 requires n_antennas=4 (2 RF chains), got {cfg.n_antennas}")
+
+
 def run_fig3(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
     """Monte-Carlo bit error rate of each scheme over the SNR grid."""
+    _check_fig3(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -457,6 +408,7 @@ def run_fig3(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
 
 
 def run_all(cfg: ExperimentConfig, out_dir: str | Path) -> list[SweepResult]:
+    _check_fig3(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
@@ -547,12 +499,7 @@ def simulate_conditional_ber(
     Returns (bit_errors, total_bits); used to compare simulation against
     the conditional union bound.
     """
-    if mode == stbc.NORM_EQ10:
-        amplitude = float(np.sqrt(gamma0 * kappa))
-    elif include_array_gain:
-        amplitude = stbc.eq1_amplitude(gamma0, n_antennas, n_paths)
-    else:
-        amplitude = float(np.sqrt(gamma0))
+    amplitude = stbc.link_amplitude(gamma0, kappa, mode, include_array_gain, n_antennas, n_paths)
     errors = 0
     done = 0
     block_idx = 0

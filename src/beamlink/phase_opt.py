@@ -9,6 +9,9 @@ solved with a greedy pass that fills the two slot sets one antenna at a
 time. Both maximize the aligned-sum magnitude
 
     | sum_v conj(h_v) * exp(j phi(v)) |
+
+The greedy kernel runs on a batch of channel rows at once;
+:func:`greedy_bpr_phases` is that kernel on a batch of one.
 """
 
 from __future__ import annotations
@@ -217,67 +220,58 @@ def exhaustive_phase_oracle(h: np.ndarray, q: int) -> PhaseSelection:
     return _selection_from_element_phases(h, phases, METHOD_EXHAUSTIVE)
 
 
-def _greedy(h: np.ndarray, q: int) -> tuple[PhaseSelection, int]:
-    """Greedy blockwise selection; returns the selection and the number
-    of candidate objective evaluations performed."""
-    n = 2**q
+def _greedy(h: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Greedy blockwise selection over the rows of ``h``, shape ``(b, 2**q)``.
+
+    Returns ``(phi, slots, gain, evals)``: ``phi[block]`` and
+    ``slots[block]`` have shape ``(b, 2**(q-1))`` and hold the angle and
+    the element chosen for each slot of the two blocks, ``gain`` is the
+    aligned-sum magnitude per row and ``evals`` the number of candidate
+    objective evaluations per row, which does not depend on ``h``.
+    """
+    b, n = h.shape
     half = n // 2
-    grid1, grid2 = block_grids(q)
-    hc = np.conj(h)
-    remaining = list(range(n))
-    acc = 0.0 + 0.0j
+    hc = h.conj()
+    acc = np.zeros(b, dtype=np.complex128)
+    alive = np.ones((b, n), dtype=bool)
+    phi = np.empty((2, b, half))
+    slots = np.empty((2, b, half), dtype=np.int64)
+    rows = np.arange(b)
     evals = 0
-    slots: list[list[int]] = [[], []]
-    phis: list[list[float]] = [[], []]
-    for block, grid in enumerate((grid1, grid2)):
-        angles = grid.angles
-        rotations = np.exp(1j * angles)
-        for _ in range(half):
-            best_score = -1.0
-            best_pos = 0
-            best_angle_idx = 0
-            # candidate order (ascending element, then ascending grid
-            # index) fixes tie-breaking
-            for pos, elem in enumerate(remaining):
-                scores = np.abs(acc + hc[elem] * rotations)
-                evals += angles.size
-                for bi in range(angles.size):
-                    if scores[bi] > best_score:
-                        best_score = float(scores[bi])
-                        best_pos = pos
-                        best_angle_idx = bi
-            elem = remaining.pop(best_pos)
-            slots[block].append(elem)
-            phis[block].append(float(angles[best_angle_idx]))
-            acc = acc + hc[elem] * rotations[best_angle_idx]
-    selection = PhaseSelection(
-        phi1=np.array(phis[0]),
-        phi2=np.array(phis[1]),
-        slots1=np.array(slots[0], dtype=np.int64),
-        slots2=np.array(slots[1], dtype=np.int64),
-        gain=float(np.abs(acc)),
-        method=METHOD_GREEDY,
-    )
-    return selection, evals
+    for block, grid in enumerate(block_grids(q)):
+        rotations = np.exp(1j * grid.angles)
+        for slot in range(half):
+            scores = np.abs(acc[:, None, None] + hc[:, :, None] * rotations[None, None, :])
+            scores[~alive] = -np.inf
+            evals += (n - block * half - slot) * rotations.size
+            # first flat maximum = lowest element index, then lowest grid index
+            flat = scores.reshape(b, -1).argmax(axis=1)
+            elem, gidx = np.divmod(flat, rotations.size)
+            phi[block, :, slot] = grid.angles[gidx]
+            slots[block, :, slot] = elem
+            acc = acc + hc[rows, elem] * rotations[gidx]
+            alive[rows, elem] = False
+    return phi, slots, np.abs(acc), evals
 
 
 def greedy_bpr_phases(h: np.ndarray, q: int) -> PhaseSelection:
     """Greedy blockwise phase selection.
 
-    Starting from the full candidate set, each slot of the first block
-    picks the (element, grid-1 angle) pair that most increases the
-    aligned-sum magnitude; the second loop fills the remaining elements
-    into the second block with grid-2 angles. During the first loop the
-    companion block-2 rotation of a candidate is held at zero and is
-    re-optimized when the element is not yet placed by loop two. Ties
-    break toward the lowest element index, then the lowest grid index.
+    Two greedy passes run over the aligned sum of the elements placed so
+    far. The first pass fills the ``2**(q-1)`` slots of block 1 in turn:
+    each slot takes the (unplaced element, grid-1 angle) pair that gives
+    the largest aligned-sum magnitude. The second pass fills the slots of
+    block 2 the same way from the remaining elements and grid 2. A placed
+    element and its angle are never revisited. Ties break toward the
+    lowest element index, then the lowest grid index. This is the
+    batched kernel applied to a batch of one.
     """
     h = np.asarray(h, dtype=np.complex128)
     n = 2**q
     if h.shape != (n,):
         raise ValueError(f"h must have length 2**q = {n}")
-    selection, _ = _greedy(h, q)
-    return selection
+    phi, slots, gain, _ = _greedy(h[None], q)
+    return PhaseSelection(*phi[:, 0], *slots[:, 0], float(gain[0]), METHOD_GREEDY)
 
 
 def fixed_zero_selection(h: np.ndarray, q: int) -> PhaseSelection:
@@ -326,6 +320,6 @@ def complexity_probe(q_values: list[int] | tuple[int, ...]) -> list[tuple[int, i
         if q > 8:
             raise ValueError("complexity probe limited to q <= 8")
         h = np.exp(1j * np.linspace(0.0, 1.0, 2**q))
-        _, evals = _greedy(h, q)
+        *_, evals = _greedy(h[None], q)
         out.append((int(q), int(evals)))
     return out

@@ -10,6 +10,9 @@ symbol-separable maximum-likelihood decoding after linear combining.
 Transmission through the beamformed array multiplies ``S`` by the tall
 beamformer ``F`` and the channel row ``h^H``; the receiver only ever
 sees the two-dimensional equivalent channel ``F^H h``.
+
+Mapping, transmission and decoding accept leading batch axes, so one
+call runs a block of codewords and a single codeword is a batch of one.
 """
 
 from __future__ import annotations
@@ -84,29 +87,30 @@ def make_constellation(order: int) -> Constellation:
     return Constellation(order=order, points=amp / scale, labels=labels)
 
 
-def bits_to_index(bits: np.ndarray) -> int:
+def map_bits(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
+    """Map each label's worth of bits (the last axis) to its constellation point."""
     bits = np.asarray(bits, dtype=np.uint8)
-    return int(bits @ (1 << np.arange(bits.size - 1, -1, -1)))
+    k = constellation.bits_per_symbol
+    if bits.shape[-1:] != (k,):
+        raise ValueError(f"expected {k} bits, got shape {bits.shape}")
+    return constellation.points[bits @ (1 << np.arange(k - 1, -1, -1))]
 
 
-def map_bits(bits: np.ndarray, constellation: Constellation) -> complex:
-    """Map one label's worth of bits to its constellation point."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.shape != (constellation.bits_per_symbol,):
-        raise ValueError(
-            f"expected {constellation.bits_per_symbol} bits, got shape {bits.shape}"
-        )
-    return complex(constellation.points[bits_to_index(bits)])
+def demap(symbol: np.ndarray, constellation: Constellation) -> np.ndarray:
+    """Bits of the constellation point nearest to each symbol, in a trailing axis."""
+    symbol = np.asarray(symbol)
+    idx = np.abs(symbol[..., None] - constellation.points).argmin(axis=-1)
+    return np.take(constellation.labels, idx, axis=0)
 
 
-def demap(symbol: complex, constellation: Constellation) -> np.ndarray:
-    """Bits of the constellation point nearest to ``symbol``."""
-    idx = int(np.argmin(np.abs(constellation.points - symbol)))
-    return constellation.labels[idx].copy()
-
-
-def alamouti_codeword(s1: complex, s2: complex) -> np.ndarray:
-    return np.array([[s1, -np.conj(s2)], [s2, np.conj(s1)]])
+def alamouti_codeword(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """Codewords ``[[s1, -conj(s2)], [s2, conj(s1)]]`` in the last two axes."""
+    out = np.empty(np.broadcast_shapes(np.shape(s1), np.shape(s2)) + (2, 2), dtype=np.complex128)
+    out[..., 0, 0] = s1
+    out[..., 0, 1] = -np.conj(s2)
+    out[..., 1, 0] = s2
+    out[..., 1, 1] = np.conj(s1)
+    return out
 
 
 def encode_alamouti(
@@ -144,6 +148,24 @@ def eq1_amplitude(power: float, n_antennas: int, n_paths: int) -> float:
     return float(np.sqrt(power * n_antennas / n_paths))
 
 
+def link_amplitude(
+    gamma0: float, kappa: float, mode: str, include_array_gain: bool, n_antennas: int, n_paths: int
+) -> float:
+    """Scale multiplying ``h_eq^H S`` in the received block.
+
+    Under ``eq1`` the codeword is F S and the link applies the
+    received-signal prefactor sqrt(P N_t / L) (or sqrt(P) when the array
+    gain factor is disabled); under ``eq10`` the explicit sqrt(gamma0 *
+    kappa) codeword scaling is the only amplitude, so the bound formulas
+    describe the link exactly.
+    """
+    if mode == NORM_EQ10:
+        return float(np.sqrt(gamma0 * kappa))
+    if include_array_gain:
+        return eq1_amplitude(gamma0, n_antennas, n_paths)
+    return float(np.sqrt(gamma0))
+
+
 def transmit_receive(
     x: np.ndarray,
     h: np.ndarray,
@@ -151,16 +173,22 @@ def transmit_receive(
     amplitude: float = 1.0,
     sigma2: float = 1.0,
 ) -> np.ndarray:
-    """Received row ``y = amplitude * h^H X + z`` with z i.i.d. CN(0, sigma2)."""
+    """Received rows ``y = amplitude * h^H X + z`` with z i.i.d. CN(0, sigma2).
+
+    ``x`` has shape ``(..., n_rows, t)`` and ``h`` shape ``(..., n_rows)``.
+    """
     h = np.asarray(h)
     x = np.asarray(x)
-    if x.shape[0] != h.shape[0]:
+    if x.shape[-2] != h.shape[-1]:
         raise ValueError("channel length does not match codeword rows")
-    t = x.shape[1]
+    hc = h.conj()
+    received = hc[..., 0, None] * x[..., 0, :]
+    for row in range(1, x.shape[-2]):
+        received = received + hc[..., row, None] * x[..., row, :]
     noise = np.sqrt(sigma2 / 2.0) * (
-        rng.standard_normal(t) + 1j * rng.standard_normal(t)
+        rng.standard_normal(received.shape) + 1j * rng.standard_normal(received.shape)
     )
-    return amplitude * (h.conj() @ x) + noise
+    return amplitude * received + noise
 
 
 def decode_alamouti(
@@ -169,23 +197,31 @@ def decode_alamouti(
     constellation: Constellation,
     amplitude: float = 1.0,
 ) -> np.ndarray:
-    """Combine and demap one received block back to bits.
+    """Combine and demap received blocks back to bits.
 
-    Linear combining against the known equivalent channel recovers
-    per-symbol statistics whose nearest-point decisions coincide with
-    joint maximum likelihood, thanks to the codeword's orthogonality.
-    A zero equivalent channel is degenerate; by convention the decoder
-    then emits the first constellation label twice.
+    ``y`` and ``h_eq`` have shape ``(..., 2)``; the result has shape
+    ``(..., 2 * bits_per_symbol)``. Linear combining against the known
+    equivalent channel recovers per-symbol statistics whose
+    nearest-point decisions coincide with joint maximum likelihood,
+    thanks to the codeword's orthogonality. A zero equivalent channel is
+    degenerate; by convention the decoder then emits the first
+    constellation label twice.
     """
-    g1, g2 = h_eq[0], h_eq[1]
-    denom = amplitude * (abs(g1) ** 2 + abs(g2) ** 2)
-    if denom == 0.0:
-        return np.concatenate([constellation.labels[0], constellation.labels[0]])
-    s1_hat = (g1 * y[0] + np.conj(g2) * np.conj(y[1])) / denom
-    s2_hat = (g2 * y[0] - np.conj(g1) * np.conj(y[1])) / denom
-    return np.concatenate(
-        [demap(complex(s1_hat), constellation), demap(complex(s2_hat), constellation)]
+    y = np.asarray(y)
+    h_eq = np.asarray(h_eq)
+    g1, g2 = h_eq[..., 0], h_eq[..., 1]
+    y1, y2 = y[..., 0], y[..., 1]
+    denom = amplitude * (np.abs(g1) ** 2 + np.abs(g2) ** 2)
+    zero = denom == 0.0
+    denom = np.where(zero, 1.0, denom)
+    s1_hat = (g1 * y1 + np.conj(g2) * np.conj(y2)) / denom
+    s2_hat = (g2 * y1 - np.conj(g1) * np.conj(y2)) / denom
+    bits = np.concatenate(
+        [demap(s1_hat, constellation), demap(s2_hat, constellation)], axis=-1
     )
+    if zero.any():
+        bits[zero] = np.tile(constellation.labels[0], 2)
+    return bits
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,16 +247,7 @@ def alamouti_codebook(constellation: Constellation) -> tuple[np.ndarray, np.ndar
     Codeword ``i1 * M + i2`` encodes symbol labels (i1, i2); the returned
     bit rows concatenate the two symbol labels.
     """
-    m = constellation.order
-    k = constellation.bits_per_symbol
-    codewords = np.empty((m * m, 2, 2), dtype=np.complex128)
-    bits = np.empty((m * m, 2 * k), dtype=np.uint8)
-    for i1 in range(m):
-        for i2 in range(m):
-            idx = i1 * m + i2
-            codewords[idx] = alamouti_codeword(
-                complex(constellation.points[i1]), complex(constellation.points[i2])
-            )
-            bits[idx, :k] = constellation.labels[i1]
-            bits[idx, k:] = constellation.labels[i2]
+    i1, i2 = np.divmod(np.arange(constellation.order**2), constellation.order)
+    codewords = alamouti_codeword(constellation.points[i1], constellation.points[i2])
+    bits = np.concatenate([constellation.labels[i1], constellation.labels[i2]], axis=1)
     return codewords, bits

@@ -81,6 +81,57 @@ def random_blockwise_gain(
     return float(abs(np.sum(np.conj(h) * np.exp(1j * phases))))
 
 
+def greedy_blockwise_reference(
+    h: np.ndarray, grid1: np.ndarray, grid2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """Scalar per-candidate greedy blockwise selection.
+
+    Block 1's slots are filled first, then block 2's, each from the
+    elements not yet placed and that block's grid angles. A slot takes
+    the candidate (element, angle) with the largest aligned-sum
+    magnitude ``|acc + conj(h_v) exp(j angle)|``. Candidates are scanned
+    by ascending element index, then ascending grid index, and only a
+    strictly larger score replaces the best so far, so ties go to the
+    lowest element index, then the lowest grid index.
+
+    The first slot of every run is an exact tie in exact arithmetic
+    (all angles give ``|h_v|``), so floating-point rounding decides it.
+    Each element's scores are therefore computed as one array over the
+    grid, as numpy's array loops round differently from its scalar
+    arithmetic.
+
+    Returns (phi1, phi2, slots1, slots2, gain).
+    """
+    hc = np.conj(h)
+    remaining = list(range(h.size))
+    acc = 0.0 + 0.0j
+    slots: list[list[int]] = [[], []]
+    phis: list[list[float]] = [[], []]
+    for block, angles in enumerate((grid1, grid2)):
+        rotations = np.exp(1j * angles)
+        for _ in range(h.size // 2):
+            best_score = -1.0
+            best_pos = best_angle_idx = 0
+            for pos, elem in enumerate(remaining):
+                scores = np.abs(acc + hc[elem] * rotations)
+                for bi in range(angles.size):
+                    if scores[bi] > best_score:
+                        best_score = float(scores[bi])
+                        best_pos = pos
+                        best_angle_idx = bi
+            elem = remaining.pop(best_pos)
+            slots[block].append(elem)
+            phis[block].append(float(angles[best_angle_idx]))
+            acc = acc + hc[elem] * rotations[best_angle_idx]
+    return (
+        np.array(phis[0]),
+        np.array(phis[1]),
+        np.array(slots[0]),
+        np.array(slots[1]),
+        float(abs(acc)),
+    )
+
+
 def ml_decode_index(
     y: np.ndarray, h_eq: np.ndarray, codewords: np.ndarray, amplitude: float
 ) -> int:

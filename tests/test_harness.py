@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,6 +8,8 @@ import pytest
 
 from beamlink import analysis, beamformer, harness, phase_opt, stbc
 from beamlink.rng import substream
+
+from oracles import greedy_blockwise_reference, ml_decode_index
 
 
 def _tiny_cfg(**overrides):
@@ -71,13 +74,24 @@ class TestConfig:
 
 class TestBatchKernels:
     def test_batch_greedy_matches_scalar(self):
-        rng = substream(0, 60)
-        h = (rng.standard_normal((200, 4)) + 1j * rng.standard_normal((200, 4))) / np.sqrt(2)
-        phi1, phi2 = harness._batch_greedy_phases(h, 2)
-        for i in range(200):
-            sel = phase_opt.greedy_bpr_phases(h[i], 2)
-            np.testing.assert_allclose(phi1[i], sel.phi1, atol=1e-12)
-            np.testing.assert_allclose(phi2[i], sel.phi2, atol=1e-12)
+        for q in (1, 2, 3, 4):
+            rng = substream(q, 60)
+            n = 2**q
+            h = (rng.standard_normal((200, n)) + 1j * rng.standard_normal((200, n))) / np.sqrt(2)
+            phi, slots, gain, _ = phase_opt._greedy(h, q)
+            phi1, phi2 = harness._batch_greedy_phases(h, q)
+            np.testing.assert_array_equal(phi1, phi[0])
+            np.testing.assert_array_equal(phi2, phi[1])
+            grids = [g.angles for g in phase_opt.block_grids(q)]
+            for i in range(200):
+                ref_phi1, ref_phi2, ref_slots1, ref_slots2, ref_gain = (
+                    greedy_blockwise_reference(h[i], *grids)
+                )
+                np.testing.assert_array_equal(phi[0, i], ref_phi1)
+                np.testing.assert_array_equal(phi[1, i], ref_phi2)
+                np.testing.assert_array_equal(slots[0, i], ref_slots1)
+                np.testing.assert_array_equal(slots[1, i], ref_slots2)
+                assert gain[i] == pytest.approx(ref_gain, rel=1e-12)
 
     @pytest.mark.parametrize("scheme", ["dft", "hadamard", "bpr-real", "bpr-complex"])
     def test_batch_equivalent_channels_match_scalar(self, scheme):
@@ -98,20 +112,29 @@ class TestBatchKernels:
 
         block_errors = harness._ber_block(h_eq, const, amplitude, sigma2, substream(9, 0))
 
-        # replay the identical stream through the scalar stbc path
+        # replay the identical stream: bits, then the real and imaginary
+        # noise parts, and decode each row by exhaustive ML
         rng = substream(9, 0)
         bits = rng.integers(0, 2, (64, 8), dtype=np.uint8)
         noise = np.sqrt(sigma2 / 2.0) * (
             rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
         )
+        m = const.order
+        sym1, sym2 = np.divmod(np.arange(m * m), m)
+        codewords = np.array(
+            [
+                [[const.points[a], -np.conj(const.points[b])],
+                 [const.points[b], np.conj(const.points[a])]]
+                for a, b in zip(sym1, sym2)
+            ]
+        )
+        index = 1 << np.arange(3, -1, -1)
         errors = 0
         for i in range(64):
-            k = const.bits_per_symbol
-            s = stbc.alamouti_codeword(
-                stbc.map_bits(bits[i, :k], const), stbc.map_bits(bits[i, k:], const)
-            )
-            y = amplitude * (h_eq[i].conj() @ s) + noise[i]
-            decoded = stbc.decode_alamouti(y, h_eq[i], const, amplitude=amplitude)
+            sent = codewords[(bits[i, :4] @ index) * m + bits[i, 4:] @ index]
+            y = amplitude * (np.conj(h_eq[i]) @ sent) + noise[i]
+            best = ml_decode_index(y, h_eq[i], codewords, amplitude)
+            decoded = np.concatenate([const.labels[sym1[best]], const.labels[sym2[best]]])
             errors += int(np.count_nonzero(decoded != bits[i]))
         assert block_errors == errors
 
@@ -235,6 +258,17 @@ class TestFig3:
         row = res.rows[0]
         assert row[6] > 1000 or row[4] * row[6] * 4 >= 200
 
+    @pytest.mark.parametrize("n_antennas", [2, 8])
+    def test_rejects_arrays_without_two_chains(self, tmp_path, n_antennas):
+        cfg = _tiny_cfg(n_antennas=n_antennas, n_rf=n_antennas // 2, trials=500)
+        for runner in (harness.run_fig3, harness.run_all):
+            out = tmp_path / runner.__name__
+            with pytest.raises(ValueError, match="n_antennas"):
+                runner(cfg, out)
+            assert not out.exists()
+        # the config itself stays valid for the other runners
+        assert len(harness.run_fig2(cfg, tmp_path / "fig2").rows) == 6
+
 
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -250,6 +284,28 @@ class TestDeterminism:
         r1 = harness.run_fig3(_tiny_cfg(seed=1), tmp_path / "s1")
         r2 = harness.run_fig3(_tiny_cfg(seed=2), tmp_path / "s2")
         assert r1.path.read_bytes() != r2.path.read_bytes()
+
+    def test_cli_outputs_match_pinned_hashes(self, tmp_path):
+        # SHA-256 of the outputs of the criterion-9 command; a change meant
+        # to leave every output unchanged must keep these
+        pinned = {
+            "table1.csv": "ee04aad6c99c0f889881ef36ef9cc6e40db340b85f0be38d5aa81b4a80e31f88",
+            "fig1.csv": "968463a27617eeb7ce09e5b3d18644407a99bcc594ed3ae6101546980d4dcae0",
+            "fig2.csv": "2325caacc42cab651aa404a5201e68e159cdd73693b15d04a707e73e05384995",
+            "fig3.csv": "630e81c87262b58faac09c9ec2c9142d9295c4193068c55f2f594bba0ee0e3bd",
+        }
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "beamlink", "all",
+                "--trials", "600", "--mod", "4", "--snr", "0,10,20",
+                "--scheme", "dft,bpr-real", "--seed", "99", "--out", str(tmp_path),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        for name, digest in pinned.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
     def test_manifest_hashes_match_files(self, tmp_path):
         cfg = _tiny_cfg(trials=500, max_trials=1000)

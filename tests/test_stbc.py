@@ -220,6 +220,21 @@ class TestDecode:
         out = stbc.decode_alamouti(np.array([1.0 + 0j, 1.0 + 0j]), np.zeros(2, dtype=complex), c)
         assert np.array_equal(out, np.concatenate([c.labels[0], c.labels[0]]))
 
+    @pytest.mark.parametrize("order", [16, 64])
+    def test_batched_zero_rows_follow_convention(self, order):
+        # a zero h_eq gives s_hat = 0, whose nearest point is not labels[0]
+        c = stbc.make_constellation(order)
+        k = c.bits_per_symbol
+        bits = substream(0, 49).integers(0, 2, (3, 2 * k)).astype(np.uint8)
+        h_eq = np.array([[0, 0], [0.8 - 0.3j, 0.2 + 0.9j], [0, 0]], dtype=complex)
+        s = stbc.alamouti_codeword(stbc.map_bits(bits[:, :k], c), stbc.map_bits(bits[:, k:], c))
+        y = stbc.transmit_receive(s, h_eq, substream(0, 50), amplitude=1.5, sigma2=0.0)
+        out = stbc.decode_alamouti(y, h_eq, c, amplitude=1.5)
+        first_twice = np.concatenate([c.labels[0], c.labels[0]])
+        np.testing.assert_array_equal(out[0], first_twice)
+        np.testing.assert_array_equal(out[1], bits[1])
+        np.testing.assert_array_equal(out[2], first_twice)
+
 
 class TestErrorMatrix:
     def test_orthogonal_difference_property(self):
