@@ -175,11 +175,9 @@ def beamspace_pattern(
     Also reports each column's -3 dB angular spread, the measure of the
     grid where the gain stays above ``peak * 10**-0.3``.
     """
-    if cfg is None:
-        cfg = SteeringConfig()
     mat = bf.matrix if isinstance(bf, BeamformingMatrix) else np.asarray(bf)
     theta = np.asarray(theta_grid, dtype=np.float64)
-    steer = np.stack([steering_vector(float(t), mat.shape[0], cfg) for t in theta])
+    steer = steering_vector(theta, mat.shape[0], cfg)
     response = steer.conj() @ mat
     gains = np.abs(response) ** 2
     widths = np.gradient(theta) if theta.size > 1 else np.array([0.0])

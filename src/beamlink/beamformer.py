@@ -196,7 +196,7 @@ def build_bpr_atb(
         scheme=scheme,
         matrix=mat,
         q=q,
-        kappa=abs(variant.g) ** 2 / xi_val,
+        kappa=kappa(scheme, q),
         xi=xi_val,
         golden=variant,
         phase_blocks=(phi1.copy(), phi2.copy()),

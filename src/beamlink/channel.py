@@ -87,34 +87,53 @@ class ChannelRealization:
 
 
 def steering_vector(
-    theta: float, n_antennas: int, cfg: SteeringConfig | None = None
+    theta: float | np.ndarray, n_antennas: int, cfg: SteeringConfig | None = None
 ) -> np.ndarray:
-    """Transmit steering vector of a uniform linear array.
+    """Transmit steering vectors of a uniform linear array.
 
     Element m (0-based) is ``exp(j * 2*pi * (d/lambda) * m * sin(theta))``,
-    so element 0 is always 1 and every element has unit modulus.
+    so element 0 is always 1 and every element has unit modulus. ``theta``
+    may be an array of angles; the elements go on a new last axis, giving
+    shape ``theta.shape + (n_antennas,)``.
     """
     if cfg is None:
         cfg = SteeringConfig()
-    if not np.isfinite(theta):
+    theta = np.asarray(theta, dtype=np.float64)
+    if not np.all(np.isfinite(theta)):
         raise ValueError("theta must be finite")
     if n_antennas < 1:
         raise ValueError("n_antennas must be at least 1")
     m = np.arange(n_antennas)
     phase = 2.0 * np.pi * cfg.spacing_over_wavelength * np.sin(theta)
-    return np.exp(1j * phase * m)
+    return np.exp(1j * phase[..., None] * m)
+
+
+def _complex_normal(shape, rng: np.random.Generator) -> np.ndarray:
+    """I.i.d. CN(0, 1) entries: the real parts are drawn first, then the imaginary."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def _draw_paths(
+    n_trials: int, n_paths: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """CN(0, 1) gains and uniform [-pi/2, pi/2] angles, one path set per row."""
+    gains = _complex_normal((n_trials, n_paths), rng)
+    angles = rng.uniform(-np.pi / 2, np.pi / 2, (n_trials, n_paths))
+    return gains, angles
+
+
+def _superpose(
+    gains: np.ndarray, angles: np.ndarray, n_antennas: int, cfg: SteeringConfig
+) -> np.ndarray:
+    """``sum_l gains[..., l] a(angles[..., l])`` over the last (path) axis."""
+    return np.einsum("...l,...lm->...m", gains, steering_vector(angles, n_antennas, cfg))
 
 
 def channel_from_paths(
     paths: PathSet, n_antennas: int, cfg: SteeringConfig | None = None
 ) -> np.ndarray:
     """Reconstruct ``h = sum_l alpha_l a(theta_l)`` from an explicit path set."""
-    if cfg is None:
-        cfg = SteeringConfig()
-    h = np.zeros(n_antennas, dtype=np.complex128)
-    for gain, angle in zip(paths.gains, paths.angles):
-        h += gain * steering_vector(float(angle), n_antennas, cfg)
-    return h
+    return _superpose(paths.gains, paths.angles, n_antennas, cfg)
 
 
 def sample_mmwave_channel(
@@ -126,19 +145,14 @@ def sample_mmwave_channel(
     """Draw one sparse geometric channel, deterministically from ``seed``.
 
     Path gains are i.i.d. CN(0, 1); departure angles are i.i.d. uniform on
-    [-pi/2, pi/2]. The stored path set reproduces ``h`` exactly through
-    :func:`channel_from_paths`.
+    [-pi/2, pi/2]. This is the draw of :func:`sample_mmwave_batch` on a
+    batch of one from ``substream(seed)``, and the stored path set
+    reproduces ``h`` exactly through :func:`channel_from_paths`.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
-    if cfg is None:
-        cfg = SteeringConfig()
-    rng = substream(seed)
-    gains = (
-        rng.standard_normal(n_paths) + 1j * rng.standard_normal(n_paths)
-    ) / np.sqrt(2.0)
-    angles = rng.uniform(-np.pi / 2, np.pi / 2, n_paths)
-    paths = PathSet(gains=gains, angles=angles)
+    gains, angles = _draw_paths(1, n_paths, substream(seed))
+    paths = PathSet(gains=gains[0], angles=angles[0])
     h = channel_from_paths(paths, n_antennas, cfg)
     return ChannelRealization(h=h, kind=MMWAVE, paths=paths, seed=seed)
 
@@ -147,10 +161,7 @@ def sample_rayleigh_channel(n_antennas: int, seed: int = 0) -> ChannelRealizatio
     """Draw one i.i.d. CN(0, 1) channel vector, deterministically from ``seed``."""
     if n_antennas < 1:
         raise ValueError("n_antennas must be at least 1")
-    rng = substream(seed)
-    h = (
-        rng.standard_normal(n_antennas) + 1j * rng.standard_normal(n_antennas)
-    ) / np.sqrt(2.0)
+    h = sample_rayleigh_batch(1, n_antennas, substream(seed))[0]
     return ChannelRealization(h=h, kind=RAYLEIGH, paths=None, seed=seed)
 
 
@@ -163,30 +174,16 @@ def sample_mmwave_batch(
 ) -> np.ndarray:
     """Vectorized bulk sampler used by sweeps; one channel per row.
 
-    Statistically identical to repeated :func:`sample_mmwave_channel`
-    draws but consumes a caller-provided stream, so sweep blocks stay
-    reproducible under the substream scheme.
+    Consumes a caller-provided stream, so sweep blocks stay reproducible
+    under the substream scheme; :func:`sample_mmwave_channel` is this
+    draw on a batch of one.
     """
-    gains = (
-        rng.standard_normal((n_trials, n_paths))
-        + 1j * rng.standard_normal((n_trials, n_paths))
-    ) / np.sqrt(2.0)
-    angles = rng.uniform(-np.pi / 2, np.pi / 2, (n_trials, n_paths))
-    m = np.arange(n_antennas)
-    steer = np.exp(
-        1j
-        * 2.0
-        * np.pi
-        * cfg.spacing_over_wavelength
-        * np.sin(angles)[:, :, None]
-        * m[None, None, :]
-    )
-    return np.einsum("bl,blm->bm", gains, steer)
+    gains, angles = _draw_paths(n_trials, n_paths, rng)
+    return _superpose(gains, angles, n_antennas, cfg)
 
 
 def sample_rayleigh_batch(
     n_trials: int, n_antennas: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Vectorized bulk sampler for the i.i.d. Gaussian baseline."""
-    shape = (n_trials, n_antennas)
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    return _complex_normal((n_trials, n_antennas), rng)

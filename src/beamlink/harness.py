@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -81,30 +82,50 @@ class ExperimentConfig:
         )
 
     def validate(self) -> None:
+        for name in ("n_paths", "trials", "max_trials", "target_errors", "theta_points"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         n = self.n_antennas
         if n < 2 or n & (n - 1):
             raise ValueError("n_antennas must be a power of two, at least 2")
         if self.n_receive != 1:
-            raise ValueError("only single-antenna receivers are supported")
+            raise ValueError("n_receive must be 1: only single-antenna receivers are supported")
         uses_bpr = any(s in beamformer.BPR_SCHEMES for s in self.schemes)
         if uses_bpr and self.n_rf != n // 2:
             raise ValueError("blockwise schemes require n_rf == n_antennas / 2")
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must be nonempty")
+        if not all(math.isfinite(v) for v in self.snr_grid_db):
+            raise ValueError("snr_grid_db values must be finite")
         if any(b <= a for a, b in zip(self.snr_grid_db, self.snr_grid_db[1:])):
             raise ValueError("snr_grid_db must be strictly increasing")
+        if self.n_paths < 1:
+            raise ValueError("n_paths must be at least 1")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.max_trials < 1:
+            raise ValueError("max_trials must be at least 1")
+        if self.target_errors < 0:
+            raise ValueError("target_errors must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        if self.theta_points < 361:
+            raise ValueError("theta_points must be at least 361")
+        if not self.spacing_over_wavelength > 0:
+            raise ValueError("spacing_over_wavelength must be positive")
+        if not self.carrier_frequency_hz > 0:
+            raise ValueError("carrier_frequency_hz must be positive")
         if self.modulation not in stbc.SUPPORTED_ORDERS:
             raise ValueError(f"unsupported modulation order {self.modulation}")
         unknown = set(self.schemes) - set(beamformer.SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
         if self.channel_kind not in channel.CHANNEL_KINDS:
-            raise ValueError(f"unknown channel kind {self.channel_kind!r}")
+            raise ValueError(f"unknown channel_kind {self.channel_kind!r}")
         if self.normalization not in stbc.NORM_MODES:
             raise ValueError(f"unknown normalization mode {self.normalization!r}")
-        if self.noise_variance < 0:
+        if not self.noise_variance >= 0:
             raise ValueError("noise_variance must be nonnegative")
 
     def to_dict(self) -> dict:
@@ -128,6 +149,17 @@ class ExperimentConfig:
 
 # ---------------------------------------------------------------------------
 # per-block pipeline over the layer kernels
+
+
+def _blocks(total: int, seed: int, *key: int):
+    """Yield ``(n, rng)`` for the trial blocks that cover ``total`` trials.
+
+    Every block holds ``TRIAL_BLOCK`` trials except a shorter last one,
+    and block b draws from ``substream(seed, *key, b)`` however many
+    blocks a caller consumes.
+    """
+    for b, start in enumerate(range(0, total, TRIAL_BLOCK)):
+        yield min(TRIAL_BLOCK, total - start), substream(seed, *key, b)
 
 
 def _sample_channels(cfg: ExperimentConfig, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -186,9 +218,9 @@ def _ber_point(
 ) -> tuple[float, float, int]:
     """Run the stopping-rule Monte Carlo for one (scheme, SNR) point.
 
-    Returns (ber, wilson_half_width, codeword_trials). Counting stops
-    once both the minimum trial count and the target error count are
-    met, or at the trial cap.
+    Returns (ber, wilson_half_width, codeword_trials). At least one
+    block runs; counting stops after the block that meets both the
+    minimum trial count and the target error count, or at the trial cap.
     """
     scheme = cfg.schemes[scheme_idx]
     const = stbc.make_constellation(cfg.modulation)
@@ -200,17 +232,13 @@ def _ber_point(
     bits_per_cw = 2 * const.bits_per_symbol
     errors = 0
     trials = 0
-    block_idx = 0
-    while trials < cfg.max_trials and (
-        trials < cfg.trials or errors < cfg.target_errors
-    ):
-        n = min(TRIAL_BLOCK, cfg.max_trials - trials)
-        rng = substream(cfg.seed, _PURPOSE_FIG3, scheme_idx, snr_idx, block_idx)
+    for n, rng in _blocks(cfg.max_trials, cfg.seed, _PURPOSE_FIG3, scheme_idx, snr_idx):
         h = _sample_channels(cfg, n, rng)
         h_eq = _batch_equivalent_channels(scheme, h, cfg)
         errors += _ber_block(h_eq, const, amplitude, cfg.noise_variance, rng)
         trials += n
-        block_idx += 1
+        if trials >= cfg.trials and errors >= cfg.target_errors:
+            break
     n_bits = trials * bits_per_cw
     lo, hi = analysis.wilson_interval(errors, n_bits)
     return errors / n_bits, (hi - lo) / 2.0, trials
@@ -293,7 +321,7 @@ def run_fig1(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    theta = np.linspace(-np.pi / 2, np.pi / 2, max(cfg.theta_points, 361))
+    theta = np.linspace(-np.pi / 2, np.pi / 2, cfg.theta_points)
     rng = substream(cfg.seed, _PURPOSE_FIG1)
     h = _sample_channels(cfg, 1, rng)[0]
     rows = []
@@ -359,16 +387,12 @@ def _fig2_quadratic_forms(cfg: ExperimentConfig) -> dict[str, np.ndarray]:
     """``||F^H h||^2`` per realization for each scheme, on shared channels."""
     quad_forms: dict[str, np.ndarray] = {s: np.empty(cfg.trials) for s in cfg.schemes}
     done = 0
-    block_idx = 0
-    while done < cfg.trials:
-        n = min(TRIAL_BLOCK, cfg.trials - done)
-        rng = substream(cfg.seed, _PURPOSE_FIG2, block_idx)
+    for n, rng in _blocks(cfg.trials, cfg.seed, _PURPOSE_FIG2):
         h = _sample_channels(cfg, n, rng)
         for scheme in cfg.schemes:
             h_eq = _batch_equivalent_channels(scheme, h, cfg)
             quad_forms[scheme][done : done + n] = np.sum(np.abs(h_eq) ** 2, axis=1)
         done += n
-        block_idx += 1
     return quad_forms
 
 
@@ -464,11 +488,7 @@ def simulate_bpsk_rayleigh_ber(
     gamma_bar = 10.0 ** (gamma_bar_db / 10.0)
     amplitude = np.sqrt(gamma_bar / 2.0)
     errors = 0
-    done = 0
-    block_idx = 0
-    while done < n_trials:
-        n = min(TRIAL_BLOCK, n_trials - done)
-        rng = substream(seed, _PURPOSE_BPSK_CHECK, block_idx)
+    for n, rng in _blocks(n_trials, seed, _PURPOSE_BPSK_CHECK):
         h = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
         bits = rng.integers(0, 2, n)
         symbols = 1.0 - 2.0 * bits
@@ -476,8 +496,6 @@ def simulate_bpsk_rayleigh_ber(
         y = amplitude * h * symbols + noise
         detected = (np.real(np.conj(h) * y) < 0).astype(np.int64)
         errors += int(np.count_nonzero(detected != bits))
-        done += n
-        block_idx += 1
     lo, hi = analysis.wilson_interval(errors, n_trials)
     return errors / n_trials, lo, hi, n_trials
 
@@ -501,13 +519,7 @@ def simulate_conditional_ber(
     """
     amplitude = stbc.link_amplitude(gamma0, kappa, mode, include_array_gain, n_antennas, n_paths)
     errors = 0
-    done = 0
-    block_idx = 0
-    while done < n_trials:
-        n = min(TRIAL_BLOCK, n_trials - done)
-        rng = substream(seed, _PURPOSE_CONDITIONAL, block_idx)
+    for n, rng in _blocks(n_trials, seed, _PURPOSE_CONDITIONAL):
         h_rows = np.broadcast_to(np.asarray(h_eq), (n, 2))
         errors += _ber_block(h_rows, constellation, amplitude, 1.0, rng)
-        done += n
-        block_idx += 1
     return errors, n_trials * 2 * constellation.bits_per_symbol

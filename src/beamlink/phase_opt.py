@@ -16,7 +16,6 @@ The greedy kernel runs on a batch of channel rows at once;
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +28,6 @@ METHOD_FIXED_ZERO = "fixed-zero"
 METHOD_RANDOM = "random"
 
 MAX_ORACLE_ELEMENTS = 16
-_BRUTE_FORCE_MAX_Q = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,16 +156,6 @@ def _selection_from_element_phases(
     )
 
 
-def _brute_force_phases(h: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Joint enumeration over every grid assignment (small n only)."""
-    n = h.size
-    combos = np.array(
-        list(itertools.product(range(angles.size), repeat=n)), dtype=np.int64
-    )
-    gains = np.abs(np.exp(1j * angles[combos]) @ np.conj(h))
-    return angles[combos[int(np.argmax(gains))]]
-
-
 def _rotation_sweep_phases(h: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Exact grid optimum via a sweep over the common rotation angle.
 
@@ -201,10 +189,10 @@ def _rotation_sweep_phases(h: np.ndarray, angles: np.ndarray) -> np.ndarray:
 def exhaustive_phase_oracle(h: np.ndarray, q: int) -> PhaseSelection:
     """Globally optimal per-element assignment over the fine grid.
 
-    For q <= 2 every one of the ``(2**q)**(2**q)`` assignments is
-    enumerated; for larger arrays (up to 16 elements) the rotation sweep
-    computes the same optimum. The result upper-bounds any blockwise
-    selection because the blockwise grids are subsets of this one.
+    The rotation sweep finds the optimum of the ``(2**q)**(2**q)`` joint
+    assignments from ``2**q * 2**q`` candidate rotations, for arrays of
+    up to 16 elements. The result upper-bounds any blockwise selection
+    because the blockwise grids are subsets of this one.
     """
     h = np.asarray(h, dtype=np.complex128)
     n = 2**q
@@ -212,11 +200,7 @@ def exhaustive_phase_oracle(h: np.ndarray, q: int) -> PhaseSelection:
         raise ValueError(f"h must have length 2**q = {n}")
     if n > MAX_ORACLE_ELEMENTS:
         raise ValueError(f"oracle limited to {MAX_ORACLE_ELEMENTS} elements")
-    angles = element_grid(q).angles
-    if q <= _BRUTE_FORCE_MAX_Q:
-        phases = _brute_force_phases(h, angles)
-    else:
-        phases = _rotation_sweep_phases(h, angles)
+    phases = _rotation_sweep_phases(h, element_grid(q).angles)
     return _selection_from_element_phases(h, phases, METHOD_EXHAUSTIVE)
 
 
@@ -244,7 +228,10 @@ def _greedy(h: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
             scores = np.abs(acc[:, None, None] + hc[:, :, None] * rotations[None, None, :])
             scores[~alive] = -np.inf
             evals += (n - block * half - slot) * rotations.size
-            # first flat maximum = lowest element index, then lowest grid index
+            # first flat maximum of the computed scores: equal floats go to the
+            # lowest element index, then the lowest grid index. On the first
+            # slot every angle of an element scores |h_v| in exact arithmetic,
+            # so the rounding of numpy's array abs picks the angle there.
             flat = scores.reshape(b, -1).argmax(axis=1)
             elem, gidx = np.divmod(flat, rotations.size)
             phi[block, :, slot] = grid.angles[gidx]
@@ -262,9 +249,12 @@ def greedy_bpr_phases(h: np.ndarray, q: int) -> PhaseSelection:
     each slot takes the (unplaced element, grid-1 angle) pair that gives
     the largest aligned-sum magnitude. The second pass fills the slots of
     block 2 the same way from the remaining elements and grid 2. A placed
-    element and its angle are never revisited. Ties break toward the
-    lowest element index, then the lowest grid index. This is the
-    batched kernel applied to a batch of one.
+    element and its angle are never revisited. Candidates whose computed
+    magnitudes are equal floats break toward the lowest element index,
+    then the lowest grid index. Ties in exact arithmetic need not be
+    equal floats: on the first slot every grid angle of an element gives
+    ``|h_v|``, and rounding in numpy's array ``abs`` decides which angle
+    is taken. This is the batched kernel applied to a batch of one.
     """
     h = np.asarray(h, dtype=np.complex128)
     n = 2**q

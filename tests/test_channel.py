@@ -47,6 +47,20 @@ class TestSteeringVector:
         with pytest.raises(ValueError):
             channel.steering_vector(0.0, 0)
 
+    @pytest.mark.parametrize("shape", [(721,), (50, 3)])
+    def test_array_matches_stacked_scalar_calls(self, shape):
+        theta = substream(8, 0).uniform(-np.pi / 2, np.pi / 2, shape)
+        cfg = channel.SteeringConfig(spacing_over_wavelength=0.4)
+        batched = channel.steering_vector(theta, 16, cfg)
+        stacked = np.stack(
+            [channel.steering_vector(float(t), 16, cfg) for t in theta.ravel()]
+        ).reshape(shape + (16,))
+        assert np.array_equal(batched, stacked)
+
+    def test_array_rejects_any_nonfinite_angle(self):
+        with pytest.raises(ValueError):
+            channel.steering_vector(np.array([0.0, np.inf]), 4)
+
     def test_custom_spacing(self):
         cfg = channel.SteeringConfig(spacing_over_wavelength=0.25)
         v = channel.steering_vector(np.pi / 2, 3, cfg)
@@ -82,6 +96,13 @@ class TestMmwaveChannel:
         real = channel.sample_mmwave_channel(3, 8, seed=11)
         rebuilt = channel.channel_from_paths(real.paths, 8)
         assert np.array_equal(real.h, rebuilt)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_scalar_sampler_is_batch_of_one(self, seed):
+        cfg = channel.SteeringConfig()
+        real = channel.sample_mmwave_channel(3, 8, cfg, seed=seed)
+        batch = channel.sample_mmwave_batch(1, 3, 8, cfg, substream(seed))
+        assert np.array_equal(real.h, batch[0])
 
     def test_path_set_invariants(self):
         with pytest.raises(ValueError):
@@ -145,6 +166,11 @@ class TestRayleighChannel:
         p = np.exp(-1.0)
         se = np.sqrt(p * (1 - p) / h.size)
         assert abs(frac - p) < 3 * se
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_scalar_sampler_is_batch_of_one(self, seed):
+        real = channel.sample_rayleigh_channel(6, seed=seed)
+        assert np.array_equal(real.h, channel.sample_rayleigh_batch(1, 6, substream(seed))[0])
 
     def test_rejects_zero_antennas(self):
         with pytest.raises(ValueError):

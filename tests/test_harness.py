@@ -50,10 +50,25 @@ class TestConfig:
             {"channel_kind": "awgn"},
             {"normalization": "eq42"},
             {"n_receive": 2},
+            {"n_paths": 0},
+            {"n_paths": 2.5},
+            {"trials": 100.0},
+            {"max_trials": 0},
+            {"max_trials": 1.5},
+            {"target_errors": -1},
+            {"target_errors": 1.0},
+            {"snr_grid_db": (0.0, float("nan"))},
+            {"snr_grid_db": (0.0, float("inf"))},
+            {"theta_points": 10},
+            {"seed": -1},
+            {"spacing_over_wavelength": 0.0},
+            {"carrier_frequency_hz": 0.0},
+            {"noise_variance": float("nan")},
         ],
     )
     def test_validation_rejects(self, overrides):
-        with pytest.raises(ValueError):
+        (field,) = overrides
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
             _tiny_cfg(**overrides)
 
     def test_nrf_free_without_bpr(self):
@@ -73,6 +88,12 @@ class TestConfig:
 
 
 class TestBatchKernels:
+    def test_blocks_cover_total_with_keyed_substreams(self):
+        blocks = list(harness._blocks(40000, 11, 7))
+        assert [n for n, _ in blocks] == [16384, 16384, 7232]
+        for b, (_, rng) in enumerate(blocks):
+            assert np.array_equal(rng.random(8), substream(11, 7, b).random(8))
+
     def test_batch_greedy_matches_scalar(self):
         for q in (1, 2, 3, 4):
             rng = substream(q, 60)
@@ -258,6 +279,19 @@ class TestFig3:
         row = res.rows[0]
         assert row[6] > 1000 or row[4] * row[6] * 4 >= 200
 
+    @pytest.mark.parametrize(
+        "trials,target_errors,max_trials,expected",
+        [(1, 0, 40000, 16384), (1, 10**9, 20000, 20000), (16385, 0, 40000, 32768)],
+    )
+    def test_stopping_rule_counts_whole_blocks(self, trials, target_errors, max_trials, expected):
+        # one block always runs; then stop at the first block boundary that
+        # meets both targets, or at the cap
+        cfg = _tiny_cfg(
+            snr_grid_db=(0.0,), schemes=("dft",), trials=trials,
+            target_errors=target_errors, max_trials=max_trials,
+        )
+        assert harness._ber_point(cfg, 0, 0, 0.0)[2] == expected
+
     @pytest.mark.parametrize("n_antennas", [2, 8])
     def test_rejects_arrays_without_two_chains(self, tmp_path, n_antennas):
         cfg = _tiny_cfg(n_antennas=n_antennas, n_rf=n_antennas // 2, trials=500)
@@ -285,27 +319,66 @@ class TestDeterminism:
         r2 = harness.run_fig3(_tiny_cfg(seed=2), tmp_path / "s2")
         assert r1.path.read_bytes() != r2.path.read_bytes()
 
-    def test_cli_outputs_match_pinned_hashes(self, tmp_path):
-        # SHA-256 of the outputs of the criterion-9 command; a change meant
-        # to leave every output unchanged must keep these
-        pinned = {
-            "table1.csv": "ee04aad6c99c0f889881ef36ef9cc6e40db340b85f0be38d5aa81b4a80e31f88",
-            "fig1.csv": "968463a27617eeb7ce09e5b3d18644407a99bcc594ed3ae6101546980d4dcae0",
-            "fig2.csv": "2325caacc42cab651aa404a5201e68e159cdd73693b15d04a707e73e05384995",
-            "fig3.csv": "630e81c87262b58faac09c9ec2c9142d9295c4193068c55f2f594bba0ee0e3bd",
-        }
+    # SHA-256 of CLI outputs recorded before a change meant to leave every
+    # output unchanged; such a change must keep them. The runs cover the
+    # criterion-9 command, Rayleigh 4-QAM with the stopping rule past one
+    # block, q=4 greedy with hadamard and bpr-complex, and 16-QAM under eq10.
+    @pytest.mark.parametrize(
+        "args,config,pinned",
+        [
+            pytest.param(
+                ("all", "--trials", "600", "--mod", "4", "--snr", "0,10,20",
+                 "--scheme", "dft,bpr-real", "--seed", "99"),
+                None,
+                {
+                    "table1.csv": "ee04aad6c99c0f889881ef36ef9cc6e40db340b85f0be38d5aa81b4a80e31f88",
+                    "fig1.csv": "968463a27617eeb7ce09e5b3d18644407a99bcc594ed3ae6101546980d4dcae0",
+                    "fig2.csv": "2325caacc42cab651aa404a5201e68e159cdd73693b15d04a707e73e05384995",
+                    "fig3.csv": "630e81c87262b58faac09c9ec2c9142d9295c4193068c55f2f594bba0ee0e3bd",
+                },
+                id="criterion9",
+            ),
+            pytest.param(
+                ("all", "--channel", "rayleigh", "--mod", "4", "--snr", "0,10",
+                 "--trials", "600", "--seed", "3"),
+                None,
+                {
+                    "table1.csv": "ee04aad6c99c0f889881ef36ef9cc6e40db340b85f0be38d5aa81b4a80e31f88",
+                    "fig1.csv": "0858963ec0d505588426c29c3a427fff2736cbd1d7c50dec7baa103d3ac1b85f",
+                    "fig2.csv": "b18e2084c1b4669fc2acf43ec4f41e954e32661b62243839adc2244e45dadd59",
+                    "fig3.csv": "94524e9ea7c5a195697acfea1cb7c0f3ae30e763b6454a93f037701d044a88af",
+                },
+                id="rayleigh-4qam",
+            ),
+            pytest.param(
+                ("fig2", "--trials", "2000", "--seed", "2"),
+                {"n_antennas": 16, "n_rf": 8},
+                {"fig2.csv": "f18f79cff360a543300d718249c5cf8b6fdb86c810b6d63d3f43aae2d669bfb9"},
+                id="fig2-array16",
+            ),
+            pytest.param(
+                ("fig3", "--mod", "16", "--norm", "eq10", "--snr", "0,15",
+                 "--trials", "600", "--seed", "4"),
+                None,
+                {"fig3.csv": "e7bc8ae69897b5aa0d8066477e1a98402b5beffceb6d73085cc49f3f8c39f0ae"},
+                id="fig3-16qam-eq10",
+            ),
+        ],
+    )
+    def test_cli_outputs_match_pinned_hashes(self, tmp_path, args, config, pinned):
+        out = tmp_path / "out"
+        extra = []
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            extra = ["--config", str(tmp_path / "config.json")]
         proc = subprocess.run(
-            [
-                sys.executable, "-m", "beamlink", "all",
-                "--trials", "600", "--mod", "4", "--snr", "0,10,20",
-                "--scheme", "dft,bpr-real", "--seed", "99", "--out", str(tmp_path),
-            ],
+            [sys.executable, "-m", "beamlink", *args, *extra, "--out", str(out)],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
         for name, digest in pinned.items():
-            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
     def test_manifest_hashes_match_files(self, tmp_path):
         cfg = _tiny_cfg(trials=500, max_trials=1000)

@@ -63,7 +63,8 @@ class TestExhaustiveOracle:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_rotation_sweep_agrees_with_bruteforce(self, seed):
-        # the sweep is the q > 2 code path; force it on q <= 2 instances
+        # the sweep is the oracle's only algorithm; check it against the
+        # independent joint enumeration on instances small enough to enumerate
         h = _random_channel(4, 100 + seed)
         angles = phase_opt.element_grid(2).angles
         swept = phase_opt._rotation_sweep_phases(h, angles)
