@@ -1,15 +1,18 @@
-"""Closed-form and semi-analytic link performance metrics.
+"""Closed-form link performance metrics.
 
 Covers the achievable-rate expression of the beamformed single-user
 link, beamspace gain patterns, codeword-distance statistics, the
 pairwise union bound with its Chernoff relaxation, and the averaged
-error probabilities of BPSK/MPSK/MQAM over a Rayleigh-distributed SNR,
-obtained through the moment-generating-function representation of the
-Gaussian Q-function:
+error probabilities of BPSK/MPSK/MQAM over a Rayleigh-distributed SNR.
+The averages are the closed forms of the moment-generating-function
+representation of the Gaussian Q-function,
 
     E[Q(a sqrt(gamma))] = (1/pi) * int_0^{pi/2} 1 / (1 + a^2 gbar / (2 sin^2 t)) dt
 
-for exponentially distributed gamma with mean gbar.
+for exponentially distributed gamma with mean gbar. The union bound is
+exact for every constellation order: the orthogonality of the Alamouti
+code reduces its sum over codeword pairs to a sum over pairs of
+symbol-distance classes.
 """
 
 from __future__ import annotations
@@ -17,61 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .beamformer import BeamformingMatrix, equivalent_channel
 from .channel import SteeringConfig, steering_vector
-from .stbc import Constellation, ErrorMatrix, alamouti_codebook
-
-QUAD_ABS_TOL = 1e-9
-_QUAD_LIMIT = 200
-
-MPSK_FORM_QUADRATURE = "quadrature"
-MPSK_FORM_PRINTED = "printed"
-
-
-class QuadratureError(RuntimeError):
-    """Raised when adaptive quadrature fails to reach its tolerance."""
+from .stbc import Constellation
 
 
 def q_function(x):
     """Gaussian tail probability ``Q(x)`` via the complementary error function."""
     return 0.5 * special.erfc(np.asarray(x, dtype=np.float64) / np.sqrt(2.0))
-
-
-def q_function_integral(x: float) -> float:
-    """``Q(x)`` through its finite-integral form, for cross-validation.
-
-    Q(x) = (1/pi) * int_0^{pi/2} exp(-x^2 / (2 sin^2 t)) dt for x >= 0;
-    negative arguments use Q(x) = 1 - Q(-x).
-    """
-    if not np.isfinite(x):
-        raise ValueError("x must be finite")
-    if x < 0:
-        return 1.0 - q_function_integral(-x)
-    value = _quad(lambda t: np.exp(-x * x / (2.0 * np.sin(t) ** 2)), 0.0, np.pi / 2)
-    return value / np.pi
-
-
-def _quad(fn, a: float, b: float) -> float:
-    result = integrate.quad(
-        fn, a, b, epsabs=QUAD_ABS_TOL * 1e-2, epsrel=1e-12, limit=_QUAD_LIMIT, full_output=1
-    )
-    if len(result) > 3:
-        raise QuadratureError(f"quadrature did not converge: {result[3]}")
-    value, abserr = result[0], result[1]
-    if abserr > QUAD_ABS_TOL:
-        raise QuadratureError(f"quadrature error {abserr} above tolerance")
-    return value
-
-
-def rayleigh_qfunc_average(a: float, gamma_bar: float) -> float:
-    """``E[Q(a sqrt(gamma))]`` for gamma ~ Exp(mean gamma_bar), by quadrature."""
-    if gamma_bar < 0:
-        raise ValueError("gamma_bar must be nonnegative")
-    c = a * a * gamma_bar / 2.0
-    value = _quad(lambda t: np.sin(t) ** 2 / (np.sin(t) ** 2 + c), 0.0, np.pi / 2)
-    return value / np.pi
 
 
 def mgf_ber_bpsk(gamma_bar: float) -> float:
@@ -85,20 +43,12 @@ def mgf_ber_bpsk(gamma_bar: float) -> float:
     return 0.5 - 0.5 * np.sqrt(gamma_bar / (2.0 + gamma_bar))
 
 
-def mgf_ber_mpsk(gamma_bar: float, m: int, form: str = MPSK_FORM_QUADRATURE) -> float:
+def mgf_ber_mpsk(gamma_bar: float, m: int) -> float:
     """Average MPSK error probability over Rayleigh fading.
 
-    The default ``quadrature`` form is the closed form of the MGF
-    integral with ``a^2 = 2 sin^2(pi/M)``:
+    Closed form of the MGF integral with ``a^2 = 2 sin^2(pi/M)``:
 
         (1 - sqrt(mu)) / 2,   mu = gbar sin^2(pi/M) / (1 + gbar sin^2(pi/M))
-
-    and agrees with :func:`rayleigh_qfunc_average` to quadrature accuracy
-    for every M. The ``printed`` form keeps an alternative arctangent
-    weighting, ``(M-1)/M - sqrt(mu)/2 + ((M-1) sqrt(mu)/M) atan(sqrt(mu)
-    cot(pi/M))``; the two coincide only for M = 2, and the printed form
-    does not decay at high SNR for M > 2, so it is retained for
-    comparison rather than as a default.
     """
     if gamma_bar < 0:
         raise ValueError("gamma_bar must be nonnegative")
@@ -106,25 +56,23 @@ def mgf_ber_mpsk(gamma_bar: float, m: int, form: str = MPSK_FORM_QUADRATURE) -> 
         raise ValueError("M must be a power of two, at least 2")
     g = np.sin(np.pi / m) ** 2
     mu = gamma_bar * g / (1.0 + gamma_bar * g)
-    if form == MPSK_FORM_QUADRATURE:
-        return 0.5 * (1.0 - np.sqrt(mu))
-    if form == MPSK_FORM_PRINTED:
-        root = np.sqrt(mu)
-        cot = 1.0 / np.tan(np.pi / m) if m > 2 else 0.0
-        return (m - 1) / m - root / 2.0 + (m - 1) * root / m * np.arctan(root * cot)
-    raise ValueError(f"unknown MPSK form {form!r}")
+    return 0.5 * (1.0 - np.sqrt(mu))
 
 
 def mgf_ber_mqam(gamma_bar: float, m: int) -> float:
     """Average square-QAM error probability over Rayleigh fading.
 
-    Evaluates the two-integral MGF representation
+    Closed form of the two-integral MGF representation
 
         (4 zeta / pi) int_0^{pi/2} (1 + c/sin^2 t)^(-1) dt
       - (4 zeta^2 / pi) int_0^{pi/4} (1 + c/sin^2 t)^(-1) dt
 
-    with ``zeta = 1 - 1/sqrt(M)`` and ``c = 3 gbar / (2 (M - 1))`` by
-    adaptive quadrature. At gbar = 0 this equals ``2 zeta - zeta^2``.
+    with ``zeta = 1 - 1/sqrt(M)`` and ``c = 3 gbar / (2 (M - 1))``
+    (Simon and Alouini): with ``mu = sqrt(c / (1 + c))`` it is
+
+        2 zeta (1 - mu) - zeta^2 (1 - (4/pi) mu atan(1/mu)),
+
+    which equals ``2 zeta - zeta^2`` at gbar = 0.
     """
     if gamma_bar < 0:
         raise ValueError("gamma_bar must be nonnegative")
@@ -132,10 +80,8 @@ def mgf_ber_mqam(gamma_bar: float, m: int) -> float:
         raise ValueError("M must be one of 4, 16, 64")
     zeta = 1.0 - 1.0 / np.sqrt(m)
     c = 3.0 * gamma_bar / (2.0 * (m - 1))
-    integrand = lambda t: np.sin(t) ** 2 / (np.sin(t) ** 2 + c)
-    i1 = _quad(integrand, 0.0, np.pi / 2)
-    i2 = _quad(integrand, 0.0, np.pi / 4)
-    return 4.0 * zeta / np.pi * i1 - 4.0 * zeta**2 / np.pi * i2
+    mu = np.sqrt(c / (1.0 + c))
+    return 2.0 * zeta * (1.0 - mu) - zeta**2 * (1.0 - 4.0 / np.pi * mu * np.arctan2(1.0, mu))
 
 
 def spectral_efficiency(
@@ -215,83 +161,54 @@ def min_euclidean_distance(
     return best, best_pair
 
 
-def pairwise_q_term(
-    h_eq: np.ndarray, err: ErrorMatrix | np.ndarray, gamma0: float, kappa: float
-) -> float:
+def pairwise_q_term(h_eq: np.ndarray, err: np.ndarray, gamma0: float, kappa: float) -> float:
     """Exact pairwise term ``Q(Xi * sqrt(gamma0 kappa / 2))`` with
-    ``Xi = ||h_eq^H E||_F``."""
-    e = err.matrix if isinstance(err, ErrorMatrix) else np.asarray(err)
-    xi_val = float(np.linalg.norm(h_eq.conj() @ e))
+    ``Xi = ||h_eq^H E||_F`` for the 2x2 codeword difference ``E``."""
+    xi_val = float(np.linalg.norm(h_eq.conj() @ err))
     return float(q_function(xi_val * np.sqrt(gamma0 * kappa / 2.0)))
 
 
-def chernoff_pep(
-    h_eq: np.ndarray, err: ErrorMatrix | np.ndarray, gamma0: float, kappa: float
-) -> float:
+def chernoff_pep(h_eq: np.ndarray, err: np.ndarray, gamma0: float, kappa: float) -> float:
     """Chernoff relaxation ``exp(-gamma0 kappa Xi^2 / 4)`` of the pairwise term."""
     if gamma0 < 0:
         raise ValueError("gamma0 must be nonnegative")
-    e = err.matrix if isinstance(err, ErrorMatrix) else np.asarray(err)
-    xi_sq = float(np.linalg.norm(h_eq.conj() @ e) ** 2)
+    xi_sq = float(np.linalg.norm(h_eq.conj() @ err) ** 2)
     return float(np.exp(-gamma0 * kappa * xi_sq / 4.0))
 
 
-@dataclass(frozen=True)
-class UnionBoundResult:
-    value: float
-    pairs_used: int
-    pairs_total: int
-
-
-FULL_ENUMERATION_MAX_ORDER = 16
-
-
 def union_bound_ber(
-    h_eq: np.ndarray,
-    constellation: Constellation,
-    gamma0: float,
-    kappa: float,
-    pair_budget: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> UnionBoundResult:
+    h_eq: np.ndarray, constellation: Constellation, gamma0: float, kappa: float
+) -> float:
     """Pairwise union bound on the conditional bit error rate.
 
     Sums ``e(S_k, S_l) / log2(M) * Q(Xi_{k,l} sqrt(gamma0 kappa / 2))``
-    over ordered codeword pairs, with ``e`` the Hamming distance between
-    the pair's source-bit labels. All pairs are enumerated up to M = 16;
-    for larger constellations a uniformly subsampled pair set with a
-    population-size correction is used and the budget is reported.
+    over ordered pairs of Alamouti codewords, with ``e`` the Hamming
+    distance between the pair's source-bit labels. A codeword difference
+    built from per-symbol differences d1, d2 satisfies
+    ``E E^H = (|d1|^2 + |d2|^2) I``, so
+    ``Xi^2 = ||h_eq||^2 (|d1|^2 + |d2|^2)`` and the Hamming distances
+    add the same way. Grouping the ``M^2`` symbol pairs by squared
+    distance ``d_u``, with pair count ``C_u`` and summed Hamming weight
+    ``W_u``, gives the exact sum
+
+        sum_{u,v} (W_u C_v + C_u W_v) Q(c sqrt(d_u + d_v)) / log2(M)
+      = 2 sum_{u,v} W_u C_v Q(c sqrt(d_u + d_v)) / log2(M)
+
+    with ``c = ||h_eq|| sqrt(gamma0 kappa / 2)``, the second line by the
+    symmetry of the Q matrix in (u, v). The k = l term vanishes because
+    its Hamming weight is zero.
     """
     if gamma0 < 0:
         raise ValueError("gamma0 must be nonnegative")
-    codewords, bits = alamouti_codebook(constellation)
-    n_cw = codewords.shape[0]
-    pairs_total = n_cw * (n_cw - 1)
-    projected = np.einsum("c,kct->kt", np.asarray(h_eq).conj(), codewords)
-    bits_per_symbol = constellation.bits_per_symbol
-    snr_scale = np.sqrt(gamma0 * kappa / 2.0)
-    if constellation.order <= FULL_ENUMERATION_MAX_ORDER and pair_budget is None:
-        xi_mat = np.linalg.norm(
-            projected[:, None, :] - projected[None, :, :], axis=2
-        )
-        hamming = np.count_nonzero(bits[:, None, :] != bits[None, :, :], axis=2)
-        terms = hamming / bits_per_symbol * q_function(xi_mat * snr_scale)
-        np.fill_diagonal(terms, 0.0)
-        return UnionBoundResult(
-            value=float(terms.sum()), pairs_used=pairs_total, pairs_total=pairs_total
-        )
-    if pair_budget is None:
-        pair_budget = 200_000
-    if rng is None:
-        raise ValueError("subsampled evaluation requires an rng")
-    ks = rng.integers(0, n_cw, pair_budget)
-    ls = rng.integers(0, n_cw - 1, pair_budget)
-    ls = np.where(ls >= ks, ls + 1, ls)  # uniform over l != k
-    xi_vals = np.linalg.norm(projected[ks] - projected[ls], axis=1)
-    hamming = np.count_nonzero(bits[ks] != bits[ls], axis=1)
-    terms = hamming / bits_per_symbol * q_function(xi_vals * snr_scale)
-    value = float(terms.mean()) * pairs_total
-    return UnionBoundResult(value=value, pairs_used=int(pair_budget), pairs_total=pairs_total)
+    points, labels = constellation.points, constellation.labels
+    sq_dist = (np.abs(points[:, None] - points[None, :]) ** 2).ravel()
+    hamming = np.count_nonzero(labels[:, None, :] != labels[None, :, :], axis=2).ravel()
+    d, group = np.unique(sq_dist, return_inverse=True)
+    count = np.bincount(group)
+    weight = np.bincount(group, weights=hamming)
+    scale = np.sqrt(float(np.vdot(h_eq, h_eq).real) * gamma0 * kappa / 2.0)
+    q_uv = q_function(scale * np.sqrt(d[:, None] + d[None, :]))
+    return float(2.0 * (weight @ q_uv @ count) / constellation.bits_per_symbol)
 
 
 def wilson_interval(errors: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -38,6 +37,8 @@ TRIAL_BLOCK = 16384
 CSV_HEADER = "scheme,modulation,metric,gamma0_db,value,ci_half_width,n_trials"
 
 DEFAULT_SNR_GRID_DB = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
+# no physical link lies beyond this; near 3080 dB, 10**(snr/10) overflows a float
+MAX_ABS_SNR_DB = 300.0
 
 
 @dataclass
@@ -82,7 +83,10 @@ class ExperimentConfig:
         )
 
     def validate(self) -> None:
-        for name in ("n_paths", "trials", "max_trials", "target_errors", "theta_points"):
+        for name in (
+            "n_antennas", "n_rf", "n_receive", "n_paths", "modulation",
+            "trials", "max_trials", "target_errors", "seed", "theta_points",
+        ):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -91,13 +95,14 @@ class ExperimentConfig:
             raise ValueError("n_antennas must be a power of two, at least 2")
         if self.n_receive != 1:
             raise ValueError("n_receive must be 1: only single-antenna receivers are supported")
-        uses_bpr = any(s in beamformer.BPR_SCHEMES for s in self.schemes)
-        if uses_bpr and self.n_rf != n // 2:
-            raise ValueError("blockwise schemes require n_rf == n_antennas / 2")
+        if self.n_rf != n // 2:
+            raise ValueError(f"n_rf must equal n_antennas / 2 = {n // 2}, got {self.n_rf}")
+        if not isinstance(self.include_array_gain, bool):
+            raise ValueError(f"include_array_gain must be a bool, got {self.include_array_gain!r}")
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must be nonempty")
-        if not all(math.isfinite(v) for v in self.snr_grid_db):
-            raise ValueError("snr_grid_db values must be finite")
+        if not all(abs(v) <= MAX_ABS_SNR_DB for v in self.snr_grid_db):
+            raise ValueError(f"snr_grid_db values must lie within +-{MAX_ABS_SNR_DB:g} dB")
         if any(b <= a for a, b in zip(self.snr_grid_db, self.snr_grid_db[1:])):
             raise ValueError("snr_grid_db must be strictly increasing")
         if self.n_paths < 1:
@@ -359,6 +364,7 @@ def run_fig2(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
     per realization. The confidence half width is 1.96 sigma of the
     sample mean.
     """
+    _check_fig2(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     quad_forms = _fig2_quadratic_forms(cfg)
@@ -406,6 +412,12 @@ def monotonicity_notes(scheme: str, curve: list[tuple[float, float, float]]) -> 
     return notes
 
 
+def _check_fig2(cfg: ExperimentConfig) -> None:
+    # the confidence half width is a sample standard deviation
+    if cfg.trials < 2:
+        raise ValueError(f"fig2 requires trials >= 2 realizations, got {cfg.trials}")
+
+
 def _check_fig3(cfg: ExperimentConfig) -> None:
     # Alamouti needs 2 RF chains, and every beamformer has n_antennas / 2 columns
     if cfg.n_antennas != 4:
@@ -432,6 +444,7 @@ def run_fig3(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
 
 
 def run_all(cfg: ExperimentConfig, out_dir: str | Path) -> list[SweepResult]:
+    _check_fig2(cfg)
     _check_fig3(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -224,23 +224,6 @@ def decode_alamouti(
     return bits
 
 
-@dataclass(frozen=True, eq=False)
-class ErrorMatrix:
-    """Difference of two codewords, ``E = S_k - S_l``."""
-
-    matrix: np.ndarray
-    pair_ids: tuple[int, int]
-
-    @property
-    def scale(self) -> float:
-        """The constant a in ``E E^H = a I``."""
-        return float(np.abs(self.matrix[0, 0]) ** 2 + np.abs(self.matrix[1, 0]) ** 2)
-
-
-def error_matrix(s_k: np.ndarray, s_l: np.ndarray, pair_ids: tuple[int, int] = (0, 1)) -> ErrorMatrix:
-    return ErrorMatrix(matrix=np.asarray(s_k) - np.asarray(s_l), pair_ids=pair_ids)
-
-
 def alamouti_codebook(constellation: Constellation) -> tuple[np.ndarray, np.ndarray]:
     """All ``M**2`` codewords with their source-bit labels.
 

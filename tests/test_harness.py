@@ -1,10 +1,14 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamlink import analysis, beamformer, harness, phase_opt, stbc
 from beamlink.rng import substream
@@ -26,6 +30,69 @@ def _tiny_cfg(**overrides):
     return harness.ExperimentConfig(**base)
 
 
+# one override per case; each is invalid whatever the other fields hold
+_REJECTED_OVERRIDES = [
+    {"n_antennas": 3},
+    {"n_rf": 3},
+    {"snr_grid_db": ()},
+    {"snr_grid_db": (10.0, 5.0)},
+    {"trials": 0},
+    {"modulation": 8},
+    {"schemes": ("dft", "mystery")},
+    {"channel_kind": "awgn"},
+    {"normalization": "eq42"},
+    {"n_receive": 2},
+    {"n_paths": 0},
+    {"n_paths": 2.5},
+    {"trials": 100.0},
+    {"max_trials": 0},
+    {"max_trials": 1.5},
+    {"target_errors": -1},
+    {"target_errors": 1.0},
+    {"snr_grid_db": (0.0, float("nan"))},
+    {"snr_grid_db": (0.0, float("inf"))},
+    {"theta_points": 10},
+    {"seed": -1},
+    {"spacing_over_wavelength": 0.0},
+    {"carrier_frequency_hz": 0.0},
+    {"noise_variance": float("nan")},
+    {"include_array_gain": "no"},
+    {"include_array_gain": 1},
+    {"n_rf": 0},
+    {"n_antennas": 4.0},
+    {"modulation": 64.0},
+    {"seed": 1.5},
+    {"snr_grid_db": (0.0, 400.0)},
+]
+
+
+@st.composite
+def _valid_config_fields(draw):
+    n = draw(st.sampled_from([2, 4, 8, 16]))
+    snrs = draw(st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=3, unique=True))
+    return dict(
+        n_antennas=n,
+        n_rf=n // 2,
+        n_paths=draw(st.integers(1, 4)),
+        snr_grid_db=tuple(sorted(snrs)),
+        modulation=draw(st.sampled_from(stbc.SUPPORTED_ORDERS)),
+        schemes=tuple(
+            draw(st.lists(st.sampled_from(beamformer.SCHEMES), min_size=1, max_size=4, unique=True))
+        ),
+        channel_kind=draw(st.sampled_from(["mmwave", "rayleigh"])),
+        trials=draw(st.integers(1, 2000)),
+        target_errors=draw(st.integers(0, 50)),
+        max_trials=draw(st.integers(1, 2000)),
+        seed=draw(st.integers(0, 2**32)),
+        normalization=draw(st.sampled_from(stbc.NORM_MODES)),
+        include_array_gain=draw(st.booleans()),
+        noise_variance=draw(st.floats(0.0, 10.0)),
+        carrier_frequency_hz=draw(st.floats(1e9, 1e11)),
+        spacing_over_wavelength=draw(st.floats(0.05, 1.0)),
+        theta_points=draw(st.integers(361, 1000)),
+    )
+
+
 class TestConfig:
     def test_defaults_are_valid(self):
         cfg = harness.ExperimentConfig()
@@ -37,43 +104,47 @@ class TestConfig:
         assert cfg.carrier_frequency_hz == 60e9
         assert cfg.spacing_over_wavelength == 0.5
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"n_antennas": 3},
-            {"n_rf": 3},
-            {"snr_grid_db": ()},
-            {"snr_grid_db": (10.0, 5.0)},
-            {"trials": 0},
-            {"modulation": 8},
-            {"schemes": ("dft", "mystery")},
-            {"channel_kind": "awgn"},
-            {"normalization": "eq42"},
-            {"n_receive": 2},
-            {"n_paths": 0},
-            {"n_paths": 2.5},
-            {"trials": 100.0},
-            {"max_trials": 0},
-            {"max_trials": 1.5},
-            {"target_errors": -1},
-            {"target_errors": 1.0},
-            {"snr_grid_db": (0.0, float("nan"))},
-            {"snr_grid_db": (0.0, float("inf"))},
-            {"theta_points": 10},
-            {"seed": -1},
-            {"spacing_over_wavelength": 0.0},
-            {"carrier_frequency_hz": 0.0},
-            {"noise_variance": float("nan")},
-        ],
-    )
+    @pytest.mark.parametrize("overrides", _REJECTED_OVERRIDES)
     def test_validation_rejects(self, overrides):
         (field,) = overrides
         with pytest.raises(ValueError, match=rf"\b{field}\b"):
             _tiny_cfg(**overrides)
 
-    def test_nrf_free_without_bpr(self):
-        cfg = _tiny_cfg(schemes=("dft",), n_rf=4)
-        assert cfg.n_rf == 4
+    @settings(max_examples=25, deadline=None)
+    @given(
+        fields=_valid_config_fields(),
+        bad=st.one_of(st.none(), st.sampled_from(_REJECTED_OVERRIDES)),
+    )
+    def test_config_is_modelled_or_rejected(self, fields, bad):
+        if bad is not None:
+            (field,) = bad
+            with pytest.raises(ValueError, match=rf"\b{field}\b"):
+                harness.ExperimentConfig(**{**fields, **bad})
+            return
+        cfg = harness.ExperimentConfig(**fields)
+        # runner-specific domains: fig2 needs two realizations, fig3 two RF chains
+        out_of_domain = {
+            harness.run_fig2: ("trials", cfg.trials < 2),
+            harness.run_fig3: ("n_antennas", cfg.n_antennas != 4),
+        }
+        with tempfile.TemporaryDirectory() as out:
+            for runner in (
+                harness.run_table1, harness.run_fig1, harness.run_fig2, harness.run_fig3
+            ):
+                field, rejected = out_of_domain.get(runner, (None, False))
+                if rejected:
+                    with pytest.raises(ValueError, match=rf"\b{field}\b"):
+                        runner(cfg, out)
+                    continue
+                values = [v for row in runner(cfg, out).rows for v in row]
+                numbers = [v for v in values if isinstance(v, (int, float, np.number))]
+                assert all(math.isfinite(v) for v in numbers), runner.__name__
+
+    @pytest.mark.parametrize("schemes", [("dft",), ("hadamard",), ("dft", "hadamard")])
+    def test_nrf_fixed_without_bpr(self, schemes):
+        assert _tiny_cfg(schemes=schemes).n_rf == 2
+        with pytest.raises(ValueError, match=r"\bn_rf\b"):
+            _tiny_cfg(schemes=schemes, n_rf=4)
 
     def test_json_roundtrip(self, tmp_path):
         cfg = _tiny_cfg()
@@ -230,6 +301,15 @@ class TestFig2:
         r_off = harness.run_fig2(cfg_off, tmp_path / "off")
         assert r_on.rows[1][4] > r_off.rows[1][4]
         assert any("include_array_gain" in n for n in r_on.notes)
+
+    def test_rejects_single_realization(self, tmp_path):
+        # one realization has no sample standard deviation, so no half width
+        cfg = _tiny_cfg(trials=1)
+        for runner in (harness.run_fig2, harness.run_all):
+            out = tmp_path / runner.__name__
+            with pytest.raises(ValueError, match=r"\btrials\b"):
+                runner(cfg, out)
+            assert not out.exists()
 
 
 class TestFig3:
