@@ -1,115 +1,24 @@
 """Link-level simulation toolkit for mmWave analog transmit beamforming.
 
-Subpackages cover channel generation, constant-modulus beamformer
+Modules cover channel generation, constant-modulus beamformer
 construction (DFT, Hadamard and blockwise phase-rotated golden-ratio
 Hadamard), quantized phase-alignment solvers, Alamouti space-time
 coding, closed-form error analysis, and a seeded experiment harness
 with a CLI front end.
+
+The package root exports only the runner API; every other name is
+imported from its module, e.g. ``from beamlink import channel``.
 """
 
-from .analysis import (
-    chernoff_pep,
-    mgf_ber_bpsk,
-    mgf_ber_mpsk,
-    mgf_ber_mqam,
-    min_euclidean_distance,
-    beamspace_pattern,
-    q_function,
-    spectral_efficiency,
-    union_bound_ber,
-    wilson_interval,
-)
-from .beamformer import (
-    BPR_COMPLEX,
-    BPR_REAL,
-    DFT,
-    HADAMARD,
-    SCHEMES,
-    BeamformingMatrix,
-    build_bpr_atb,
-    build_dft_atb,
-    build_hadamard_atb,
-    equivalent_channel,
-    kappa,
-    xi,
-)
-from .channel import (
-    ChannelRealization,
-    PathSet,
-    SteeringConfig,
-    channel_from_paths,
-    sample_mmwave_channel,
-    sample_rayleigh_channel,
-    steering_vector,
-)
 from .harness import ExperimentConfig, run_all, run_fig1, run_fig2, run_fig3, run_table1
-from .phase_opt import (
-    PhaseSelection,
-    complexity_probe,
-    exhaustive_phase_oracle,
-    greedy_bpr_phases,
-)
-from .rng import substream
-from .stbc import (
-    Constellation,
-    alamouti_codeword,
-    decode_alamouti,
-    demap,
-    encode_alamouti,
-    make_constellation,
-    map_bits,
-    transmit_receive,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BPR_COMPLEX",
-    "BPR_REAL",
-    "BeamformingMatrix",
-    "ChannelRealization",
-    "Constellation",
-    "DFT",
     "ExperimentConfig",
-    "HADAMARD",
-    "PathSet",
-    "PhaseSelection",
-    "SCHEMES",
-    "SteeringConfig",
-    "alamouti_codeword",
-    "beamspace_pattern",
-    "build_bpr_atb",
-    "build_dft_atb",
-    "build_hadamard_atb",
-    "channel_from_paths",
-    "chernoff_pep",
-    "complexity_probe",
-    "decode_alamouti",
-    "demap",
-    "encode_alamouti",
-    "equivalent_channel",
-    "exhaustive_phase_oracle",
-    "greedy_bpr_phases",
-    "kappa",
-    "make_constellation",
-    "map_bits",
-    "mgf_ber_bpsk",
-    "mgf_ber_mpsk",
-    "mgf_ber_mqam",
-    "min_euclidean_distance",
-    "q_function",
     "run_all",
     "run_fig1",
     "run_fig2",
     "run_fig3",
     "run_table1",
-    "sample_mmwave_channel",
-    "sample_rayleigh_channel",
-    "spectral_efficiency",
-    "steering_vector",
-    "substream",
-    "transmit_receive",
-    "union_bound_ber",
-    "wilson_interval",
-    "xi",
 ]

@@ -31,11 +31,8 @@ normalizes with ``n`` the root of the squared golden number's surd
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import hadamard
@@ -71,20 +68,12 @@ def golden_variant(scheme: str) -> GoldenVariant:
 
 @dataclass(frozen=True, eq=False)
 class BeamformingMatrix:
-    """An analog beamformer with its defining metadata.
-
-    ``xi``, ``golden`` and ``phase_blocks`` are populated only for the
-    blockwise schemes; ``phase_blocks`` keeps the (phi1, phi2) diagonals
-    for audit and exact reconstruction.
-    """
+    """An analog beamformer with its scheme, order and per-entry power factor."""
 
     scheme: str
     matrix: np.ndarray
     q: int
     kappa: float
-    xi: float | None = None
-    golden: GoldenVariant | None = None
-    phase_blocks: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n_antennas(self) -> int:
@@ -190,17 +179,8 @@ def build_bpr_atb(
     if phi1.shape != (half,) or phi2.shape != (half,):
         raise ValueError(f"phase vectors must each have length {half}")
     scheme = BPR_REAL if variant.kind == "real" else BPR_COMPLEX
-    xi_val = xi(q, variant.n_root)
     mat = golden_hadamard(q, variant, phi1, phi2)[:, :half]
-    return BeamformingMatrix(
-        scheme=scheme,
-        matrix=mat,
-        q=q,
-        kappa=kappa(scheme, q),
-        xi=xi_val,
-        golden=variant,
-        phase_blocks=(phi1.copy(), phi2.copy()),
-    )
+    return BeamformingMatrix(scheme=scheme, matrix=mat, q=q, kappa=kappa(scheme, q))
 
 
 def equivalent_channel(bf: BeamformingMatrix | np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -213,35 +193,3 @@ def equivalent_channel(bf: BeamformingMatrix | np.ndarray, h: np.ndarray) -> np.
         )
     return h @ mat.conj()
 
-
-def export_matrix(bf: BeamformingMatrix, csv_path: str | Path) -> Path:
-    """Write the matrix as CSV (row-major, alternating re/im columns).
-
-    A JSON sidecar with the same stem records scheme, q, kappa, xi and
-    the rotation diagonals.
-    """
-    csv_path = Path(csv_path)
-    with open(csv_path, "w", newline="\n") as fh:
-        writer = csv.writer(fh)
-        for row in bf.matrix:
-            flat: list[str] = []
-            for entry in row:
-                flat.append(repr(float(entry.real)))
-                flat.append(repr(float(entry.imag)))
-            writer.writerow(flat)
-    meta = {
-        "scheme": bf.scheme,
-        "q": bf.q,
-        "rows": bf.n_antennas,
-        "cols": bf.n_chains,
-        "kappa": bf.kappa,
-        "xi": bf.xi,
-        "golden": None if bf.golden is None else bf.golden.kind,
-        "column_selection": "first-half",
-        "phase_blocks": None
-        if bf.phase_blocks is None
-        else [bf.phase_blocks[0].tolist(), bf.phase_blocks[1].tolist()],
-    }
-    sidecar = csv_path.with_suffix(".json")
-    sidecar.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    return sidecar

@@ -19,8 +19,6 @@ import numpy as np
 
 from .rng import substream
 
-SPEED_OF_LIGHT_M_S = 299_792_458.0
-
 MMWAVE = "mmwave"
 RAYLEIGH = "rayleigh"
 CHANNEL_KINDS = (MMWAVE, RAYLEIGH)
@@ -31,21 +29,15 @@ class SteeringConfig:
     """Array geometry used when evaluating steering vectors.
 
     ``spacing_over_wavelength`` is d/lambda for a uniform linear array;
-    half-wavelength spacing (0.5) is the default.
+    half-wavelength spacing (0.5) is the default. The narrow-band
+    steering vector depends on the geometry only through this ratio.
     """
 
-    carrier_frequency_hz: float = 60e9
     spacing_over_wavelength: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.carrier_frequency_hz > 0:
-            raise ValueError("carrier frequency must be positive")
         if not self.spacing_over_wavelength > 0:
             raise ValueError("antenna spacing ratio must be positive")
-
-    @property
-    def wavelength_m(self) -> float:
-        return SPEED_OF_LIGHT_M_S / self.carrier_frequency_hz
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,20 +62,6 @@ class PathSet:
     @property
     def n_paths(self) -> int:
         return self.gains.size
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelRealization:
-    """A channel vector together with how it was generated."""
-
-    h: np.ndarray
-    kind: str
-    paths: PathSet | None = None
-    seed: int | None = None
-
-    @property
-    def n_antennas(self) -> int:
-        return self.h.size
 
 
 def steering_vector(
@@ -141,28 +119,25 @@ def sample_mmwave_channel(
     n_antennas: int,
     cfg: SteeringConfig | None = None,
     seed: int = 0,
-) -> ChannelRealization:
-    """Draw one sparse geometric channel, deterministically from ``seed``.
+) -> np.ndarray:
+    """Draw one sparse geometric channel vector, deterministically from ``seed``.
 
     Path gains are i.i.d. CN(0, 1); departure angles are i.i.d. uniform on
     [-pi/2, pi/2]. This is the draw of :func:`sample_mmwave_batch` on a
-    batch of one from ``substream(seed)``, and the stored path set
-    reproduces ``h`` exactly through :func:`channel_from_paths`.
+    batch of one from ``substream(seed)``, built through
+    :func:`channel_from_paths`.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     gains, angles = _draw_paths(1, n_paths, substream(seed))
-    paths = PathSet(gains=gains[0], angles=angles[0])
-    h = channel_from_paths(paths, n_antennas, cfg)
-    return ChannelRealization(h=h, kind=MMWAVE, paths=paths, seed=seed)
+    return channel_from_paths(PathSet(gains=gains[0], angles=angles[0]), n_antennas, cfg)
 
 
-def sample_rayleigh_channel(n_antennas: int, seed: int = 0) -> ChannelRealization:
+def sample_rayleigh_channel(n_antennas: int, seed: int = 0) -> np.ndarray:
     """Draw one i.i.d. CN(0, 1) channel vector, deterministically from ``seed``."""
     if n_antennas < 1:
         raise ValueError("n_antennas must be at least 1")
-    h = sample_rayleigh_batch(1, n_antennas, substream(seed))[0]
-    return ChannelRealization(h=h, kind=RAYLEIGH, paths=None, seed=seed)
+    return sample_rayleigh_batch(1, n_antennas, substream(seed))[0]
 
 
 def sample_mmwave_batch(

@@ -69,7 +69,12 @@ def config_from_args(args: argparse.Namespace) -> harness.ExperimentConfig:
     if args.norm is not None:
         overrides["normalization"] = args.norm
     if args.snr is not None:
-        overrides["snr_grid_db"] = tuple(float(v) for v in args.snr.split(","))
+        try:
+            overrides["snr_grid_db"] = tuple(float(v) for v in args.snr.split(","))
+        except ValueError:
+            raise ValueError(
+                f"snr_grid_db: --snr must be comma-separated numbers in dB, got {args.snr!r}"
+            ) from None
     if overrides:
         data = cfg.to_dict()
         data.update(overrides)

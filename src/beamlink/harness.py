@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,11 +45,15 @@ MAX_ABS_SNR_DB = 300.0
 class ExperimentConfig:
     """Sweep configuration; defaults match the reference simulation setup
     (4 transmit antennas, 1 receive antenna, 2 time slots / RF chains,
-    3 paths, 60 GHz carrier, half-wavelength spacing, 64-QAM)."""
+    3 paths, half-wavelength spacing, 64-QAM).
+
+    The link is MISO with unit noise variance, so the SNR axis
+    gamma0 = P / sigma^2 alone sets the operating point, and the
+    narrow-band steering depends only on ``spacing_over_wavelength``.
+    """
 
     n_antennas: int = 4
     n_rf: int = 2
-    n_receive: int = 1
     n_paths: int = 3
     snr_grid_db: tuple[float, ...] = DEFAULT_SNR_GRID_DB
     modulation: int = 64
@@ -61,8 +65,6 @@ class ExperimentConfig:
     seed: int = 0
     normalization: str = stbc.NORM_EQ1
     include_array_gain: bool = True
-    noise_variance: float = 1.0
-    carrier_frequency_hz: float = 60e9
     spacing_over_wavelength: float = 0.5
     theta_points: int = 721
 
@@ -77,14 +79,11 @@ class ExperimentConfig:
 
     @property
     def steering(self) -> channel.SteeringConfig:
-        return channel.SteeringConfig(
-            carrier_frequency_hz=self.carrier_frequency_hz,
-            spacing_over_wavelength=self.spacing_over_wavelength,
-        )
+        return channel.SteeringConfig(spacing_over_wavelength=self.spacing_over_wavelength)
 
     def validate(self) -> None:
         for name in (
-            "n_antennas", "n_rf", "n_receive", "n_paths", "modulation",
+            "n_antennas", "n_rf", "n_paths", "modulation",
             "trials", "max_trials", "target_errors", "seed", "theta_points",
         ):
             value = getattr(self, name)
@@ -93,8 +92,6 @@ class ExperimentConfig:
         n = self.n_antennas
         if n < 2 or n & (n - 1):
             raise ValueError("n_antennas must be a power of two, at least 2")
-        if self.n_receive != 1:
-            raise ValueError("n_receive must be 1: only single-antenna receivers are supported")
         if self.n_rf != n // 2:
             raise ValueError(f"n_rf must equal n_antennas / 2 = {n // 2}, got {self.n_rf}")
         if not isinstance(self.include_array_gain, bool):
@@ -119,19 +116,19 @@ class ExperimentConfig:
             raise ValueError("theta_points must be at least 361")
         if not self.spacing_over_wavelength > 0:
             raise ValueError("spacing_over_wavelength must be positive")
-        if not self.carrier_frequency_hz > 0:
-            raise ValueError("carrier_frequency_hz must be positive")
         if self.modulation not in stbc.SUPPORTED_ORDERS:
             raise ValueError(f"unsupported modulation order {self.modulation}")
+        if not self.schemes:
+            raise ValueError("schemes must be nonempty")
         unknown = set(self.schemes) - set(beamformer.SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
+        if len(set(self.schemes)) != len(self.schemes):
+            raise ValueError(f"schemes must not repeat, got {list(self.schemes)}")
         if self.channel_kind not in channel.CHANNEL_KINDS:
             raise ValueError(f"unknown channel_kind {self.channel_kind!r}")
         if self.normalization not in stbc.NORM_MODES:
             raise ValueError(f"unknown normalization mode {self.normalization!r}")
-        if not self.noise_variance >= 0:
-            raise ValueError("noise_variance must be nonnegative")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -141,6 +138,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return cls(**data)
 
     @classmethod
@@ -204,16 +204,15 @@ def _ber_block(
     h_eq: np.ndarray,
     const: stbc.Constellation,
     amplitude: float,
-    sigma2: float,
     rng: np.random.Generator,
 ) -> int:
     """Simulate one block of codewords over the given equivalent channels
-    and return the bit error count."""
+    at unit noise variance and return the bit error count."""
     k = const.bits_per_symbol
     bits = rng.integers(0, 2, (h_eq.shape[0], 2 * k), dtype=np.uint8)
     symbols = stbc.map_bits(bits.reshape(-1, 2, k), const)
     s = stbc.alamouti_codeword(symbols[:, 0], symbols[:, 1])
-    y = stbc.transmit_receive(s, h_eq, rng, amplitude, sigma2)
+    y = stbc.transmit_receive(s, h_eq, rng, amplitude)
     decoded = stbc.decode_alamouti(y, h_eq, const, amplitude)
     return int(np.count_nonzero(decoded != bits))
 
@@ -240,7 +239,7 @@ def _ber_point(
     for n, rng in _blocks(cfg.max_trials, cfg.seed, _PURPOSE_FIG3, scheme_idx, snr_idx):
         h = _sample_channels(cfg, n, rng)
         h_eq = _batch_equivalent_channels(scheme, h, cfg)
-        errors += _ber_block(h_eq, const, amplitude, cfg.noise_variance, rng)
+        errors += _ber_block(h_eq, const, amplitude, rng)
         trials += n
         if trials >= cfg.trials and errors >= cfg.target_errors:
             break
@@ -534,5 +533,5 @@ def simulate_conditional_ber(
     errors = 0
     for n, rng in _blocks(n_trials, seed, _PURPOSE_CONDITIONAL):
         h_rows = np.broadcast_to(np.asarray(h_eq), (n, 2))
-        errors += _ber_block(h_rows, constellation, amplitude, 1.0, rng)
+        errors += _ber_block(h_rows, constellation, amplitude, rng)
     return errors, n_trials * 2 * constellation.bits_per_symbol

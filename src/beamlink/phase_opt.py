@@ -16,9 +16,7 @@ The greedy kernel runs on a batch of channel rows at once;
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -100,35 +98,6 @@ class PhaseSelection:
         out[self.slots1] = self.phi1
         out[self.slots2] = self.phi2
         return out
-
-    def to_dict(self, seed: int | None = None) -> dict:
-        data = {
-            "method": self.method,
-            "gain": self.gain,
-            "phi1": self.phi1.tolist(),
-            "phi2": self.phi2.tolist(),
-            "slots1": self.slots1.tolist(),
-            "slots2": self.slots2.tolist(),
-        }
-        if seed is not None:
-            data["seed"] = int(seed)
-        return data
-
-    def to_json(self, path: str | Path, seed: int | None = None) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(seed=seed), indent=2, sort_keys=True) + "\n"
-        )
-
-
-def selection_from_dict(data: dict) -> PhaseSelection:
-    return PhaseSelection(
-        phi1=np.asarray(data["phi1"], dtype=np.float64),
-        phi2=np.asarray(data["phi2"], dtype=np.float64),
-        slots1=np.asarray(data["slots1"], dtype=np.int64),
-        slots2=np.asarray(data["slots2"], dtype=np.int64),
-        gain=float(data["gain"]),
-        method=str(data["method"]),
-    )
 
 
 def alignment_gain(h: np.ndarray, selection: PhaseSelection) -> float:

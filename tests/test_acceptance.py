@@ -101,7 +101,7 @@ def test_criterion_3_greedy_vs_oracle():
     bounded = 0
     beats_random = 0
     for seed in range(n_channels):
-        h = sample_mmwave_channel(3, 4, seed=seed).h
+        h = sample_mmwave_channel(3, 4, seed=seed)
         greedy = phase_opt.greedy_bpr_phases(h, 2)
         exhaustive = blockwise_bruteforce_gain(h, *grids)
         bounded += greedy.gain <= exhaustive + 1e-10
@@ -174,7 +174,7 @@ def test_criterion_6_union_and_chernoff_dominance():
     chernoff_ok = True
     details = []
     for ch_seed in (1, 2, 3):
-        h = sample_mmwave_channel(3, 4, seed=ch_seed).h
+        h = sample_mmwave_channel(3, 4, seed=ch_seed)
         sel = phase_opt.greedy_bpr_phases(h, 2)
         bf = beamformer.build_bpr_atb(2, beamformer.REAL_GOLDEN, sel.phi1, sel.phi2)
         h_eq = beamformer.equivalent_channel(bf, h)

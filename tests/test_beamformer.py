@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -145,7 +144,7 @@ class TestBprConstruction:
         rng = substream(0, 23)
         phi1, phi2 = rng.uniform(0, 2 * np.pi, (2, 4))
         bf = beamformer.build_bpr_atb(3, COMPLEX_GOLDEN, phi1, phi2)
-        full = beamformer.golden_hadamard(3, bf.golden, *bf.phase_blocks)
+        full = beamformer.golden_hadamard(3, COMPLEX_GOLDEN, phi1, phi2)
         assert np.array_equal(bf.matrix, full[:, :4])
 
     def test_dimension_mismatch(self):
@@ -191,21 +190,3 @@ class TestEquivalentChannel:
         with pytest.raises(ValueError):
             beamformer.equivalent_channel(bf, np.zeros(3, dtype=complex))
 
-
-class TestExport:
-    def test_csv_and_sidecar_roundtrip(self, tmp_path):
-        bf = beamformer.build_bpr_atb(2, REAL_GOLDEN, np.array([0.0, np.pi]), np.array([np.pi, 0.0]))
-        csv_path = tmp_path / "bf.csv"
-        sidecar = beamformer.export_matrix(bf, csv_path)
-        rows = [line.split(",") for line in csv_path.read_text().strip().splitlines()]
-        parsed = np.array(
-            [
-                [float(row[2 * j]) + 1j * float(row[2 * j + 1]) for j in range(len(row) // 2)]
-                for row in rows
-            ]
-        )
-        assert np.array_equal(parsed, bf.matrix)
-        meta = json.loads(sidecar.read_text())
-        assert meta["scheme"] == "bpr-real"
-        assert meta["kappa"] == pytest.approx(bf.kappa)
-        assert meta["phase_blocks"][0] == [0.0, np.pi]

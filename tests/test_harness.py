@@ -41,7 +41,6 @@ _REJECTED_OVERRIDES = [
     {"schemes": ("dft", "mystery")},
     {"channel_kind": "awgn"},
     {"normalization": "eq42"},
-    {"n_receive": 2},
     {"n_paths": 0},
     {"n_paths": 2.5},
     {"trials": 100.0},
@@ -54,8 +53,6 @@ _REJECTED_OVERRIDES = [
     {"theta_points": 10},
     {"seed": -1},
     {"spacing_over_wavelength": 0.0},
-    {"carrier_frequency_hz": 0.0},
-    {"noise_variance": float("nan")},
     {"include_array_gain": "no"},
     {"include_array_gain": 1},
     {"n_rf": 0},
@@ -63,6 +60,9 @@ _REJECTED_OVERRIDES = [
     {"modulation": 64.0},
     {"seed": 1.5},
     {"snr_grid_db": (0.0, 400.0)},
+    {"schemes": ()},
+    {"schemes": ("dft", "dft")},
+    {"spacing_over_wavelength": float("nan")},
 ]
 
 
@@ -86,8 +86,6 @@ def _valid_config_fields(draw):
         seed=draw(st.integers(0, 2**32)),
         normalization=draw(st.sampled_from(stbc.NORM_MODES)),
         include_array_gain=draw(st.booleans()),
-        noise_variance=draw(st.floats(0.0, 10.0)),
-        carrier_frequency_hz=draw(st.floats(1e9, 1e11)),
         spacing_over_wavelength=draw(st.floats(0.05, 1.0)),
         theta_points=draw(st.integers(361, 1000)),
     )
@@ -101,7 +99,6 @@ class TestConfig:
         assert cfg.n_rf == 2
         assert cfg.n_paths == 3
         assert cfg.modulation == 64
-        assert cfg.carrier_frequency_hz == 60e9
         assert cfg.spacing_over_wavelength == 0.5
 
     @pytest.mark.parametrize("overrides", _REJECTED_OVERRIDES)
@@ -154,6 +151,15 @@ class TestConfig:
         assert restored == cfg
         assert restored.content_hash() == cfg.content_hash()
 
+    # the removed knobs, and a typo, are rejected by name
+    @pytest.mark.parametrize(
+        "key", ["n_receive", "carrier_frequency_hz", "noise_variance", "n_antenas"]
+    )
+    def test_from_dict_rejects_unknown_keys(self, key):
+        data = {**_tiny_cfg().to_dict(), key: 1}
+        with pytest.raises(ValueError, match=rf"\b{key}\b"):
+            harness.ExperimentConfig.from_dict(data)
+
     def test_hash_changes_with_seed(self):
         assert _tiny_cfg(seed=1).content_hash() != _tiny_cfg(seed=2).content_hash()
 
@@ -200,17 +206,15 @@ class TestBatchKernels:
         const = stbc.make_constellation(16)
         rng_data = substream(0, 62)
         h_eq = (rng_data.standard_normal((64, 2)) + 1j * rng_data.standard_normal((64, 2))) / np.sqrt(2)
-        amplitude, sigma2 = 1.7, 0.8
+        amplitude = 1.7
 
-        block_errors = harness._ber_block(h_eq, const, amplitude, sigma2, substream(9, 0))
+        block_errors = harness._ber_block(h_eq, const, amplitude, substream(9, 0))
 
         # replay the identical stream: bits, then the real and imaginary
         # noise parts, and decode each row by exhaustive ML
         rng = substream(9, 0)
         bits = rng.integers(0, 2, (64, 8), dtype=np.uint8)
-        noise = np.sqrt(sigma2 / 2.0) * (
-            rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
-        )
+        noise = (rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))) / np.sqrt(2.0)
         m = const.order
         sym1, sym2 = np.divmod(np.arange(m * m), m)
         codewords = np.array(
@@ -329,14 +333,16 @@ class TestFig3:
                 assert all(float(v) == float(v) for v in numbers)
 
     def test_noiseless_debug_mode_is_error_free(self, tmp_path):
-        cfg = _tiny_cfg(noise_variance=0.0, trials=500, max_trials=500, target_errors=1)
+        # unit noise is swamped at these SNRs, so every detection is right
+        cfg = _tiny_cfg(
+            snr_grid_db=(280.0, 290.0, 300.0), trials=500, max_trials=500, target_errors=1
+        )
         res = harness.run_fig3(cfg, tmp_path)
         assert all(row[4] == 0.0 for row in res.rows)
 
     def test_overwhelming_noise_gives_coin_flips(self, tmp_path):
         cfg = _tiny_cfg(
-            noise_variance=1e9,
-            snr_grid_db=(0.0,),
+            snr_grid_db=(-90.0,),
             trials=4000,
             max_trials=4000,
             target_errors=1,
@@ -573,6 +579,23 @@ class TestCli:
         assert proc.returncode == 1
         record = json.loads(proc.stderr.strip().splitlines()[-1])
         assert record["error"] == "ValueError"
+
+    def test_config_typo_names_the_key(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_antenas": 4}))
+        proc = self._run("table1", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        record = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert record["error"] == "ValueError"
+        assert "n_antenas" in record["message"]
+
+    @pytest.mark.parametrize("snr", ["0,x", "0,,5"])
+    def test_bad_snr_names_the_field(self, tmp_path, snr):
+        proc = self._run("fig3", "--snr", snr, "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        record = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert record["error"] == "ValueError"
+        assert "snr_grid_db" in record["message"]
 
     def test_config_file_reload(self, tmp_path):
         cfg = _tiny_cfg(trials=200, max_trials=400)

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -193,16 +191,3 @@ class TestComplexityProbe:
         with pytest.raises(ValueError):
             phase_opt.complexity_probe([9])
 
-
-class TestSerialization:
-    def test_json_roundtrip(self, tmp_path):
-        h = _random_channel(4, 8)
-        sel = phase_opt.greedy_bpr_phases(h, 2)
-        path = tmp_path / "selection.json"
-        sel.to_json(path, seed=8)
-        data = json.loads(path.read_text())
-        assert data["seed"] == 8
-        restored = phase_opt.selection_from_dict(data)
-        assert restored.gain == sel.gain
-        assert list(restored.slots1) == list(sel.slots1)
-        np.testing.assert_allclose(restored.phi2, sel.phi2)
