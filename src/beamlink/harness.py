@@ -145,7 +145,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        data = json.loads(Path(path).read_text())
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"config file {path}: expected a JSON object, got {type(data).__name__}"
+            )
+        return cls.from_dict(data)
 
     def content_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()

@@ -57,6 +57,12 @@ def _gray_to_binary(g: np.ndarray) -> np.ndarray:
     return b
 
 
+def _qam_axes(order: int) -> tuple[int, int, float]:
+    """Bits per axis, PAM levels per axis and the unit-energy scale of square QAM."""
+    k_axis = int(np.log2(order)) // 2
+    return k_axis, 1 << k_axis, float(np.sqrt(2.0 * (order - 1) / 3.0))
+
+
 def make_constellation(order: int) -> Constellation:
     """Build BPSK (order 2) or a Gray-coded square QAM constellation.
 
@@ -71,8 +77,7 @@ def make_constellation(order: int) -> Constellation:
         labels = np.array([[0], [1]], dtype=np.uint8)
         return Constellation(order=2, points=points, labels=labels)
     k = int(np.log2(order))
-    k_axis = k // 2
-    n_levels = 1 << k_axis
+    k_axis, n_levels, scale = _qam_axes(order)
     labels = np.array(
         [[(i >> (k - 1 - b)) & 1 for b in range(k)] for i in range(order)],
         dtype=np.uint8,
@@ -83,7 +88,6 @@ def make_constellation(order: int) -> Constellation:
     level_i = _gray_to_binary(gray_i)
     level_q = _gray_to_binary(gray_q)
     amp = 2.0 * level_i - (n_levels - 1) + 1j * (2.0 * level_q - (n_levels - 1))
-    scale = np.sqrt(2.0 * (order - 1) / 3.0)
     return Constellation(order=order, points=amp / scale, labels=labels)
 
 
@@ -97,10 +101,45 @@ def map_bits(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
 
 
 def demap(symbol: np.ndarray, constellation: Constellation) -> np.ndarray:
-    """Bits of the constellation point nearest to each symbol, in a trailing axis."""
+    """Bits of the constellation point nearest to each symbol, in a trailing axis.
+
+    Square Gray QAM separates into two PAM decisions, so each axis is
+    sliced on its own: with ``scale = sqrt(2 (M - 1) / 3)`` and
+    ``L = sqrt(M)`` levels per axis, ``u = (x * scale + L - 1) / 2`` is
+    rounded to the nearest level and clipped to ``[0, L - 1]``, the level
+    is Gray-coded, and the index is ``gray_I << k_axis | gray_Q``. BPSK
+    is a sign test on the real part. No search over the M points is made.
+
+    Ties: where the computed ``u`` is exactly a decision boundary
+    ``l + 1/2`` (``x * scale`` on an even integer, up to the rounding of
+    the sum), the axis
+    takes the smaller of the two Gray codes (BPSK: at real part 0, the
+    point +1). As the index is I-major, that is the lowest constellation
+    index among the equidistant points, the first-minimum rule of an
+    exhaustive nearest-point search.
+    """
     symbol = np.asarray(symbol)
-    idx = np.abs(symbol[..., None] - constellation.points).argmin(axis=-1)
+    if constellation.order == 2:
+        idx = (symbol.real < 0).astype(np.intp)
+    else:
+        k_axis, n_levels, scale = _qam_axes(constellation.order)
+        gray_i = _slice_axis(symbol.real, n_levels, scale)
+        gray_q = _slice_axis(symbol.imag, n_levels, scale)
+        idx = gray_i << k_axis | gray_q
     return np.take(constellation.labels, idx, axis=0)
+
+
+def _slice_axis(x: np.ndarray, n_levels: int, scale: float) -> np.ndarray:
+    """Gray code of the PAM level nearest to ``x``; a tie takes the smaller code."""
+    u = np.clip((x * scale + (n_levels - 1)) / 2.0, 0.0, n_levels - 1.0)
+    # ceil(u - 1/2) and floor(u + 1/2) are the nearest level, and they
+    # differ only at a boundary u = l + 1/2. Both sums are exact for
+    # u >= 1/2; just below 1/2, u + 1/2 may round up to 1, where the
+    # other candidate, gray[0] = 0, still wins.
+    below = np.ceil(u - 0.5).astype(np.intp)
+    above = np.floor(u + 0.5).astype(np.intp)
+    gray = np.arange(n_levels) ^ (np.arange(n_levels) >> 1)
+    return np.minimum(gray[below], gray[above])
 
 
 def alamouti_codeword(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:

@@ -133,6 +133,35 @@ def greedy_blockwise_reference(
     )
 
 
+def nearest_point_labels(symbol: np.ndarray, constellation) -> np.ndarray:
+    """Bits of the constellation point nearest to each symbol, in a trailing axis.
+
+    Exhaustive search over all M points; ``argmin`` keeps the first
+    minimum, so an exact tie goes to the lowest constellation index.
+    """
+    symbol = np.asarray(symbol)
+    idx = np.abs(symbol[..., None] - constellation.points).argmin(axis=-1)
+    return np.take(constellation.labels, idx, axis=0)
+
+
+def lattice_nearest_labels(m: np.ndarray, n: np.ndarray, constellation, scale: float) -> np.ndarray:
+    """Bits of the point nearest to ``(m + j n) / scale`` for integer m, n, in exact arithmetic.
+
+    Every point of a square QAM (BPSK with scale 1) sits at odd integers
+    over ``scale`` on each axis, so squared distances in units of
+    ``1 / scale`` are integers and ties are exact; the lowest index wins.
+    """
+    coords = constellation.points * scale
+    pi = np.rint(coords.real).astype(np.int64)
+    pq = np.rint(coords.imag).astype(np.int64)
+    if not (np.allclose(pi, coords.real, atol=1e-9) and np.allclose(pq, coords.imag, atol=1e-9)):
+        raise ValueError("constellation points are not on the integer lattice")
+    m = np.asarray(m, dtype=np.int64)[..., None]
+    n = np.asarray(n, dtype=np.int64)[..., None]
+    d2 = (m - pi) ** 2 + (n - pq) ** 2
+    return np.take(constellation.labels, d2.argmin(axis=-1), axis=0)
+
+
 def ml_decode_index(
     y: np.ndarray, h_eq: np.ndarray, codewords: np.ndarray, amplitude: float
 ) -> int:

@@ -408,7 +408,8 @@ class TestDeterminism:
     # SHA-256 of CLI outputs recorded before a change meant to leave every
     # output unchanged; such a change must keep them. The runs cover the
     # criterion-9 command, Rayleigh 4-QAM with the stopping rule past one
-    # block, q=4 greedy with hadamard and bpr-complex, and 16-QAM under eq10.
+    # block, q=4 greedy with hadamard and bpr-complex, 16-QAM under eq10,
+    # and mmwave fig3 at the default 64-QAM and at BPSK.
     @pytest.mark.parametrize(
         "args,config,pinned",
         [
@@ -448,6 +449,18 @@ class TestDeterminism:
                 None,
                 {"fig3.csv": "e7bc8ae69897b5aa0d8066477e1a98402b5beffceb6d73085cc49f3f8c39f0ae"},
                 id="fig3-16qam-eq10",
+            ),
+            pytest.param(
+                ("fig3", "--snr", "0,20", "--trials", "600", "--seed", "6"),
+                None,
+                {"fig3.csv": "02bc08d2a611760fa2a5b77cccb28ba5a1d93af4345106be6b09819b3f88e59b"},
+                id="fig3-mmwave-64qam",
+            ),
+            pytest.param(
+                ("fig3", "--mod", "2", "--snr", "0,10", "--trials", "600", "--seed", "6"),
+                None,
+                {"fig3.csv": "2a78dc0e2926efacf5070d5aea7a649b270806827ba7e0408db8b77c1fe62602"},
+                id="fig3-mmwave-bpsk",
             ),
         ],
     )
@@ -588,6 +601,17 @@ class TestCli:
         record = json.loads(proc.stderr.strip().splitlines()[-1])
         assert record["error"] == "ValueError"
         assert "n_antenas" in record["message"]
+
+    @pytest.mark.parametrize("content", ["3", '["n_rf", "seed"]'], ids=["number", "list"])
+    def test_config_file_must_hold_an_object(self, tmp_path, content):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(content)
+        proc = self._run("table1", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        record = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert record["error"] == "ValueError"
+        assert str(cfg_path) in record["message"]
+        assert "expected a JSON object" in record["message"]
 
     @pytest.mark.parametrize("snr", ["0,x", "0,,5"])
     def test_bad_snr_names_the_field(self, tmp_path, snr):

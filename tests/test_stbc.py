@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from beamlink import beamformer, stbc
 from beamlink.rng import substream
 
-from oracles import ml_decode_index
+from oracles import lattice_nearest_labels, ml_decode_index, nearest_point_labels
 
 
 def _random_symbols(rng, const, n):
@@ -64,6 +64,89 @@ class TestConstellations:
         c = stbc.make_constellation(4)
         with pytest.raises(ValueError):
             stbc.map_bits(np.array([0, 1, 0]), c)
+
+
+def _scale(order):
+    return 1.0 if order == 2 else np.sqrt(2.0 * (order - 1) / 3.0)
+
+
+def _noisy_symbols(rng, const, shape):
+    # per-symbol noise from far below to far above the point spacing, so
+    # decisions land near every boundary and beyond the outer points
+    spacing = 2.0 / _scale(const.order)
+    sigma = spacing * rng.choice([0.01, 0.1, 0.3, 1.0, 3.0], shape)
+    noise = sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return const.points[rng.integers(0, const.order, shape)] + noise
+
+
+class TestDemap:
+    @pytest.mark.parametrize("order", [2, 4, 16, 64])
+    def test_matches_exhaustive_search_on_noisy_symbols(self, order):
+        c = stbc.make_constellation(order)
+        rng = substream(0, 51, order)
+        mismatches = 0
+        for _ in range(16):
+            sym = _noisy_symbols(rng, c, 1 << 16)
+            wrong = np.any(stbc.demap(sym, c) != nearest_point_labels(sym, c), axis=-1)
+            mismatches += np.count_nonzero(wrong)
+        assert mismatches == 0
+
+    @pytest.mark.parametrize("order", [2, 4, 16, 64])
+    def test_boundary_lattice_follows_lowest_index_rule(self, order):
+        # every integer multiple of 1/scale on each axis, two steps beyond
+        # the outer points: the points sit at odd integers, the decision
+        # boundaries and 0 at even ones. Coordinates are nudged by ulps
+        # until x * scale is exactly the even integer, so every boundary
+        # is an exact tie; an odd one need only land within ulps of its point.
+        c = stbc.make_constellation(order)
+        scale = _scale(order)
+        reach = int(np.sqrt(order)) + 2
+        ints = np.arange(-reach, reach + 1)
+        coord = ints / scale
+        for _ in range(4):
+            err = coord * scale - ints
+            coord = np.where(
+                err > 0,
+                np.nextafter(coord, -np.inf),
+                np.where(err < 0, np.nextafter(coord, np.inf), coord),
+            )
+        even = ints % 2 == 0
+        assert np.array_equal(coord[even] * scale, ints[even])
+        np.testing.assert_allclose(coord * scale, ints, rtol=0, atol=1e-13)
+        m, n = np.meshgrid(ints, ints, indexing="ij")
+        sym = coord[m + reach] + 1j * coord[n + reach]
+        np.testing.assert_array_equal(stbc.demap(sym, c), lattice_nearest_labels(m, n, c, scale))
+
+    @pytest.mark.parametrize("order", [2, 4, 16, 64])
+    def test_keeps_batch_axes_and_scalar_input(self, order):
+        c = stbc.make_constellation(order)
+        sym = _noisy_symbols(substream(0, 52, order), c, (4, 6))
+        out = stbc.demap(sym, c)
+        assert out.shape == (4, 6, c.bits_per_symbol)
+        np.testing.assert_array_equal(out, nearest_point_labels(sym, c))
+        for idx in np.ndindex(4, 6):
+            scalar = stbc.demap(sym[idx], c)
+            assert scalar.shape == (c.bits_per_symbol,)
+            np.testing.assert_array_equal(scalar, out[idx])
+
+    @pytest.mark.parametrize("order", [16, 64])
+    def test_zero_channel_convention_on_a_grid_batch(self, order):
+        # s_hat = 0 is a four-way tie whose lowest index is not 0 at these
+        # orders; the decoder must still emit labels[0] twice
+        c = stbc.make_constellation(order)
+        k = c.bits_per_symbol
+        rng = substream(0, 53, order)
+        bits = rng.integers(0, 2, (2, 3, 2 * k)).astype(np.uint8)
+        h_eq = rng.standard_normal((2, 3, 2)) + 1j * rng.standard_normal((2, 3, 2))
+        zero = np.array([[True, False, False], [False, True, True]])
+        h_eq[zero] = 0.0
+        s = stbc.alamouti_codeword(stbc.map_bits(bits[..., :k], c), stbc.map_bits(bits[..., k:], c))
+        y = stbc.transmit_receive(s, h_eq, rng, amplitude=2.0, sigma2=0.0)
+        out = stbc.decode_alamouti(y, h_eq, c, amplitude=2.0)
+        assert out.shape == (2, 3, 2 * k)
+        np.testing.assert_array_equal(out[zero], np.tile(c.labels[0], (3, 2)))
+        np.testing.assert_array_equal(out[~zero], bits[~zero])
+        assert not np.array_equal(stbc.demap(0.0, c), c.labels[0])
 
 
 class TestAlamoutiCodeword:
