@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 from . import harness
@@ -86,11 +85,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        start = time.perf_counter()
         if args.verb == "all":
-            results = harness.run_all(cfg, out_dir)
+            results = harness.run_all(cfg, args.out)
         else:
             runner = {
                 "table1": harness.run_table1,
@@ -98,9 +94,7 @@ def main(argv: list[str] | None = None) -> int:
                 "fig2": harness.run_fig2,
                 "fig3": harness.run_fig3,
             }[args.verb]
-            results = [runner(cfg, out_dir)]
-            cfg.to_json(out_dir / "config.json")
-            harness.write_manifest(out_dir, cfg, results, time.perf_counter() - start)
+            results = harness.run_recorded(cfg, args.out, (runner,))
         for res in results:
             print(f"{res.name}: {len(res.rows)} rows -> {res.path}")
             for note in res.notes:

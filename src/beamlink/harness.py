@@ -1,7 +1,8 @@
 """Experiment runner: seeded sweeps, table/figure data files, manifests.
 
 Every run writes CSV files plus a ``manifest.json`` holding the config,
-its content hash and the SHA-256 of each data file. All randomness flows
+its content hash, the SHA-256 of each data file, the wall time of each
+runner and the python, numpy and scipy versions. All randomness flows
 through :func:`beamlink.rng.substream` keyed by (purpose, indices,
 block), so reruns with the same config and seed produce byte-identical
 CSV output and sweep points can be computed in any order.
@@ -16,11 +17,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import analysis, beamformer, channel, phase_opt, stbc
 from .rng import substream
@@ -184,13 +188,27 @@ def _batch_greedy_phases(h: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]
     return phi[0], phi[1]
 
 
+def _selected_phases(
+    schemes: tuple[str, ...], h: np.ndarray, cfg: ExperimentConfig
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Greedy ``(phi1, phi2)`` per row of ``h`` if any of ``schemes`` is
+    blockwise, else None. The selection does not depend on the golden
+    variant, so one serves every blockwise scheme on the same rows."""
+    if any(scheme in beamformer.BPR_SCHEMES for scheme in schemes):
+        return _batch_greedy_phases(h, cfg.q)
+    return None
+
+
 def _batch_equivalent_channels(
-    scheme: str, h: np.ndarray, cfg: ExperimentConfig
+    scheme: str,
+    h: np.ndarray,
+    cfg: ExperimentConfig,
+    phases: tuple[np.ndarray, np.ndarray] | None,
 ) -> np.ndarray:
-    """Per-row equivalent channels ``F^H h`` with per-row phase selection
-    for the blockwise schemes."""
+    """Per-row equivalent channels ``F^H h``; the blockwise schemes use the
+    per-row ``phases`` from :func:`_selected_phases`."""
     if scheme in beamformer.BPR_SCHEMES:
-        phi1, phi2 = _batch_greedy_phases(h, cfg.q)
+        phi1, phi2 = phases
         return beamformer.bpr_equivalent_channels(
             cfg.q, beamformer.golden_variant(scheme), h, phi1, phi2
         )
@@ -243,7 +261,9 @@ def _ber_point(
     trials = 0
     for n, rng in _blocks(cfg.max_trials, cfg.seed, _PURPOSE_FIG3, scheme_idx, snr_idx):
         h = _sample_channels(cfg, n, rng)
-        h_eq = _batch_equivalent_channels(scheme, h, cfg)
+        h_eq = _batch_equivalent_channels(
+            scheme, h, cfg, _selected_phases((scheme,), h, cfg)
+        )
         errors += _ber_block(h_eq, const, amplitude, rng)
         trials += n
         if trials >= cfg.trials and errors >= cfg.target_errors:
@@ -287,12 +307,24 @@ class SweepResult:
     notes: list[str] = field(default_factory=list)
 
 
-def write_manifest(out_dir: Path, cfg: ExperimentConfig, results: list[SweepResult], wall_s: float) -> Path:
+def write_manifest(
+    out_dir: Path,
+    cfg: ExperimentConfig,
+    results: list[SweepResult],
+    wall_s: float,
+    runner_wall_s: dict[str, float],
+) -> Path:
     manifest = {
         "config": cfg.to_dict(),
         "config_sha256": cfg.content_hash(),
         "files": {r.path.name: _sha256(r.path) for r in results},
         "notes": {r.name: r.notes for r in results if r.notes},
+        "runner_wall_s": runner_wall_s,
+        "versions": {
+            "python": ".".join(map(str, sys.version_info[:3])),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
         "wall_time_s": wall_s,
     }
     path = out_dir / "manifest.json"
@@ -364,9 +396,9 @@ def run_fig2(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
     """Average spectral efficiency of each scheme over the SNR grid.
 
     One common set of channel realizations is shared by all schemes
-    (paired comparison); blockwise schemes re-run the greedy selection
-    per realization. The confidence half width is 1.96 sigma of the
-    sample mean.
+    (paired comparison); each realization gets one greedy phase
+    selection, shared by both blockwise schemes. The confidence half
+    width is 1.96 sigma of the sample mean.
     """
     _check_fig2(cfg)
     out_dir = Path(out_dir)
@@ -399,8 +431,9 @@ def _fig2_quadratic_forms(cfg: ExperimentConfig) -> dict[str, np.ndarray]:
     done = 0
     for n, rng in _blocks(cfg.trials, cfg.seed, _PURPOSE_FIG2):
         h = _sample_channels(cfg, n, rng)
+        phases = _selected_phases(cfg.schemes, h, cfg)
         for scheme in cfg.schemes:
-            h_eq = _batch_equivalent_channels(scheme, h, cfg)
+            h_eq = _batch_equivalent_channels(scheme, h, cfg, phases)
             quad_forms[scheme][done : done + n] = np.sum(np.abs(h_eq) ** 2, axis=1)
         done += n
     return quad_forms
@@ -447,21 +480,31 @@ def run_fig3(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
     return SweepResult(name="fig3", path=path, rows=rows, notes=notes)
 
 
-def run_all(cfg: ExperimentConfig, out_dir: str | Path) -> list[SweepResult]:
-    _check_fig2(cfg)
-    _check_fig3(cfg)
+def run_recorded(
+    cfg: ExperimentConfig,
+    out_dir: str | Path,
+    runners: tuple[Callable[[ExperimentConfig, Path], SweepResult], ...],
+) -> list[SweepResult]:
+    """Run ``runners`` in order into ``out_dir``, then write the config
+    snapshot and a manifest with the wall time of each runner."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
+    results = []
+    runner_wall_s = {}
+    for runner in runners:
+        runner_start = time.perf_counter()
+        results.append(runner(cfg, out_dir))
+        runner_wall_s[results[-1].name] = time.perf_counter() - runner_start
     cfg.to_json(out_dir / "config.json")
-    results = [
-        run_table1(cfg, out_dir),
-        run_fig1(cfg, out_dir),
-        run_fig2(cfg, out_dir),
-        run_fig3(cfg, out_dir),
-    ]
-    write_manifest(out_dir, cfg, results, time.perf_counter() - start)
+    write_manifest(out_dir, cfg, results, time.perf_counter() - start, runner_wall_s)
     return results
+
+
+def run_all(cfg: ExperimentConfig, out_dir: str | Path) -> list[SweepResult]:
+    _check_fig2(cfg)
+    _check_fig3(cfg)
+    return run_recorded(cfg, out_dir, (run_table1, run_fig1, run_fig2, run_fig3))
 
 
 # ---------------------------------------------------------------------------

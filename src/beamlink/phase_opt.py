@@ -173,6 +173,10 @@ def exhaustive_phase_oracle(h: np.ndarray, q: int) -> PhaseSelection:
     return _selection_from_element_phases(h, phases, METHOD_EXHAUSTIVE)
 
 
+# candidate scores per slot in one row tile; their complex terms take 2 MiB
+_TILE_SCORES = 2**17
+
+
 def _greedy(h: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Greedy blockwise selection over the rows of ``h``, shape ``(b, 2**q)``.
 
@@ -180,34 +184,65 @@ def _greedy(h: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     ``slots[block]`` have shape ``(b, 2**(q-1))`` and hold the angle and
     the element chosen for each slot of the two blocks, ``gain`` is the
     aligned-sum magnitude per row and ``evals`` the number of candidate
-    objective evaluations per row, which does not depend on ``h``.
+    scores computed per row, which does not depend on ``h``.
+
+    Each slot scores only the unplaced elements of a row, so ``evals`` is
+    ``sum_m m * G`` over the remaining counts ``m = n .. 1`` for the grid
+    size ``G``. Rows are independent, so they run in tiles of about
+    ``_TILE_SCORES / (n * G)`` rows that keep one slot's scores in cache;
+    the tile size changes no result.
     """
     b, n = h.shape
     half = n // 2
+    grids = block_grids(q)
+    tile = max(1, _TILE_SCORES // (n * grids[0].size))
     hc = h.conj()
-    acc = np.zeros(b, dtype=np.complex128)
-    alive = np.ones((b, n), dtype=bool)
     phi = np.empty((2, b, half))
     slots = np.empty((2, b, half), dtype=np.int64)
-    rows = np.arange(b)
+    gain = np.empty(b)
     evals = 0
-    for block, grid in enumerate(block_grids(q)):
+    for start in range(0, b, tile):
+        rows = slice(start, start + tile)
+        gain[rows], evals = _greedy_tile(hc[rows], grids, phi[:, rows], slots[:, rows])
+    return phi, slots, gain, evals
+
+
+def _greedy_tile(
+    hc: np.ndarray, grids: tuple[PhaseGrid, PhaseGrid], phi: np.ndarray, slots: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """:func:`_greedy` on one tile of conjugated channel rows ``hc``; fills
+    the tile's views ``phi`` and ``slots`` and returns ``(gain, evals)``."""
+    b, n = hc.shape
+    half = n // 2
+    rows = np.arange(b)
+    acc = np.zeros(b, dtype=np.complex128)
+    # unplaced elements per row in ascending order, and their conj(h)
+    remaining = np.tile(np.arange(n), (b, 1))
+    cand = hc
+    evals = 0
+    for block, grid in enumerate(grids):
         rotations = np.exp(1j * grid.angles)
         for slot in range(half):
-            scores = np.abs(acc[:, None, None] + hc[:, :, None] * rotations[None, None, :])
-            scores[~alive] = -np.inf
-            evals += (n - block * half - slot) * rotations.size
+            m = remaining.shape[1]
+            # This exact expression fixes the rounding: on the first slot
+            # every angle of an element scores |h_v| in exact arithmetic,
+            # and numpy's complex multiply and abs round differently in
+            # other loop layouts (|z|**2, hoisted or reused products), which
+            # would pick other angles there.
+            scores = np.abs(acc[:, None, None] + cand[:, :, None] * rotations[None, None, :])
+            evals += m * rotations.size
             # first flat maximum of the computed scores: equal floats go to the
-            # lowest element index, then the lowest grid index. On the first
-            # slot every angle of an element scores |h_v| in exact arithmetic,
-            # so the rounding of numpy's array abs picks the angle there.
+            # lowest element index, then the lowest grid index
             flat = scores.reshape(b, -1).argmax(axis=1)
-            elem, gidx = np.divmod(flat, rotations.size)
+            pos, gidx = np.divmod(flat, rotations.size)
+            elem = remaining[rows, pos]
             phi[block, :, slot] = grid.angles[gidx]
             slots[block, :, slot] = elem
             acc = acc + hc[rows, elem] * rotations[gidx]
-            alive[rows, elem] = False
-    return phi, slots, np.abs(acc), evals
+            keep = np.arange(m) != pos[:, None]
+            remaining = remaining[keep].reshape(b, m - 1)
+            cand = cand[keep].reshape(b, m - 1)
+    return np.abs(acc), evals
 
 
 def greedy_bpr_phases(h: np.ndarray, q: int) -> PhaseSelection:
@@ -223,7 +258,12 @@ def greedy_bpr_phases(h: np.ndarray, q: int) -> PhaseSelection:
     then the lowest grid index. Ties in exact arithmetic need not be
     equal floats: on the first slot every grid angle of an element gives
     ``|h_v|``, and rounding in numpy's array ``abs`` decides which angle
-    is taken. This is the batched kernel applied to a batch of one.
+    is taken. That is why the kernel keeps one scoring expression,
+    ``abs(acc + conj(h_v) * rotation)``, in one loop layout: a cheaper
+    form such as ``|z|**2`` rounds differently and changes phases. Each
+    slot scores only the still unplaced elements, and rows run in
+    cache-sized tiles; neither changes a decision. This is the batched
+    kernel applied to a batch of one.
     """
     h = np.asarray(h, dtype=np.complex128)
     n = 2**q

@@ -1,16 +1,18 @@
 import hashlib
 import json
 import math
+import platform
 import subprocess
 import sys
 import tempfile
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamlink import analysis, beamformer, harness, phase_opt, stbc
+from beamlink import analysis, beamformer, cli, harness, phase_opt, stbc
 from beamlink.rng import substream
 
 from oracles import greedy_blockwise_reference, ml_decode_index
@@ -191,12 +193,38 @@ class TestBatchKernels:
                 np.testing.assert_array_equal(slots[1, i], ref_slots2)
                 assert gain[i] == pytest.approx(ref_gain, rel=1e-12)
 
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_batch_greedy_matches_scalar_across_tiles(self, q):
+        # two full row tiles and a short last one; every other row draws its
+        # elements from {1, j, -1, -j}, so equal scores across elements are
+        # common and the order in which unplaced elements are scanned shows
+        n = 2**q
+        tile = phase_opt._TILE_SCORES // (n * n // 2)
+        b = 2 * tile + 300
+        rng = substream(q, 63)
+        h = (rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n))) / np.sqrt(2)
+        h[1::2] = 1j ** rng.integers(0, 4, (b // 2, n))
+        phi, slots, gain, evals = phase_opt._greedy(h, q)
+        assert evals == (n // 2) * n * (n + 1) // 2
+        grids = [g.angles for g in phase_opt.block_grids(q)]
+        edges = [tile - 1, tile, 2 * tile - 1]
+        for i in [*edges, *range(2 * tile, b)]:
+            ref_phi1, ref_phi2, ref_slots1, ref_slots2, ref_gain = (
+                greedy_blockwise_reference(h[i], *grids)
+            )
+            np.testing.assert_array_equal(phi[0, i], ref_phi1)
+            np.testing.assert_array_equal(phi[1, i], ref_phi2)
+            np.testing.assert_array_equal(slots[0, i], ref_slots1)
+            np.testing.assert_array_equal(slots[1, i], ref_slots2)
+            assert gain[i] == pytest.approx(ref_gain, rel=1e-12)
+
     @pytest.mark.parametrize("scheme", ["dft", "hadamard", "bpr-real", "bpr-complex"])
     def test_batch_equivalent_channels_match_scalar(self, scheme):
         cfg = _tiny_cfg(schemes=("dft", "hadamard", "bpr-real", "bpr-complex"))
         rng = substream(0, 61)
         h = (rng.standard_normal((100, 4)) + 1j * rng.standard_normal((100, 4))) / np.sqrt(2)
-        batch = harness._batch_equivalent_channels(scheme, h, cfg)
+        phases = harness._selected_phases((scheme,), h, cfg)
+        batch = harness._batch_equivalent_channels(scheme, h, cfg, phases)
         for i in range(100):
             bf = harness._beamformer_for_channel(scheme, cfg, h[i])
             expected = beamformer.equivalent_channel(bf, h[i])
@@ -305,6 +333,32 @@ class TestFig2:
         r_off = harness.run_fig2(cfg_off, tmp_path / "off")
         assert r_on.rows[1][4] > r_off.rows[1][4]
         assert any("include_array_gain" in n for n in r_on.notes)
+
+    @pytest.mark.parametrize(
+        "schemes,calls",
+        [(("dft", "bpr-real", "bpr-complex"), 2), (("dft", "hadamard"), 0)],
+    )
+    def test_one_greedy_per_block_for_both_bpr_schemes(self, monkeypatch, schemes, calls):
+        seen = []
+        greedy = harness._batch_greedy_phases
+
+        def counting(h, q):
+            seen.append(h.shape[0])
+            return greedy(h, q)
+
+        monkeypatch.setattr(harness, "_batch_greedy_phases", counting)
+        cfg = _tiny_cfg(trials=harness.TRIAL_BLOCK + 100, schemes=schemes)
+        harness._fig2_quadratic_forms(cfg)
+        assert seen == [harness.TRIAL_BLOCK, 100][:calls]
+
+    def test_shared_greedy_matches_single_scheme_runs(self):
+        array8 = dict(trials=3000, n_antennas=8, n_rf=4)
+        both = harness._fig2_quadratic_forms(
+            _tiny_cfg(schemes=("bpr-real", "bpr-complex"), **array8)
+        )
+        for scheme in ("bpr-real", "bpr-complex"):
+            alone = harness._fig2_quadratic_forms(_tiny_cfg(schemes=(scheme,), **array8))
+            np.testing.assert_array_equal(both[scheme], alone[scheme])
 
     def test_rejects_single_realization(self, tmp_path):
         # one realization has no sample standard deviation, so no half width
@@ -486,6 +540,24 @@ class TestDeterminism:
         assert manifest["config_sha256"] == cfg.content_hash()
         import hashlib
 
+        for name, digest in manifest["files"].items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("verb,runners", [("all", 4), ("fig2", 1)])
+    def test_manifest_records_versions_and_runner_times(self, tmp_path, verb, runners):
+        args = [verb, "--trials", "500", "--mod", "4", "--snr", "0,10", "--out", str(tmp_path)]
+        assert cli.main(args) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["versions"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        }
+        times = manifest["runner_wall_s"]
+        assert len(times) == runners
+        assert {f"{name}.csv" for name in times} == set(manifest["files"])
+        assert all(t > 0 for t in times.values())
+        assert sum(times.values()) <= manifest["wall_time_s"]
         for name, digest in manifest["files"].items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 

@@ -183,7 +183,7 @@ class TestComplexityProbe:
         assert phase_opt.complexity_probe([1, 2, 3]) == [(1, 3), (2, 20), (3, 144)]
 
     def test_closed_form(self):
-        for q, count in phase_opt.complexity_probe([1, 2, 3, 4]):
+        for q, count in phase_opt.complexity_probe([1, 2, 3, 4, 5, 6]):
             n = 2**q
             assert count == (n // 2) * n * (n + 1) // 2
 
