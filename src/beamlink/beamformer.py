@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import hadamard
 
 DFT = "dft"
 HADAMARD = "hadamard"
@@ -107,6 +106,14 @@ def kappa(scheme: str, q: int) -> float:
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
+def _sylvester(k: int) -> np.ndarray:
+    """Integer Sylvester Hadamard matrix of order ``2**k``, doubled as ``[[W, W], [W, -W]]``."""
+    w = np.ones((1, 1), dtype=np.int64)
+    for _ in range(k):
+        w = np.block([[w, w], [w, -w]])
+    return w
+
+
 def build_dft_atb(q: int) -> BeamformingMatrix:
     """First ``2**(q-1)`` columns of the unitary ``2**q``-point DFT matrix.
 
@@ -127,7 +134,7 @@ def build_hadamard_atb(q: int) -> BeamformingMatrix:
     if q < 1:
         raise ValueError("q must be at least 1")
     n = 2**q
-    mat = hadamard(n).astype(np.complex128)[:, : n // 2] / np.sqrt(n)
+    mat = _sylvester(q).astype(np.complex128)[:, : n // 2] / np.sqrt(n)
     return BeamformingMatrix(scheme=HADAMARD, matrix=mat, q=q, kappa=1.0 / n)
 
 
@@ -135,8 +142,7 @@ def golden_hadamard(
     q: int, variant: GoldenVariant, phi1: np.ndarray, phi2: np.ndarray
 ) -> np.ndarray:
     """Full ``2**q x 2**q`` recursive block matrix ``g/sqrt(xi) [[WA, WB], [WB, -WA]]``."""
-    half = 2 ** (q - 1)
-    w = hadamard(half).astype(np.complex128)
+    w = _sylvester(q - 1).astype(np.complex128)
     top_a = w * np.exp(1j * phi1)[None, :]
     top_b = w * np.exp(1j * phi2)[None, :]
     block = np.block([[top_a, top_b], [top_b, -top_a]])
@@ -153,7 +159,7 @@ def bpr_equivalent_channels(
     symmetric real ``W`` no per-row matrix is formed.
     """
     half = 2 ** (q - 1)
-    w = hadamard(half).astype(np.float64)
+    w = _sylvester(q - 1).astype(np.float64)
     top = h[..., :half] @ w
     bot = h[..., half:] @ w
     scale = np.conj(variant.g) / np.sqrt(xi(q, variant.n_root))

@@ -12,6 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# numpy 2 imports numpy.random on first use; import it with the package
+# so that the first substream call inside a runner does not pay for it.
+import numpy.random  # noqa: F401
+
 
 def substream(root_seed: int, *key: int) -> np.random.Generator:
     """Return the generator for the substream named by ``key``.

@@ -31,6 +31,10 @@ class TestQFunction:
     def test_matches_scipy_norm_sf(self):
         for x in np.linspace(-6.0, 6.0, 25):
             assert float(analysis.q_function(x)) == pytest.approx(norm.sf(x), abs=1e-10)
+        # The high-SNR union-bound terms live far below abs=1e-10, so the
+        # tail is checked relative to Q itself, down to Q(37) ~ 6e-301.
+        x = np.linspace(0.0, 37.0, 371)
+        np.testing.assert_allclose(analysis.q_function(x), norm.sf(x), rtol=1e-12, atol=0.0)
 
 
 class TestSpectralEfficiency:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import hadamard
 
 from beamlink import beamformer
 from beamlink.beamformer import (
@@ -107,6 +108,12 @@ class TestDftConstruction:
 
 
 class TestHadamardConstruction:
+    @pytest.mark.parametrize("k", range(9))
+    def test_sylvester_matches_scipy_hadamard(self, k):
+        w = beamformer._sylvester(k)
+        assert np.issubdtype(w.dtype, np.integer)
+        np.testing.assert_array_equal(w, hadamard(2**k))
+
     def test_q1(self):
         bf = beamformer.build_hadamard_atb(1)
         np.testing.assert_allclose(bf.matrix, np.array([[1.0], [1.0]]) / np.sqrt(2))

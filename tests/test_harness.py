@@ -630,6 +630,18 @@ class TestCli:
             text=True,
         )
 
+    def test_import_loads_no_scipy_submodule(self):
+        # A fresh interpreter: this test session has scipy.stats and
+        # scipy.linalg loaded already through the test oracles.
+        probe = (
+            "import sys, beamlink.cli; "
+            "print(' '.join(m for m in ('scipy.special', 'scipy.linalg', 'scipy.integrate', "
+            "'scipy.stats', 'numpy.random') if m in sys.modules))"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["numpy.random"]
+
     def test_table1_verb(self, tmp_path):
         out = tmp_path / "run"
         proc = self._run("table1", "--out", str(out), "--seed", "7")
