@@ -67,16 +67,10 @@ def golden_variant(scheme: str) -> GoldenVariant:
 
 @dataclass(frozen=True, eq=False)
 class BeamformingMatrix:
-    """An analog beamformer with its scheme, order and per-entry power factor."""
+    """An analog beamformer with its scheme; :func:`kappa` gives its per-entry power factor."""
 
     scheme: str
     matrix: np.ndarray
-    q: int
-    kappa: float
-
-    @property
-    def n_antennas(self) -> int:
-        return self.matrix.shape[0]
 
     @property
     def n_chains(self) -> int:
@@ -126,7 +120,7 @@ def build_dft_atb(q: int) -> BeamformingMatrix:
     m = np.arange(n)[:, None]
     k = np.arange(n // 2)[None, :]
     mat = np.exp(-2j * np.pi * m * k / n) / np.sqrt(n)
-    return BeamformingMatrix(scheme=DFT, matrix=mat, q=q, kappa=1.0 / n)
+    return BeamformingMatrix(scheme=DFT, matrix=mat)
 
 
 def build_hadamard_atb(q: int) -> BeamformingMatrix:
@@ -135,7 +129,7 @@ def build_hadamard_atb(q: int) -> BeamformingMatrix:
         raise ValueError("q must be at least 1")
     n = 2**q
     mat = _sylvester(q).astype(np.complex128)[:, : n // 2] / np.sqrt(n)
-    return BeamformingMatrix(scheme=HADAMARD, matrix=mat, q=q, kappa=1.0 / n)
+    return BeamformingMatrix(scheme=HADAMARD, matrix=mat)
 
 
 def golden_hadamard(
@@ -186,7 +180,7 @@ def build_bpr_atb(
         raise ValueError(f"phase vectors must each have length {half}")
     scheme = BPR_REAL if variant.kind == "real" else BPR_COMPLEX
     mat = golden_hadamard(q, variant, phi1, phi2)[:, :half]
-    return BeamformingMatrix(scheme=scheme, matrix=mat, q=q, kappa=kappa(scheme, q))
+    return BeamformingMatrix(scheme=scheme, matrix=mat)
 
 
 def equivalent_channel(bf: BeamformingMatrix | np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -13,7 +13,9 @@ functions of a seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -36,8 +38,9 @@ class SteeringConfig:
     spacing_over_wavelength: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.spacing_over_wavelength > 0:
-            raise ValueError("antenna spacing ratio must be positive")
+        d = self.spacing_over_wavelength
+        if not (isinstance(d, Real) and not isinstance(d, bool) and math.isfinite(d) and d > 0):
+            raise ValueError(f"spacing_over_wavelength must be a finite positive number, got {d!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,6 +21,7 @@ import sys
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -73,8 +74,9 @@ class ExperimentConfig:
     theta_points: int = 721
 
     def __post_init__(self) -> None:
-        self.snr_grid_db = tuple(float(v) for v in self.snr_grid_db)
-        self.schemes = tuple(self.schemes)
+        snrs = _items("snr_grid_db", self.snr_grid_db, Real, "numbers")
+        self.snr_grid_db = tuple(float(v) for v in snrs)
+        self.schemes = _items("schemes", self.schemes, str, "scheme names")
         self.validate()
 
     @property
@@ -118,8 +120,8 @@ class ExperimentConfig:
             raise ValueError("seed must be nonnegative")
         if self.theta_points < 361:
             raise ValueError("theta_points must be at least 361")
-        if not self.spacing_over_wavelength > 0:
-            raise ValueError("spacing_over_wavelength must be positive")
+        # raises a ValueError naming spacing_over_wavelength unless finite and positive
+        channel.SteeringConfig(self.spacing_over_wavelength)
         if self.modulation not in stbc.SUPPORTED_ORDERS:
             raise ValueError(f"unsupported modulation order {self.modulation}")
         if not self.schemes:
@@ -159,6 +161,15 @@ class ExperimentConfig:
     def content_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
+
+
+def _items(name: str, value, kind: type, what: str) -> tuple:
+    """``value`` as a tuple, if it is a list, tuple or array of ``kind`` (not bool)."""
+    if not isinstance(value, (list, tuple, np.ndarray)) or not all(
+        isinstance(v, kind) and not isinstance(v, bool) for v in value
+    ):
+        raise ValueError(f"{name} must be a list of {what}, got {value!r}")
+    return tuple(value)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamformer import BeamformingMatrix
-
 NORM_EQ1 = "eq1"
 NORM_EQ10 = "eq10"
 NORM_MODES = (NORM_EQ1, NORM_EQ10)
@@ -152,41 +150,6 @@ def alamouti_codeword(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     return out
 
 
-def encode_alamouti(
-    bits: np.ndarray,
-    constellation: Constellation,
-    bf: BeamformingMatrix,
-    gamma0: float = 1.0,
-    mode: str = NORM_EQ1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Encode ``2 * bits_per_symbol`` bits into (S, X).
-
-    ``S`` is the 2x2 orthogonal codeword; ``X`` is the antenna-domain
-    block actually transmitted. Under ``eq1`` normalization X = F S and
-    all power scaling happens in the link amplitude; ``eq10`` instead
-    scales the codeword by ``sqrt(gamma0 * kappa)`` and the link applies
-    no further amplitude.
-    """
-    k = constellation.bits_per_symbol
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.shape != (2 * k,):
-        raise ValueError(f"expected {2 * k} bits, got shape {bits.shape}")
-    if bf.n_chains != 2:
-        raise ValueError("space-time encoding requires a beamformer with 2 chains")
-    if mode not in NORM_MODES:
-        raise ValueError(f"unknown normalization mode {mode!r}")
-    s = alamouti_codeword(map_bits(bits[:k], constellation), map_bits(bits[k:], constellation))
-    x = bf.matrix @ s
-    if mode == NORM_EQ10:
-        x = np.sqrt(gamma0 * bf.kappa) * x
-    return s, x
-
-
-def eq1_amplitude(power: float, n_antennas: int, n_paths: int) -> float:
-    """Link amplitude ``sqrt(P * N_t / L)`` of the received-signal model."""
-    return float(np.sqrt(power * n_antennas / n_paths))
-
-
 def link_amplitude(
     gamma0: float, kappa: float, mode: str, include_array_gain: bool, n_antennas: int, n_paths: int
 ) -> float:
@@ -201,7 +164,7 @@ def link_amplitude(
     if mode == NORM_EQ10:
         return float(np.sqrt(gamma0 * kappa))
     if include_array_gain:
-        return eq1_amplitude(gamma0, n_antennas, n_paths)
+        return float(np.sqrt(gamma0 * n_antennas / n_paths))
     return float(np.sqrt(gamma0))
 
 

@@ -1,8 +1,8 @@
 """Independent brute-force reference implementations used by the tests.
 
 Everything here is deliberately naive (loops, joint enumeration,
-fixed-grid quadrature) and shares no code with the package paths it
-checks.
+fixed-grid quadrature) or, like the rotation sweep, exact by
+construction, and shares no code with the package paths it checks.
 """
 
 from __future__ import annotations
@@ -47,6 +47,45 @@ def joint_bruteforce_gain(h: np.ndarray, angles: np.ndarray) -> float:
         val = abs(sum(hc[v] * np.exp(1j * combo[v]) for v in range(h.size)))
         best = max(best, val)
     return best
+
+
+def element_grid_angles(q: int) -> np.ndarray:
+    """Per-element fine grid: angles ``2 pi b / 2**q`` for ``b = 0 .. 2**q - 1``."""
+    n = 2**q
+    return (2.0 * np.pi * np.arange(n) / n) % (2.0 * np.pi)
+
+
+def rotation_sweep_phases(h: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Exact per-element grid optimum via a sweep over the common rotation angle.
+
+    For any reference direction psi each element's best grid angle is the
+    one closest to ``psi - arg(conj(h_v))``; the best assignment changes
+    only at finitely many psi values, so scanning one candidate psi per
+    breakpoint interval and keeping the best aligned-sum magnitude yields
+    the global optimum of the ``angles.size ** h.size`` joint assignments
+    without enumerating them. Every blockwise assignment whose grids are
+    subsets of ``angles`` is one of those assignments, so the optimum
+    bounds any blockwise selection from above.
+    """
+    hc = np.conj(h)
+    base = np.angle(hc)
+    step = 2.0 * np.pi / angles.size
+    breakpoints = np.sort(
+        ((base[:, None] + angles[None, :] + step / 2.0) % (2.0 * np.pi)).ravel()
+    )
+    gaps = np.diff(np.concatenate([breakpoints, [breakpoints[0] + 2.0 * np.pi]]))
+    candidates = (breakpoints + gaps / 2.0) % (2.0 * np.pi)
+    best_gain = -1.0
+    best_phases: np.ndarray | None = None
+    for psi in candidates:
+        idx = np.round(((psi - base) % (2.0 * np.pi)) / step).astype(np.int64) % angles.size
+        phases = angles[idx]
+        gain = float(np.abs(np.sum(hc * np.exp(1j * phases))))
+        if gain > best_gain + 1e-15:
+            best_gain = gain
+            best_phases = phases
+    assert best_phases is not None
+    return best_phases
 
 
 def blockwise_bruteforce_gain(h: np.ndarray, grid1: np.ndarray, grid2: np.ndarray) -> float:

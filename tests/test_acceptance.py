@@ -96,7 +96,7 @@ def test_criterion_2_constant_modulus_and_structure():
 
 def test_criterion_3_greedy_vs_oracle():
     start = time.perf_counter()
-    grids = [g.angles for g in phase_opt.block_grids(2)]
+    grids = phase_opt.block_grids(2)
     n_channels = 500
     bounded = 0
     beats_random = 0

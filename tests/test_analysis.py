@@ -83,7 +83,7 @@ class TestBeamspacePattern:
         for k, s in ((0, 0.0), (1, -0.5)):
             theta = np.array([np.arcsin(s)])
             pattern = analysis.beamspace_pattern(bf, theta, SteeringConfig())
-            expected = 16 * bf.kappa  # = N_t for the DFT scheme
+            expected = 16 * beamformer.kappa(bf.scheme, 2)  # = N_t for the DFT scheme
             assert pattern.gains[0, k] == pytest.approx(expected, abs=1e-10)
 
     def test_dft_columns_have_distinct_mainlobes(self):

@@ -72,6 +72,11 @@ class TestSteeringConfig:
         with pytest.raises(ValueError):
             channel.SteeringConfig(spacing_over_wavelength=-0.5)
 
+    @pytest.mark.parametrize("spacing", [float("inf"), float("nan"), "0.5", True])
+    def test_rejects_what_it_cannot_model(self, spacing):
+        with pytest.raises(ValueError, match=r"\bspacing_over_wavelength\b"):
+            channel.SteeringConfig(spacing_over_wavelength=spacing)
+
 
 class TestMmwaveChannel:
     def test_single_boresight_path_gives_ones(self):

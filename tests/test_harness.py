@@ -65,6 +65,13 @@ _REJECTED_OVERRIDES = [
     {"schemes": ()},
     {"schemes": ("dft", "dft")},
     {"spacing_over_wavelength": float("nan")},
+    {"spacing_over_wavelength": float("inf")},
+    {"spacing_over_wavelength": "0.5"},
+    {"snr_grid_db": 5},
+    {"snr_grid_db": ("a",)},
+    {"snr_grid_db": "5"},
+    {"schemes": "dft"},
+    {"schemes": 5},
 ]
 
 
@@ -108,6 +115,10 @@ class TestConfig:
         (field,) = overrides
         with pytest.raises(ValueError, match=rf"\b{field}\b"):
             _tiny_cfg(**overrides)
+
+    def test_bare_scheme_string_is_not_split_into_letters(self):
+        with pytest.raises(ValueError, match=r"^schemes must be a list of scheme names, got 'dft'"):
+            _tiny_cfg(schemes="dft")
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -182,7 +193,7 @@ class TestBatchKernels:
             phi1, phi2 = harness._batch_greedy_phases(h, q)
             np.testing.assert_array_equal(phi1, phi[0])
             np.testing.assert_array_equal(phi2, phi[1])
-            grids = [g.angles for g in phase_opt.block_grids(q)]
+            grids = phase_opt.block_grids(q)
             for i in range(200):
                 ref_phi1, ref_phi2, ref_slots1, ref_slots2, ref_gain = (
                     greedy_blockwise_reference(h[i], *grids)
@@ -206,7 +217,7 @@ class TestBatchKernels:
         h[1::2] = 1j ** rng.integers(0, 4, (b // 2, n))
         phi, slots, gain, evals = phase_opt._greedy(h, q)
         assert evals == (n // 2) * n * (n + 1) // 2
-        grids = [g.angles for g in phase_opt.block_grids(q)]
+        grids = phase_opt.block_grids(q)
         edges = [tile - 1, tile, 2 * tile - 1]
         for i in [*edges, *range(2 * tile, b)]:
             ref_phi1, ref_phi2, ref_slots1, ref_slots2, ref_gain = (

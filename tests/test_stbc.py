@@ -9,6 +9,13 @@ from beamlink.rng import substream
 from oracles import lattice_nearest_labels, ml_decode_index, nearest_point_labels
 
 
+def _transmit_block(bits, c, bf):
+    """Antenna-domain block ``F S`` of the Alamouti codeword that carries ``bits``."""
+    k = c.bits_per_symbol
+    s = stbc.alamouti_codeword(stbc.map_bits(bits[:k], c), stbc.map_bits(bits[k:], c))
+    return bf.matrix @ s
+
+
 def _random_symbols(rng, const, n):
     idx = rng.integers(0, const.order, n)
     return const.points[idx], idx
@@ -175,43 +182,44 @@ class TestAlamoutiCodeword:
 
 class TestEncode:
     def test_eq1_codeword(self):
+        # under eq1 the array sends F S; through h it arrives as S through F^H h
         c = stbc.make_constellation(4)
         bf = beamformer.build_dft_atb(2)
         bits = np.array([0, 1, 1, 0], dtype=np.uint8)
-        s, x = stbc.encode_alamouti(bits, c, bf)
-        np.testing.assert_allclose(x, bf.matrix @ s)
+        s = stbc.alamouti_codeword(stbc.map_bits(bits[:2], c), stbc.map_bits(bits[2:], c))
+        h = np.array([0.3 - 0.2j, -1.1 + 0.4j, 0.5j, 0.8])
+        h_eq = beamformer.equivalent_channel(bf, h)
+        rng = substream(0, 40)
+        y_antenna = stbc.transmit_receive(bf.matrix @ s, h, rng, sigma2=0.0)
+        y_eq = stbc.transmit_receive(s, h_eq, rng, sigma2=0.0)
+        np.testing.assert_allclose(y_antenna, y_eq, atol=1e-12)
 
     def test_eq10_scaling(self):
         c = stbc.make_constellation(4)
         bf = beamformer.build_dft_atb(2)
+        kappa = beamformer.kappa(bf.scheme, 2)
         bits = np.array([0, 1, 1, 0], dtype=np.uint8)
-        _, x1 = stbc.encode_alamouti(bits, c, bf, gamma0=4.0, mode="eq1")
-        _, x10 = stbc.encode_alamouti(bits, c, bf, gamma0=4.0, mode="eq10")
-        np.testing.assert_allclose(x10, np.sqrt(4.0 * bf.kappa) * x1)
+        x1 = _transmit_block(bits, c, bf)
+        for include_array_gain in (True, False):
+            amp = stbc.link_amplitude(4.0, kappa, "eq10", include_array_gain, 4, 3)
+            np.testing.assert_allclose(amp * x1, np.sqrt(4.0 * kappa) * x1)
 
     def test_eq10_power_audit(self):
         # E ||X||_F^2 = gamma0 * kappa * E ||F S||_F^2 = 4 gamma0 kappa for
         # orthonormal-column F and unit-energy symbols
         c = stbc.make_constellation(16)
         bf = beamformer.build_dft_atb(2)
+        kappa = beamformer.kappa(bf.scheme, 2)
         rng = substream(0, 42)
         gamma0 = 7.0
+        amp = stbc.link_amplitude(gamma0, kappa, "eq10", True, 4, 3)
         total = 0.0
         n = 4000
         for _ in range(n):
             bits = rng.integers(0, 2, 8).astype(np.uint8)
-            _, x = stbc.encode_alamouti(bits, c, bf, gamma0=gamma0, mode="eq10")
+            x = amp * _transmit_block(bits, c, bf)
             total += np.linalg.norm(x) ** 2
-        assert total / n == pytest.approx(4.0 * gamma0 * bf.kappa, rel=0.05)
-
-    def test_dimension_checks(self):
-        c = stbc.make_constellation(4)
-        with pytest.raises(ValueError):
-            stbc.encode_alamouti(np.array([0, 1], dtype=np.uint8), c, beamformer.build_dft_atb(2))
-        with pytest.raises(ValueError):
-            stbc.encode_alamouti(
-                np.array([0, 1, 0, 1], dtype=np.uint8), c, beamformer.build_dft_atb(3)
-            )
+        assert total / n == pytest.approx(4.0 * gamma0 * kappa, rel=0.05)
 
 
 class TestTransmitReceive:
@@ -239,7 +247,7 @@ class TestTransmitReceive:
         assert abs(var - 2.0) < 3 * se
 
     def test_eq1_amplitude(self):
-        assert stbc.eq1_amplitude(9.0, 4, 3) == pytest.approx(np.sqrt(12.0))
+        assert stbc.link_amplitude(9.0, 0.25, "eq1", True, 4, 3) == pytest.approx(np.sqrt(12.0))
 
 
 class TestDecode:
@@ -258,7 +266,7 @@ class TestDecode:
             h = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / np.sqrt(2)
             h_eq = beamformer.equivalent_channel(bf, h)
             bits = rng.integers(0, 2, 2 * c.bits_per_symbol).astype(np.uint8)
-            _, x = stbc.encode_alamouti(bits, c, bf)
+            x = _transmit_block(bits, c, bf)
             y = stbc.transmit_receive(x, h, rng, amplitude=1.5, sigma2=0.0)
             assert np.array_equal(stbc.decode_alamouti(y, h_eq, c, amplitude=1.5), bits)
 
@@ -273,7 +281,7 @@ class TestDecode:
             if np.linalg.norm(h_eq) < 1e-6:
                 continue
             bits = rng.integers(0, 2, 4).astype(np.uint8)
-            _, x = stbc.encode_alamouti(bits, c, bf)
+            x = _transmit_block(bits, c, bf)
             y = stbc.transmit_receive(x, h, rng, amplitude=1.0, sigma2=0.5)
             fast = stbc.decode_alamouti(y, h_eq, c)
             ml = labels[ml_decode_index(y, h_eq, codewords, 1.0)]
@@ -289,7 +297,7 @@ class TestDecode:
             h = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / np.sqrt(2)
             h_eq = beamformer.equivalent_channel(bf, h)
             bits = rng.integers(0, 2, 4).astype(np.uint8)
-            _, x = stbc.encode_alamouti(bits, c, bf)
+            x = _transmit_block(bits, c, bf)
             y = stbc.transmit_receive(x, h, rng, amplitude=1.0, sigma2=1e8)
             errors += np.count_nonzero(stbc.decode_alamouti(y, h_eq, c) != bits)
             bits_total += 4
