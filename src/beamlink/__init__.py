@@ -2,9 +2,9 @@
 
 Modules cover channel generation, constant-modulus beamformer
 construction (DFT, Hadamard and blockwise phase-rotated golden-ratio
-Hadamard), quantized phase-alignment solvers, Alamouti space-time
-coding, closed-form error analysis, and a seeded experiment harness
-with a CLI front end.
+Hadamard), the greedy selector of quantized rotation phases, Alamouti
+space-time coding, closed-form error analysis, and a seeded experiment
+harness with a CLI front end.
 
 The package root exports only the runner API; every other name is
 imported from its module, e.g. ``from beamlink import channel``.

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamformer import BeamformingMatrix, equivalent_channel
+from .beamformer import equivalent_channel
 from .channel import SteeringConfig, steering_vector
 from .stbc import Constellation
 
@@ -95,7 +95,7 @@ def mgf_ber_mqam(gamma_bar: float, m: int) -> float:
 
 def spectral_efficiency(
     h: np.ndarray,
-    bf: BeamformingMatrix | np.ndarray,
+    f: np.ndarray,
     power: float,
     sigma2: float = 1.0,
 ) -> float:
@@ -104,7 +104,7 @@ def spectral_efficiency(
         raise ValueError("power must be nonnegative")
     if not sigma2 > 0:
         raise ValueError("sigma2 must be positive")
-    h_eq = equivalent_channel(bf, h)
+    h_eq = equivalent_channel(f, h)
     quad_form = float(np.vdot(h_eq, h_eq).real)
     if quad_form < -1e-10:
         raise ValueError("beamforming quadratic form is negative")
@@ -121,7 +121,7 @@ class BeamspacePattern:
 
 
 def beamspace_pattern(
-    bf: BeamformingMatrix | np.ndarray,
+    f: np.ndarray,
     theta_grid: np.ndarray,
     cfg: SteeringConfig | None = None,
 ) -> BeamspacePattern:
@@ -130,14 +130,14 @@ def beamspace_pattern(
     Also reports each column's -3 dB angular spread, the measure of the
     grid where the gain stays above ``peak * 10**-0.3``.
     """
-    mat = bf.matrix if isinstance(bf, BeamformingMatrix) else np.asarray(bf)
+    f = np.asarray(f)
     theta = np.asarray(theta_grid, dtype=np.float64)
-    steer = steering_vector(theta, mat.shape[0], cfg)
-    response = steer.conj() @ mat
+    steer = steering_vector(theta, f.shape[0], cfg)
+    response = steer.conj() @ f
     gains = np.abs(response) ** 2
     widths = np.gradient(theta) if theta.size > 1 else np.array([0.0])
-    spread = np.zeros(mat.shape[1])
-    for k in range(mat.shape[1]):
+    spread = np.zeros(f.shape[1])
+    for k in range(f.shape[1]):
         peak = gains[:, k].max()
         if peak > 0:
             spread[k] = float(widths[gains[:, k] >= peak * 10**-0.3].sum())
@@ -146,7 +146,7 @@ def beamspace_pattern(
 
 def min_euclidean_distance(
     h: np.ndarray,
-    bf: BeamformingMatrix | np.ndarray,
+    f: np.ndarray,
     codewords: np.ndarray,
 ) -> tuple[float, tuple[int, int]]:
     """Smallest received-space codeword distance and its achieving pair.
@@ -157,7 +157,7 @@ def min_euclidean_distance(
     codewords = np.asarray(codewords)
     if codewords.shape[0] < 2:
         raise ValueError("at least two codewords are required")
-    h_eq = equivalent_channel(bf, h)
+    h_eq = equivalent_channel(f, h)
     projected = np.einsum("c,kct->kt", h_eq.conj(), codewords)
     best = np.inf
     best_pair = (0, 1)

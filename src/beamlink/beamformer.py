@@ -26,7 +26,8 @@ hold quantized rotation angles, ``g`` is the golden number (real variant
 
 normalizes with ``n`` the root of the squared golden number's surd
 (``sqrt 5`` real, ``sqrt 3`` complex). The beamformer keeps the first
-``2**(q-1)`` columns of the recursive matrix.
+``2**(q-1)`` columns of the recursive matrix. Every builder returns the
+``(2**q, 2**(q-1))`` complex array itself.
 """
 
 from __future__ import annotations
@@ -48,13 +49,12 @@ BPR_SCHEMES = (BPR_REAL, BPR_COMPLEX)
 class GoldenVariant:
     """Golden-number scalar and the surd root of its normalizer."""
 
-    kind: str
     g: complex
     n_root: float
 
 
-REAL_GOLDEN = GoldenVariant(kind="real", g=(1.0 + math.sqrt(5.0)) / 2.0, n_root=math.sqrt(5.0))
-COMPLEX_GOLDEN = GoldenVariant(kind="complex", g=(1j + math.sqrt(3.0)) / 2.0, n_root=math.sqrt(3.0))
+REAL_GOLDEN = GoldenVariant(g=(1.0 + math.sqrt(5.0)) / 2.0, n_root=math.sqrt(5.0))
+COMPLEX_GOLDEN = GoldenVariant(g=(1j + math.sqrt(3.0)) / 2.0, n_root=math.sqrt(3.0))
 
 
 def golden_variant(scheme: str) -> GoldenVariant:
@@ -63,18 +63,6 @@ def golden_variant(scheme: str) -> GoldenVariant:
     if scheme == BPR_COMPLEX:
         return COMPLEX_GOLDEN
     raise ValueError(f"no golden variant for scheme {scheme!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class BeamformingMatrix:
-    """An analog beamformer with its scheme; :func:`kappa` gives its per-entry power factor."""
-
-    scheme: str
-    matrix: np.ndarray
-
-    @property
-    def n_chains(self) -> int:
-        return self.matrix.shape[1]
 
 
 def xi(q: int, n_root: float) -> float:
@@ -108,7 +96,7 @@ def _sylvester(k: int) -> np.ndarray:
     return w
 
 
-def build_dft_atb(q: int) -> BeamformingMatrix:
+def build_dft_atb(q: int) -> np.ndarray:
     """First ``2**(q-1)`` columns of the unitary ``2**q``-point DFT matrix.
 
     Entry (m, k) is ``exp(-j 2 pi m k / 2**q) / sqrt(2**q)``; the kept
@@ -119,28 +107,15 @@ def build_dft_atb(q: int) -> BeamformingMatrix:
     n = 2**q
     m = np.arange(n)[:, None]
     k = np.arange(n // 2)[None, :]
-    mat = np.exp(-2j * np.pi * m * k / n) / np.sqrt(n)
-    return BeamformingMatrix(scheme=DFT, matrix=mat)
+    return np.exp(-2j * np.pi * m * k / n) / np.sqrt(n)
 
 
-def build_hadamard_atb(q: int) -> BeamformingMatrix:
+def build_hadamard_atb(q: int) -> np.ndarray:
     """First ``2**(q-1)`` columns of the scaled Sylvester Hadamard matrix."""
     if q < 1:
         raise ValueError("q must be at least 1")
     n = 2**q
-    mat = _sylvester(q).astype(np.complex128)[:, : n // 2] / np.sqrt(n)
-    return BeamformingMatrix(scheme=HADAMARD, matrix=mat)
-
-
-def golden_hadamard(
-    q: int, variant: GoldenVariant, phi1: np.ndarray, phi2: np.ndarray
-) -> np.ndarray:
-    """Full ``2**q x 2**q`` recursive block matrix ``g/sqrt(xi) [[WA, WB], [WB, -WA]]``."""
-    w = _sylvester(q - 1).astype(np.complex128)
-    top_a = w * np.exp(1j * phi1)[None, :]
-    top_b = w * np.exp(1j * phi2)[None, :]
-    block = np.block([[top_a, top_b], [top_b, -top_a]])
-    return variant.g / np.sqrt(xi(q, variant.n_root)) * block
+    return _sylvester(q).astype(np.complex128)[:, : n // 2] / np.sqrt(n)
 
 
 def bpr_equivalent_channels(
@@ -162,12 +137,12 @@ def bpr_equivalent_channels(
 
 def build_bpr_atb(
     q: int, variant: GoldenVariant, phi1: np.ndarray, phi2: np.ndarray
-) -> BeamformingMatrix:
-    """Blockwise phase-rotated beamformer for the given rotation angles.
+) -> np.ndarray:
+    """Blockwise phase-rotated beamformer ``g/sqrt(xi) [[W A], [W B]]``.
 
     ``phi1`` and ``phi2`` are the diagonals of the rotation blocks A and
-    B, each of length ``2**(q-1)``; the result keeps the first half of
-    the columns of :func:`golden_hadamard`, so column k carries
+    B, each of length ``2**(q-1)``. These are the kept first half of the
+    columns of the recursive block matrix, so column k carries
     ``exp(j phi1[k])`` on the top antenna block and ``exp(j phi2[k])`` on
     the bottom one.
     """
@@ -178,18 +153,18 @@ def build_bpr_atb(
     phi2 = np.asarray(phi2, dtype=np.float64)
     if phi1.shape != (half,) or phi2.shape != (half,):
         raise ValueError(f"phase vectors must each have length {half}")
-    scheme = BPR_REAL if variant.kind == "real" else BPR_COMPLEX
-    mat = golden_hadamard(q, variant, phi1, phi2)[:, :half]
-    return BeamformingMatrix(scheme=scheme, matrix=mat)
+    w = _sylvester(q - 1).astype(np.complex128)
+    block = np.vstack([w * np.exp(1j * phi1), w * np.exp(1j * phi2)])
+    return variant.g / np.sqrt(xi(q, variant.n_root)) * block
 
 
-def equivalent_channel(bf: BeamformingMatrix | np.ndarray, h: np.ndarray) -> np.ndarray:
+def equivalent_channel(f: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Low-dimensional channel ``F^H h`` for each channel row (last axis) of ``h``."""
-    mat = bf.matrix if isinstance(bf, BeamformingMatrix) else np.asarray(bf)
+    f = np.asarray(f)
     h = np.asarray(h)
-    if h.shape[-1:] != (mat.shape[0],):
+    if h.shape[-1:] != (f.shape[0],):
         raise ValueError(
-            f"channel length {h.shape} does not match beamformer rows {mat.shape[0]}"
+            f"channel length {h.shape} does not match beamformer rows {f.shape[0]}"
         )
-    return h @ mat.conj()
+    return h @ f.conj()
 

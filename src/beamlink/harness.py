@@ -151,7 +151,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        data = json.loads(Path(path).read_text())
+        text = Path(path).read_text()
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"config file {path}: expected a JSON object, got malformed JSON ({exc})"
+            ) from exc
         if not isinstance(data, dict):
             raise ValueError(
                 f"config file {path}: expected a JSON object, got {type(data).__name__}"
@@ -226,7 +232,7 @@ def _batch_equivalent_channels(
     return beamformer.equivalent_channel(_fixed_beamformer(scheme, cfg.q), h)
 
 
-def _fixed_beamformer(scheme: str, q: int) -> beamformer.BeamformingMatrix:
+def _fixed_beamformer(scheme: str, q: int) -> np.ndarray:
     if scheme == beamformer.DFT:
         return beamformer.build_dft_atb(q)
     if scheme == beamformer.HADAMARD:
@@ -381,7 +387,7 @@ def run_fig1(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
     for scheme in cfg.schemes:
         bf = _beamformer_for_channel(scheme, cfg, h)
         pattern = analysis.beamspace_pattern(bf, theta, cfg.steering)
-        for k in range(bf.n_chains):
+        for k in range(bf.shape[1]):
             spread = float(pattern.spread_rad[k])
             for t_idx in range(theta.size):
                 rows.append(
@@ -394,7 +400,7 @@ def run_fig1(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
 
 def _beamformer_for_channel(
     scheme: str, cfg: ExperimentConfig, h: np.ndarray
-) -> beamformer.BeamformingMatrix:
+) -> np.ndarray:
     if scheme in (beamformer.DFT, beamformer.HADAMARD):
         return _fixed_beamformer(scheme, cfg.q)
     selection = phase_opt.greedy_bpr_phases(h, cfg.q)

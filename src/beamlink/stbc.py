@@ -161,6 +161,8 @@ def link_amplitude(
     kappa) codeword scaling is the only amplitude, so the bound formulas
     describe the link exactly.
     """
+    if mode not in NORM_MODES:
+        raise ValueError(f"mode must be one of {NORM_MODES}, got {mode!r}")
     if mode == NORM_EQ10:
         return float(np.sqrt(gamma0 * kappa))
     if include_array_gain:

@@ -11,6 +11,7 @@ import functools
 import itertools
 
 import numpy as np
+from scipy.linalg import hadamard
 from scipy.stats import norm
 
 
@@ -37,6 +38,33 @@ def dense_gram(a: np.ndarray) -> np.ndarray:
                 acc += np.conj(a[m, i]) * a[m, j]
             out[i, j] = acc
     return out
+
+
+def geometric_channel(
+    gains: np.ndarray, angles: np.ndarray, n: int, spacing: float
+) -> np.ndarray:
+    """Naive ``h[m] = sum_l gains[l] exp(j 2 pi spacing m sin(angles[l]))``."""
+    h = np.zeros(n, dtype=np.complex128)
+    for m in range(n):
+        for gain, theta in zip(gains, angles):
+            h[m] += gain * np.exp(2j * np.pi * spacing * m * np.sin(theta))
+    return h
+
+
+def golden_block(
+    q: int, g: complex, n_root: float, phi1: np.ndarray, phi2: np.ndarray
+) -> np.ndarray:
+    """Full ``2**q x 2**q`` recursive block ``g/sqrt(xi) [[W A, W B], [W B, -W A]]``.
+
+    ``W`` is scipy's order ``2**(q-1)`` Hadamard matrix, ``A`` and ``B``
+    are ``diag(exp(j phi1))`` and ``diag(exp(j phi2))``, and
+    ``xi = n ((1+n)**q - (1-n)**q) / 2**q`` with ``n = n_root``.
+    """
+    w = hadamard(2 ** (q - 1)).astype(np.complex128)
+    wa = w * np.exp(1j * np.asarray(phi1))[None, :]
+    wb = w * np.exp(1j * np.asarray(phi2))[None, :]
+    xi = n_root * ((1.0 + n_root) ** q - (1.0 - n_root) ** q) / 2.0**q
+    return g / np.sqrt(xi) * np.block([[wa, wb], [wb, -wa]])
 
 
 def joint_bruteforce_gain(h: np.ndarray, angles: np.ndarray) -> float:

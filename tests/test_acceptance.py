@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from beamlink import analysis, beamformer, harness, phase_opt, stbc
-from beamlink.channel import sample_mmwave_channel
+from beamlink.channel import SteeringConfig, sample_mmwave_batch
 from beamlink.rng import substream
 
 from oracles import (
@@ -62,24 +62,24 @@ def test_criterion_2_constant_modulus_and_structure():
     for q in (1, 2, 3, 4):
         half = 2 ** (q - 1)
         builds = [
-            beamformer.build_dft_atb(q),
-            beamformer.build_hadamard_atb(q),
-            beamformer.build_bpr_atb(
+            (beamformer.DFT, beamformer.build_dft_atb(q)),
+            (beamformer.HADAMARD, beamformer.build_hadamard_atb(q)),
+            (beamformer.BPR_REAL, beamformer.build_bpr_atb(
                 q, beamformer.REAL_GOLDEN,
                 rng.uniform(0, 2 * np.pi, half), rng.uniform(0, 2 * np.pi, half),
-            ),
-            beamformer.build_bpr_atb(
+            )),
+            (beamformer.BPR_COMPLEX, beamformer.build_bpr_atb(
                 q, beamformer.COMPLEX_GOLDEN,
                 rng.uniform(0, 2 * np.pi, half), rng.uniform(0, 2 * np.pi, half),
-            ),
+            )),
         ]
-        for bf in builds:
-            expected = beamformer.kappa(bf.scheme, q)
+        for scheme, bf in builds:
+            expected = beamformer.kappa(scheme, q)
             worst_modulus = max(
-                worst_modulus, float(np.max(np.abs(np.abs(bf.matrix) ** 2 - expected)))
+                worst_modulus, float(np.max(np.abs(np.abs(bf) ** 2 - expected)))
             )
-            if bf.scheme in (beamformer.DFT, beamformer.HADAMARD):
-                gram = bf.matrix.conj().T @ bf.matrix
+            if scheme in (beamformer.DFT, beamformer.HADAMARD):
+                gram = bf.conj().T @ bf
                 worst_gram = max(
                     worst_gram, float(np.max(np.abs(gram - np.eye(half))))
                 )
@@ -101,7 +101,7 @@ def test_criterion_3_greedy_vs_oracle():
     bounded = 0
     beats_random = 0
     for seed in range(n_channels):
-        h = sample_mmwave_channel(3, 4, seed=seed)
+        h = sample_mmwave_batch(1, 3, 4, SteeringConfig(), substream(seed))[0]
         greedy = phase_opt.greedy_bpr_phases(h, 2)
         exhaustive = blockwise_bruteforce_gain(h, *grids)
         bounded += greedy.gain <= exhaustive + 1e-10
@@ -174,7 +174,7 @@ def test_criterion_6_union_and_chernoff_dominance():
     chernoff_ok = True
     details = []
     for ch_seed in (1, 2, 3):
-        h = sample_mmwave_channel(3, 4, seed=ch_seed)
+        h = sample_mmwave_batch(1, 3, 4, SteeringConfig(), substream(ch_seed))[0]
         sel = phase_opt.greedy_bpr_phases(h, 2)
         bf = beamformer.build_bpr_atb(2, beamformer.REAL_GOLDEN, sel.phi1, sel.phi2)
         h_eq = beamformer.equivalent_channel(bf, h)

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from beamlink import channel
 from beamlink.rng import substream
 
+from oracles import geometric_channel
+
 
 class TestSteeringVector:
     def test_boresight_is_all_ones(self):
@@ -78,39 +80,50 @@ class TestSteeringConfig:
             channel.SteeringConfig(spacing_over_wavelength=spacing)
 
 
+class _FixedPaths:
+    """Generator stand-in that hands the mmwave sampler the given path set."""
+
+    def __init__(self, gains, angles):
+        self.gains = np.asarray(gains, dtype=np.complex128)
+        self.angles = np.asarray(angles, dtype=np.float64)
+        self.calls = 0
+
+    def standard_normal(self, shape):
+        self.calls += 1
+        part = self.gains.real if self.calls == 1 else self.gains.imag
+        return part * np.sqrt(2)
+
+    def uniform(self, lo, hi, shape):
+        return self.angles
+
+
 class TestMmwaveChannel:
     def test_single_boresight_path_gives_ones(self):
-        paths = channel.PathSet(gains=np.array([1.0 + 0j]), angles=np.array([0.0]))
-        h = channel.channel_from_paths(paths, 4)
-        np.testing.assert_allclose(h, np.ones(4))
+        cfg = channel.SteeringConfig()
+        h = channel.sample_mmwave_batch(1, 1, 4, cfg, _FixedPaths([[1.0]], [[0.0]]))
+        np.testing.assert_allclose(h[0], np.ones(4))
+        np.testing.assert_allclose(h[0], geometric_channel([1.0], [0.0], 4, 0.5))
 
     def test_seed_determinism(self):
-        a = channel.sample_mmwave_channel(3, 4, seed=42)
-        b = channel.sample_mmwave_channel(3, 4, seed=42)
+        cfg = channel.SteeringConfig()
+        a = channel.sample_mmwave_batch(1, 3, 4, cfg, substream(42))
+        b = channel.sample_mmwave_batch(1, 3, 4, cfg, substream(42))
         assert np.array_equal(a, b)
-        c = channel.sample_mmwave_channel(3, 4, seed=43)
+        c = channel.sample_mmwave_batch(1, 3, 4, cfg, substream(43))
         assert not np.array_equal(a, c)
-
-    def test_reconstruction_is_exact(self):
-        h = channel.sample_mmwave_channel(3, 8, seed=11)
-        gains, angles = channel._draw_paths(1, 3, substream(11))
-        paths = channel.PathSet(gains=gains[0], angles=angles[0])
-        assert np.array_equal(h, channel.channel_from_paths(paths, 8))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_scalar_sampler_is_batch_of_one(self, seed):
-        cfg = channel.SteeringConfig()
-        h = channel.sample_mmwave_channel(3, 8, cfg, seed=seed)
-        batch = channel.sample_mmwave_batch(1, 3, 8, cfg, substream(seed))
-        assert np.array_equal(h, batch[0])
-
-    def test_path_set_invariants(self):
-        with pytest.raises(ValueError):
-            channel.PathSet(gains=np.array([1.0 + 0j]), angles=np.array([2.0]))
-        with pytest.raises(ValueError):
-            channel.PathSet(gains=np.array([]), angles=np.array([]))
-        with pytest.raises(ValueError):
-            channel.sample_mmwave_channel(0, 4)
+        # one channel per seed (criteria 3 and 6) is a batch of one from
+        # substream(seed), whose paths come off the stream as gain real
+        # parts, gain imaginary parts, then angles
+        rng = substream(seed)
+        re, im = rng.standard_normal(3), rng.standard_normal(3)
+        angles = rng.uniform(-np.pi / 2, np.pi / 2, 3)
+        gains = (re + 1j * im) / np.sqrt(2)
+        h = channel.sample_mmwave_batch(1, 3, 8, channel.SteeringConfig(), substream(seed))
+        assert h.shape == (1, 8)
+        np.testing.assert_allclose(h[0], geometric_channel(gains, angles, 8, 0.5), atol=1e-13)
 
     def test_mean_energy_matches_path_count(self):
         # E ||h||^2 = L * N_t for unit-variance gains and unit-modulus steering
@@ -124,31 +137,20 @@ class TestMmwaveChannel:
 
     def test_batch_matches_per_row_construction(self):
         rng = substream(9, 0)
-        cfg = channel.SteeringConfig()
+        cfg = channel.SteeringConfig(spacing_over_wavelength=0.4)
         gains = (rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3))) / np.sqrt(2)
         angles = rng.uniform(-np.pi / 2, np.pi / 2, (50, 3))
-
-        class _Fixed:
-            def __init__(self):
-                self.calls = 0
-
-            def standard_normal(self, shape):
-                self.calls += 1
-                return gains.real * np.sqrt(2) if self.calls == 1 else gains.imag * np.sqrt(2)
-
-            def uniform(self, lo, hi, shape):
-                return angles
-
-        batch = channel.sample_mmwave_batch(50, 3, 4, cfg, _Fixed())
+        batch = channel.sample_mmwave_batch(50, 3, 4, cfg, _FixedPaths(gains, angles))
         for i in range(50):
-            paths = channel.PathSet(gains=gains[i], angles=angles[i])
-            np.testing.assert_allclose(batch[i], channel.channel_from_paths(paths, 4), atol=1e-13)
+            np.testing.assert_allclose(
+                batch[i], geometric_channel(gains[i], angles[i], 4, 0.4), atol=1e-13
+            )
 
 
 class TestRayleighChannel:
     def test_seed_determinism(self):
-        a = channel.sample_rayleigh_channel(6, seed=1)
-        b = channel.sample_rayleigh_channel(6, seed=1)
+        a = channel.sample_rayleigh_batch(1, 6, substream(1))
+        b = channel.sample_rayleigh_batch(1, 6, substream(1))
         assert np.array_equal(a, b)
 
     def test_unit_second_moment(self):
@@ -169,9 +171,10 @@ class TestRayleighChannel:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_scalar_sampler_is_batch_of_one(self, seed):
-        h = channel.sample_rayleigh_channel(6, seed=seed)
-        assert np.array_equal(h, channel.sample_rayleigh_batch(1, 6, substream(seed))[0])
-
-    def test_rejects_zero_antennas(self):
-        with pytest.raises(ValueError):
-            channel.sample_rayleigh_channel(0)
+        # one channel per seed is a batch of one from substream(seed):
+        # the real parts are drawn first, then the imaginary
+        rng = substream(seed)
+        expected = (rng.standard_normal(6) + 1j * rng.standard_normal(6)) / np.sqrt(2)
+        h = channel.sample_rayleigh_batch(1, 6, substream(seed))
+        assert h.shape == (1, 6)
+        assert np.array_equal(h[0], expected)

@@ -164,6 +164,13 @@ class TestConfig:
         assert restored == cfg
         assert restored.content_hash() == cfg.content_hash()
 
+    def test_malformed_json_names_the_file(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"seed": 1,')
+        with pytest.raises(ValueError, match="config.json") as info:
+            harness.ExperimentConfig.from_json(path)
+        assert isinstance(info.value.__cause__, json.JSONDecodeError)
+
     # the removed knobs, and a typo, are rejected by name
     @pytest.mark.parametrize(
         "key", ["n_receive", "carrier_frequency_hz", "noise_variance", "n_antenas"]
@@ -304,7 +311,7 @@ class TestTable1:
                 bf = beamformer.build_dft_atb(3)
             else:
                 bf = beamformer.build_hadamard_atb(3)
-            measured = np.abs(bf.matrix) ** 2
+            measured = np.abs(bf) ** 2
             np.testing.assert_allclose(measured, values[scheme], atol=1e-12)
 
 
@@ -697,7 +704,9 @@ class TestCli:
         assert record["error"] == "ValueError"
         assert "n_antenas" in record["message"]
 
-    @pytest.mark.parametrize("content", ["3", '["n_rf", "seed"]'], ids=["number", "list"])
+    @pytest.mark.parametrize(
+        "content", ["3", '["n_rf", "seed"]', '{"seed": 1,'], ids=["number", "list", "malformed"]
+    )
     def test_config_file_must_hold_an_object(self, tmp_path, content):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(content)

@@ -13,7 +13,7 @@ def _transmit_block(bits, c, bf):
     """Antenna-domain block ``F S`` of the Alamouti codeword that carries ``bits``."""
     k = c.bits_per_symbol
     s = stbc.alamouti_codeword(stbc.map_bits(bits[:k], c), stbc.map_bits(bits[k:], c))
-    return bf.matrix @ s
+    return bf @ s
 
 
 def _random_symbols(rng, const, n):
@@ -190,14 +190,14 @@ class TestEncode:
         h = np.array([0.3 - 0.2j, -1.1 + 0.4j, 0.5j, 0.8])
         h_eq = beamformer.equivalent_channel(bf, h)
         rng = substream(0, 40)
-        y_antenna = stbc.transmit_receive(bf.matrix @ s, h, rng, sigma2=0.0)
+        y_antenna = stbc.transmit_receive(bf @ s, h, rng, sigma2=0.0)
         y_eq = stbc.transmit_receive(s, h_eq, rng, sigma2=0.0)
         np.testing.assert_allclose(y_antenna, y_eq, atol=1e-12)
 
     def test_eq10_scaling(self):
         c = stbc.make_constellation(4)
         bf = beamformer.build_dft_atb(2)
-        kappa = beamformer.kappa(bf.scheme, 2)
+        kappa = beamformer.kappa(beamformer.DFT, 2)
         bits = np.array([0, 1, 1, 0], dtype=np.uint8)
         x1 = _transmit_block(bits, c, bf)
         for include_array_gain in (True, False):
@@ -209,7 +209,7 @@ class TestEncode:
         # orthonormal-column F and unit-energy symbols
         c = stbc.make_constellation(16)
         bf = beamformer.build_dft_atb(2)
-        kappa = beamformer.kappa(bf.scheme, 2)
+        kappa = beamformer.kappa(beamformer.DFT, 2)
         rng = substream(0, 42)
         gamma0 = 7.0
         amp = stbc.link_amplitude(gamma0, kappa, "eq10", True, 4, 3)
@@ -248,6 +248,11 @@ class TestTransmitReceive:
 
     def test_eq1_amplitude(self):
         assert stbc.link_amplitude(9.0, 0.25, "eq1", True, 4, 3) == pytest.approx(np.sqrt(12.0))
+
+    @pytest.mark.parametrize("mode", ["eq01", "EQ10", ""])
+    def test_link_amplitude_rejects_unknown_mode(self, mode):
+        with pytest.raises(ValueError, match=r"\bmode\b"):
+            stbc.link_amplitude(10.0, 0.25, mode, True, 4, 3)
 
 
 class TestDecode:
