@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamformer import equivalent_channel
 from .channel import SteeringConfig, steering_vector
 from .stbc import Constellation
 
@@ -93,22 +92,12 @@ def mgf_ber_mqam(gamma_bar: float, m: int) -> float:
     return 2.0 * zeta * (1.0 - mu) - zeta**2 * (1.0 - 4.0 / np.pi * mu * np.arctan2(1.0, mu))
 
 
-def spectral_efficiency(
-    h: np.ndarray,
-    f: np.ndarray,
-    power: float,
-    sigma2: float = 1.0,
-) -> float:
-    """Achievable rate ``log2(1 + (P / sigma^2) * h^H F F^H h)`` in bits/s/Hz."""
-    if power < 0:
-        raise ValueError("power must be nonnegative")
-    if not sigma2 > 0:
-        raise ValueError("sigma2 must be positive")
-    h_eq = equivalent_channel(f, h)
-    quad_form = float(np.vdot(h_eq, h_eq).real)
-    if quad_form < -1e-10:
-        raise ValueError("beamforming quadratic form is negative")
-    return float(np.log2(1.0 + power / sigma2 * max(quad_form, 0.0)))
+def spectral_efficiency(quad_form, snr: float):
+    """Achievable rate ``log2(1 + snr * h^H F F^H h)`` in bits/s/Hz,
+    elementwise over the quadratic forms ``quad_form``."""
+    if snr < 0:
+        raise ValueError("snr must be nonnegative")
+    return np.log2(1.0 + snr * quad_form)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,30 +133,34 @@ def beamspace_pattern(
     return BeamspacePattern(theta=theta, gains=gains, spread_rad=spread)
 
 
-def min_euclidean_distance(
-    h: np.ndarray,
-    f: np.ndarray,
-    codewords: np.ndarray,
-) -> tuple[float, tuple[int, int]]:
-    """Smallest received-space codeword distance and its achieving pair.
+def _distance_classes(
+    constellation: Constellation,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Classes of the ``M^2`` ordered symbol pairs by squared distance.
 
-    Returns ``min_{k != l} ||h^H F (S_k - S_l)||_F`` with the (k, l)
-    index pair, k < l.
+    Returns ascending squared distances ``d_u`` with the pair count
+    ``C_u`` and summed label Hamming weight ``W_u`` of each class;
+    ``d_0 = 0`` holds the M pairs of a symbol with itself, so ``d_1`` is
+    the squared minimum distance.
     """
-    codewords = np.asarray(codewords)
-    if codewords.shape[0] < 2:
-        raise ValueError("at least two codewords are required")
-    h_eq = equivalent_channel(f, h)
-    projected = np.einsum("c,kct->kt", h_eq.conj(), codewords)
-    best = np.inf
-    best_pair = (0, 1)
-    for k in range(projected.shape[0] - 1):
-        dists = np.linalg.norm(projected[k + 1 :] - projected[k], axis=1)
-        l_rel = int(np.argmin(dists))
-        if dists[l_rel] < best:
-            best = float(dists[l_rel])
-            best_pair = (k, k + 1 + l_rel)
-    return best, best_pair
+    points, labels = constellation.points, constellation.labels
+    sq_dist = (np.abs(points[:, None] - points[None, :]) ** 2).ravel()
+    hamming = np.count_nonzero(labels[:, None, :] != labels[None, :, :], axis=2).ravel()
+    d, group = np.unique(sq_dist, return_inverse=True)
+    return d, np.bincount(group), np.bincount(group, weights=hamming)
+
+
+def min_euclidean_distance(h_eq: np.ndarray, constellation: Constellation) -> float:
+    """Smallest received-space distance ``min ||h_eq^H (S_k - S_l)||_F``
+    over pairs of distinct Alamouti codewords.
+
+    Every codeword difference satisfies ``E E^H = (|d1|^2 + |d2|^2) I``
+    (see :func:`union_bound_ber`), so the minimum is reached where one
+    symbol differs by the constellation's minimum distance:
+    ``||h_eq|| * d_min``.
+    """
+    d, _, _ = _distance_classes(constellation)
+    return float(np.linalg.norm(h_eq) * np.sqrt(d[1]))
 
 
 def pairwise_q_term(h_eq: np.ndarray, err: np.ndarray, gamma0: float, kappa: float) -> float:
@@ -209,12 +202,7 @@ def union_bound_ber(
     """
     if gamma0 < 0:
         raise ValueError("gamma0 must be nonnegative")
-    points, labels = constellation.points, constellation.labels
-    sq_dist = (np.abs(points[:, None] - points[None, :]) ** 2).ravel()
-    hamming = np.count_nonzero(labels[:, None, :] != labels[None, :, :], axis=2).ravel()
-    d, group = np.unique(sq_dist, return_inverse=True)
-    count = np.bincount(group)
-    weight = np.bincount(group, weights=hamming)
+    d, count, weight = _distance_classes(constellation)
     scale = np.sqrt(float(np.vdot(h_eq, h_eq).real) * gamma0 * kappa / 2.0)
     q_uv = q_function(scale * np.sqrt(d[:, None] + d[None, :]))
     return float(2.0 * (weight @ q_uv @ count) / constellation.bits_per_symbol)

@@ -200,8 +200,8 @@ def _sample_channels(cfg: ExperimentConfig, n: int, rng: np.random.Generator) ->
 
 
 def _batch_greedy_phases(h: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(phi1, phi2) per row of ``h`` from :func:`beamlink.phase_opt._greedy`."""
-    phi, _, _, _ = phase_opt._greedy(h, q)
+    """(phi1, phi2) per row of ``h`` from :func:`phase_opt.greedy_bpr_phases`."""
+    phi, _, _, _ = phase_opt.greedy_bpr_phases(h, q)
     return phi[0], phi[1]
 
 
@@ -376,16 +376,21 @@ def run_fig1(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
 
     The blockwise schemes are channel dependent; their patterns use the
     greedy selection for one seeded channel draw, recorded in the notes.
+    One selection serves both blockwise schemes, as in fig2.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     theta = np.linspace(-np.pi / 2, np.pi / 2, cfg.theta_points)
-    rng = substream(cfg.seed, _PURPOSE_FIG1)
-    h = _sample_channels(cfg, 1, rng)[0]
+    h = _sample_channels(cfg, 1, substream(cfg.seed, _PURPOSE_FIG1))
+    phases = _selected_phases(cfg.schemes, h, cfg)
     rows = []
     notes = ["blockwise patterns use greedy phases for one seeded channel draw"]
     for scheme in cfg.schemes:
-        bf = _beamformer_for_channel(scheme, cfg, h)
+        if scheme in beamformer.BPR_SCHEMES:
+            variant = beamformer.golden_variant(scheme)
+            bf = beamformer.build_bpr_atb(cfg.q, variant, phases[0][0], phases[1][0])
+        else:
+            bf = _fixed_beamformer(scheme, cfg.q)
         pattern = analysis.beamspace_pattern(bf, theta, cfg.steering)
         for k in range(bf.shape[1]):
             spread = float(pattern.spread_rad[k])
@@ -396,17 +401,6 @@ def run_fig1(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
     path = out_dir / "fig1.csv"
     _write_csv(path, "scheme,column,theta_rad,gain,spread_rad", rows)
     return SweepResult(name="fig1", path=path, rows=rows, notes=notes)
-
-
-def _beamformer_for_channel(
-    scheme: str, cfg: ExperimentConfig, h: np.ndarray
-) -> np.ndarray:
-    if scheme in (beamformer.DFT, beamformer.HADAMARD):
-        return _fixed_beamformer(scheme, cfg.q)
-    selection = phase_opt.greedy_bpr_phases(h, cfg.q)
-    return beamformer.build_bpr_atb(
-        cfg.q, beamformer.golden_variant(scheme), selection.phi1, selection.phi2
-    )
 
 
 def run_fig2(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
@@ -427,7 +421,7 @@ def run_fig2(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
         qf = quad_forms[scheme]
         for gamma0_db in cfg.snr_grid_db:
             gamma0 = 10.0 ** (gamma0_db / 10.0)
-            rates = np.log2(1.0 + gamma0 * eff_scale * qf)
+            rates = analysis.spectral_efficiency(qf, gamma0 * eff_scale)
             half = 1.959963984540054 * rates.std(ddof=1) / np.sqrt(rates.size)
             rows.append(
                 (scheme, None, "spectral_efficiency_bits", gamma0_db,
@@ -435,10 +429,7 @@ def run_fig2(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
             )
     path = out_dir / "fig2.csv"
     _write_csv(path, CSV_HEADER, rows)
-    notes = [
-        f"normalization={cfg.normalization}",
-        f"include_array_gain={cfg.include_array_gain} (rate uses P*{eff_scale:g})",
-    ]
+    notes = [f"include_array_gain={cfg.include_array_gain} (rate uses P*{eff_scale:g})"]
     return SweepResult(name="fig2", path=path, rows=rows, notes=notes)
 
 
@@ -476,6 +467,11 @@ def _check_fig3(cfg: ExperimentConfig) -> None:
     # Alamouti needs 2 RF chains, and every beamformer has n_antennas / 2 columns
     if cfg.n_antennas != 4:
         raise ValueError(f"fig3 requires n_antennas=4 (2 RF chains), got {cfg.n_antennas}")
+    # a point stops at max_trials, so a lower cap would cut its minimum trials short
+    if cfg.trials > cfg.max_trials:
+        raise ValueError(
+            f"fig3 requires max_trials >= trials = {cfg.trials}, got {cfg.max_trials}"
+        )
 
 
 def run_fig3(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:

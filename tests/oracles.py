@@ -244,6 +244,21 @@ def ml_decode_index(
     return best_idx
 
 
+def min_codeword_distance(h_eq: np.ndarray, codewords: np.ndarray) -> float:
+    """Pairwise search for ``min_{k != l} ||h_eq^H (S_k - S_l)||_F``.
+
+    Projects every codeword and scans all pairs, with no use of the
+    code's orthogonality; the 4096 codewords of 64-QAM take a fraction
+    of a second.
+    """
+    projected = np.einsum("c,kct->kt", np.conj(h_eq), codewords)
+    best = np.inf
+    for k in range(projected.shape[0] - 1):
+        dists = np.linalg.norm(projected[k + 1 :] - projected[k], axis=1)
+        best = min(best, float(dists.min()))
+    return best
+
+
 def union_bound_enum(
     h_eq: np.ndarray,
     codewords: np.ndarray,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -9,6 +11,7 @@ from beamlink.rng import substream
 from oracles import (
     dense_matvec,
     expected_q_over_rayleigh,
+    min_codeword_distance,
     mpsk_mgf_reference,
     mpsk_printed_form,
     mqam_mgf_reference,
@@ -37,36 +40,43 @@ class TestQFunction:
         np.testing.assert_allclose(analysis.q_function(x), norm.sf(x), rtol=1e-12, atol=0.0)
 
 
+def _quad_form(bf, h):
+    return sum(abs(v) ** 2 for v in dense_matvec(bf, h))
+
+
 class TestSpectralEfficiency:
     def test_zero_channel(self):
         bf = beamformer.build_dft_atb(2)
-        assert analysis.spectral_efficiency(np.zeros(4, dtype=complex), bf, 10.0) == 0.0
+        quad_form = _quad_form(bf, np.zeros(4, dtype=complex))
+        assert analysis.spectral_efficiency(quad_form, 10.0) == 0.0
 
     def test_zero_power(self):
         bf = beamformer.build_dft_atb(2)
-        h = np.ones(4, dtype=complex)
-        assert analysis.spectral_efficiency(h, bf, 0.0) == 0.0
+        quad_form = _quad_form(bf, np.ones(4, dtype=complex))
+        assert analysis.spectral_efficiency(quad_form, 0.0) == 0.0
 
     def test_matches_dense_oracle(self):
+        # elementwise over quadratic forms of several channels
         rng = substream(0, 50)
         bf = beamformer.build_dft_atb(2)
-        h = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / np.sqrt(2)
-        h_eq = dense_matvec(bf, h)
-        quad_form = sum(abs(v) ** 2 for v in h_eq)
-        expected = np.log2(1.0 + 3.0 * quad_form)
-        assert analysis.spectral_efficiency(h, bf, 3.0) == pytest.approx(expected, abs=1e-12)
+        h = (rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))) / np.sqrt(2)
+        quad_forms = np.array([_quad_form(bf, row) for row in h])
+        rates = analysis.spectral_efficiency(quad_forms, 3.0)
+        assert rates.shape == (5,)
+        for rate, quad_form in zip(rates, quad_forms):
+            assert rate == pytest.approx(math.log2(1.0 + 3.0 * quad_form), abs=1e-12)
 
     def test_monotone_in_power(self):
         rng = substream(0, 51)
         bf = beamformer.build_hadamard_atb(2)
         h = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / np.sqrt(2)
-        rates = [analysis.spectral_efficiency(h, bf, p) for p in (0.1, 1.0, 10.0, 100.0)]
+        quad_form = _quad_form(bf, h)
+        rates = [analysis.spectral_efficiency(quad_form, p) for p in (0.1, 1.0, 10.0, 100.0)]
         assert all(b > a for a, b in zip(rates, rates[1:]))
 
-    def test_rejects_bad_noise(self):
-        bf = beamformer.build_dft_atb(2)
-        with pytest.raises(ValueError):
-            analysis.spectral_efficiency(np.ones(4, dtype=complex), bf, 1.0, sigma2=0.0)
+    def test_rejects_negative_snr(self):
+        with pytest.raises(ValueError, match="snr"):
+            analysis.spectral_efficiency(np.ones(3), -1.0)
 
 
 class TestBeamspacePattern:
@@ -103,17 +113,20 @@ class TestBeamspacePattern:
         assert np.all(pattern.spread_rad > 0)
 
 
+def _random_h_eq(seed):
+    rng = substream(0, seed)
+    return (rng.standard_normal(2) + 1j * rng.standard_normal(2)) / np.sqrt(2)
+
+
 class TestMinEuclideanDistance:
-    def test_two_codewords(self):
-        c = stbc.make_constellation(2)
+    @pytest.mark.parametrize("m", [2, 4, 16, 64])
+    def test_matches_pairwise_search(self, m):
+        c = stbc.make_constellation(m)
         codewords, _ = stbc.alamouti_codebook(c)
-        bf = beamformer.build_dft_atb(2)
-        h = np.ones(4, dtype=complex)
-        dist, pair = analysis.min_euclidean_distance(h, bf, codewords[:2])
-        h_eq = beamformer.equivalent_channel(bf, h)
-        expected = np.linalg.norm(h_eq.conj() @ (codewords[0] - codewords[1]))
-        assert dist == pytest.approx(expected)
-        assert pair == (0, 1)
+        for seed in (52, 53, 54):
+            h_eq = _random_h_eq(seed)
+            expected = min_codeword_distance(h_eq, codewords)
+            assert analysis.min_euclidean_distance(h_eq, c) == pytest.approx(expected, rel=1e-12)
 
     def test_bpsk_set_matches_pair_enumeration(self):
         c = stbc.make_constellation(2)
@@ -121,40 +134,25 @@ class TestMinEuclideanDistance:
         bf = beamformer.build_dft_atb(2)
         rng = substream(0, 52)
         h = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / np.sqrt(2)
-        h_eq = beamformer.equivalent_channel(bf, h)
-        dist, pair = analysis.min_euclidean_distance(h, bf, codewords)
-        best = np.inf
-        best_pair = None
-        for k in range(4):
-            for l in range(k + 1, 4):
-                d = np.linalg.norm(h_eq.conj() @ (codewords[k] - codewords[l]))
-                if d < best:
-                    best, best_pair = d, (k, l)
-        assert dist == pytest.approx(best, abs=1e-12)
-        assert pair == best_pair
+        h_eq = dense_matvec(bf, h)
+        best = min(
+            np.linalg.norm(h_eq.conj() @ (codewords[k] - codewords[l]))
+            for k in range(4)
+            for l in range(k + 1, 4)
+        )
+        assert analysis.min_euclidean_distance(h_eq, c) == pytest.approx(best, abs=1e-12)
 
     def test_scales_linearly_with_channel(self):
-        c = stbc.make_constellation(4)
-        codewords, _ = stbc.alamouti_codebook(c)
-        bf = beamformer.build_dft_atb(2)
-        rng = substream(0, 53)
-        h = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / np.sqrt(2)
-        h_eq = beamformer.equivalent_channel(bf, h)
-        d1, p1 = analysis.min_euclidean_distance(h, bf, codewords)
-        d3, p3 = analysis.min_euclidean_distance(3.0 * h, bf, codewords)
-        assert d3 == pytest.approx(3.0 * d1, rel=1e-10)
-        # several pairs tie for the minimum exactly; the reported pair must
-        # achieve it in both scalings
-        for pair in (p1, p3):
-            d = np.linalg.norm(h_eq.conj() @ (codewords[pair[0]] - codewords[pair[1]]))
-            assert d == pytest.approx(d1, rel=1e-10)
+        c = stbc.make_constellation(16)
+        h_eq = _random_h_eq(55)
+        d1 = analysis.min_euclidean_distance(h_eq, c)
+        for scale in (3.0, 0.25, -2.0j):
+            d = analysis.min_euclidean_distance(scale * h_eq, c)
+            assert d == pytest.approx(abs(scale) * d1, rel=1e-12)
 
-    def test_needs_two_codewords(self):
-        bf = beamformer.build_dft_atb(2)
-        with pytest.raises(ValueError):
-            analysis.min_euclidean_distance(
-                np.ones(4, dtype=complex), bf, np.zeros((1, 2, 2), dtype=complex)
-            )
+    def test_zero_channel(self):
+        c = stbc.make_constellation(64)
+        assert analysis.min_euclidean_distance(np.zeros(2, dtype=complex), c) == 0.0
 
 
 class TestUnionBound:

@@ -132,18 +132,22 @@ class TestConfig:
                 harness.ExperimentConfig(**{**fields, **bad})
             return
         cfg = harness.ExperimentConfig(**fields)
-        # runner-specific domains: fig2 needs two realizations, fig3 two RF chains
+        # runner-specific domains, checked in this order: fig2 needs two
+        # realizations, fig3 two RF chains and a trial cap no lower than trials
         out_of_domain = {
-            harness.run_fig2: ("trials", cfg.trials < 2),
-            harness.run_fig3: ("n_antennas", cfg.n_antennas != 4),
+            harness.run_fig2: [("trials", cfg.trials < 2)],
+            harness.run_fig3: [
+                ("n_antennas", cfg.n_antennas != 4),
+                ("max_trials", cfg.trials > cfg.max_trials),
+            ],
         }
         with tempfile.TemporaryDirectory() as out:
             for runner in (
                 harness.run_table1, harness.run_fig1, harness.run_fig2, harness.run_fig3
             ):
-                field, rejected = out_of_domain.get(runner, (None, False))
+                rejected = [f for f, bad in out_of_domain.get(runner, []) if bad]
                 if rejected:
-                    with pytest.raises(ValueError, match=rf"\b{field}\b"):
+                    with pytest.raises(ValueError, match=rf"\b{rejected[0]}\b"):
                         runner(cfg, out)
                     continue
                 values = [v for row in runner(cfg, out).rows for v in row]
@@ -196,7 +200,7 @@ class TestBatchKernels:
             rng = substream(q, 60)
             n = 2**q
             h = (rng.standard_normal((200, n)) + 1j * rng.standard_normal((200, n))) / np.sqrt(2)
-            phi, slots, gain, _ = phase_opt._greedy(h, q)
+            phi, slots, gain, _ = phase_opt.greedy_bpr_phases(h, q)
             phi1, phi2 = harness._batch_greedy_phases(h, q)
             np.testing.assert_array_equal(phi1, phi[0])
             np.testing.assert_array_equal(phi2, phi[1])
@@ -222,7 +226,7 @@ class TestBatchKernels:
         rng = substream(q, 63)
         h = (rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n))) / np.sqrt(2)
         h[1::2] = 1j ** rng.integers(0, 4, (b // 2, n))
-        phi, slots, gain, evals = phase_opt._greedy(h, q)
+        phi, slots, gain, evals = phase_opt.greedy_bpr_phases(h, q)
         assert evals == (n // 2) * n * (n + 1) // 2
         grids = phase_opt.block_grids(q)
         edges = [tile - 1, tile, 2 * tile - 1]
@@ -244,7 +248,12 @@ class TestBatchKernels:
         phases = harness._selected_phases((scheme,), h, cfg)
         batch = harness._batch_equivalent_channels(scheme, h, cfg, phases)
         for i in range(100):
-            bf = harness._beamformer_for_channel(scheme, cfg, h[i])
+            if scheme in beamformer.BPR_SCHEMES:
+                bf = beamformer.build_bpr_atb(
+                    2, beamformer.golden_variant(scheme), phases[0][i], phases[1][i]
+                )
+            else:
+                bf = harness._fixed_beamformer(scheme, 2)
             expected = beamformer.equivalent_channel(bf, h[i])
             np.testing.assert_allclose(batch[i], expected, atol=1e-11)
 
@@ -327,6 +336,22 @@ class TestFig1:
         spreads = {(row[0], row[1]): row[4] for row in res.rows}
         assert all(s > 0 for s in spreads.values())
 
+    @pytest.mark.parametrize(
+        "schemes,calls",
+        [(("dft", "hadamard", "bpr-real", "bpr-complex"), 1), (("dft", "hadamard"), 0)],
+    )
+    def test_one_greedy_for_both_bpr_schemes(self, tmp_path, monkeypatch, schemes, calls):
+        seen = []
+        greedy = harness._batch_greedy_phases
+
+        def counting(h, q):
+            seen.append(h.shape)
+            return greedy(h, q)
+
+        monkeypatch.setattr(harness, "_batch_greedy_phases", counting)
+        harness.run_fig1(_tiny_cfg(theta_points=361, schemes=schemes), tmp_path)
+        assert seen == [(1, 4)] * calls
+
 
 class TestFig2:
     def test_shape_and_pairing(self, tmp_path):
@@ -351,6 +376,14 @@ class TestFig2:
         r_off = harness.run_fig2(cfg_off, tmp_path / "off")
         assert r_on.rows[1][4] > r_off.rows[1][4]
         assert any("include_array_gain" in n for n in r_on.notes)
+        # the rate reads no normalization mode, so fig2 names none and its
+        # bytes do not depend on it
+        assert not any("normalization" in n for n in r_on.notes + r_off.notes)
+        r_eq10 = harness.run_fig2(
+            _tiny_cfg(trials=1000, include_array_gain=True, normalization="eq10"),
+            tmp_path / "eq10",
+        )
+        assert r_eq10.path.read_bytes() == r_on.path.read_bytes()
 
     @pytest.mark.parametrize(
         "schemes,calls",
@@ -449,6 +482,18 @@ class TestFig3:
             target_errors=target_errors, max_trials=max_trials,
         )
         assert harness._ber_point(cfg, 0, 0, 0.0)[2] == expected
+
+    def test_rejects_cap_below_minimum_trials(self, tmp_path):
+        # a cap below the minimum would cut every point short of `trials`
+        cfg = _tiny_cfg(trials=40000, max_trials=20000)
+        for runner in (harness.run_fig3, harness.run_all):
+            out = tmp_path / runner.__name__
+            with pytest.raises(ValueError, match=r"\bmax_trials\b"):
+                runner(cfg, out)
+            assert not out.exists()
+        # fig2 has no cap and runs all 40000 realizations
+        res = harness.run_fig2(cfg, tmp_path / "fig2")
+        assert {row[6] for row in res.rows} == {40000}
 
     @pytest.mark.parametrize("n_antennas", [2, 8])
     def test_rejects_arrays_without_two_chains(self, tmp_path, n_antennas):
@@ -601,10 +646,8 @@ class TestRankingStability:
                 schemes=("dft", "bpr-real"), trials=1000, seed=block_seed
             )
             qf = harness._fig2_quadratic_forms(cfg)
-            diff = np.log2(1 + gamma30 * eff * qf["bpr-real"]) - np.log2(
-                1 + gamma30 * eff * qf["dft"]
-            )
-            assert diff.mean() > 0
+            rates = {s: analysis.spectral_efficiency(qf[s], gamma30 * eff) for s in qf}
+            assert (rates["bpr-real"] - rates["dft"]).mean() > 0
 
 
 class TestGapMeasurement:

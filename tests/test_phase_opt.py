@@ -93,30 +93,37 @@ class TestExhaustiveOracle:
             assert abs(np.sum(np.conj(h) * np.exp(1j * phases))) <= best + 1e-10
 
 
+def _greedy_row(h, q):
+    """The selection for one channel: row 0 of a batch of one, as
+    ``(phi, slots, gain)`` with ``phi[block]`` and ``slots[block]``."""
+    phi, slots, gain, _ = phase_opt.greedy_bpr_phases(h[None], q)
+    return phi[:, 0], slots[:, 0], float(gain[0])
+
+
 class TestGreedy:
     def test_aligned_channel_reaches_full_gain(self):
-        sel = phase_opt.greedy_bpr_phases(np.ones(4, dtype=complex), 2)
-        assert sel.gain == pytest.approx(4.0)
+        _, _, gain = _greedy_row(np.ones(4, dtype=complex), 2)
+        assert gain == pytest.approx(4.0)
         expected = blockwise_bruteforce_gain(np.ones(4, dtype=complex), *phase_opt.block_grids(2))
-        assert sel.gain == pytest.approx(expected)
+        assert gain == pytest.approx(expected)
 
     def test_dominant_element_chosen_first(self):
         h = np.array([10.0 + 0j, 0.01 + 0j, 0.01j, 0.01 - 0.01j])
-        sel = phase_opt.greedy_bpr_phases(h, 2)
-        assert sel.slots1[0] == 0
+        _, slots, _ = _greedy_row(h, 2)
+        assert slots[0, 0] == 0
 
     @pytest.mark.parametrize("seed", range(50))
     def test_bounded_by_blockwise_bruteforce(self, seed):
         h = _random_channel(4, 200 + seed)
-        sel = phase_opt.greedy_bpr_phases(h, 2)
-        assert sel.gain <= blockwise_bruteforce_gain(h, *phase_opt.block_grids(2)) + 1e-10
+        _, _, gain = _greedy_row(h, 2)
+        assert gain <= blockwise_bruteforce_gain(h, *phase_opt.block_grids(2)) + 1e-10
 
     @pytest.mark.parametrize("seed", range(50))
     def test_bounded_by_element_oracle(self, seed):
         # the fine per-element grid contains every blockwise assignment
         h = _random_channel(4, 300 + seed)
-        greedy = phase_opt.greedy_bpr_phases(h, 2)
-        assert greedy.gain <= _sweep_gain(h, element_grid_angles(2)) + 1e-10
+        _, _, gain = _greedy_row(h, 2)
+        assert gain <= _sweep_gain(h, element_grid_angles(2)) + 1e-10
 
     def test_beats_random_baseline_on_average(self):
         rng = substream(0, 79)
@@ -124,49 +131,55 @@ class TestGreedy:
         wins = 0
         for seed in range(50):
             h = _random_channel(4, 400 + seed)
-            sel = phase_opt.greedy_bpr_phases(h, 2)
+            _, _, gain = _greedy_row(h, 2)
             baseline = np.mean(
                 [random_blockwise_gain(h, *grids, rng) for _ in range(100)]
             )
-            wins += sel.gain >= baseline
+            wins += gain >= baseline
         assert wins >= 49
 
     @settings(max_examples=40, deadline=None)
     @given(psi=st.floats(0, 2 * np.pi), seed=st.integers(0, 1000))
     def test_global_phase_equivariance(self, psi, seed):
         h = _random_channel(4, seed)
-        base = phase_opt.greedy_bpr_phases(h, 2)
-        rotated = phase_opt.greedy_bpr_phases(np.exp(1j * psi) * h, 2)
-        assert rotated.gain == pytest.approx(base.gain, abs=1e-10)
+        _, _, base = _greedy_row(h, 2)
+        _, _, rotated = _greedy_row(np.exp(1j * psi) * h, 2)
+        assert rotated == pytest.approx(base, abs=1e-10)
 
     def test_permutation_consistency(self):
         h = _random_channel(4, 17)
         perm = np.array([2, 0, 3, 1])
-        base = phase_opt.greedy_bpr_phases(h, 2)
-        permuted = phase_opt.greedy_bpr_phases(h[perm], 2)
+        base_phi, base_slots, _ = _greedy_row(h, 2)
+        phi, slots, _ = _greedy_row(h[perm], 2)
         # element i of the permuted channel is element perm[i] of the original
-        assert list(perm[permuted.slots1]) == list(base.slots1)
-        assert list(perm[permuted.slots2]) == list(base.slots2)
-        np.testing.assert_allclose(permuted.phi1, base.phi1)
-        np.testing.assert_allclose(permuted.phi2, base.phi2)
+        assert list(perm[slots[0]]) == list(base_slots[0])
+        assert list(perm[slots[1]]) == list(base_slots[1])
+        np.testing.assert_allclose(phi[0], base_phi[0])
+        np.testing.assert_allclose(phi[1], base_phi[1])
 
     @pytest.mark.parametrize("seed", range(20))
     def test_gain_recomputable(self, seed):
         h = _random_channel(4, 500 + seed)
-        sel = phase_opt.greedy_bpr_phases(h, 2)
+        phi, slots, gain = _greedy_row(h, 2)
         phases = np.zeros(4)
-        phases[sel.slots1] = sel.phi1
-        phases[sel.slots2] = sel.phi2
-        gain = abs(np.sum(np.conj(h) * np.exp(1j * phases)))
-        assert gain == pytest.approx(sel.gain, abs=1e-10)
+        phases[slots[0]] = phi[0]
+        phases[slots[1]] = phi[1]
+        recomputed = abs(np.sum(np.conj(h) * np.exp(1j * phases)))
+        assert recomputed == pytest.approx(gain, abs=1e-10)
 
     def test_angles_come_from_block_grids(self):
         h = _random_channel(8, 3)
-        sel = phase_opt.greedy_bpr_phases(h, 3)
+        phi, slots, _ = _greedy_row(h, 3)
         g1, g2 = phase_opt.block_grids(3)
-        assert set(np.round(sel.phi1, 12)) <= set(np.round(g1, 12))
-        assert set(np.round(sel.phi2, 12)) <= set(np.round(g2, 12))
-        assert sorted(np.concatenate([sel.slots1, sel.slots2])) == list(range(8))
+        assert set(np.round(phi[0], 12)) <= set(np.round(g1, 12))
+        assert set(np.round(phi[1], 12)) <= set(np.round(g2, 12))
+        assert sorted(np.concatenate([slots[0], slots[1]])) == list(range(8))
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 8), (1, 2, 4)])
+    def test_rejects_rows_of_the_wrong_shape(self, shape):
+        # q = 2 needs rows of 4 elements; a single channel is a batch of one
+        with pytest.raises(ValueError, match=r"\bh\b"):
+            phase_opt.greedy_bpr_phases(np.ones(shape, dtype=complex), 2)
 
 
 class TestComplexityProbe:
