@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import stbc
 from .channel import SteeringConfig, steering_vector
-from .stbc import Constellation
 
 
 _erfc = np.vectorize(math.erfc, otypes=[np.float64])
@@ -133,24 +133,28 @@ def beamspace_pattern(
     return BeamspacePattern(theta=theta, gains=gains, spread_rad=spread)
 
 
-def _distance_classes(
-    constellation: Constellation,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _distance_classes(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Classes of the ``M^2`` ordered symbol pairs by squared distance.
 
     Returns ascending squared distances ``d_u`` with the pair count
     ``C_u`` and summed label Hamming weight ``W_u`` of each class;
     ``d_0 = 0`` holds the M pairs of a symbol with itself, so ``d_1`` is
-    the squared minimum distance.
+    the squared minimum distance. Every coordinate of a supported
+    constellation is an odd multiple of its smallest ``|real part|``
+    ``u``, so the pairs are grouped exactly, by the integer squared
+    distance of their coordinates in units of ``u``.
     """
-    points, labels = constellation.points, constellation.labels
-    sq_dist = (np.abs(points[:, None] - points[None, :]) ** 2).ravel()
-    hamming = np.count_nonzero(labels[:, None, :] != labels[None, :, :], axis=2).ravel()
-    d, group = np.unique(sq_dist, return_inverse=True)
-    return d, np.bincount(group), np.bincount(group, weights=hamming)
+    unit = np.abs(points.real).min()
+    lattice = np.rint(points / unit)
+    diff = lattice[:, None] - lattice[None, :]
+    lattice_sq = (diff.real**2 + diff.imag**2).astype(np.int64).ravel()
+    idx = np.arange(len(points))
+    hamming = stbc.hamming_distance(idx[:, None], idx[None, :]).ravel()
+    d, group = np.unique(lattice_sq, return_inverse=True)
+    return d * unit**2, np.bincount(group), np.bincount(group, weights=hamming)
 
 
-def min_euclidean_distance(h_eq: np.ndarray, constellation: Constellation) -> float:
+def min_euclidean_distance(h_eq: np.ndarray, points: np.ndarray) -> float:
     """Smallest received-space distance ``min ||h_eq^H (S_k - S_l)||_F``
     over pairs of distinct Alamouti codewords.
 
@@ -159,7 +163,7 @@ def min_euclidean_distance(h_eq: np.ndarray, constellation: Constellation) -> fl
     symbol differs by the constellation's minimum distance:
     ``||h_eq|| * d_min``.
     """
-    d, _, _ = _distance_classes(constellation)
+    d, _, _ = _distance_classes(points)
     return float(np.linalg.norm(h_eq) * np.sqrt(d[1]))
 
 
@@ -178,14 +182,12 @@ def chernoff_pep(h_eq: np.ndarray, err: np.ndarray, gamma0: float, kappa: float)
     return float(np.exp(-gamma0 * kappa * xi_sq / 4.0))
 
 
-def union_bound_ber(
-    h_eq: np.ndarray, constellation: Constellation, gamma0: float, kappa: float
-) -> float:
+def union_bound_ber(h_eq: np.ndarray, points: np.ndarray, gamma0: float, kappa: float) -> float:
     """Pairwise union bound on the conditional bit error rate.
 
     Sums ``e(S_k, S_l) / log2(M) * Q(Xi_{k,l} sqrt(gamma0 kappa / 2))``
     over ordered pairs of Alamouti codewords, with ``e`` the Hamming
-    distance between the pair's source-bit labels. A codeword difference
+    distance between the Gray labels of the pair's symbols. A codeword difference
     built from per-symbol differences d1, d2 satisfies
     ``E E^H = (|d1|^2 + |d2|^2) I``, so
     ``Xi^2 = ||h_eq||^2 (|d1|^2 + |d2|^2)`` and the Hamming distances
@@ -202,10 +204,10 @@ def union_bound_ber(
     """
     if gamma0 < 0:
         raise ValueError("gamma0 must be nonnegative")
-    d, count, weight = _distance_classes(constellation)
+    d, count, weight = _distance_classes(points)
     scale = np.sqrt(float(np.vdot(h_eq, h_eq).real) * gamma0 * kappa / 2.0)
     q_uv = q_function(scale * np.sqrt(d[:, None] + d[None, :]))
-    return float(2.0 * (weight @ q_uv @ count) / constellation.bits_per_symbol)
+    return float(2.0 * (weight @ q_uv @ count) / stbc.bits_per_symbol(points))
 
 
 def wilson_interval(errors: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:

@@ -81,10 +81,9 @@ def kappa(scheme: str, q: int) -> float:
         raise ValueError("q must be at least 1")
     if scheme in (DFT, HADAMARD):
         return 1.0 / 2**q
-    if scheme == BPR_REAL:
-        return (1.0 + math.sqrt(5.0)) ** 2 / (4.0 * xi(q, math.sqrt(5.0)))
-    if scheme == BPR_COMPLEX:
-        return abs((1j + math.sqrt(3.0)) ** 2) / (4.0 * xi(q, math.sqrt(3.0)))
+    if scheme in BPR_SCHEMES:
+        variant = golden_variant(scheme)
+        return (variant.g * variant.g.conjugate()).real / xi(q, variant.n_root)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 

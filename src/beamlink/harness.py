@@ -241,20 +241,17 @@ def _fixed_beamformer(scheme: str, q: int) -> np.ndarray:
 
 
 def _ber_block(
-    h_eq: np.ndarray,
-    const: stbc.Constellation,
-    amplitude: float,
-    rng: np.random.Generator,
+    h_eq: np.ndarray, points: np.ndarray, amplitude: float, rng: np.random.Generator
 ) -> int:
     """Simulate one block of codewords over the given equivalent channels
     at unit noise variance and return the bit error count."""
-    k = const.bits_per_symbol
+    k = stbc.bits_per_symbol(points)
     bits = rng.integers(0, 2, (h_eq.shape[0], 2 * k), dtype=np.uint8)
-    symbols = stbc.map_bits(bits.reshape(-1, 2, k), const)
-    s = stbc.alamouti_codeword(symbols[:, 0], symbols[:, 1])
+    sent = stbc.label_index(bits.reshape(-1, 2, k))
+    s = stbc.alamouti_codeword(points[sent[:, 0]], points[sent[:, 1]])
     y = stbc.transmit_receive(s, h_eq, rng, amplitude)
-    decoded = stbc.decode_alamouti(y, h_eq, const, amplitude)
-    return int(np.count_nonzero(decoded != bits))
+    decoded = stbc.decode_alamouti(y, h_eq, points, amplitude)
+    return int(stbc.hamming_distance(sent, decoded).sum())
 
 
 def _ber_point(
@@ -267,13 +264,13 @@ def _ber_point(
     minimum trial count and the target error count, or at the trial cap.
     """
     scheme = cfg.schemes[scheme_idx]
-    const = stbc.make_constellation(cfg.modulation)
+    points = stbc.make_constellation(cfg.modulation)
     gamma0 = 10.0 ** (gamma0_db / 10.0)
     amplitude = stbc.link_amplitude(
         gamma0, beamformer.kappa(scheme, cfg.q), cfg.normalization,
         cfg.include_array_gain, cfg.n_antennas, cfg.n_paths,
     )
-    bits_per_cw = 2 * const.bits_per_symbol
+    bits_per_cw = 2 * stbc.bits_per_symbol(points)
     errors = 0
     trials = 0
     for n, rng in _blocks(cfg.max_trials, cfg.seed, _PURPOSE_FIG3, scheme_idx, snr_idx):
@@ -281,7 +278,7 @@ def _ber_point(
         h_eq = _batch_equivalent_channels(
             scheme, h, cfg, _selected_phases((scheme,), h, cfg)
         )
-        errors += _ber_block(h_eq, const, amplitude, rng)
+        errors += _ber_block(h_eq, points, amplitude, rng)
         trials += n
         if trials >= cfg.trials and errors >= cfg.target_errors:
             break
@@ -553,46 +550,37 @@ def simulate_bpsk_rayleigh_ber(
 ) -> tuple[float, float, float, int]:
     """Monte-Carlo BPSK error rate over a scalar Rayleigh channel.
 
-    The link is calibrated so the instantaneous SNR of the detection
-    statistic is exponential with mean ``gamma_bar``, matching the
-    averaged closed form :func:`beamlink.analysis.mgf_ber_bpsk`. Returns
+    Each trial sends one symbol through stbc's link, ``y = A h s + z``,
+    and detects it from ``conj(h) y``; ``A = sqrt(gamma_bar / 2)`` makes
+    that statistic's SNR exponential with mean ``gamma_bar``, matching
+    the closed form :func:`beamlink.analysis.mgf_ber_bpsk`. Returns
     (ber, wilson_lo, wilson_hi, n_trials).
     """
-    gamma_bar = 10.0 ** (gamma_bar_db / 10.0)
-    amplitude = np.sqrt(gamma_bar / 2.0)
+    points = stbc.make_constellation(2)
+    amplitude = np.sqrt(10.0 ** (gamma_bar_db / 10.0) / 2.0)
     errors = 0
     for n, rng in _blocks(n_trials, seed, _PURPOSE_BPSK_CHECK):
-        h = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-        bits = rng.integers(0, 2, n)
-        symbols = 1.0 - 2.0 * bits
-        noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-        y = amplitude * h * symbols + noise
-        detected = (np.real(np.conj(h) * y) < 0).astype(np.int64)
-        errors += int(np.count_nonzero(detected != bits))
+        h = channel.sample_rayleigh_batch(n, 1, rng)
+        sent = rng.integers(0, 2, n)
+        # transmit_receive applies conj of its channel argument
+        y = stbc.transmit_receive(points[sent][:, None, None], h.conj(), rng, amplitude)
+        detected = stbc.demap(h.conj() * y, points)
+        errors += int(stbc.hamming_distance(sent, detected[:, 0]).sum())
     lo, hi = analysis.wilson_interval(errors, n_trials)
     return errors / n_trials, lo, hi, n_trials
 
 
 def simulate_conditional_ber(
-    h_eq: np.ndarray,
-    constellation: stbc.Constellation,
-    gamma0: float,
-    kappa: float,
-    mode: str,
-    n_trials: int,
-    seed: int = 0,
-    include_array_gain: bool = True,
-    n_antennas: int = 4,
-    n_paths: int = 3,
+    h_eq: np.ndarray, points: np.ndarray, amplitude: float, n_trials: int, seed: int = 0
 ) -> tuple[int, int]:
-    """Error count for a fixed equivalent channel (noise-only randomness).
+    """Error count for a fixed equivalent channel and link amplitude
+    (noise-only randomness).
 
     Returns (bit_errors, total_bits); used to compare simulation against
     the conditional union bound.
     """
-    amplitude = stbc.link_amplitude(gamma0, kappa, mode, include_array_gain, n_antennas, n_paths)
     errors = 0
     for n, rng in _blocks(n_trials, seed, _PURPOSE_CONDITIONAL):
         h_rows = np.broadcast_to(np.asarray(h_eq), (n, 2))
-        errors += _ber_block(h_rows, constellation, amplitude, rng)
-    return errors, n_trials * 2 * constellation.bits_per_symbol
+        errors += _ber_block(h_rows, points, amplitude, rng)
+    return errors, n_trials * 2 * stbc.bits_per_symbol(points)

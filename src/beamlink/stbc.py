@@ -11,13 +11,14 @@ Transmission through the beamformed array multiplies ``S`` by the tall
 beamformer ``F`` and the channel row ``h^H``; the receiver only ever
 sees the two-dimensional equivalent channel ``F^H h``.
 
-Mapping, transmission and decoding accept leading batch axes, so one
-call runs a block of codewords and a single codeword is a batch of one.
+A constellation is the array of its points, and a symbol is the label
+index of its point, whose binary expansion is its Gray bit label; bit
+errors are the popcounts of XORed indices. Packing, transmission and
+decoding accept leading batch axes, so one call runs a block of
+codewords and a single codeword is a batch of one.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,31 +29,10 @@ NORM_MODES = (NORM_EQ1, NORM_EQ10)
 SUPPORTED_ORDERS = (2, 4, 16, 64)
 
 
-@dataclass(frozen=True, eq=False)
-class Constellation:
-    """Unit-average-energy constellation with Gray bit labels.
-
-    ``points[i]`` is the symbol whose label is the ``bits_per_symbol``-bit
-    big-endian binary expansion of ``i``; ``labels[i]`` spells that
-    expansion out as a bit row.
-    """
-
-    order: int
-    points: np.ndarray
-    labels: np.ndarray
-
-    @property
-    def bits_per_symbol(self) -> int:
-        return int(self.labels.shape[1])
-
-
-def _gray_to_binary(g: np.ndarray) -> np.ndarray:
-    b = g.copy()
-    shift = 1
-    while shift < 64:
-        b ^= b >> shift
-        shift *= 2
-    return b
+def _gray_codes(n_levels: int) -> np.ndarray:
+    """Reflected Gray code of each PAM level ``0 .. n_levels - 1``."""
+    levels = np.arange(n_levels)
+    return levels ^ (levels >> 1)
 
 
 def _qam_axes(order: int) -> tuple[int, int, float]:
@@ -61,45 +41,49 @@ def _qam_axes(order: int) -> tuple[int, int, float]:
     return k_axis, 1 << k_axis, float(np.sqrt(2.0 * (order - 1) / 3.0))
 
 
-def make_constellation(order: int) -> Constellation:
-    """Build BPSK (order 2) or a Gray-coded square QAM constellation.
+def make_constellation(order: int) -> np.ndarray:
+    """The ``(order,)`` unit-average-energy points of BPSK (order 2) or Gray square QAM.
 
-    For QAM the label splits into an in-phase half followed by a
-    quadrature half; each half is a reflected Gray code over the PAM
-    levels, so nearest neighbours along either axis differ in one bit.
+    Point ``i`` carries label index ``i``: its Gray bit label is the
+    ``bits_per_symbol``-bit big-endian binary expansion of ``i``. For QAM
+    the label splits into an in-phase half followed by a quadrature
+    half; each half is a reflected Gray code over the PAM levels, so
+    nearest neighbours along either axis differ in one bit.
     """
     if order not in SUPPORTED_ORDERS:
         raise ValueError(f"unsupported constellation order {order}")
     if order == 2:
-        points = np.array([1.0 + 0.0j, -1.0 + 0.0j])
-        labels = np.array([[0], [1]], dtype=np.uint8)
-        return Constellation(order=2, points=points, labels=labels)
-    k = int(np.log2(order))
+        return np.array([1.0 + 0.0j, -1.0 + 0.0j])
     k_axis, n_levels, scale = _qam_axes(order)
-    labels = np.array(
-        [[(i >> (k - 1 - b)) & 1 for b in range(k)] for i in range(order)],
-        dtype=np.uint8,
-    )
+    level = np.argsort(_gray_codes(n_levels))  # the PAM level of each Gray code
     idx = np.arange(order)
-    gray_i = idx >> k_axis
-    gray_q = idx & (n_levels - 1)
-    level_i = _gray_to_binary(gray_i)
-    level_q = _gray_to_binary(gray_q)
+    level_i, level_q = level[idx >> k_axis], level[idx & (n_levels - 1)]
     amp = 2.0 * level_i - (n_levels - 1) + 1j * (2.0 * level_q - (n_levels - 1))
-    return Constellation(order=order, points=amp / scale, labels=labels)
+    return amp / scale
 
 
-def map_bits(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
-    """Map each label's worth of bits (the last axis) to its constellation point."""
+def bits_per_symbol(points: np.ndarray) -> int:
+    """Label length ``log2(M)`` of the M-point constellation ``points``."""
+    return len(points).bit_length() - 1
+
+
+def label_index(bits: np.ndarray) -> np.ndarray:
+    """Label indices of the big-endian bit groups in the last axis of ``bits``."""
     bits = np.asarray(bits, dtype=np.uint8)
-    k = constellation.bits_per_symbol
-    if bits.shape[-1:] != (k,):
-        raise ValueError(f"expected {k} bits, got shape {bits.shape}")
-    return constellation.points[bits @ (1 << np.arange(k - 1, -1, -1))]
+    return bits @ (1 << np.arange(bits.shape[-1] - 1, -1, -1))
 
 
-def demap(symbol: np.ndarray, constellation: Constellation) -> np.ndarray:
-    """Bits of the constellation point nearest to each symbol, in a trailing axis.
+# set bits of every label index of the largest constellation
+_POPCOUNT = np.array([bin(i).count("1") for i in range(max(SUPPORTED_ORDERS))], dtype=np.uint8)
+
+
+def hamming_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Number of bits in which the labels of indices ``a`` and ``b`` differ, elementwise."""
+    return _POPCOUNT[np.bitwise_xor(a, b)]
+
+
+def demap(symbol: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Label index of the constellation point nearest to each symbol.
 
     Square Gray QAM separates into two PAM decisions, so each axis is
     sliced on its own: with ``scale = sqrt(2 (M - 1) / 3)`` and
@@ -117,14 +101,12 @@ def demap(symbol: np.ndarray, constellation: Constellation) -> np.ndarray:
     exhaustive nearest-point search.
     """
     symbol = np.asarray(symbol)
-    if constellation.order == 2:
-        idx = (symbol.real < 0).astype(np.intp)
-    else:
-        k_axis, n_levels, scale = _qam_axes(constellation.order)
-        gray_i = _slice_axis(symbol.real, n_levels, scale)
-        gray_q = _slice_axis(symbol.imag, n_levels, scale)
-        idx = gray_i << k_axis | gray_q
-    return np.take(constellation.labels, idx, axis=0)
+    if len(points) == 2:
+        return (symbol.real < 0).astype(np.intp)
+    k_axis, n_levels, scale = _qam_axes(len(points))
+    gray_i = _slice_axis(symbol.real, n_levels, scale)
+    gray_q = _slice_axis(symbol.imag, n_levels, scale)
+    return gray_i << k_axis | gray_q
 
 
 def _slice_axis(x: np.ndarray, n_levels: int, scale: float) -> np.ndarray:
@@ -136,7 +118,7 @@ def _slice_axis(x: np.ndarray, n_levels: int, scale: float) -> np.ndarray:
     # other candidate, gray[0] = 0, still wins.
     below = np.ceil(u - 0.5).astype(np.intp)
     above = np.floor(u + 0.5).astype(np.intp)
-    gray = np.arange(n_levels) ^ (np.arange(n_levels) >> 1)
+    gray = _gray_codes(n_levels)
     return np.minimum(gray[below], gray[above])
 
 
@@ -196,20 +178,16 @@ def transmit_receive(
 
 
 def decode_alamouti(
-    y: np.ndarray,
-    h_eq: np.ndarray,
-    constellation: Constellation,
-    amplitude: float = 1.0,
+    y: np.ndarray, h_eq: np.ndarray, points: np.ndarray, amplitude: float = 1.0
 ) -> np.ndarray:
-    """Combine and demap received blocks back to bits.
+    """Combine and demap received blocks back to the label indices of (s1, s2).
 
-    ``y`` and ``h_eq`` have shape ``(..., 2)``; the result has shape
-    ``(..., 2 * bits_per_symbol)``. Linear combining against the known
-    equivalent channel recovers per-symbol statistics whose
-    nearest-point decisions coincide with joint maximum likelihood,
-    thanks to the codeword's orthogonality. A zero equivalent channel is
-    degenerate; by convention the decoder then emits the first
-    constellation label twice.
+    ``y`` and ``h_eq`` have shape ``(..., 2)``, and so has the result.
+    Linear combining against the known equivalent channel recovers
+    per-symbol statistics whose nearest-point decisions coincide with
+    joint maximum likelihood, thanks to the codeword's orthogonality. A
+    zero equivalent channel is degenerate; by convention the decoder
+    then emits label index 0 twice.
     """
     y = np.asarray(y)
     h_eq = np.asarray(h_eq)
@@ -220,21 +198,15 @@ def decode_alamouti(
     denom = np.where(zero, 1.0, denom)
     s1_hat = (g1 * y1 + np.conj(g2) * np.conj(y2)) / denom
     s2_hat = (g2 * y1 - np.conj(g1) * np.conj(y2)) / denom
-    bits = np.concatenate(
-        [demap(s1_hat, constellation), demap(s2_hat, constellation)], axis=-1
-    )
-    if zero.any():
-        bits[zero] = np.tile(constellation.labels[0], 2)
-    return bits
+    idx = np.stack([demap(s1_hat, points), demap(s2_hat, points)], axis=-1)
+    idx[zero] = 0
+    return idx
 
 
-def alamouti_codebook(constellation: Constellation) -> tuple[np.ndarray, np.ndarray]:
-    """All ``M**2`` codewords with their source-bit labels.
+def alamouti_codebook(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All ``M**2`` codewords with their ``(M**2, 2)`` label index pairs.
 
-    Codeword ``i1 * M + i2`` encodes symbol labels (i1, i2); the returned
-    bit rows concatenate the two symbol labels.
+    Codeword ``i1 * M + i2`` encodes the symbols of label indices (i1, i2).
     """
-    i1, i2 = np.divmod(np.arange(constellation.order**2), constellation.order)
-    codewords = alamouti_codeword(constellation.points[i1], constellation.points[i2])
-    bits = np.concatenate([constellation.labels[i1], constellation.labels[i2]], axis=1)
-    return codewords, bits
+    i1, i2 = np.divmod(np.arange(len(points) ** 2), len(points))
+    return alamouti_codeword(points[i1], points[i2]), np.stack([i1, i2], axis=1)

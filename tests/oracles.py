@@ -200,25 +200,41 @@ def greedy_blockwise_reference(
     )
 
 
-def nearest_point_labels(symbol: np.ndarray, constellation) -> np.ndarray:
-    """Bits of the constellation point nearest to each symbol, in a trailing axis.
+def label_rows(order: int) -> np.ndarray:
+    """Gray bit labels of an ``order``-point constellation, one row per label index.
+
+    Row i spells the big-endian binary expansion of i, written out
+    digit by digit from its string form.
+    """
+    width = order.bit_length() - 1
+    return np.array([[int(c) for c in format(i, f"0{width}b")] for i in range(order)], dtype=np.uint8)
+
+
+def pair_label_rows(pairs: np.ndarray, order: int) -> np.ndarray:
+    """Source-bit rows of codewords given as ``(n, 2)`` label index pairs:
+    the two symbol labels side by side."""
+    labels = label_rows(order)
+    return np.concatenate([labels[pairs[:, 0]], labels[pairs[:, 1]]], axis=1)
+
+
+def nearest_point_index(symbol: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Index of the constellation point nearest to each symbol.
 
     Exhaustive search over all M points; ``argmin`` keeps the first
     minimum, so an exact tie goes to the lowest constellation index.
     """
     symbol = np.asarray(symbol)
-    idx = np.abs(symbol[..., None] - constellation.points).argmin(axis=-1)
-    return np.take(constellation.labels, idx, axis=0)
+    return np.abs(symbol[..., None] - points).argmin(axis=-1)
 
 
-def lattice_nearest_labels(m: np.ndarray, n: np.ndarray, constellation, scale: float) -> np.ndarray:
-    """Bits of the point nearest to ``(m + j n) / scale`` for integer m, n, in exact arithmetic.
+def lattice_nearest_index(m: np.ndarray, n: np.ndarray, points: np.ndarray, scale: float) -> np.ndarray:
+    """Index of the point nearest to ``(m + j n) / scale`` for integer m, n, in exact arithmetic.
 
     Every point of a square QAM (BPSK with scale 1) sits at odd integers
     over ``scale`` on each axis, so squared distances in units of
     ``1 / scale`` are integers and ties are exact; the lowest index wins.
     """
-    coords = constellation.points * scale
+    coords = points * scale
     pi = np.rint(coords.real).astype(np.int64)
     pq = np.rint(coords.imag).astype(np.int64)
     if not (np.allclose(pi, coords.real, atol=1e-9) and np.allclose(pq, coords.imag, atol=1e-9)):
@@ -226,7 +242,7 @@ def lattice_nearest_labels(m: np.ndarray, n: np.ndarray, constellation, scale: f
     m = np.asarray(m, dtype=np.int64)[..., None]
     n = np.asarray(n, dtype=np.int64)[..., None]
     d2 = (m - pi) ** 2 + (n - pq) ** 2
-    return np.take(constellation.labels, d2.argmin(axis=-1), axis=0)
+    return d2.argmin(axis=-1)
 
 
 def ml_decode_index(

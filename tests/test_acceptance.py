@@ -20,6 +20,7 @@ from oracles import (
     mpsk_mgf_reference,
     mpsk_printed_form,
     mqam_mgf_reference,
+    pair_label_rows,
     random_blockwise_gain,
     rayleigh_q_mgf_reference,
     union_bound_enum,
@@ -167,7 +168,8 @@ def test_criterion_5_monte_carlo_vs_closed_form():
 def test_criterion_6_union_and_chernoff_dominance():
     start = time.perf_counter()
     const = stbc.make_constellation(4)
-    codewords, labels = stbc.alamouti_codebook(const)
+    codewords, pairs = stbc.alamouti_codebook(const)
+    labels = pair_label_rows(pairs, 4)
     scheme = beamformer.BPR_REAL
     kappa = beamformer.kappa(scheme, 2)
     union_ok = True
@@ -185,9 +187,9 @@ def test_criterion_6_union_and_chernoff_dominance():
             assert bound == pytest.approx(
                 union_bound_enum(h_eq, codewords, labels, gamma0, kappa), rel=1e-9
             )
+            amplitude = stbc.link_amplitude(gamma0, kappa, "eq10", True, 4, 3)
             errors, bits = harness.simulate_conditional_ber(
-                h_eq, const, gamma0, kappa, mode="eq10",
-                n_trials=200_000, seed=1000 + ch_seed,
+                h_eq, const, amplitude, n_trials=200_000, seed=1000 + ch_seed
             )
             lo, _ = analysis.wilson_interval(errors, bits)
             if bound < lo:

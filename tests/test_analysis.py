@@ -15,6 +15,7 @@ from oracles import (
     mpsk_mgf_reference,
     mpsk_printed_form,
     mqam_mgf_reference,
+    pair_label_rows,
     rayleigh_q_mgf_reference,
     union_bound_codebook,
     union_bound_enum,
@@ -154,6 +155,15 @@ class TestMinEuclideanDistance:
         c = stbc.make_constellation(64)
         assert analysis.min_euclidean_distance(np.zeros(2, dtype=complex), c) == 0.0
 
+    @pytest.mark.parametrize("m, n_classes", [(2, 2), (4, 3), (16, 10), (64, 34)])
+    def test_one_distance_class_per_distinct_distance(self, m, n_classes):
+        # equal distances that round differently still share one class
+        d, count, weight = analysis._distance_classes(stbc.make_constellation(m))
+        assert d.size == n_classes
+        assert d[0] == 0.0 and np.all(np.diff(d) > 0)
+        assert count.sum() == m * m
+        assert weight.sum() == pytest.approx(m * m * np.log2(m) / 2)
+
 
 class TestUnionBound:
     def _h_eq(self, seed=54):
@@ -162,7 +172,8 @@ class TestUnionBound:
 
     def test_bpsk_matches_direct_enumeration(self):
         c = stbc.make_constellation(2)
-        codewords, bits = stbc.alamouti_codebook(c)
+        codewords, pairs = stbc.alamouti_codebook(c)
+        bits = pair_label_rows(pairs, 2)
         h_eq = self._h_eq()
         result = analysis.union_bound_ber(h_eq, c, gamma0=8.0, kappa=0.25)
         expected = union_bound_enum(h_eq, codewords, bits, 8.0, 0.25)
@@ -170,7 +181,8 @@ class TestUnionBound:
 
     def test_4qam_matches_direct_enumeration(self):
         c = stbc.make_constellation(4)
-        codewords, bits = stbc.alamouti_codebook(c)
+        codewords, pairs = stbc.alamouti_codebook(c)
+        bits = pair_label_rows(pairs, 4)
         h_eq = self._h_eq(57)
         for gamma0 in (1.0, 30.0):
             expected = union_bound_enum(h_eq, codewords, bits, gamma0, 0.52)
@@ -181,7 +193,8 @@ class TestUnionBound:
     def test_matches_full_codebook_oracle(self, order):
         # no sampling at any order: every ordered codeword pair counts
         c = stbc.make_constellation(order)
-        codewords, bits = stbc.alamouti_codebook(c)
+        codewords, pairs = stbc.alamouti_codebook(c)
+        bits = pair_label_rows(pairs, order)
         h_eq = self._h_eq(58)
         gamma0s = [10.0, 1000.0]
         expected = union_bound_codebook(h_eq, codewords, bits, gamma0s, 0.25)

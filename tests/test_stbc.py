@@ -6,95 +6,103 @@ from hypothesis import strategies as st
 from beamlink import beamformer, stbc
 from beamlink.rng import substream
 
-from oracles import lattice_nearest_labels, ml_decode_index, nearest_point_labels
+from oracles import (
+    label_rows,
+    lattice_nearest_index,
+    ml_decode_index,
+    nearest_point_index,
+    pair_label_rows,
+)
 
 
-def _transmit_block(bits, c, bf):
-    """Antenna-domain block ``F S`` of the Alamouti codeword that carries ``bits``."""
-    k = c.bits_per_symbol
-    s = stbc.alamouti_codeword(stbc.map_bits(bits[:k], c), stbc.map_bits(bits[k:], c))
-    return bf @ s
-
-
-def _random_symbols(rng, const, n):
-    idx = rng.integers(0, const.order, n)
-    return const.points[idx], idx
+def _transmit_block(sent, points, bf):
+    """Antenna-domain block ``F S`` of the Alamouti codeword of label indices ``sent``."""
+    return bf @ stbc.alamouti_codeword(points[sent[0]], points[sent[1]])
 
 
 class TestConstellations:
     def test_bpsk_mapping(self):
-        c = stbc.make_constellation(2)
-        assert stbc.map_bits(np.array([0]), c) == 1.0 + 0j
-        assert stbc.map_bits(np.array([1]), c) == -1.0 + 0j
+        points = stbc.make_constellation(2)
+        assert points[stbc.label_index([0])] == 1.0 + 0j
+        assert points[stbc.label_index([1])] == -1.0 + 0j
 
     def test_qpsk_unit_modulus(self):
-        c = stbc.make_constellation(4)
-        np.testing.assert_allclose(np.abs(c.points) ** 2, 1.0, atol=1e-12)
+        points = stbc.make_constellation(4)
+        np.testing.assert_allclose(np.abs(points) ** 2, 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("order", [2, 4, 16, 64])
     def test_unit_average_energy(self, order):
-        c = stbc.make_constellation(order)
+        points = stbc.make_constellation(order)
+        assert points.shape == (order,)
         # independent accumulation, entry by entry
         total = 0.0
-        for p in c.points:
+        for p in points:
             total += abs(p) ** 2
         assert total / order == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("order", [2, 4, 16, 64])
     def test_labels_distinct_and_roundtrip(self, order):
-        c = stbc.make_constellation(order)
-        seen = {tuple(row) for row in c.labels}
-        assert len(seen) == order
+        points = stbc.make_constellation(order)
+        labels = label_rows(order)
+        assert stbc.bits_per_symbol(points) == labels.shape[1]
+        assert len(set(points.tolist())) == order
+        np.testing.assert_array_equal(stbc.label_index(labels), np.arange(order))
         for i in range(order):
-            sym = stbc.map_bits(c.labels[i], c)
-            assert np.array_equal(stbc.demap(sym, c), c.labels[i])
+            assert stbc.demap(points[stbc.label_index(labels[i])], points) == i
 
     @pytest.mark.parametrize("order", [16, 64])
     def test_gray_neighbours_differ_in_one_bit(self, order):
-        c = stbc.make_constellation(order)
-        n_levels = int(np.sqrt(order))
+        points = stbc.make_constellation(order)
+        labels = label_rows(order)
         spacing = 2.0 / np.sqrt(2.0 * (order - 1) / 3.0)
+        neighbours = 0
         for i in range(order):
             for j in range(i + 1, order):
-                d = abs(c.points[i] - c.points[j])
+                d = abs(points[i] - points[j])
                 if d == pytest.approx(spacing, rel=1e-9):
-                    assert np.sum(c.labels[i] != c.labels[j]) == 1
+                    neighbours += 1
+                    assert np.sum(labels[i] != labels[j]) == 1
+        side = int(np.sqrt(order))
+        assert neighbours == 2 * side * (side - 1)
+
+    @pytest.mark.parametrize("order", [2, 4, 16, 64])
+    def test_hamming_distance_matches_label_rows(self, order):
+        labels = label_rows(order)
+        i, j = np.meshgrid(np.arange(order), np.arange(order), indexing="ij")
+        expected = np.count_nonzero(labels[i] != labels[j], axis=-1)
+        np.testing.assert_array_equal(stbc.hamming_distance(i, j), expected)
 
     def test_noisy_demap_nearest(self):
-        c = stbc.make_constellation(16)
-        sym = c.points[5] + (0.01 + 0.02j)
-        assert np.array_equal(stbc.demap(sym, c), c.labels[5])
+        points = stbc.make_constellation(16)
+        assert stbc.demap(points[5] + (0.01 + 0.02j), points) == 5
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             stbc.make_constellation(8)
-        c = stbc.make_constellation(4)
-        with pytest.raises(ValueError):
-            stbc.map_bits(np.array([0, 1, 0]), c)
 
 
 def _scale(order):
     return 1.0 if order == 2 else np.sqrt(2.0 * (order - 1) / 3.0)
 
 
-def _noisy_symbols(rng, const, shape):
+def _noisy_symbols(rng, points, shape):
     # per-symbol noise from far below to far above the point spacing, so
     # decisions land near every boundary and beyond the outer points
-    spacing = 2.0 / _scale(const.order)
+    spacing = 2.0 / _scale(len(points))
     sigma = spacing * rng.choice([0.01, 0.1, 0.3, 1.0, 3.0], shape)
     noise = sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return const.points[rng.integers(0, const.order, shape)] + noise
+    return points[rng.integers(0, len(points), shape)] + noise
 
 
 class TestDemap:
     @pytest.mark.parametrize("order", [2, 4, 16, 64])
     def test_matches_exhaustive_search_on_noisy_symbols(self, order):
-        c = stbc.make_constellation(order)
+        points = stbc.make_constellation(order)
         rng = substream(0, 51, order)
         mismatches = 0
         for _ in range(16):
-            sym = _noisy_symbols(rng, c, 1 << 16)
-            wrong = np.any(stbc.demap(sym, c) != nearest_point_labels(sym, c), axis=-1)
+            sym = _noisy_symbols(rng, points, 1 << 16)
+            wrong = stbc.demap(sym, points) != nearest_point_index(sym, points)
             mismatches += np.count_nonzero(wrong)
         assert mismatches == 0
 
@@ -105,7 +113,7 @@ class TestDemap:
         # boundaries and 0 at even ones. Coordinates are nudged by ulps
         # until x * scale is exactly the even integer, so every boundary
         # is an exact tie; an odd one need only land within ulps of its point.
-        c = stbc.make_constellation(order)
+        points = stbc.make_constellation(order)
         scale = _scale(order)
         reach = int(np.sqrt(order)) + 2
         ints = np.arange(-reach, reach + 1)
@@ -122,38 +130,39 @@ class TestDemap:
         np.testing.assert_allclose(coord * scale, ints, rtol=0, atol=1e-13)
         m, n = np.meshgrid(ints, ints, indexing="ij")
         sym = coord[m + reach] + 1j * coord[n + reach]
-        np.testing.assert_array_equal(stbc.demap(sym, c), lattice_nearest_labels(m, n, c, scale))
+        np.testing.assert_array_equal(
+            stbc.demap(sym, points), lattice_nearest_index(m, n, points, scale)
+        )
 
     @pytest.mark.parametrize("order", [2, 4, 16, 64])
     def test_keeps_batch_axes_and_scalar_input(self, order):
-        c = stbc.make_constellation(order)
-        sym = _noisy_symbols(substream(0, 52, order), c, (4, 6))
-        out = stbc.demap(sym, c)
-        assert out.shape == (4, 6, c.bits_per_symbol)
-        np.testing.assert_array_equal(out, nearest_point_labels(sym, c))
+        points = stbc.make_constellation(order)
+        sym = _noisy_symbols(substream(0, 52, order), points, (4, 6))
+        out = stbc.demap(sym, points)
+        assert out.shape == (4, 6)
+        np.testing.assert_array_equal(out, nearest_point_index(sym, points))
         for idx in np.ndindex(4, 6):
-            scalar = stbc.demap(sym[idx], c)
-            assert scalar.shape == (c.bits_per_symbol,)
-            np.testing.assert_array_equal(scalar, out[idx])
+            scalar = stbc.demap(sym[idx], points)
+            assert scalar.shape == ()
+            assert scalar == out[idx]
 
     @pytest.mark.parametrize("order", [16, 64])
     def test_zero_channel_convention_on_a_grid_batch(self, order):
         # s_hat = 0 is a four-way tie whose lowest index is not 0 at these
-        # orders; the decoder must still emit labels[0] twice
-        c = stbc.make_constellation(order)
-        k = c.bits_per_symbol
+        # orders; the decoder must still emit index 0 twice
+        points = stbc.make_constellation(order)
         rng = substream(0, 53, order)
-        bits = rng.integers(0, 2, (2, 3, 2 * k)).astype(np.uint8)
+        sent = rng.integers(0, order, (2, 3, 2))
         h_eq = rng.standard_normal((2, 3, 2)) + 1j * rng.standard_normal((2, 3, 2))
         zero = np.array([[True, False, False], [False, True, True]])
         h_eq[zero] = 0.0
-        s = stbc.alamouti_codeword(stbc.map_bits(bits[..., :k], c), stbc.map_bits(bits[..., k:], c))
+        s = stbc.alamouti_codeword(points[sent[..., 0]], points[sent[..., 1]])
         y = stbc.transmit_receive(s, h_eq, rng, amplitude=2.0, sigma2=0.0)
-        out = stbc.decode_alamouti(y, h_eq, c, amplitude=2.0)
-        assert out.shape == (2, 3, 2 * k)
-        np.testing.assert_array_equal(out[zero], np.tile(c.labels[0], (3, 2)))
-        np.testing.assert_array_equal(out[~zero], bits[~zero])
-        assert not np.array_equal(stbc.demap(0.0, c), c.labels[0])
+        out = stbc.decode_alamouti(y, h_eq, points, amplitude=2.0)
+        assert out.shape == (2, 3, 2)
+        np.testing.assert_array_equal(out[zero], np.zeros((3, 2)))
+        np.testing.assert_array_equal(out[~zero], sent[~zero])
+        assert stbc.demap(0.0, points) != 0
 
 
 class TestAlamoutiCodeword:
@@ -183,10 +192,10 @@ class TestAlamoutiCodeword:
 class TestEncode:
     def test_eq1_codeword(self):
         # under eq1 the array sends F S; through h it arrives as S through F^H h
-        c = stbc.make_constellation(4)
+        points = stbc.make_constellation(4)
         bf = beamformer.build_dft_atb(2)
-        bits = np.array([0, 1, 1, 0], dtype=np.uint8)
-        s = stbc.alamouti_codeword(stbc.map_bits(bits[:2], c), stbc.map_bits(bits[2:], c))
+        sent = stbc.label_index(np.array([[0, 1], [1, 0]]))
+        s = stbc.alamouti_codeword(points[sent[0]], points[sent[1]])
         h = np.array([0.3 - 0.2j, -1.1 + 0.4j, 0.5j, 0.8])
         h_eq = beamformer.equivalent_channel(bf, h)
         rng = substream(0, 40)
@@ -195,11 +204,10 @@ class TestEncode:
         np.testing.assert_allclose(y_antenna, y_eq, atol=1e-12)
 
     def test_eq10_scaling(self):
-        c = stbc.make_constellation(4)
+        points = stbc.make_constellation(4)
         bf = beamformer.build_dft_atb(2)
         kappa = beamformer.kappa(beamformer.DFT, 2)
-        bits = np.array([0, 1, 1, 0], dtype=np.uint8)
-        x1 = _transmit_block(bits, c, bf)
+        x1 = _transmit_block(stbc.label_index(np.array([[0, 1], [1, 0]])), points, bf)
         for include_array_gain in (True, False):
             amp = stbc.link_amplitude(4.0, kappa, "eq10", include_array_gain, 4, 3)
             np.testing.assert_allclose(amp * x1, np.sqrt(4.0 * kappa) * x1)
@@ -207,7 +215,7 @@ class TestEncode:
     def test_eq10_power_audit(self):
         # E ||X||_F^2 = gamma0 * kappa * E ||F S||_F^2 = 4 gamma0 kappa for
         # orthonormal-column F and unit-energy symbols
-        c = stbc.make_constellation(16)
+        points = stbc.make_constellation(16)
         bf = beamformer.build_dft_atb(2)
         kappa = beamformer.kappa(beamformer.DFT, 2)
         rng = substream(0, 42)
@@ -217,7 +225,7 @@ class TestEncode:
         n = 4000
         for _ in range(n):
             bits = rng.integers(0, 2, 8).astype(np.uint8)
-            x = amp * _transmit_block(bits, c, bf)
+            x = amp * _transmit_block(stbc.label_index(bits.reshape(2, 4)), points, bf)
             total += np.linalg.norm(x) ** 2
         assert total / n == pytest.approx(4.0 * gamma0 * kappa, rel=0.05)
 
@@ -259,7 +267,8 @@ class TestDecode:
     @pytest.mark.parametrize("order", [2, 4, 16, 64])
     @pytest.mark.parametrize("scheme", ["dft", "bpr"])
     def test_noiseless_roundtrip(self, order, scheme):
-        c = stbc.make_constellation(order)
+        points = stbc.make_constellation(order)
+        k = stbc.bits_per_symbol(points)
         rng = substream(0, 46)
         if scheme == "dft":
             bf = beamformer.build_dft_atb(2)
@@ -270,30 +279,30 @@ class TestDecode:
         for _ in range(50):
             h = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / np.sqrt(2)
             h_eq = beamformer.equivalent_channel(bf, h)
-            bits = rng.integers(0, 2, 2 * c.bits_per_symbol).astype(np.uint8)
-            x = _transmit_block(bits, c, bf)
+            sent = stbc.label_index(rng.integers(0, 2, (2, k)).astype(np.uint8))
+            x = _transmit_block(sent, points, bf)
             y = stbc.transmit_receive(x, h, rng, amplitude=1.5, sigma2=0.0)
-            assert np.array_equal(stbc.decode_alamouti(y, h_eq, c, amplitude=1.5), bits)
+            assert np.array_equal(stbc.decode_alamouti(y, h_eq, points, amplitude=1.5), sent)
 
     def test_matches_exhaustive_ml(self):
-        c = stbc.make_constellation(4)
+        points = stbc.make_constellation(4)
         bf = beamformer.build_dft_atb(2)
-        codewords, labels = stbc.alamouti_codebook(c)
+        codewords, pairs = stbc.alamouti_codebook(points)
         rng = substream(0, 47)
         for _ in range(1000):
             h = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / np.sqrt(2)
             h_eq = beamformer.equivalent_channel(bf, h)
             if np.linalg.norm(h_eq) < 1e-6:
                 continue
-            bits = rng.integers(0, 2, 4).astype(np.uint8)
-            x = _transmit_block(bits, c, bf)
+            sent = stbc.label_index(rng.integers(0, 2, (2, 2)).astype(np.uint8))
+            x = _transmit_block(sent, points, bf)
             y = stbc.transmit_receive(x, h, rng, amplitude=1.0, sigma2=0.5)
-            fast = stbc.decode_alamouti(y, h_eq, c)
-            ml = labels[ml_decode_index(y, h_eq, codewords, 1.0)]
+            fast = stbc.decode_alamouti(y, h_eq, points)
+            ml = pairs[ml_decode_index(y, h_eq, codewords, 1.0)]
             assert np.array_equal(fast, ml)
 
     def test_pure_guessing_limit(self):
-        c = stbc.make_constellation(4)
+        points = stbc.make_constellation(4)
         bf = beamformer.build_dft_atb(2)
         rng = substream(0, 48)
         errors = 0
@@ -302,37 +311,38 @@ class TestDecode:
             h = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / np.sqrt(2)
             h_eq = beamformer.equivalent_channel(bf, h)
             bits = rng.integers(0, 2, 4).astype(np.uint8)
-            x = _transmit_block(bits, c, bf)
+            x = _transmit_block(stbc.label_index(bits.reshape(2, 2)), points, bf)
             y = stbc.transmit_receive(x, h, rng, amplitude=1.0, sigma2=1e8)
-            errors += np.count_nonzero(stbc.decode_alamouti(y, h_eq, c) != bits)
+            decoded = stbc.decode_alamouti(y, h_eq, points)
+            errors += np.count_nonzero(pair_label_rows(decoded[None], 4)[0] != bits)
             bits_total += 4
         assert errors / bits_total == pytest.approx(0.5, abs=0.02)
 
     def test_degenerate_channel_convention(self):
-        c = stbc.make_constellation(4)
-        out = stbc.decode_alamouti(np.array([1.0 + 0j, 1.0 + 0j]), np.zeros(2, dtype=complex), c)
-        assert np.array_equal(out, np.concatenate([c.labels[0], c.labels[0]]))
+        points = stbc.make_constellation(4)
+        out = stbc.decode_alamouti(np.array([1.0 + 0j, 1.0 + 0j]), np.zeros(2, dtype=complex), points)
+        assert np.array_equal(out, [0, 0])
 
     @pytest.mark.parametrize("order", [16, 64])
     def test_batched_zero_rows_follow_convention(self, order):
-        # a zero h_eq gives s_hat = 0, whose nearest point is not labels[0]
-        c = stbc.make_constellation(order)
-        k = c.bits_per_symbol
+        # a zero h_eq gives s_hat = 0, whose nearest point is not index 0
+        points = stbc.make_constellation(order)
+        k = stbc.bits_per_symbol(points)
         bits = substream(0, 49).integers(0, 2, (3, 2 * k)).astype(np.uint8)
+        sent = stbc.label_index(bits.reshape(3, 2, k))
         h_eq = np.array([[0, 0], [0.8 - 0.3j, 0.2 + 0.9j], [0, 0]], dtype=complex)
-        s = stbc.alamouti_codeword(stbc.map_bits(bits[:, :k], c), stbc.map_bits(bits[:, k:], c))
+        s = stbc.alamouti_codeword(points[sent[:, 0]], points[sent[:, 1]])
         y = stbc.transmit_receive(s, h_eq, substream(0, 50), amplitude=1.5, sigma2=0.0)
-        out = stbc.decode_alamouti(y, h_eq, c, amplitude=1.5)
-        first_twice = np.concatenate([c.labels[0], c.labels[0]])
+        out = stbc.decode_alamouti(y, h_eq, points, amplitude=1.5)
+        first_twice = [0, 0]
         np.testing.assert_array_equal(out[0], first_twice)
-        np.testing.assert_array_equal(out[1], bits[1])
+        np.testing.assert_array_equal(out[1], sent[1])
         np.testing.assert_array_equal(out[2], first_twice)
 
 
 class TestErrorMatrix:
     def test_orthogonal_difference_property(self):
-        c = stbc.make_constellation(4)
-        codewords, _ = stbc.alamouti_codebook(c)
+        codewords, _ = stbc.alamouti_codebook(stbc.make_constellation(4))
         n = codewords.shape[0]
         for k in range(n):
             for l in range(n):
@@ -344,10 +354,12 @@ class TestErrorMatrix:
                 assert scale > 0
 
     def test_codebook_shape_and_labels(self):
-        c = stbc.make_constellation(16)
-        codewords, labels = stbc.alamouti_codebook(c)
+        points = stbc.make_constellation(16)
+        codewords, pairs = stbc.alamouti_codebook(points)
         assert codewords.shape == (256, 2, 2)
-        assert labels.shape == (256, 8)
-        # codeword i1*M+i2 holds symbols (i1, i2)
-        assert codewords[5 * 16 + 3][0, 0] == c.points[5]
-        assert codewords[5 * 16 + 3][1, 0] == c.points[3]
+        assert pairs.shape == (256, 2)
+        # codeword i1*M+i2 holds symbols (i1, i2), so its source bits are
+        # the 8-bit label of its own index
+        np.testing.assert_array_equal(pair_label_rows(pairs, 16), label_rows(256))
+        assert codewords[5 * 16 + 3][0, 0] == points[5]
+        assert codewords[5 * 16 + 3][1, 0] == points[3]
