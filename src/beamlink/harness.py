@@ -2,15 +2,20 @@
 
 Every run writes CSV files plus a ``manifest.json`` holding the config,
 its content hash, the SHA-256 of each data file, the wall time of each
-runner and the python, numpy and scipy versions. All randomness flows
-through :func:`beamlink.rng.substream` keyed by (purpose, indices,
-block), so reruns with the same config and seed produce byte-identical
-CSV output and sweep points can be computed in any order.
+runner, the python, numpy and scipy versions and each runner's
+telemetry. All randomness flows through :func:`beamlink.rng.substream`
+keyed by (purpose, indices, block), so reruns with the same config and
+seed produce byte-identical CSV output.
 
-Monte-Carlo error counting is done in fixed-size trial blocks; block b
-of a sweep point always consumes the same substream regardless of how
-many blocks the stopping rule ends up needing. Each block is one call
-of each batched layer kernel; the harness holds no copy of their math.
+Sweeps run in fixed-size trial blocks, and every point of a sweep sees
+the same channel draws. fig2 and fig3 draw block b's channels once from
+their own substream, run one greedy selection on them if a blockwise
+scheme needs it and form ``F^H h`` once per scheme. fig3's bits and
+noise come from a second stream per (scheme, SNR, block), so a point's
+result does not depend on which other points are still running, and
+its stopping rule only decides how many blocks it joins. Each block is
+one call of each batched layer kernel; the harness holds no copy of
+their math.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ _PURPOSE_FIG2 = 2
 _PURPOSE_FIG3 = 3
 _PURPOSE_BPSK_CHECK = 4
 _PURPOSE_CONDITIONAL = 5
+_PURPOSE_FIG3_CHANNEL = 6
 
 TRIAL_BLOCK = 16384
 
@@ -254,37 +260,97 @@ def _ber_block(
     return int(stbc.hamming_distance(sent, decoded).sum())
 
 
+@dataclass
+class BerPoint:
+    """Stopping-rule Monte-Carlo tally of one fig3 (scheme, SNR) point."""
+
+    scheme_idx: int
+    snr_idx: int
+    scheme: str
+    gamma0_db: float
+    blocks: int = 0
+    trials: int = 0
+    bit_errors: int = 0
+    # "target" once trials and target_errors are both met, "cap" if max_trials came first
+    stop: str | None = None
+    ber: float = float("nan")
+    half_width: float = float("nan")
+
+
+def ber_grid(
+    cfg: ExperimentConfig, cells: list[tuple[int, int, float]] | None = None
+) -> tuple[list[BerPoint], int]:
+    """Run the stopping-rule Monte Carlo for fig3 points on shared channels.
+
+    ``cells`` lists ``(scheme_idx, snr_idx, gamma0_db)``; by default every
+    scheme at every SNR of ``cfg``, scheme-major. Block b draws its
+    channels once from ``(seed, FIG3_CHANNEL, b)``, runs one greedy
+    selection if a still-active scheme is blockwise and forms ``F^H h``
+    once per active scheme. Each active point then runs the block on its
+    own stream ``(seed, FIG3, scheme_idx, snr_idx, b)``. A point leaves
+    after the block that meets both the minimum trial count and the
+    target error count, or at the trial cap; at least one block runs.
+
+    Returns the points, with their Wilson half-widths, and the number of
+    channel blocks drawn.
+    """
+    _check_fig3(cfg)
+    points = stbc.make_constellation(cfg.modulation)
+    if cells is None:
+        cells = [
+            (si, gi, g)
+            for si in range(len(cfg.schemes))
+            for gi, g in enumerate(cfg.snr_grid_db)
+        ]
+    grid = [BerPoint(si, gi, cfg.schemes[si], g) for si, gi, g in cells]
+    # (point, link amplitude) for each point still running
+    active = [(p, _link_amplitude(cfg, p.scheme, p.gamma0_db)) for p in grid]
+    n_blocks = 0
+    for b, (n, rng) in enumerate(_blocks(cfg.max_trials, cfg.seed, _PURPOSE_FIG3_CHANNEL)):
+        h = _sample_channels(cfg, n, rng)
+        n_blocks += 1
+        schemes = tuple(dict.fromkeys(p.scheme for p, _ in active))
+        phases = _selected_phases(schemes, h, cfg)
+        for scheme in schemes:
+            h_eq = _batch_equivalent_channels(scheme, h, cfg, phases)
+            for p, amp in active:
+                if p.scheme != scheme:
+                    continue
+                block_rng = substream(cfg.seed, _PURPOSE_FIG3, p.scheme_idx, p.snr_idx, b)
+                p.bit_errors += _ber_block(h_eq, points, amp, block_rng)
+                p.trials += n
+                p.blocks += 1
+                if p.trials >= cfg.trials and p.bit_errors >= cfg.target_errors:
+                    p.stop = "target"
+        active = [(p, amp) for p, amp in active if p.stop is None]
+        if not active:
+            break
+    bits_per_cw = 2 * stbc.bits_per_symbol(points)
+    for p in grid:
+        p.stop = p.stop or "cap"
+        n_bits = p.trials * bits_per_cw
+        lo, hi = analysis.wilson_interval(p.bit_errors, n_bits)
+        p.ber, p.half_width = p.bit_errors / n_bits, (hi - lo) / 2.0
+    return grid, n_blocks
+
+
+def _link_amplitude(cfg: ExperimentConfig, scheme: str, gamma0_db: float) -> float:
+    return stbc.link_amplitude(
+        10.0 ** (gamma0_db / 10.0), beamformer.kappa(scheme, cfg.q), cfg.normalization,
+        cfg.include_array_gain, cfg.n_antennas, cfg.n_paths,
+    )
+
+
 def _ber_point(
     cfg: ExperimentConfig, scheme_idx: int, snr_idx: int, gamma0_db: float
 ) -> tuple[float, float, int]:
-    """Run the stopping-rule Monte Carlo for one (scheme, SNR) point.
+    """One (scheme, SNR) point of :func:`ber_grid`, on the same draws.
 
-    Returns (ber, wilson_half_width, codeword_trials). At least one
-    block runs; counting stops after the block that meets both the
-    minimum trial count and the target error count, or at the trial cap.
+    Returns (ber, wilson_half_width, codeword_trials), equal bit for bit
+    to that point's row of the whole grid.
     """
-    scheme = cfg.schemes[scheme_idx]
-    points = stbc.make_constellation(cfg.modulation)
-    gamma0 = 10.0 ** (gamma0_db / 10.0)
-    amplitude = stbc.link_amplitude(
-        gamma0, beamformer.kappa(scheme, cfg.q), cfg.normalization,
-        cfg.include_array_gain, cfg.n_antennas, cfg.n_paths,
-    )
-    bits_per_cw = 2 * stbc.bits_per_symbol(points)
-    errors = 0
-    trials = 0
-    for n, rng in _blocks(cfg.max_trials, cfg.seed, _PURPOSE_FIG3, scheme_idx, snr_idx):
-        h = _sample_channels(cfg, n, rng)
-        h_eq = _batch_equivalent_channels(
-            scheme, h, cfg, _selected_phases((scheme,), h, cfg)
-        )
-        errors += _ber_block(h_eq, points, amplitude, rng)
-        trials += n
-        if trials >= cfg.trials and errors >= cfg.target_errors:
-            break
-    n_bits = trials * bits_per_cw
-    lo, hi = analysis.wilson_interval(errors, n_bits)
-    return errors / n_bits, (hi - lo) / 2.0, trials
+    (p,), _ = ber_grid(cfg, [(scheme_idx, snr_idx, gamma0_db)])
+    return p.ber, p.half_width, p.trials
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +385,7 @@ class SweepResult:
     path: Path
     rows: list[tuple]
     notes: list[str] = field(default_factory=list)
+    telemetry: dict = field(default_factory=dict)
 
 
 def write_manifest(
@@ -334,6 +401,7 @@ def write_manifest(
         "files": {r.path.name: _sha256(r.path) for r in results},
         "notes": {r.name: r.notes for r in results if r.notes},
         "runner_wall_s": runner_wall_s,
+        "telemetry": {r.name: r.telemetry for r in results if r.telemetry},
         "versions": {
             "python": ".".join(map(str, sys.version_info[:3])),
             "numpy": np.__version__,
@@ -472,22 +540,32 @@ def _check_fig3(cfg: ExperimentConfig) -> None:
 
 
 def run_fig3(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
-    """Monte-Carlo bit error rate of each scheme over the SNR grid."""
-    _check_fig3(cfg)
+    """Monte-Carlo bit error rate of each scheme over the SNR grid, on
+    channel draws shared by every point (:func:`ber_grid`)."""
+    grid, n_blocks = ber_grid(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
+    rows = [
+        (p.scheme, cfg.modulation, "ber", p.gamma0_db, p.ber, p.half_width, p.trials)
+        for p in grid
+    ]
     notes = [f"normalization={cfg.normalization}"]
-    for scheme_idx, scheme in enumerate(cfg.schemes):
-        curve = []
-        for snr_idx, gamma0_db in enumerate(cfg.snr_grid_db):
-            ber, half, trials = _ber_point(cfg, scheme_idx, snr_idx, gamma0_db)
-            curve.append((gamma0_db, ber, half))
-            rows.append((scheme, cfg.modulation, "ber", gamma0_db, ber, half, trials))
+    for scheme in cfg.schemes:
+        curve = [(p.gamma0_db, p.ber, p.half_width) for p in grid if p.scheme == scheme]
         notes.extend(monotonicity_notes(scheme, curve))
+    telemetry = {
+        "channel_blocks": n_blocks,
+        "points": [
+            {
+                k: getattr(p, k)
+                for k in ("scheme", "gamma0_db", "blocks", "trials", "bit_errors", "stop")
+            }
+            for p in grid
+        ],
+    }
     path = out_dir / "fig3.csv"
     _write_csv(path, CSV_HEADER, rows)
-    return SweepResult(name="fig3", path=path, rows=rows, notes=notes)
+    return SweepResult(name="fig3", path=path, rows=rows, notes=notes, telemetry=telemetry)
 
 
 def run_recorded(

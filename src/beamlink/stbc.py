@@ -99,11 +99,20 @@ def demap(symbol: np.ndarray, points: np.ndarray) -> np.ndarray:
     point +1). As the index is I-major, that is the lowest constellation
     index among the equidistant points, the first-minimum rule of an
     exhaustive nearest-point search.
+
+    The slicer reads only ``len(points)``, so any ``points`` other than
+    ``make_constellation(len(points))`` raises a ValueError.
     """
+    order = len(points)
+    if order not in SUPPORTED_ORDERS or not np.array_equal(points, make_constellation(order)):
+        raise ValueError(
+            f"points must be make_constellation(M) for M in {SUPPORTED_ORDERS}, "
+            f"got another array of {order} points"
+        )
     symbol = np.asarray(symbol)
-    if len(points) == 2:
+    if order == 2:
         return (symbol.real < 0).astype(np.intp)
-    k_axis, n_levels, scale = _qam_axes(len(points))
+    k_axis, n_levels, scale = _qam_axes(order)
     gray_i = _slice_axis(symbol.real, n_levels, scale)
     gray_q = _slice_axis(symbol.imag, n_levels, scale)
     return gray_i << k_axis | gray_q

@@ -234,11 +234,8 @@ def test_criterion_7_ber_gap_reproduction():
             seed=2024,
             normalization=mode,
         )
-        curves = {s: [] for s in cfg.schemes}
-        for si, scheme in enumerate(cfg.schemes):
-            for gi, g_db in enumerate(cfg.snr_grid_db):
-                ber, _, _ = harness._ber_point(cfg, si, gi, g_db)
-                curves[scheme].append((g_db, ber))
+        grid, _ = harness.ber_grid(cfg)
+        curves = {s: [(p.gamma0_db, p.ber) for p in grid if p.scheme == s] for s in cfg.schemes}
         gaps[mode] = harness.measure_gap_db(curves["bpr-real"], curves["dft"], 1e-2)
     elapsed = time.perf_counter() - start
     ok = gaps["eq1"] >= 1.0 and gaps["eq10"] >= 1.0 and elapsed < 600.0

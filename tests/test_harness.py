@@ -524,6 +524,72 @@ class TestFig3:
         )
         assert harness._ber_point(cfg, 0, 0, 0.0)[2] == expected
 
+    # 4-QAM: the 0 dB points meet the error target in one block, and the
+    # 30 dB points run past `trials` to the cap
+    _MIXED_STOPS = dict(
+        snr_grid_db=(0.0, 30.0), trials=2000, target_errors=150, max_trials=40000,
+    )
+
+    def test_point_equals_its_grid_row(self):
+        cfg = _tiny_cfg(**self._MIXED_STOPS)
+        grid, _ = harness.ber_grid(cfg)
+        assert {p.stop for p in grid} == {"target", "cap"}
+        assert len({p.blocks for p in grid}) > 1
+        for p in grid:
+            alone = harness._ber_point(cfg, p.scheme_idx, p.snr_idx, p.gamma0_db)
+            assert alone == (p.ber, p.half_width, p.trials)
+
+    @pytest.mark.parametrize(
+        "schemes,overrides,draws,greedy_runs",
+        [
+            (("dft", "bpr-real"), {}, 3, 3),
+            (("dft", "hadamard"), {}, 3, 0),
+            # the blockwise 30 dB point meets its target first
+            (("hadamard", "bpr-real"), {"target_errors": 5, "max_trials": 80000}, 5, 2),
+        ],
+    )
+    def test_one_channel_draw_and_greedy_per_block(
+        self, tmp_path, monkeypatch, schemes, overrides, draws, greedy_runs
+    ):
+        cfg = _tiny_cfg(schemes=schemes, **{**self._MIXED_STOPS, **overrides})
+        calls = {"sample_mmwave_batch": 0, "_batch_greedy_phases": 0}
+        for module, name in ((channel, "sample_mmwave_batch"), (harness, "_batch_greedy_phases")):
+            def counting(*args, _fn=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        res = harness.run_fig3(cfg, tmp_path)
+        blocks = {scheme: [] for scheme in schemes}
+        for p in res.telemetry["points"]:
+            blocks[p["scheme"]].append(p["blocks"])
+        # channels are drawn once per block for as long as any point runs
+        most = max(max(b) for b in blocks.values())
+        assert calls["sample_mmwave_batch"] == res.telemetry["channel_blocks"] == most == draws
+        # the greedy runs once per block while a blockwise point runs
+        bpr = [max(b) for s, b in blocks.items() if s in beamformer.BPR_SCHEMES]
+        assert calls["_batch_greedy_phases"] == max(bpr, default=0) == greedy_runs
+
+    def test_manifest_records_each_point(self, tmp_path):
+        cfg = _tiny_cfg(**self._MIXED_STOPS)
+        harness.run_recorded(cfg, tmp_path, (harness.run_fig3,))
+        telemetry = json.loads((tmp_path / "manifest.json").read_text())["telemetry"]["fig3"]
+        lines = (tmp_path / "fig3.csv").read_text().splitlines()[1:]
+        assert len(telemetry["points"]) == len(lines)
+        bits_per_cw = 2 * stbc.bits_per_symbol(stbc.make_constellation(cfg.modulation))
+        for point, line in zip(telemetry["points"], lines):
+            scheme, _, _, gamma0_db, value, _, n_trials = line.split(",")
+            assert (point["scheme"], point["gamma0_db"]) == (scheme, float(gamma0_db))
+            assert point["trials"] == int(n_trials)
+            assert point["blocks"] == -(-point["trials"] // harness.TRIAL_BLOCK)
+            assert point["bit_errors"] / (point["trials"] * bits_per_cw) == float(value)
+            met = point["trials"] >= cfg.trials and point["bit_errors"] >= cfg.target_errors
+            assert point["stop"] == ("target" if met else "cap")
+            if not met:
+                assert point["trials"] == cfg.max_trials
+        assert {p["stop"] for p in telemetry["points"]} == {"target", "cap"}
+        assert telemetry["channel_blocks"] == max(p["blocks"] for p in telemetry["points"])
+
     def test_rejects_cap_below_minimum_trials(self, tmp_path):
         # a cap below the minimum would cut every point short of `trials`
         cfg = _tiny_cfg(trials=40000, max_trials=20000)
@@ -579,7 +645,7 @@ class TestDeterminism:
                     "table1.csv": "ee04aad6c99c0f889881ef36ef9cc6e40db340b85f0be38d5aa81b4a80e31f88",
                     "fig1.csv": "968463a27617eeb7ce09e5b3d18644407a99bcc594ed3ae6101546980d4dcae0",
                     "fig2.csv": "2325caacc42cab651aa404a5201e68e159cdd73693b15d04a707e73e05384995",
-                    "fig3.csv": "630e81c87262b58faac09c9ec2c9142d9295c4193068c55f2f594bba0ee0e3bd",
+                    "fig3.csv": "7eac6d30f0eed3f3feb0d21985cc1584f12b00b8b4568ede5a2bf9af5adb2cf4",
                 },
                 id="criterion9",
             ),
@@ -591,7 +657,7 @@ class TestDeterminism:
                     "table1.csv": "ee04aad6c99c0f889881ef36ef9cc6e40db340b85f0be38d5aa81b4a80e31f88",
                     "fig1.csv": "0858963ec0d505588426c29c3a427fff2736cbd1d7c50dec7baa103d3ac1b85f",
                     "fig2.csv": "b18e2084c1b4669fc2acf43ec4f41e954e32661b62243839adc2244e45dadd59",
-                    "fig3.csv": "94524e9ea7c5a195697acfea1cb7c0f3ae30e763b6454a93f037701d044a88af",
+                    "fig3.csv": "99db769ad8eff05d3b727b201310b7a9a1f9ec847f887fa831d4429d7755e952",
                 },
                 id="rayleigh-4qam",
             ),
@@ -605,19 +671,19 @@ class TestDeterminism:
                 ("fig3", "--mod", "16", "--norm", "eq10", "--snr", "0,15",
                  "--trials", "600", "--seed", "4"),
                 None,
-                {"fig3.csv": "e7bc8ae69897b5aa0d8066477e1a98402b5beffceb6d73085cc49f3f8c39f0ae"},
+                {"fig3.csv": "40c9ab764dfa64f8ec4f9dbbd39dafafc778e219d1e3c63e200f0bc977ee3f33"},
                 id="fig3-16qam-eq10",
             ),
             pytest.param(
                 ("fig3", "--snr", "0,20", "--trials", "600", "--seed", "6"),
                 None,
-                {"fig3.csv": "02bc08d2a611760fa2a5b77cccb28ba5a1d93af4345106be6b09819b3f88e59b"},
+                {"fig3.csv": "aa0f35e3b157dea552c95d540675c510f7adcfbfadbece2f2a23a93e155dbf9f"},
                 id="fig3-mmwave-64qam",
             ),
             pytest.param(
                 ("fig3", "--mod", "2", "--snr", "0,10", "--trials", "600", "--seed", "6"),
                 None,
-                {"fig3.csv": "2a78dc0e2926efacf5070d5aea7a649b270806827ba7e0408db8b77c1fe62602"},
+                {"fig3.csv": "2163ed8f85234d7634506be687aa90edb9c6d07f8dba978b83e95f8f39e99181"},
                 id="fig3-mmwave-bpsk",
             ),
         ],

@@ -146,6 +146,20 @@ class TestDemap:
             assert scalar.shape == ()
             assert scalar == out[idx]
 
+    @pytest.mark.parametrize(
+        "transform", [lambda p: 2 * p, lambda p: 1j * p], ids=["scaled", "rotated"]
+    )
+    def test_rejects_points_it_would_not_slice_against(self, transform):
+        # the slicer reads only len(points): 2p would decode 2p[5] as 0 and
+        # 1j*p would decode 1j*p[5] as 13 instead of 5
+        p = transform(stbc.make_constellation(16))
+        with pytest.raises(ValueError, match=r"\bpoints\b"):
+            stbc.demap(p[5], p)
+        with pytest.raises(ValueError, match=r"\bpoints\b"):
+            stbc.decode_alamouti(np.ones(2, dtype=complex), np.ones(2, dtype=complex), p)
+        with pytest.raises(ValueError, match=r"\bpoints\b"):
+            stbc.demap(0.0, stbc.make_constellation(64)[:32])
+
     @pytest.mark.parametrize("order", [16, 64])
     def test_zero_channel_convention_on_a_grid_batch(self, order):
         # s_hat = 0 is a four-way tie whose lowest index is not 0 at these
