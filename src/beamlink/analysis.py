@@ -18,7 +18,6 @@ symbol-distance classes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,24 +99,14 @@ def spectral_efficiency(quad_form, snr: float):
     return np.log2(1.0 + snr * quad_form)
 
 
-@dataclass(frozen=True, eq=False)
-class BeamspacePattern:
-    """Per-column array gains over a departure-angle grid."""
-
-    theta: np.ndarray
-    gains: np.ndarray  # shape (n_theta, n_columns)
-    spread_rad: np.ndarray  # angular support above -3 dB of each column's peak
-
-
 def beamspace_pattern(
-    f: np.ndarray,
-    theta_grid: np.ndarray,
-    cfg: SteeringConfig | None = None,
-) -> BeamspacePattern:
-    """Gains ``|a(theta)^H f_k|^2`` of each beamformer column.
+    f: np.ndarray, theta_grid: np.ndarray, cfg: SteeringConfig | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gains ``|a(theta)^H f_k|^2`` of each beamformer column over the grid.
 
-    Also reports each column's -3 dB angular spread, the measure of the
-    grid where the gain stays above ``peak * 10**-0.3``.
+    Returns ``(gains, spread_rad)``: the gains, shape ``(n_theta,
+    n_columns)``, and each column's -3 dB angular spread, the measure of
+    the grid where the gain stays above ``peak * 10**-0.3``.
     """
     f = np.asarray(f)
     theta = np.asarray(theta_grid, dtype=np.float64)
@@ -130,7 +119,7 @@ def beamspace_pattern(
         peak = gains[:, k].max()
         if peak > 0:
             spread[k] = float(widths[gains[:, k] >= peak * 10**-0.3].sum())
-    return BeamspacePattern(theta=theta, gains=gains, spread_rad=spread)
+    return gains, spread
 
 
 def _distance_classes(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

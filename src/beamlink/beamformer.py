@@ -27,7 +27,8 @@ hold quantized rotation angles, ``g`` is the golden number (real variant
 normalizes with ``n`` the root of the squared golden number's surd
 (``sqrt 5`` real, ``sqrt 3`` complex). The beamformer keeps the first
 ``2**(q-1)`` columns of the recursive matrix. Every builder returns the
-``(2**q, 2**(q-1))`` complex array itself.
+``(2**q, 2**(q-1))`` complex array itself, and :func:`build` is the one
+map from a scheme name to its builder.
 """
 
 from __future__ import annotations
@@ -155,6 +156,17 @@ def build_bpr_atb(
     w = _sylvester(q - 1).astype(np.complex128)
     block = np.vstack([w * np.exp(1j * phi1), w * np.exp(1j * phi2)])
     return variant.g / np.sqrt(xi(q, variant.n_root)) * block
+
+
+def build(
+    scheme: str, q: int, phi1: np.ndarray | None = None, phi2: np.ndarray | None = None
+) -> np.ndarray:
+    """Beamformer of the named scheme; only the blockwise schemes read the phases."""
+    if scheme == DFT:
+        return build_dft_atb(q)
+    if scheme == HADAMARD:
+        return build_hadamard_atb(q)
+    return build_bpr_atb(q, golden_variant(scheme), phi1, phi2)
 
 
 def equivalent_channel(f: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -205,45 +205,31 @@ def _sample_channels(cfg: ExperimentConfig, n: int, rng: np.random.Generator) ->
     return channel.sample_rayleigh_batch(n, cfg.n_antennas, rng)
 
 
-def _batch_greedy_phases(h: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(phi1, phi2) per row of ``h`` from :func:`phase_opt.greedy_bpr_phases`."""
-    phi, _, _, _ = phase_opt.greedy_bpr_phases(h, q)
-    return phi[0], phi[1]
+def _batch_greedy_phases(h: np.ndarray, q: int) -> np.ndarray:
+    """``(phi1, phi2)`` per row of ``h``: the ``phi`` of :func:`phase_opt.greedy_bpr_phases`."""
+    return phase_opt.greedy_bpr_phases(h, q)[0]
 
 
 def _selected_phases(
     schemes: tuple[str, ...], h: np.ndarray, cfg: ExperimentConfig
-) -> tuple[np.ndarray, np.ndarray] | None:
+) -> np.ndarray | tuple[()]:
     """Greedy ``(phi1, phi2)`` per row of ``h`` if any of ``schemes`` is
-    blockwise, else None. The selection does not depend on the golden
+    blockwise, else ``()``. The selection does not depend on the golden
     variant, so one serves every blockwise scheme on the same rows."""
     if any(scheme in beamformer.BPR_SCHEMES for scheme in schemes):
         return _batch_greedy_phases(h, cfg.q)
-    return None
+    return ()
 
 
 def _batch_equivalent_channels(
-    scheme: str,
-    h: np.ndarray,
-    cfg: ExperimentConfig,
-    phases: tuple[np.ndarray, np.ndarray] | None,
+    scheme: str, h: np.ndarray, cfg: ExperimentConfig, phases: np.ndarray | tuple[()]
 ) -> np.ndarray:
     """Per-row equivalent channels ``F^H h``; the blockwise schemes use the
     per-row ``phases`` from :func:`_selected_phases`."""
     if scheme in beamformer.BPR_SCHEMES:
-        phi1, phi2 = phases
-        return beamformer.bpr_equivalent_channels(
-            cfg.q, beamformer.golden_variant(scheme), h, phi1, phi2
-        )
-    return beamformer.equivalent_channel(_fixed_beamformer(scheme, cfg.q), h)
-
-
-def _fixed_beamformer(scheme: str, q: int) -> np.ndarray:
-    if scheme == beamformer.DFT:
-        return beamformer.build_dft_atb(q)
-    if scheme == beamformer.HADAMARD:
-        return beamformer.build_hadamard_atb(q)
-    raise ValueError(f"{scheme!r} has no channel-independent beamformer")
+        variant = beamformer.golden_variant(scheme)
+        return beamformer.bpr_equivalent_channels(cfg.q, variant, h, *phases)
+    return beamformer.equivalent_channel(beamformer.build(scheme, cfg.q), h)
 
 
 def _ber_block(
@@ -451,18 +437,13 @@ def run_fig1(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
     rows = []
     notes = ["blockwise patterns use greedy phases for one seeded channel draw"]
     for scheme in cfg.schemes:
-        if scheme in beamformer.BPR_SCHEMES:
-            variant = beamformer.golden_variant(scheme)
-            bf = beamformer.build_bpr_atb(cfg.q, variant, phases[0][0], phases[1][0])
-        else:
-            bf = _fixed_beamformer(scheme, cfg.q)
-        pattern = analysis.beamspace_pattern(bf, theta, cfg.steering)
-        for k in range(bf.shape[1]):
-            spread = float(pattern.spread_rad[k])
-            for t_idx in range(theta.size):
-                rows.append(
-                    (scheme, k, float(theta[t_idx]), float(pattern.gains[t_idx, k]), spread)
-                )
+        bf = beamformer.build(scheme, cfg.q, *(phi[0] for phi in phases))
+        gains, spread = analysis.beamspace_pattern(bf, theta, cfg.steering)
+        rows += [
+            (scheme, k, float(t), float(g), float(spread[k]))
+            for k in range(bf.shape[1])
+            for t, g in zip(theta, gains[:, k])
+        ]
     path = out_dir / "fig1.csv"
     _write_csv(path, "scheme,column,theta_rad,gain,spread_rad", rows)
     return SweepResult(name="fig1", path=path, rows=rows, notes=notes)
@@ -476,10 +457,9 @@ def run_fig2(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
     selection, shared by both blockwise schemes. The confidence half
     width is 1.96 sigma of the sample mean.
     """
-    _check_fig2(cfg)
+    quad_forms = quadratic_forms(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    quad_forms = _fig2_quadratic_forms(cfg)
     eff_scale = cfg.n_antennas / cfg.n_paths if cfg.include_array_gain else 1.0
     rows = []
     for scheme in cfg.schemes:
@@ -498,8 +478,10 @@ def run_fig2(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
     return SweepResult(name="fig2", path=path, rows=rows, notes=notes)
 
 
-def _fig2_quadratic_forms(cfg: ExperimentConfig) -> dict[str, np.ndarray]:
-    """``||F^H h||^2`` per realization for each scheme, on shared channels."""
+def quadratic_forms(cfg: ExperimentConfig) -> dict[str, np.ndarray]:
+    """fig2's ``||F^H h||^2`` per realization for each scheme, on the
+    ``trials`` channel draws that every scheme shares."""
+    _check_fig2(cfg)
     quad_forms: dict[str, np.ndarray] = {s: np.empty(cfg.trials) for s in cfg.schemes}
     done = 0
     for n, rng in _blocks(cfg.trials, cfg.seed, _PURPOSE_FIG2):

@@ -34,17 +34,15 @@ def block_grids(q: int) -> tuple[np.ndarray, np.ndarray]:
 _TILE_SCORES = 2**17
 
 
-def greedy_bpr_phases(h: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def greedy_bpr_phases(h: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Greedy blockwise phase selection over the rows of ``h``, shape ``(b, 2**q)``.
 
-    Returns ``(phi, slots, gain, evals)``. ``phi[block]`` and
-    ``slots[block]``, shape ``(b, 2**(q-1))``, hold the angle and the
-    element of each slot of the two blocks: slot k of row i rotates by
-    ``phi[0, i, k]`` in the top block and ``phi[1, i, k]`` in the bottom
-    one. ``gain`` is the aligned-sum magnitude per row and ``evals`` the
-    number of candidate scores per row, ``sum_m m * G`` over the
-    remaining counts ``m = n .. 1`` for grid size ``G``, whatever ``h``
-    holds. One channel is the batch ``h[None]``.
+    Returns ``(phi, slots, gain)``. ``phi[block]`` and ``slots[block]``,
+    shape ``(b, 2**(q-1))``, hold the angle and the element of each slot
+    of the two blocks: slot k of row i rotates by ``phi[0, i, k]`` in the
+    top block and ``phi[1, i, k]`` in the bottom one. ``gain`` is the
+    aligned-sum magnitude per row. One channel is the batch ``h[None]``;
+    :func:`complexity_probe` gives the candidate scores per row.
 
     The first pass fills the ``2**(q-1)`` slots of block 1 in turn, each
     with the (unplaced element, grid-1 angle) pair that maximizes the
@@ -71,19 +69,18 @@ def greedy_bpr_phases(h: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np
     phi = np.empty((2, b, half))
     slots = np.empty((2, b, half), dtype=np.int64)
     gain = np.empty(b)
-    evals = 0
     for start in range(0, b, tile):
         rows = slice(start, start + tile)
-        gain[rows], evals = _greedy_tile(hc[rows], grids, phi[:, rows], slots[:, rows])
-    return phi, slots, gain, evals
+        gain[rows] = _greedy_tile(hc[rows], grids, phi[:, rows], slots[:, rows])
+    return phi, slots, gain
 
 
 def _greedy_tile(
     hc: np.ndarray, grids: tuple[np.ndarray, np.ndarray], phi: np.ndarray, slots: np.ndarray
-) -> tuple[np.ndarray, int]:
+) -> np.ndarray:
     """:func:`greedy_bpr_phases` on one tile of conjugated channel rows
-    ``hc``; fills the tile's views ``phi`` and ``slots`` and returns
-    ``(gain, evals)``."""
+    ``hc``; fills the tile's views ``phi`` and ``slots`` and returns the
+    gain per row."""
     b, n = hc.shape
     half = n // 2
     rows = np.arange(b)
@@ -91,7 +88,6 @@ def _greedy_tile(
     # unplaced elements per row in ascending order, and their conj(h)
     remaining = np.tile(np.arange(n), (b, 1))
     cand = hc
-    evals = 0
     for block, angles in enumerate(grids):
         rotations = np.exp(1j * angles)
         for slot in range(half):
@@ -99,7 +95,6 @@ def _greedy_tile(
             # keep this exact expression: its rounding decides the exact ties
             # of the first slot (see greedy_bpr_phases)
             scores = np.abs(acc[:, None, None] + cand[:, :, None] * rotations[None, None, :])
-            evals += m * rotations.size
             # first flat maximum of the computed scores: equal floats go to the
             # lowest element index, then the lowest grid index
             flat = scores.reshape(b, -1).argmax(axis=1)
@@ -111,21 +106,17 @@ def _greedy_tile(
             keep = np.arange(m) != pos[:, None]
             remaining = remaining[keep].reshape(b, m - 1)
             cand = cand[keep].reshape(b, m - 1)
-    return np.abs(acc), evals
+    return np.abs(acc)
 
 
 def complexity_probe(q_values: list[int] | tuple[int, ...]) -> list[tuple[int, int]]:
-    """Count greedy candidate evaluations for each q.
+    """Greedy candidate evaluations per channel row for each q.
 
     The count is input independent: each of the ``2**q`` slot decisions
-    scans the remaining candidates against the full slot grid, giving
-    ``2**(q-1) * 2**q * (2**q + 1) / 2`` evaluations in total.
+    scores the ``m`` unplaced elements against the ``2**(q-1)`` angles of
+    its grid, so the total over ``m = 2**q .. 1`` is
+    ``2**(q-1) * 2**q * (2**q + 1) / 2``.
     """
-    out: list[tuple[int, int]] = []
-    for q in q_values:
-        if q > 8:
-            raise ValueError("complexity probe limited to q <= 8")
-        h = np.exp(1j * np.linspace(0.0, 1.0, 2**q))
-        *_, evals = greedy_bpr_phases(h[None], q)
-        out.append((int(q), int(evals)))
-    return out
+    if not all(1 <= q <= 8 for q in q_values):
+        raise ValueError(f"complexity probe limited to 1 <= q <= 8, got {list(q_values)}")
+    return [(int(q), 2 ** (q - 1) * 2**q * (2**q + 1) // 2) for q in q_values]

@@ -103,7 +103,7 @@ def test_criterion_3_greedy_vs_oracle():
     beats_random = 0
     for seed in range(n_channels):
         h = sample_mmwave_batch(1, 3, 4, SteeringConfig(), substream(seed))[0]
-        _, _, gain, _ = phase_opt.greedy_bpr_phases(h[None], 2)
+        _, _, gain = phase_opt.greedy_bpr_phases(h[None], 2)
         exhaustive = blockwise_bruteforce_gain(h, *grids)
         bounded += gain[0] <= exhaustive + 1e-10
         rng = substream(seed, 91)
@@ -177,7 +177,7 @@ def test_criterion_6_union_and_chernoff_dominance():
     details = []
     for ch_seed in (1, 2, 3):
         h = sample_mmwave_batch(1, 3, 4, SteeringConfig(), substream(ch_seed))[0]
-        phi, _, _, _ = phase_opt.greedy_bpr_phases(h[None], 2)
+        phi, _, _ = phase_opt.greedy_bpr_phases(h[None], 2)
         bf = beamformer.build_bpr_atb(2, beamformer.REAL_GOLDEN, phi[0, 0], phi[1, 0])
         h_eq = beamformer.equivalent_channel(bf, h)
         for gamma_db in (0.0, 4.0, 8.0, 12.0):
@@ -255,7 +255,7 @@ def test_criterion_8_spectral_efficiency_ordering(tmp_path):
         trials=10_000,
         seed=30,
     )
-    quad_forms = harness._fig2_quadratic_forms(cfg)
+    quad_forms = harness.quadratic_forms(cfg)
     gamma30 = 10.0**3
     eff = cfg.n_antennas / cfg.n_paths if cfg.include_array_gain else 1.0
     rates = {

@@ -65,24 +65,29 @@ class TestKappa:
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     def test_matches_measured_entry_power(self, scheme, q):
-        bf = _build(scheme, q)
+        half = 2 ** (q - 1)
+        bf = beamformer.build(scheme, q, np.zeros(half), np.zeros(half))
         np.testing.assert_allclose(
             np.abs(bf) ** 2, beamformer.kappa(scheme, q), atol=1e-12
         )
 
 
-def _build(scheme, q, phi1=None, phi2=None):
-    half = 2 ** (q - 1)
-    if phi1 is None:
-        phi1 = np.zeros(half)
-    if phi2 is None:
-        phi2 = np.zeros(half)
-    if scheme == DFT:
-        return beamformer.build_dft_atb(q)
-    if scheme == HADAMARD:
-        return beamformer.build_hadamard_atb(q)
-    variant = REAL_GOLDEN if scheme == BPR_REAL else COMPLEX_GOLDEN
-    return beamformer.build_bpr_atb(q, variant, phi1, phi2)
+class TestBuild:
+    def test_maps_each_scheme_to_its_builder(self):
+        phi1, phi2 = np.array([0.0, np.pi]), np.array([np.pi / 2, 0.0])
+        expected = {
+            DFT: beamformer.build_dft_atb(2),
+            HADAMARD: beamformer.build_hadamard_atb(2),
+            BPR_REAL: beamformer.build_bpr_atb(2, REAL_GOLDEN, phi1, phi2),
+            BPR_COMPLEX: beamformer.build_bpr_atb(2, COMPLEX_GOLDEN, phi1, phi2),
+        }
+        for scheme in SCHEMES:
+            np.testing.assert_array_equal(beamformer.build(scheme, 2, phi1, phi2), expected[scheme])
+
+    @pytest.mark.parametrize("scheme", ["zadoff-chu", BPR_REAL])
+    def test_rejects_unknown_scheme_and_missing_phases(self, scheme):
+        with pytest.raises(ValueError):
+            beamformer.build(scheme, 2)
 
 
 class TestDftConstruction:
@@ -158,7 +163,9 @@ class TestBprConstruction:
 def test_constant_modulus_invariant(scheme, q):
     rng = substream(1, q)
     half = 2 ** (q - 1)
-    bf = _build(scheme, q, rng.uniform(0, 2 * np.pi, half), rng.uniform(0, 2 * np.pi, half))
+    bf = beamformer.build(
+        scheme, q, rng.uniform(0, 2 * np.pi, half), rng.uniform(0, 2 * np.pi, half)
+    )
     err = np.max(np.abs(np.abs(bf) ** 2 - beamformer.kappa(scheme, q)))
     assert err < 1e-10
     assert bf.shape == (2**q, half)

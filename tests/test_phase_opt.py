@@ -96,7 +96,7 @@ class TestExhaustiveOracle:
 def _greedy_row(h, q):
     """The selection for one channel: row 0 of a batch of one, as
     ``(phi, slots, gain)`` with ``phi[block]`` and ``slots[block]``."""
-    phi, slots, gain, _ = phase_opt.greedy_bpr_phases(h[None], q)
+    phi, slots, gain = phase_opt.greedy_bpr_phases(h[None], q)
     return phi[:, 0], slots[:, 0], float(gain[0])
 
 
