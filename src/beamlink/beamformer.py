@@ -29,6 +29,12 @@ normalizes with ``n`` the root of the squared golden number's surd
 ``2**(q-1)`` columns of the recursive matrix. Every builder returns the
 ``(2**q, 2**(q-1))`` complex array itself, and :func:`build` is the one
 map from a scheme name to its builder.
+
+The per-block products ``F^H h`` (:func:`equivalent_channel`,
+:func:`bpr_rotated_sum`) are sums over antenna elements that run on the
+calling thread; no BLAS call runs on a block of channel rows. The two
+golden variants differ only in the scalar :func:`bpr_scale`, so one
+rotated sum serves both.
 """
 
 from __future__ import annotations
@@ -118,21 +124,27 @@ def build_hadamard_atb(q: int) -> np.ndarray:
     return _sylvester(q).astype(np.complex128)[:, : n // 2] / np.sqrt(n)
 
 
-def bpr_equivalent_channels(
-    q: int, variant: GoldenVariant, h: np.ndarray, phi1: np.ndarray, phi2: np.ndarray
-) -> np.ndarray:
-    """``F^H h`` for each row of ``h``, F being :func:`build_bpr_atb` with that row's phases.
+def bpr_rotated_sum(q: int, h: np.ndarray, phi1: np.ndarray, phi2: np.ndarray) -> np.ndarray:
+    """Unscaled ``exp(-j phi1) h_top W + exp(-j phi2) h_bot W`` for each row of ``h``.
 
-    Column k of F is ``g/sqrt(xi)`` times ``W[:, k]`` rotated by
-    ``phi1[k]`` (top block) and ``phi2[k]`` (bottom block), so with the
-    symmetric real ``W`` no per-row matrix is formed.
+    Column k of :func:`build_bpr_atb` is ``g/sqrt(xi)`` times ``W[:, k]``
+    rotated by ``phi1[k]`` (top block) and ``phi2[k]`` (bottom block), so
+    with the symmetric real ``W`` no per-row matrix is formed: ``F^H h``
+    for each row, F being :func:`build_bpr_atb` with that row's phases,
+    is :func:`bpr_scale` times this sum. The sum does not depend on the
+    golden variant, so one sum serves both. The Sylvester products are
+    summed antenna by antenna, with no BLAS call.
     """
     half = 2 ** (q - 1)
     w = _sylvester(q - 1).astype(np.float64)
-    top = h[..., :half] @ w
-    bot = h[..., half:] @ w
-    scale = np.conj(variant.g) / np.sqrt(xi(q, variant.n_root))
-    return scale * (np.exp(-1j * phi1) * top + np.exp(-1j * phi2) * bot)
+    top = _antenna_sums(h[..., :half], w)
+    bot = _antenna_sums(h[..., half:], w)
+    return np.exp(-1j * phi1) * top + np.exp(-1j * phi2) * bot
+
+
+def bpr_scale(q: int, variant: GoldenVariant) -> complex:
+    """``conj(g) / sqrt(xi)``, the factor that turns :func:`bpr_rotated_sum` into ``F^H h``."""
+    return np.conj(variant.g) / np.sqrt(xi(q, variant.n_root))
 
 
 def build_bpr_atb(
@@ -170,12 +182,34 @@ def build(
 
 
 def equivalent_channel(f: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Low-dimensional channel ``F^H h`` for each channel row (last axis) of ``h``."""
+    """Low-dimensional channel ``F^H h`` for each channel row (last axis) of ``h``.
+
+    ``h`` may carry any leading axes. The product is summed antenna by
+    antenna (:func:`_antenna_sums`), with no BLAS call.
+    """
     f = np.asarray(f)
     h = np.asarray(h)
     if h.shape[-1:] != (f.shape[0],):
         raise ValueError(
             f"channel length {h.shape} does not match beamformer rows {f.shape[0]}"
         )
-    return h @ f.conj()
+    return _antenna_sums(h, f.conj())
 
+
+def _antenna_sums(h: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``h @ m`` for ``h`` of shape ``(..., n)`` and ``m`` of shape ``(n, c)``, without BLAS.
+
+    ``h`` is moved antenna-major to a contiguous ``(n, ...)`` array, and
+    output column j accumulates ``h[k] * m[k, j]`` over the antennas k in
+    order. A threaded BLAS product on a block of rows wakes worker
+    threads that keep spinning after it returns; these sums run on the
+    calling thread alone, and their bits do not depend on the BLAS build.
+    """
+    h_t = np.ascontiguousarray(np.moveaxis(h, -1, 0))
+    cols = []
+    for j in range(m.shape[1]):
+        acc = h_t[0] * m[0, j]
+        for k in range(1, m.shape[0]):
+            acc += h_t[k] * m[k, j]
+        cols.append(acc)
+    return np.stack(cols, axis=-1)

@@ -10,7 +10,11 @@ seed produce byte-identical CSV output.
 Sweeps run in fixed-size trial blocks, and every point of a sweep sees
 the same channel draws. fig2 and fig3 draw block b's channels once from
 their own substream, run one greedy selection on them if a blockwise
-scheme needs it and form ``F^H h`` once per scheme. fig3's bits and
+scheme needs it and form ``F^H h`` once per scheme. The two blockwise
+schemes differ only in a scalar, so one rotated sum
+(:func:`beamformer.bpr_rotated_sum`) per block serves both. Every
+``F^H h`` is summed antenna by antenna, so no BLAS call runs in the
+block loop and no BLAS worker thread spins beside it. fig3's bits and
 noise come from a second stream per (scheme, SNR, block), so a point's
 result does not depend on which other points are still running, and
 its stopping rule only decides how many blocks it joins. Each block is
@@ -221,14 +225,23 @@ def _selected_phases(
     return ()
 
 
+def _rotated_sum(
+    h: np.ndarray, cfg: ExperimentConfig, phases: np.ndarray | tuple[()]
+) -> np.ndarray | None:
+    """:func:`beamformer.bpr_rotated_sum` of the rows of ``h`` under the
+    ``phases`` from :func:`_selected_phases`, or ``None`` if there are
+    none. The sum does not depend on the golden variant, so one serves
+    every blockwise scheme on the same rows."""
+    return beamformer.bpr_rotated_sum(cfg.q, h, *phases) if len(phases) else None
+
+
 def _batch_equivalent_channels(
-    scheme: str, h: np.ndarray, cfg: ExperimentConfig, phases: np.ndarray | tuple[()]
+    scheme: str, h: np.ndarray, cfg: ExperimentConfig, rotated: np.ndarray | None
 ) -> np.ndarray:
-    """Per-row equivalent channels ``F^H h``; the blockwise schemes use the
-    per-row ``phases`` from :func:`_selected_phases`."""
+    """Per-row equivalent channels ``F^H h``; the blockwise schemes scale
+    ``rotated``, the block's :func:`_rotated_sum`."""
     if scheme in beamformer.BPR_SCHEMES:
-        variant = beamformer.golden_variant(scheme)
-        return beamformer.bpr_equivalent_channels(cfg.q, variant, h, *phases)
+        return beamformer.bpr_scale(cfg.q, beamformer.golden_variant(scheme)) * rotated
     return beamformer.equivalent_channel(beamformer.build(scheme, cfg.q), h)
 
 
@@ -297,8 +310,9 @@ def ber_grid(
         n_blocks += 1
         schemes = tuple(dict.fromkeys(p.scheme for p, _ in active))
         phases = _selected_phases(schemes, h, cfg)
+        rotated = _rotated_sum(h, cfg, phases)
         for scheme in schemes:
-            h_eq = _batch_equivalent_channels(scheme, h, cfg, phases)
+            h_eq = _batch_equivalent_channels(scheme, h, cfg, rotated)
             for p, amp in active:
                 if p.scheme != scheme:
                     continue
@@ -318,6 +332,20 @@ def ber_grid(
         lo, hi = analysis.wilson_interval(p.bit_errors, n_bits)
         p.ber, p.half_width = p.bit_errors / n_bits, (hi - lo) / 2.0
     return grid, n_blocks
+
+
+def radiated_power(cfg: ExperimentConfig, scheme: str) -> float:
+    """Power the scheme's codeword radiates per unit symbol energy.
+
+    Every entry of the ``n_antennas x n_rf`` beamformer F has power
+    ``kappa``, so ``||F||_F^2 = kappa * n_antennas * n_rf``. Under
+    ``eq1`` the codeword is ``F S`` and radiates ``||F||_F^2``; under
+    ``eq10`` it is also scaled by ``sqrt(kappa)`` and radiates
+    ``kappa ||F||_F^2``.
+    """
+    kappa = beamformer.kappa(scheme, cfg.q)
+    frobenius_sq = kappa * cfg.n_antennas * cfg.n_rf
+    return kappa * frobenius_sq if cfg.normalization == stbc.NORM_EQ10 else frobenius_sq
 
 
 def _link_amplitude(cfg: ExperimentConfig, scheme: str, gamma0_db: float) -> float:
@@ -487,8 +515,9 @@ def quadratic_forms(cfg: ExperimentConfig) -> dict[str, np.ndarray]:
     for n, rng in _blocks(cfg.trials, cfg.seed, _PURPOSE_FIG2):
         h = _sample_channels(cfg, n, rng)
         phases = _selected_phases(cfg.schemes, h, cfg)
+        rotated = _rotated_sum(h, cfg, phases)
         for scheme in cfg.schemes:
-            h_eq = _batch_equivalent_channels(scheme, h, cfg, phases)
+            h_eq = _batch_equivalent_channels(scheme, h, cfg, rotated)
             quad_forms[scheme][done : done + n] = np.sum(np.abs(h_eq) ** 2, axis=1)
         done += n
     return quad_forms
@@ -537,6 +566,7 @@ def run_fig3(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
         notes.extend(monotonicity_notes(scheme, curve))
     telemetry = {
         "channel_blocks": n_blocks,
+        "radiated_power": {scheme: radiated_power(cfg, scheme) for scheme in cfg.schemes},
         "points": [
             {
                 k: getattr(p, k)

@@ -184,14 +184,21 @@ class TestEquivalentChannel:
         )
 
     def test_matches_dense_oracle(self):
+        # dft and hadamard at q=1..4 and one blockwise matrix, on one row
+        # and on an (a, b) batch of rows, to 1e-13 of each oracle row's norm
         rng = substream(0, 31)
-        h = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / np.sqrt(2)
-        bf = beamformer.build_bpr_atb(
-            2, REAL_GOLDEN, rng.uniform(0, 2 * np.pi, 2), rng.uniform(0, 2 * np.pi, 2)
-        )
-        np.testing.assert_allclose(
-            beamformer.equivalent_channel(bf, h), dense_matvec(bf, h), atol=1e-12
-        )
+        matrices = [beamformer.build(s, q) for s in (DFT, HADAMARD) for q in (1, 2, 3, 4)]
+        phi1, phi2 = rng.uniform(0, 2 * np.pi, (2, 2))
+        matrices.append(beamformer.build_bpr_atb(2, REAL_GOLDEN, phi1, phi2))
+        for bf in matrices:
+            for lead in [(), (3, 5)]:
+                shape = (*lead, bf.shape[0])
+                h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+                batch = beamformer.equivalent_channel(bf, h)
+                assert batch.shape == (*lead, bf.shape[1])
+                want = np.apply_along_axis(lambda row: dense_matvec(bf, row), -1, h)
+                err = np.linalg.norm(batch - want, axis=-1)
+                assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=-1))
 
     def test_dimension_mismatch(self):
         bf = beamformer.build_dft_atb(2)
@@ -204,14 +211,20 @@ class TestBprEquivalentChannels:
     @pytest.mark.parametrize("variant", [REAL_GOLDEN, COMPLEX_GOLDEN], ids=["real", "complex"])
     @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
     def test_rows_match_built_matrix(self, q, variant):
+        # bpr_scale times the rotated sum is F^H h of build_bpr_atb with each
+        # row's phases, on one row, a batch and an (a, b) batch of rows
         rng = substream(0, 32 + q)
-        n_rows, n, half = 40, 2**q, 2 ** (q - 1)
-        h = (rng.standard_normal((n_rows, n)) + 1j * rng.standard_normal((n_rows, n))) / np.sqrt(2)
-        phi1, phi2 = rng.uniform(0, 2 * np.pi, (2, n_rows, half))
-        batch = beamformer.bpr_equivalent_channels(q, variant, h, phi1, phi2)
-        assert batch.shape == (n_rows, half)
-        for i in range(n_rows):
-            bf = beamformer.build_bpr_atb(q, variant, phi1[i], phi2[i])
-            np.testing.assert_allclose(
-                batch[i], beamformer.equivalent_channel(bf, h[i]), rtol=0, atol=1e-12
-            )
+        n, half = 2**q, 2 ** (q - 1)
+        for lead in [(), (40,), (3, 5)]:
+            shape = (*lead, n)
+            h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+            phi1, phi2 = rng.uniform(0, 2 * np.pi, (2, *lead, half))
+            batch = beamformer.bpr_scale(q, variant) * beamformer.bpr_rotated_sum(q, h, phi1, phi2)
+            assert batch.shape == (*lead, half)
+            rows, p1, p2 = h.reshape(-1, n), phi1.reshape(-1, half), phi2.reshape(-1, half)
+            want = np.array([
+                dense_matvec(beamformer.build_bpr_atb(q, variant, p1[i], p2[i]), rows[i])
+                for i in range(len(rows))
+            ])
+            err = np.linalg.norm(batch.reshape(len(rows), half) - want, axis=-1)
+            assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=-1))

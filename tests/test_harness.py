@@ -2,10 +2,12 @@ import hashlib
 import inspect
 import json
 import math
+import os
 import platform
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,11 +248,30 @@ class TestBatchKernels:
         rng = substream(0, 61)
         h = (rng.standard_normal((100, 4)) + 1j * rng.standard_normal((100, 4))) / np.sqrt(2)
         phases = harness._selected_phases((scheme,), h, cfg)
-        batch = harness._batch_equivalent_channels(scheme, h, cfg, phases)
+        batch = harness._batch_equivalent_channels(
+            scheme, h, cfg, harness._rotated_sum(h, cfg, phases)
+        )
         for i in range(100):
             bf = beamformer.build(scheme, 2, *(phi[i] for phi in phases))
             expected = beamformer.equivalent_channel(bf, h[i])
             np.testing.assert_allclose(batch[i], expected, atol=1e-11)
+
+    @pytest.mark.parametrize("sweep", ["quadratic_forms", "ber_grid"])
+    def test_one_rotated_sum_per_block(self, monkeypatch, sweep):
+        rows = []
+        rotated_sum = beamformer.bpr_rotated_sum
+
+        def counting(q, h, phi1, phi2):
+            rows.append(h.shape[0])
+            return rotated_sum(q, h, phi1, phi2)
+
+        monkeypatch.setattr(beamformer, "bpr_rotated_sum", counting)
+        n = harness.TRIAL_BLOCK + 100
+        cfg = _tiny_cfg(
+            schemes=beamformer.SCHEMES, snr_grid_db=(10.0,), trials=n, max_trials=n
+        )
+        getattr(harness, sweep)(cfg)
+        assert rows == [harness.TRIAL_BLOCK, 100]
 
     def test_ber_block_matches_scalar_pipeline(self):
         points = stbc.make_constellation(16)
@@ -586,6 +607,26 @@ class TestFig3:
         assert {p["stop"] for p in telemetry["points"]} == {"target", "cap"}
         assert telemetry["channel_blocks"] == max(p["blocks"] for p in telemetry["points"])
 
+    @pytest.mark.parametrize("norm", ["eq1", "eq10"])
+    def test_manifest_records_radiated_power(self, tmp_path, norm):
+        cfg = _tiny_cfg(
+            schemes=beamformer.SCHEMES, normalization=norm, snr_grid_db=(0.0,),
+            trials=500, max_trials=500,
+        )
+        harness.run_recorded(cfg, tmp_path, (harness.run_fig3,))
+        power = json.loads((tmp_path / "manifest.json").read_text())["telemetry"]["fig3"][
+            "radiated_power"
+        ]
+        assert set(power) == set(beamformer.SCHEMES)
+        for scheme in beamformer.SCHEMES:
+            f = beamformer.build(scheme, cfg.q, np.zeros(2), np.zeros(2))
+            frobenius_sq = float(np.sum(np.abs(f) ** 2))
+            kappa = beamformer.kappa(scheme, cfg.q) if norm == "eq10" else 1.0
+            assert power[scheme] == pytest.approx(kappa * frobenius_sq, rel=1e-12)
+        if norm == "eq1":
+            expected = {"dft": 2.0, "hadamard": 2.0, "bpr-real": 4.19, "bpr-complex": 2.67}
+            assert power == pytest.approx(expected, abs=0.005)
+
     def test_rejects_cap_below_minimum_trials(self, tmp_path):
         # a cap below the minimum would cut every point short of `trials`
         cfg = _tiny_cfg(trials=40000, max_trials=20000)
@@ -640,7 +681,7 @@ class TestDeterminism:
                 {
                     "table1.csv": "ee04aad6c99c0f889881ef36ef9cc6e40db340b85f0be38d5aa81b4a80e31f88",
                     "fig1.csv": "968463a27617eeb7ce09e5b3d18644407a99bcc594ed3ae6101546980d4dcae0",
-                    "fig2.csv": "2325caacc42cab651aa404a5201e68e159cdd73693b15d04a707e73e05384995",
+                    "fig2.csv": "58ccb3a9e9c7204703a1db401d1955efbd85437d29e60551006b1b5461e0968d",
                     "fig3.csv": "7eac6d30f0eed3f3feb0d21985cc1584f12b00b8b4568ede5a2bf9af5adb2cf4",
                 },
                 id="criterion9",
@@ -660,7 +701,7 @@ class TestDeterminism:
             pytest.param(
                 ("fig2", "--trials", "2000", "--seed", "2"),
                 {"n_antennas": 16, "n_rf": 8},
-                {"fig2.csv": "f18f79cff360a543300d718249c5cf8b6fdb86c810b6d63d3f43aae2d669bfb9"},
+                {"fig2.csv": "7d5d89456334954c2a3dc88376dc05292ccd929f3a099422d053b4ee4bf939e3"},
                 id="fig2-array16",
             ),
             pytest.param(
@@ -726,6 +767,51 @@ class TestDeterminism:
         assert sum(times.values()) <= manifest["wall_time_s"]
         for name, digest in manifest["files"].items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+# Runs fig3's and fig2's block loops in a fresh interpreter and prints, for
+# every thread but the main one, the CPU ticks (utime + stime) it spent.
+_THREAD_PROBE = """
+import json, os, time
+from beamlink import harness
+
+def ticks():
+    out = {}
+    for tid in os.listdir("/proc/self/task"):
+        with open(f"/proc/self/task/{tid}/stat") as f:
+            stat = f.read().rsplit(")", 1)[1].split()
+        if int(tid) != os.getpid():
+            out[int(tid)] = int(stat[11]) + int(stat[12])
+    return out
+
+# BLAS workers spin for about 0.1 s after they start at import; wait until
+# no thread gains a tick for 0.3 s
+before = ticks()
+for _ in range(50):
+    time.sleep(0.3)
+    before, last = ticks(), before
+    if before == last:
+        break
+n = harness.TRIAL_BLOCK
+harness.ber_grid(harness.ExperimentConfig(
+    modulation=4, snr_grid_db=(10.0,), trials=4 * n, max_trials=4 * n))
+harness.quadratic_forms(harness.ExperimentConfig(n_antennas=16, n_rf=8, trials=2 * n))
+print(json.dumps([t - before.get(tid, 0) for tid, t in ticks().items()]))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_block_loops_keep_other_threads_idle():
+    # a threaded BLAS product in the block loop wakes worker threads that
+    # spin for a while after each call; the loops run on the main thread
+    paths = [str(Path(harness.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREAD_PROBE], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    growth = json.loads(proc.stdout.splitlines()[-1])
+    assert max(growth, default=0) <= 2, growth
 
 
 class TestCurveFlags:
