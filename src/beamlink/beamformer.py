@@ -44,6 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import phase_opt
+
 DFT = "dft"
 HADAMARD = "hadamard"
 BPR_REAL = "bpr-real"
@@ -134,12 +136,27 @@ def bpr_rotated_sum(q: int, h: np.ndarray, phi1: np.ndarray, phi2: np.ndarray) -
     is :func:`bpr_scale` times this sum. The sum does not depend on the
     golden variant, so one sum serves both. The Sylvester products are
     summed antenna by antenna, with no BLAS call.
+
+    ``phi1`` and ``phi2`` must be values of the first and second grid
+    of :func:`phase_opt.block_grids`, as the greedy selects them, or a
+    ValueError is raised. Their rotations are looked up among the grid's
+    exponentials, with the bits of ``np.exp(-1j * phi)``.
     """
     half = 2 ** (q - 1)
     w = _sylvester(q - 1).astype(np.float64)
     top = _antenna_sums(h[..., :half], w)
     bot = _antenna_sums(h[..., half:], w)
-    return np.exp(-1j * phi1) * top + np.exp(-1j * phi2) * bot
+    grid1, grid2 = phase_opt.block_grids(q)
+    return _grid_rotations(grid1, phi1) * top + _grid_rotations(grid2, phi2) * bot
+
+
+def _grid_rotations(grid: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """``exp(-j phi)`` for phases ``phi`` on the grid ``2 pi b / len(grid)``
+    (reduced modulo 2 pi), indexed from the grid's exponentials."""
+    idx = np.rint(np.asarray(phi) * (len(grid) / (2.0 * np.pi))).astype(np.intp) % len(grid)
+    if not np.array_equal(grid[idx], phi):
+        raise ValueError("phases must be values of their block grid, phase_opt.block_grids(q)")
+    return np.exp(-1j * grid)[idx]
 
 
 def bpr_scale(q: int, variant: GoldenVariant) -> complex:

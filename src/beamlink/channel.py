@@ -49,7 +49,8 @@ def steering_vector(
     Element m (0-based) is ``exp(j * 2*pi * (d/lambda) * m * sin(theta))``,
     so element 0 is always 1 and every element has unit modulus. ``theta``
     may be an array of angles; the elements go on a new last axis, giving
-    shape ``theta.shape + (n_antennas,)``.
+    shape ``theta.shape + (n_antennas,)``. It is :func:`_plane_wave_sums`
+    of one unit-gain path per angle.
     """
     if cfg is None:
         cfg = SteeringConfig()
@@ -58,9 +59,32 @@ def steering_vector(
         raise ValueError("theta must be finite")
     if n_antennas < 1:
         raise ValueError("n_antennas must be at least 1")
-    m = np.arange(n_antennas)
-    phase = 2.0 * np.pi * cfg.spacing_over_wavelength * np.sin(theta)
-    return np.exp(1j * phase[..., None] * m)
+    return _plane_wave_sums(np.ones(theta.shape + (1,)), theta[..., None], n_antennas, cfg)
+
+
+def _plane_wave_sums(
+    gains: np.ndarray, angles: np.ndarray, n_antennas: int, cfg: SteeringConfig
+) -> np.ndarray:
+    """``sum_l gains[..., l] * a(angles[..., l])`` over the paths in the last axis.
+
+    Returns the C-contiguous ``gains.shape[:-1] + (n_antennas,)`` array.
+    Each path's phase step ``z = exp(j * 2*pi * (d/lambda) * sin(theta))``
+    is the only complex exponential; antenna m's wave is antenna m-1's
+    times ``z``, so no exponential runs on the ``(..., paths, antennas)``
+    array. The waves are held path-major, so each antenna's sum over the
+    paths adds contiguous rows.
+    """
+    step = np.exp(1j * (2.0 * np.pi * cfg.spacing_over_wavelength * np.sin(angles)))
+    step = np.ascontiguousarray(np.moveaxis(step, -1, 0))
+    wave = np.ascontiguousarray(np.moveaxis(gains, -1, 0), dtype=np.complex128)
+    h = np.empty((n_antennas,) + wave.shape[1:], dtype=np.complex128)
+    h[0] = wave.sum(axis=0)
+    for m in range(1, n_antennas):
+        # not in place: numpy rounds an in-place product of one element
+        # differently, and a scalar angle must give the row of a batch
+        wave = wave * step
+        h[m] = wave.sum(axis=0)
+    return np.ascontiguousarray(np.moveaxis(h, 0, -1))
 
 
 def _complex_normal(shape, rng: np.random.Generator) -> np.ndarray:
@@ -84,7 +108,7 @@ def sample_mmwave_batch(
     """
     gains = _complex_normal((n_trials, n_paths), rng)
     angles = rng.uniform(-np.pi / 2, np.pi / 2, (n_trials, n_paths))
-    return np.einsum("...l,...lm->...m", gains, steering_vector(angles, n_antennas, cfg))
+    return _plane_wave_sums(gains, angles, n_antennas, cfg)
 
 
 def sample_rayleigh_batch(

@@ -15,11 +15,14 @@ schemes differ only in a scalar, so one rotated sum
 (:func:`beamformer.bpr_rotated_sum`) per block serves both. Every
 ``F^H h`` is summed antenna by antenna, so no BLAS call runs in the
 block loop and no BLAS worker thread spins beside it. fig3's bits and
-noise come from a second stream per (scheme, SNR, block), so a point's
-result does not depend on which other points are still running, and
-its stopping rule only decides how many blocks it joins. Each block is
-one call of each batched layer kernel; the harness holds no copy of
-their math.
+noise come from a second stream per (scheme, block), under the key of
+the scheme's highest-SNR point, and that one draw serves each SNR point
+of the scheme at its own link amplitude. The points of one curve are
+therefore correlated, while each point's interval holds on its own. A
+point's result does not depend on which other points are still
+running, and its stopping rule only decides how many blocks it joins.
+Each block is one call of each batched layer kernel; the harness holds
+no copy of their math.
 """
 
 from __future__ import annotations
@@ -245,17 +248,36 @@ def _batch_equivalent_channels(
     return beamformer.equivalent_channel(beamformer.build(scheme, cfg.q), h)
 
 
-def _ber_block(
-    h_eq: np.ndarray, points: np.ndarray, amplitude: float, rng: np.random.Generator
-) -> int:
-    """Simulate one block of codewords over the given equivalent channels
-    at unit noise variance and return the bit error count."""
+def _link_draw(
+    h_eq: np.ndarray, points: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One block's link draw over the given equivalent channels:
+    ``(sent, clean, noise)``.
+
+    ``rng`` gives the bits of each codeword first, then the unit noise
+    of :func:`stbc.received_parts`. ``sent`` holds the label indices of
+    each codeword's two symbols and ``clean`` its noiseless received
+    rows ``h_eq^H S``, so ``A * clean + noise`` is
+    ``stbc.transmit_receive(S, h_eq, rng, A)`` bit for bit at any link
+    amplitude ``A``.
+    """
     k = stbc.bits_per_symbol(points)
     bits = rng.integers(0, 2, (h_eq.shape[0], 2 * k), dtype=np.uint8)
     sent = stbc.label_index(bits.reshape(-1, 2, k))
     s = stbc.alamouti_codeword(points[sent[:, 0]], points[sent[:, 1]])
-    y = stbc.transmit_receive(s, h_eq, rng, amplitude)
-    decoded = stbc.decode_alamouti(y, h_eq, points, amplitude)
+    return (sent, *stbc.received_parts(s, h_eq, rng))
+
+
+def _ber_block(
+    h_eq: np.ndarray,
+    points: np.ndarray,
+    amplitude: float,
+    link: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> int:
+    """Bit error count of one block of codewords at link ``amplitude`` and
+    unit noise variance, given the block's :func:`_link_draw` ``link``."""
+    sent, clean, noise = link
+    decoded = stbc.decode_alamouti(amplitude * clean + noise, h_eq, points, amplitude)
     return int(stbc.hamming_distance(sent, decoded).sum())
 
 
@@ -285,10 +307,17 @@ def ber_grid(
     scheme at every SNR of ``cfg``, scheme-major. Block b draws its
     channels once from ``(seed, FIG3_CHANNEL, b)``, runs one greedy
     selection if a still-active scheme is blockwise and forms ``F^H h``
-    once per active scheme. Each active point then runs the block on its
-    own stream ``(seed, FIG3, scheme_idx, snr_idx, b)``. A point leaves
-    after the block that meets both the minimum trial count and the
-    target error count, or at the trial cap; at least one block runs.
+    once per active scheme. Each active scheme then makes one
+    :func:`_link_draw` of bits and unit noise from
+    ``(seed, FIG3, scheme_idx, J - 1, b)``, J being
+    ``len(cfg.snr_grid_db)``: the key its highest-SNR point had when
+    each point drew alone, so that point, which the stopping rule
+    extends most, keeps its draws. Each of the scheme's active points
+    decodes that draw at its own link amplitude (:func:`_ber_block`), so
+    the points of a scheme are correlated, while each point's interval
+    holds on its own. A point leaves after the block that meets both
+    the minimum trial count and the target error count, or at the trial
+    cap; at least one block runs.
 
     Returns the points, with their Wilson half-widths, and the number of
     channel blocks drawn.
@@ -313,11 +342,12 @@ def ber_grid(
         rotated = _rotated_sum(h, cfg, phases)
         for scheme in schemes:
             h_eq = _batch_equivalent_channels(scheme, h, cfg, rotated)
+            key = (cfg.schemes.index(scheme), len(cfg.snr_grid_db) - 1, b)
+            link = _link_draw(h_eq, points, substream(cfg.seed, _PURPOSE_FIG3, *key))
             for p, amp in active:
                 if p.scheme != scheme:
                     continue
-                block_rng = substream(cfg.seed, _PURPOSE_FIG3, p.scheme_idx, p.snr_idx, b)
-                p.bit_errors += _ber_block(h_eq, points, amp, block_rng)
+                p.bit_errors += _ber_block(h_eq, points, amp, link)
                 p.trials += n
                 p.blocks += 1
                 if p.trials >= cfg.trials and p.bit_errors >= cfg.target_errors:
@@ -525,7 +555,13 @@ def quadratic_forms(cfg: ExperimentConfig) -> dict[str, np.ndarray]:
 
 def monotonicity_notes(scheme: str, curve: list[tuple[float, float, float]]) -> list[str]:
     """Flag adjacent (snr_db, ber, half_width) points whose increase
-    exceeds the combined confidence."""
+    exceeds the combined confidence.
+
+    fig3's points along one curve share bits and noise, so adjacent
+    estimates differ by less than independent ones would, and the sum
+    of the two half-widths overstates the spread of their difference:
+    the check is conservative, and a flag is the stronger evidence.
+    """
     notes = []
     for (d0, b0, h0), (d1, b1, h1) in zip(curve, curve[1:]):
         if b1 - h1 > b0 + h0:
@@ -560,7 +596,11 @@ def run_fig3(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
         (p.scheme, cfg.modulation, "ber", p.gamma0_db, p.ber, p.half_width, p.trials)
         for p in grid
     ]
-    notes = [f"normalization={cfg.normalization}"]
+    notes = [
+        f"normalization={cfg.normalization}",
+        "the points of a scheme share bits and noise; each CI holds per point, "
+        "and the non-monotone flags below are conservative",
+    ]
     for scheme in cfg.schemes:
         curve = [(p.gamma0_db, p.ber, p.half_width) for p in grid if p.scheme == scheme]
         notes.extend(monotonicity_notes(scheme, curve))
@@ -672,5 +712,5 @@ def simulate_conditional_ber(
     errors = 0
     for n, rng in _blocks(n_trials, seed, _PURPOSE_CONDITIONAL):
         h_rows = np.broadcast_to(np.asarray(h_eq), (n, 2))
-        errors += _ber_block(h_rows, points, amplitude, rng)
+        errors += _ber_block(h_rows, points, amplitude, _link_draw(h_rows, points, rng))
     return errors, n_trials * 2 * stbc.bits_per_symbol(points)

@@ -171,19 +171,33 @@ def transmit_receive(
     """Received rows ``y = amplitude * h^H X + z`` with z i.i.d. CN(0, sigma2).
 
     ``x`` has shape ``(..., n_rows, t)`` and ``h`` shape ``(..., n_rows)``.
+    The two terms are the parts of :func:`received_parts`.
+    """
+    clean, noise = received_parts(x, h, rng, sigma2)
+    return amplitude * clean + noise
+
+
+def received_parts(
+    x: np.ndarray, h: np.ndarray, rng: np.random.Generator, sigma2: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """The noiseless rows ``h^H X`` and the noise ``z`` of :func:`transmit_receive`.
+
+    The noise is i.i.d. CN(0, sigma2), its real parts drawn from ``rng``
+    before its imaginary parts, so ``amplitude * clean + noise`` is
+    :func:`transmit_receive`'s output bit for bit at any amplitude.
     """
     h = np.asarray(h)
     x = np.asarray(x)
     if x.shape[-2] != h.shape[-1]:
         raise ValueError("channel length does not match codeword rows")
     hc = h.conj()
-    received = hc[..., 0, None] * x[..., 0, :]
+    clean = hc[..., 0, None] * x[..., 0, :]
     for row in range(1, x.shape[-2]):
-        received = received + hc[..., row, None] * x[..., row, :]
+        clean = clean + hc[..., row, None] * x[..., row, :]
     noise = np.sqrt(sigma2 / 2.0) * (
-        rng.standard_normal(received.shape) + 1j * rng.standard_normal(received.shape)
+        rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape)
     )
-    return amplitude * received + noise
+    return clean, noise
 
 
 def decode_alamouti(

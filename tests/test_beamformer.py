@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import hadamard
 
-from beamlink import beamformer
+from beamlink import beamformer, phase_opt
 from beamlink.beamformer import (
     BPR_COMPLEX,
     BPR_REAL,
@@ -212,13 +212,15 @@ class TestBprEquivalentChannels:
     @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
     def test_rows_match_built_matrix(self, q, variant):
         # bpr_scale times the rotated sum is F^H h of build_bpr_atb with each
-        # row's phases, on one row, a batch and an (a, b) batch of rows
+        # row's grid phases, on one row, a batch and an (a, b) batch of rows
         rng = substream(0, 32 + q)
         n, half = 2**q, 2 ** (q - 1)
         for lead in [(), (40,), (3, 5)]:
             shape = (*lead, n)
             h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-            phi1, phi2 = rng.uniform(0, 2 * np.pi, (2, *lead, half))
+            phi1, phi2 = (
+                grid[rng.integers(0, half, (*lead, half))] for grid in phase_opt.block_grids(q)
+            )
             batch = beamformer.bpr_scale(q, variant) * beamformer.bpr_rotated_sum(q, h, phi1, phi2)
             assert batch.shape == (*lead, half)
             rows, p1, p2 = h.reshape(-1, n), phi1.reshape(-1, half), phi2.reshape(-1, half)
@@ -228,3 +230,19 @@ class TestBprEquivalentChannels:
             ])
             err = np.linalg.norm(batch.reshape(len(rows), half) - want, axis=-1)
             assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=-1))
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6])
+    def test_grid_rotations_are_np_exp(self, q):
+        # the lookup among the grid's exponentials keeps np.exp's bits
+        for grid in phase_opt.block_grids(q):
+            phi = grid[substream(0, 39).integers(0, grid.size, (50, grid.size))]
+            assert np.array_equal(beamformer._grid_rotations(grid, phi), np.exp(-1j * phi))
+
+    def test_rejects_phases_off_the_grid(self):
+        h = np.ones((3, 4), dtype=np.complex128)
+        grid1, grid2 = phase_opt.block_grids(2)
+        on = np.broadcast_to(grid1, (3, 2))
+        beamformer.bpr_rotated_sum(2, h, on, on)
+        for off in (on + 1e-3, np.nextafter(on, 4.0)):
+            with pytest.raises(ValueError, match="block_grids"):
+                beamformer.bpr_rotated_sum(2, h, on, off)

@@ -146,6 +146,27 @@ class TestMmwaveChannel:
                 batch[i], geometric_channel(gains[i], angles[i], 4, 0.4), atol=1e-13
             )
 
+    @pytest.mark.parametrize("n_antennas", [4, 16, 64])
+    def test_recurrence_matches_exponential_form(self, n_antennas):
+        # antenna m's wave is antenna m-1's times each path's phase step;
+        # the rows match the sum over paths of an exponential per (path,
+        # antenna) phase, and the naive oracle, to rounding
+        n, spacing = 2000, 0.4
+        cfg = channel.SteeringConfig(spacing_over_wavelength=spacing)
+        h = channel.sample_mmwave_batch(n, 3, n_antennas, cfg, substream(10, n_antennas))
+        assert h.shape == (n, n_antennas)
+        assert h.flags.c_contiguous
+        rng = substream(10, n_antennas)
+        gains = (rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))) / np.sqrt(2)
+        angles = rng.uniform(-np.pi / 2, np.pi / 2, (n, 3))
+        phase = 2 * np.pi * spacing * np.sin(angles)[..., None] * np.arange(n_antennas)
+        want = np.einsum("nl,nlm->nm", gains, np.exp(1j * phase))
+        err = np.linalg.norm(h - want, axis=1)
+        assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=1))
+        for i in range(0, n, 97):
+            row = geometric_channel(gains[i], angles[i], n_antennas, spacing)
+            assert np.linalg.norm(h[i] - row) <= 1e-13 * np.linalg.norm(row)
+
 
 class TestRayleighChannel:
     def test_seed_determinism(self):

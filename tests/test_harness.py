@@ -278,13 +278,11 @@ class TestBatchKernels:
         labels = label_rows(16)
         rng_data = substream(0, 62)
         h_eq = (rng_data.standard_normal((64, 2)) + 1j * rng_data.standard_normal((64, 2))) / np.sqrt(2)
-        amplitude = 1.7
+        link = harness._link_draw(h_eq, points, substream(9, 0))
 
-        block_errors = harness._ber_block(h_eq, points, amplitude, substream(9, 0))
-        assert type(block_errors) is int
-
-        # replay the identical stream: bits, then the real and imaginary
-        # noise parts, and decode each row by exhaustive ML
+        # replay the shared draw: bits, then the real and imaginary noise
+        # parts; every amplitude decodes the same draw, row by row by
+        # exhaustive ML
         rng = substream(9, 0)
         bits = rng.integers(0, 2, (64, 8), dtype=np.uint8)
         noise = (rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))) / np.sqrt(2.0)
@@ -298,14 +296,35 @@ class TestBatchKernels:
             ]
         )
         index = 1 << np.arange(3, -1, -1)
-        errors = 0
-        for i in range(64):
-            sent = codewords[(bits[i, :4] @ index) * m + bits[i, 4:] @ index]
-            y = amplitude * (np.conj(h_eq[i]) @ sent) + noise[i]
-            best = ml_decode_index(y, h_eq[i], codewords, amplitude)
-            decoded = np.concatenate([labels[sym1[best]], labels[sym2[best]]])
-            errors += int(np.count_nonzero(decoded != bits[i]))
-        assert block_errors == errors
+        for amplitude in (1.7, 4.0):
+            block_errors = harness._ber_block(h_eq, points, amplitude, link)
+            assert type(block_errors) is int
+            errors = 0
+            for i in range(64):
+                sent = codewords[(bits[i, :4] @ index) * m + bits[i, 4:] @ index]
+                y = amplitude * (np.conj(h_eq[i]) @ sent) + noise[i]
+                best = ml_decode_index(y, h_eq[i], codewords, amplitude)
+                decoded = np.concatenate([labels[sym1[best]], labels[sym2[best]]])
+                errors += int(np.count_nonzero(decoded != bits[i]))
+            assert block_errors == errors
+            assert errors > 0
+
+    @pytest.mark.parametrize("order", [2, 64])
+    def test_link_draw_is_transmit_receive_at_every_amplitude(self, order):
+        # A * clean + noise from one draw is stbc's link on the same stream
+        points = stbc.make_constellation(order)
+        rng_data = substream(0, 64)
+        h_eq = (rng_data.standard_normal((300, 2)) + 1j * rng_data.standard_normal((300, 2))) / np.sqrt(2)
+        sent, clean, noise = harness._link_draw(h_eq, points, substream(9, 1))
+        k = stbc.bits_per_symbol(points)
+        for amplitude in (0.3, 1.0, 17.8):
+            rng = substream(9, 1)
+            bits = rng.integers(0, 2, (300, 2 * k), dtype=np.uint8)
+            labels = stbc.label_index(bits.reshape(-1, 2, k))
+            assert np.array_equal(sent, labels)
+            s = stbc.alamouti_codeword(points[labels[:, 0]], points[labels[:, 1]])
+            y = stbc.transmit_receive(s, h_eq, rng, amplitude)
+            assert np.array_equal(amplitude * clean + noise, y)
 
 
 # the names that the benchmark's traced run wraps, with the arguments that
@@ -562,7 +581,7 @@ class TestFig3:
             (("dft", "bpr-real"), {}, 3, 3),
             (("dft", "hadamard"), {}, 3, 0),
             # the blockwise 30 dB point meets its target first
-            (("hadamard", "bpr-real"), {"target_errors": 5, "max_trials": 80000}, 5, 2),
+            (("hadamard", "bpr-real"), {"target_errors": 5, "max_trials": 80000}, 5, 3),
         ],
     )
     def test_one_channel_draw_and_greedy_per_block(
@@ -586,6 +605,37 @@ class TestFig3:
         # the greedy runs once per block while a blockwise point runs
         bpr = [max(b) for s, b in blocks.items() if s in beamformer.BPR_SCHEMES]
         assert calls["_batch_greedy_phases"] == max(bpr, default=0) == greedy_runs
+
+    @pytest.mark.parametrize(
+        "schemes,overrides",
+        [
+            (("dft", "bpr-real"), {}),
+            (("hadamard", "bpr-real"), {"target_errors": 5, "max_trials": 80000}),
+        ],
+    )
+    def test_one_link_draw_per_scheme_and_block(self, monkeypatch, schemes, overrides):
+        # the points of a scheme share one bit and noise draw per block, keyed
+        # like the scheme's highest-SNR point, for as long as any of them runs
+        cfg = _tiny_cfg(schemes=schemes, **{**self._MIXED_STOPS, **overrides})
+        draws = []
+        link_draw = harness._link_draw
+
+        def counting(h_eq, points, rng):
+            draws.append((h_eq.shape[0], rng.bit_generator.state))
+            return link_draw(h_eq, points, rng)
+
+        monkeypatch.setattr(harness, "_link_draw", counting)
+        grid, _ = harness.ber_grid(cfg)
+        top = len(cfg.snr_grid_db) - 1
+        sizes = [n for n, _ in harness._blocks(cfg.max_trials, cfg.seed, harness._PURPOSE_FIG3_CHANNEL)]
+        expected = [
+            (n, substream(cfg.seed, harness._PURPOSE_FIG3, si, top, b).bit_generator.state)
+            for b, n in enumerate(sizes)
+            for si in range(len(schemes))
+            if b < max(p.blocks for p in grid if p.scheme_idx == si)
+        ]
+        assert draws == expected
+        assert len({p.blocks for p in grid if p.scheme_idx == 0}) > 1
 
     def test_manifest_records_each_point(self, tmp_path):
         cfg = _tiny_cfg(**self._MIXED_STOPS)
@@ -680,9 +730,9 @@ class TestDeterminism:
                 None,
                 {
                     "table1.csv": "ee04aad6c99c0f889881ef36ef9cc6e40db340b85f0be38d5aa81b4a80e31f88",
-                    "fig1.csv": "968463a27617eeb7ce09e5b3d18644407a99bcc594ed3ae6101546980d4dcae0",
-                    "fig2.csv": "58ccb3a9e9c7204703a1db401d1955efbd85437d29e60551006b1b5461e0968d",
-                    "fig3.csv": "7eac6d30f0eed3f3feb0d21985cc1584f12b00b8b4568ede5a2bf9af5adb2cf4",
+                    "fig1.csv": "bd5ff135c39a8e45660656a420eca3856b4e5b02f2838dbcdbc68c832a75ac63",
+                    "fig2.csv": "6fdba8403e17740ef539962a9b45be3cdf7866278ada1f9986fc2249a9c4d919",
+                    "fig3.csv": "f1c59405f78886822cdde64711ff1da17a99c3f8114d37af55724c90990e0e7b",
                 },
                 id="criterion9",
             ),
@@ -692,35 +742,35 @@ class TestDeterminism:
                 None,
                 {
                     "table1.csv": "ee04aad6c99c0f889881ef36ef9cc6e40db340b85f0be38d5aa81b4a80e31f88",
-                    "fig1.csv": "0858963ec0d505588426c29c3a427fff2736cbd1d7c50dec7baa103d3ac1b85f",
+                    "fig1.csv": "f1e6a5f7ce3a6d178408822f529baab7d4bb42d107c1489c634db9b776ca3926",
                     "fig2.csv": "b18e2084c1b4669fc2acf43ec4f41e954e32661b62243839adc2244e45dadd59",
-                    "fig3.csv": "99db769ad8eff05d3b727b201310b7a9a1f9ec847f887fa831d4429d7755e952",
+                    "fig3.csv": "5b214da894f263a6615a81bff1ad86f7bea7cbf0d051d85f75f1b8a6f944059f",
                 },
                 id="rayleigh-4qam",
             ),
             pytest.param(
                 ("fig2", "--trials", "2000", "--seed", "2"),
                 {"n_antennas": 16, "n_rf": 8},
-                {"fig2.csv": "7d5d89456334954c2a3dc88376dc05292ccd929f3a099422d053b4ee4bf939e3"},
+                {"fig2.csv": "77bae29719d40c6b03c7eb61603f4019799b13de14bd781b56d8300ba9e2e17e"},
                 id="fig2-array16",
             ),
             pytest.param(
                 ("fig3", "--mod", "16", "--norm", "eq10", "--snr", "0,15",
                  "--trials", "600", "--seed", "4"),
                 None,
-                {"fig3.csv": "40c9ab764dfa64f8ec4f9dbbd39dafafc778e219d1e3c63e200f0bc977ee3f33"},
+                {"fig3.csv": "7cd9adbece2a40f3d0556a8d320818edf25992b7509fa9f954bffdf129eae5c0"},
                 id="fig3-16qam-eq10",
             ),
             pytest.param(
                 ("fig3", "--snr", "0,20", "--trials", "600", "--seed", "6"),
                 None,
-                {"fig3.csv": "aa0f35e3b157dea552c95d540675c510f7adcfbfadbece2f2a23a93e155dbf9f"},
+                {"fig3.csv": "d1d448044cd4056895e02d9430fdf550d0beb2a8a6b2b7b4dc95310e8e3d29f2"},
                 id="fig3-mmwave-64qam",
             ),
             pytest.param(
                 ("fig3", "--mod", "2", "--snr", "0,10", "--trials", "600", "--seed", "6"),
                 None,
-                {"fig3.csv": "2163ed8f85234d7634506be687aa90edb9c6d07f8dba978b83e95f8f39e99181"},
+                {"fig3.csv": "b597e22792a5d77b796958c30da1881c2dbc8945e211b9809998fce9615e3456"},
                 id="fig3-mmwave-bpsk",
             ),
         ],
