@@ -7,7 +7,11 @@ time, to maximize the aligned-sum magnitude
 
     | sum_v conj(h_v) * exp(j phi(v)) |
 
-:func:`greedy_bpr_phases` runs on a batch of channel rows at once; a
+Only the first slot scores a grid of angles; every later slot scores
+each unplaced element once, at the grid angle that rotates it closest
+to the phase of the sum placed so far, which is that element's best
+angle. The first slot's angle is the one decision left to rounding (see
+:func:`greedy_bpr_phases`). :func:`greedy_bpr_phases` runs on a batch of channel rows at once; a
 single channel is a batch of one.
 """
 
@@ -30,8 +34,9 @@ def block_grids(q: int) -> tuple[np.ndarray, np.ndarray]:
     return angles[:half], angles[half:]
 
 
-# candidate scores per slot in one row tile; their complex terms take 2 MiB
-_TILE_SCORES = 2**17
+# channel entries (rows x n) in one row tile; a slot's (rows, m) candidate
+# arrays then take at most 1 MiB each
+_TILE_ENTRIES = 2**16
 
 
 def greedy_bpr_phases(h: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -48,15 +53,36 @@ def greedy_bpr_phases(h: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np
     with the (unplaced element, grid-1 angle) pair that maximizes the
     aligned-sum magnitude; the second fills block 2 the same way from
     the remaining elements and grid 2. Nothing placed is revisited.
-    Equal float scores break toward the lowest element index, then the
-    lowest grid index. Exact ties need not be equal floats: on the first
-    slot every grid angle of an element gives ``|h_v|``, and rounding in
-    numpy's array ``abs`` picks the angle. So the kernel keeps one
-    scoring expression, ``abs(acc + conj(h_v) * rotation)``, in one loop
-    layout; a cheaper form such as ``|z|**2`` rounds differently and
-    changes phases. Rows run in tiles of about ``_TILE_SCORES / (n * G)``
-    rows that keep one slot's scores in cache; neither the tiling nor
-    scoring only the unplaced elements changes a decision.
+
+    No slot scores the whole (element, angle) grid. With ``c = conj(h_v)``
+    and the sum ``acc`` of the slots placed so far,
+    ``|acc + c e^{j theta}|^2 = |acc|^2 + |c|^2 + 2 |acc| |c| cos(theta - arg acc + arg c)``,
+    so on the cyclic grid of G angles each element's best angle is the
+    one nearest to ``arg acc - arg c``, index
+    ``rint(-G angle(c conj(acc)) / 2 pi) mod G``. From slot 2 on, each
+    unplaced element is scored once, at that angle, as
+    ``abs(acc + c * rotation)``, and the first maximum over the elements
+    in ascending index order wins.
+
+    Slot 1 (``acc = 0``) is the one step decided by rounding: every angle
+    gives ``|h_v|`` in exact arithmetic. Its element is the first maximum
+    of ``|h_v|``, so equal magnitudes go to the lowest index. Its angle is
+    the first maximum of ``abs(c * rotations)`` over that element's G
+    angles. That expression is kept as it is, because its rounding picks
+    the angle; a cheaper form such as ``|z|**2`` rounds differently and
+    changes phases.
+
+    Known limit: on continuous channels every decision equals that of a
+    scorer that rates all (unplaced element, angle) pairs of every slot
+    and takes the first float maximum. On rows whose entries lie on a
+    lattice (Gaussian integers, say) candidates can tie exactly, and
+    there the two can break the tie differently, because the full-grid
+    scorer lets rounding decide among equal ``|h_v|`` at slot 1 and
+    between an element's two equally near angles later, where this
+    kernel takes the lowest index and the angle ``rint`` gives. Either
+    choice scores the full-grid maximum up to rounding. Rows run in
+    tiles of about ``_TILE_ENTRIES / n`` rows; the tiling changes no
+    decision.
     """
     h = np.asarray(h, dtype=np.complex128)
     grids = block_grids(q)
@@ -64,7 +90,7 @@ def greedy_bpr_phases(h: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np
         raise ValueError(f"h must have shape (b, 2**q) = (b, {2**q}), got {h.shape}")
     b, n = h.shape
     half = n // 2
-    tile = max(1, _TILE_SCORES // (n * grids[0].size))
+    tile = max(1, _TILE_ENTRIES // n)
     hc = h.conj()
     phi = np.empty((2, b, half))
     slots = np.empty((2, b, half), dtype=np.int64)
@@ -82,41 +108,45 @@ def _greedy_tile(
     ``hc``; fills the tile's views ``phi`` and ``slots`` and returns the
     gain per row."""
     b, n = hc.shape
-    half = n // 2
-    rows = np.arange(b)
     acc = np.zeros(b, dtype=np.complex128)
     # unplaced elements per row in ascending order, and their conj(h)
-    remaining = np.tile(np.arange(n), (b, 1))
+    remaining = np.broadcast_to(np.arange(n), (b, n))
     cand = hc
     for block, angles in enumerate(grids):
+        size = angles.size
         rotations = np.exp(1j * angles)
-        for slot in range(half):
-            m = remaining.shape[1]
-            # keep this exact expression: its rounding decides the exact ties
-            # of the first slot (see greedy_bpr_phases)
-            scores = np.abs(acc[:, None, None] + cand[:, :, None] * rotations[None, None, :])
-            # first flat maximum of the computed scores: equal floats go to the
-            # lowest element index, then the lowest grid index
-            flat = scores.reshape(b, -1).argmax(axis=1)
-            pos, gidx = np.divmod(flat, rotations.size)
-            elem = remaining[rows, pos]
-            phi[block, :, slot] = angles[gidx]
-            slots[block, :, slot] = elem
-            acc = acc + hc[rows, elem] * rotations[gidx]
-            keep = np.arange(m) != pos[:, None]
-            remaining = remaining[keep].reshape(b, m - 1)
-            cand = cand[keep].reshape(b, m - 1)
+        for slot in range(n // 2):
+            if block == slot == 0:
+                pos = np.abs(cand).argmax(axis=1)[:, None]
+                c = np.take_along_axis(cand, pos, axis=1)[:, 0]
+                # keep this exact expression: its rounding decides the exact
+                # tie of the first slot (see greedy_bpr_phases)
+                g = np.abs(c[:, None] * rotations).argmax(axis=1)
+            else:
+                phase = np.angle(cand * acc.conj()[:, None])
+                near = np.rint(phase * (-size / (2 * np.pi))).astype(np.int64) & (size - 1)
+                scores = np.abs(acc[:, None] + cand * rotations[near])
+                pos = scores.argmax(axis=1)[:, None]
+                g = np.take_along_axis(near, pos, axis=1)[:, 0]
+                c = np.take_along_axis(cand, pos, axis=1)[:, 0]
+            phi[block, :, slot] = angles[g]
+            slots[block, :, slot] = np.take_along_axis(remaining, pos, axis=1)[:, 0]
+            acc = acc + c * rotations[g]
+            keep = np.arange(cand.shape[1]) != pos
+            remaining = remaining[keep].reshape(b, -1)
+            cand = cand[keep].reshape(b, -1)
     return np.abs(acc)
 
 
 def complexity_probe(q_values: list[int] | tuple[int, ...]) -> list[tuple[int, int]]:
-    """Greedy candidate evaluations per channel row for each q.
+    """Greedy candidate scores per channel row for each q.
 
-    The count is input independent: each of the ``2**q`` slot decisions
-    scores the ``m`` unplaced elements against the ``2**(q-1)`` angles of
-    its grid, so the total over ``m = 2**q .. 1`` is
-    ``2**(q-1) * 2**q * (2**q + 1) / 2``.
+    The count is input independent: slot 1 takes ``|h_v|`` of the
+    ``2**q`` elements and scores the chosen one at the ``2**(q-1)``
+    angles of grid 1; each later slot scores the ``m`` unplaced elements
+    once, at their nearest angle, so the total over ``m = 2**q - 1 .. 1``
+    is ``2**q + 2**(q-1) + 2**q (2**q - 1) / 2``.
     """
     if not all(1 <= q <= 8 for q in q_values):
         raise ValueError(f"complexity probe limited to 1 <= q <= 8, got {list(q_values)}")
-    return [(int(q), 2 ** (q - 1) * 2**q * (2**q + 1) // 2) for q in q_values]
+    return [(int(q), 2**q + 2 ** (q - 1) + 2**q * (2**q - 1) // 2) for q in q_values]

@@ -200,6 +200,46 @@ def greedy_blockwise_reference(
     )
 
 
+def greedy_full_grid(
+    h: np.ndarray, grid1: np.ndarray, grid2: np.ndarray, tile_rows: int = 1024
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched greedy blockwise selection that scores the full grid.
+
+    The rows of ``h``, shape ``(b, n)``, run in tiles of ``tile_rows``.
+    Every slot scores all ``m x G`` (unplaced element, grid angle) pairs
+    as one ``(rows, m, G)`` array ``abs(acc + conj(h_v) * rotation)`` and
+    takes the first flat maximum, so equal float scores go to the lowest
+    element index, then the lowest grid index. Returns ``(phi, slots,
+    gain)`` laid out as ``phase_opt.greedy_bpr_phases`` lays them out.
+    """
+    b, n = h.shape
+    half = n // 2
+    phi = np.empty((2, b, half))
+    slots = np.empty((2, b, half), dtype=np.int64)
+    gain = np.empty(b)
+    for start in range(0, b, tile_rows):
+        hc = np.conj(h[start : start + tile_rows])
+        rows = np.arange(hc.shape[0])
+        acc = np.zeros(hc.shape[0], dtype=np.complex128)
+        remaining = np.tile(np.arange(n), (hc.shape[0], 1))
+        cand = hc
+        for block, angles in enumerate((grid1, grid2)):
+            rotations = np.exp(1j * angles)
+            for slot in range(half):
+                m = remaining.shape[1]
+                scores = np.abs(acc[:, None, None] + cand[:, :, None] * rotations[None, None, :])
+                pos, gidx = np.divmod(scores.reshape(rows.size, -1).argmax(axis=1), angles.size)
+                elem = remaining[rows, pos]
+                phi[block, start + rows, slot] = angles[gidx]
+                slots[block, start + rows, slot] = elem
+                acc = acc + hc[rows, elem] * rotations[gidx]
+                keep = np.arange(m) != pos[:, None]
+                remaining = remaining[keep].reshape(rows.size, m - 1)
+                cand = cand[keep].reshape(rows.size, m - 1)
+        gain[start : start + rows.size] = np.abs(acc)
+    return phi, slots, gain
+
+
 def label_rows(order: int) -> np.ndarray:
     """Gray bit labels of an ``order``-point constellation, one row per label index.
 

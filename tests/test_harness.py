@@ -224,7 +224,7 @@ class TestBatchKernels:
         # elements from {1, j, -1, -j}, so equal scores across elements are
         # common and the order in which unplaced elements are scanned shows
         n = 2**q
-        tile = phase_opt._TILE_SCORES // (n * n // 2)
+        tile = phase_opt._TILE_ENTRIES // n
         b = 2 * tile + 300
         rng = substream(q, 63)
         h = (rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n))) / np.sqrt(2)

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamlink import phase_opt
+from beamlink import channel, phase_opt
 from beamlink.rng import substream
 
 from oracles import (
     blockwise_bruteforce_gain,
     element_grid_angles,
+    greedy_full_grid,
     joint_bruteforce_gain,
     random_blockwise_gain,
     rotation_sweep_phases,
@@ -182,18 +183,114 @@ class TestGreedy:
             phase_opt.greedy_bpr_phases(np.ones(shape, dtype=complex), 2)
 
 
+class TestFullGridIdentity:
+    """On continuous channels the kernel makes every decision of the
+    full-grid scorer in ``oracles``, which rates all (unplaced element,
+    angle) pairs of every slot."""
+
+    @pytest.mark.parametrize("kind", ["mmwave", "rayleigh"])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_matches_full_grid(self, q, kind):
+        # 2**16 rows and a short last tile
+        rows = 2**16 + 300
+        rng = substream(q, 64)
+        if kind == "mmwave":
+            h = channel.sample_mmwave_batch(rows, 3, 2**q, channel.SteeringConfig(), rng)
+        else:
+            h = channel.sample_rayleigh_batch(rows, 2**q, rng)
+        self._assert_identical(h, q)
+
+    def test_matches_full_grid_q5(self):
+        rng = substream(5, 64)
+        h = np.concatenate(
+            [
+                channel.sample_mmwave_batch(8192, 3, 32, channel.SteeringConfig(), rng),
+                channel.sample_rayleigh_batch(8192, 32, rng),
+            ]
+        )
+        self._assert_identical(h, 5)
+
+    @staticmethod
+    def _assert_identical(h, q):
+        phi, slots, gain = phase_opt.greedy_bpr_phases(h, q)
+        ref_phi, ref_slots, ref_gain = greedy_full_grid(h, *phase_opt.block_grids(q))
+        np.testing.assert_array_equal(phi, ref_phi)
+        np.testing.assert_array_equal(slots, ref_slots)
+        np.testing.assert_allclose(gain, ref_gain, rtol=1e-12)
+
+
+def _replayed_slot_scores(h, phi, slots, grids):
+    """Replays a selection slot by slot. Returns, per slot and row, the
+    score of the chosen candidate and the maximum over every (unplaced
+    element, grid angle) pair, both shape ``(2**q, b)``."""
+    b, n = h.shape
+    hc = h.conj()
+    rows = np.arange(b)
+    acc = np.zeros(b, dtype=complex)
+    placed = np.zeros((b, n), dtype=bool)
+    chosen, best = [], []
+    for block, angles in enumerate(grids):
+        for slot in range(n // 2):
+            full = np.abs(acc[:, None, None] + hc[:, :, None] * np.exp(1j * angles))
+            full[placed] = -np.inf
+            best.append(full.max(axis=(1, 2)))
+            elem = slots[block, :, slot]
+            acc = acc + hc[rows, elem] * np.exp(1j * phi[block, :, slot])
+            placed[rows, elem] = True
+            chosen.append(np.abs(acc))
+    return np.array(chosen), np.array(best)
+
+
+class TestTieRule:
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_zero_row(self, q):
+        n = 2**q
+        phi, slots, gain = phase_opt.greedy_bpr_phases(np.zeros((1, n), dtype=complex), q)
+        np.testing.assert_array_equal(phi, 0.0)
+        np.testing.assert_array_equal(slots[:, 0].ravel(), np.arange(n))
+        assert gain[0] == 0.0
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_all_ones_row(self, q):
+        n = 2**q
+        phi, slots, gain = phase_opt.greedy_bpr_phases(np.ones((1, n), dtype=complex), q)
+        # equal candidates go to the lowest index, and every slot takes the
+        # angle of slot 1
+        np.testing.assert_array_equal(slots[:, 0].ravel(), np.arange(n))
+        np.testing.assert_allclose(np.exp(1j * phi), np.exp(1j * phi[0, 0, 0]), atol=1e-12)
+        assert gain[0] == pytest.approx(n, rel=1e-12)
+
+    def test_equal_magnitudes_first_slot_takes_lowest_index(self):
+        # |-5| = |5j| = |3+4j| = |4-3j| = 5 exactly
+        h = np.array([[0.1, 2.0, -5.0, 5j, 3 + 4j, 1.0, 4 - 3j, 0.0]])
+        _, slots, _ = phase_opt.greedy_bpr_phases(h, 3)
+        assert slots[0, 0, 0] == 2
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+    def test_lattice_rows_score_the_full_grid_maximum(self, q):
+        # Gaussian-integer rows tie exactly between candidates; whatever the
+        # kernel picks there must score the full-grid maximum
+        n = 2**q
+        rng = substream(q, 65)
+        h = rng.integers(-2, 3, (1024, n)) + 1j * rng.integers(-2, 3, (1024, n))
+        grids = phase_opt.block_grids(q)
+        phi, slots, _ = phase_opt.greedy_bpr_phases(h, q)
+        chosen, best = _replayed_slot_scores(h, phi, slots, grids)
+        np.testing.assert_allclose(chosen, best, rtol=1e-12, atol=0)
+
+
 class TestComplexityProbe:
     def test_frozen_counts(self):
-        # each of the 2^q slot decisions scans remaining candidates x grid:
-        # sum = 2^(q-1) * 2^q (2^q + 1) / 2
-        assert phase_opt.complexity_probe([1, 2, 3]) == [(1, 3), (2, 20), (3, 144)]
+        # slot 1 takes |h_v| of the 2^q elements and scores one of them at
+        # the 2^(q-1) grid angles; each later slot scores every unplaced
+        # element once: 2^q + 2^(q-1) + 2^q (2^q - 1) / 2
+        assert phase_opt.complexity_probe([1, 2, 3, 4]) == [(1, 4), (2, 12), (3, 40), (4, 144)]
 
     def test_closed_form(self):
         for q, count in phase_opt.complexity_probe([1, 2, 3, 4, 5, 6]):
             n = 2**q
-            assert count == (n // 2) * n * (n + 1) // 2
+            assert count == n + n // 2 + n * (n - 1) // 2
 
     def test_guard(self):
         with pytest.raises(ValueError):
             phase_opt.complexity_probe([9])
-
