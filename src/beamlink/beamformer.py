@@ -216,11 +216,13 @@ def equivalent_channel(f: np.ndarray, h: np.ndarray) -> np.ndarray:
 def _antenna_sums(h: np.ndarray, m: np.ndarray) -> np.ndarray:
     """``h @ m`` for ``h`` of shape ``(..., n)`` and ``m`` of shape ``(n, c)``, without BLAS.
 
-    ``h`` is moved antenna-major to a contiguous ``(n, ...)`` array, and
-    output column j accumulates ``h[k] * m[k, j]`` over the antennas k in
-    order. A threaded BLAS product on a block of rows wakes worker
-    threads that keep spinning after it returns; these sums run on the
-    calling thread alone, and their bits do not depend on the BLAS build.
+    ``h`` is read antenna-major as the contiguous ``(n, ...)`` array
+    ``moveaxis(h, -1, 0)``, which is a view for the antenna-major rows of
+    the channel samplers and a copy otherwise, and output column j
+    accumulates ``h[k] * m[k, j]`` over the antennas k in order. A
+    threaded BLAS product on a block of rows wakes worker threads that
+    keep spinning after it returns; these sums run on the calling thread
+    alone, and their bits do not depend on the BLAS build.
     """
     h_t = np.ascontiguousarray(np.moveaxis(h, -1, 0))
     cols = []

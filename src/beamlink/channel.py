@@ -8,7 +8,9 @@ and a departure angle drawn uniformly on [-pi/2, pi/2]:
 
 where ``a`` is the array steering vector. The i.i.d. complex Gaussian
 model is the classical rich-scattering baseline. Both samplers draw one
-channel per row from a caller-provided generator.
+channel per row from a caller-provided generator and return the rows
+antenna-major (``h.T`` is C-contiguous), the layout in which the greedy
+selector and the equivalent channels read them.
 """
 
 from __future__ import annotations
@@ -67,12 +69,16 @@ def _plane_wave_sums(
 ) -> np.ndarray:
     """``sum_l gains[..., l] * a(angles[..., l])`` over the paths in the last axis.
 
-    Returns the C-contiguous ``gains.shape[:-1] + (n_antennas,)`` array.
-    Each path's phase step ``z = exp(j * 2*pi * (d/lambda) * sin(theta))``
-    is the only complex exponential; antenna m's wave is antenna m-1's
-    times ``z``, so no exponential runs on the ``(..., paths, antennas)``
-    array. The waves are held path-major, so each antenna's sum over the
-    paths adds contiguous rows.
+    Returns an antenna-major array of shape ``gains.shape[:-1] +
+    (n_antennas,)``: it is the view ``moveaxis(buf, 0, -1)`` of the
+    C-contiguous ``(n_antennas,) + gains.shape[:-1]`` buffer the sums are
+    written to, so ``moveaxis(result, -1, 0)`` (``result.T`` for a block
+    of rows) is C-contiguous and no copy is made. Each path's phase step
+    ``z = exp(j * 2*pi * (d/lambda) * sin(theta))`` is the only complex
+    exponential; antenna m's wave is antenna m-1's times ``z``, so no
+    exponential runs on the ``(..., paths, antennas)`` array. The waves
+    are held path-major, so each antenna's sum over the paths adds
+    contiguous rows.
     """
     step = np.exp(1j * (2.0 * np.pi * cfg.spacing_over_wavelength * np.sin(angles)))
     step = np.ascontiguousarray(np.moveaxis(step, -1, 0))
@@ -84,7 +90,7 @@ def _plane_wave_sums(
         # differently, and a scalar angle must give the row of a batch
         wave = wave * step
         h[m] = wave.sum(axis=0)
-    return np.ascontiguousarray(np.moveaxis(h, 0, -1))
+    return np.moveaxis(h, 0, -1)
 
 
 def _complex_normal(shape, rng: np.random.Generator) -> np.ndarray:
@@ -105,6 +111,8 @@ def sample_mmwave_batch(
     i.i.d. uniform [-pi/2, pi/2] departure angles. The stream is consumed
     in a fixed order (gain real parts, gain imaginary parts, angles), so
     one channel per seed is ``sample_mmwave_batch(1, ..., substream(seed))[0]``.
+    The ``(n_trials, n_antennas)`` result is laid out antenna-major:
+    ``h.T`` is C-contiguous.
     """
     gains = _complex_normal((n_trials, n_paths), rng)
     angles = rng.uniform(-np.pi / 2, np.pi / 2, (n_trials, n_paths))
@@ -114,5 +122,10 @@ def sample_mmwave_batch(
 def sample_rayleigh_batch(
     n_trials: int, n_antennas: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """One i.i.d. CN(0, 1) channel per row, the rich-scattering baseline."""
-    return _complex_normal((n_trials, n_antennas), rng)
+    """One i.i.d. CN(0, 1) channel per row, the rich-scattering baseline.
+
+    The entries are drawn row by row and then laid out antenna-major
+    once, as :func:`sample_mmwave_batch` lays out its rows: ``h.T`` is
+    C-contiguous.
+    """
+    return np.asfortranarray(_complex_normal((n_trials, n_antennas), rng))

@@ -11,8 +11,11 @@ Only the first slot scores a grid of angles; every later slot scores
 each unplaced element once, at the grid angle that rotates it closest
 to the phase of the sum placed so far, which is that element's best
 angle. The first slot's angle is the one decision left to rounding (see
-:func:`greedy_bpr_phases`). :func:`greedy_bpr_phases` runs on a batch of channel rows at once; a
-single channel is a batch of one.
+:func:`greedy_bpr_phases`). :func:`greedy_bpr_phases` runs on a batch of
+channel rows at once; a single channel is a batch of one. The kernel
+works element-major, on ``(n, rows)`` tiles of ``conj(h).T``, so the
+antenna-major rows of the channel samplers reach it without a transposed
+copy.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ def block_grids(q: int) -> tuple[np.ndarray, np.ndarray]:
     return angles[:half], angles[half:]
 
 
-# channel entries (rows x n) in one row tile; a slot's (rows, m) candidate
+# channel entries (rows x n) in one row tile; a slot's (m, rows) candidate
 # arrays then take at most 1 MiB each
 _TILE_ENTRIES = 2**16
 
@@ -81,61 +84,90 @@ def greedy_bpr_phases(h: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np
     between an element's two equally near angles later, where this
     kernel takes the lowest index and the angle ``rint`` gives. Either
     choice scores the full-grid maximum up to rounding. Rows run in
-    tiles of about ``_TILE_ENTRIES / n`` rows; the tiling changes no
-    decision.
+    tiles of about ``_TILE_ENTRIES / n`` rows; neither the tiling nor
+    the layout of ``h`` changes a decision. When ``h.T`` is C-contiguous,
+    as the channel samplers return it, each tile's ``conj(h).T`` is
+    formed in one contiguous pass, with no transposed copy. A row holding NaN or inf has no maximum to pick and raises
+    a ValueError.
     """
     h = np.asarray(h, dtype=np.complex128)
     grids = block_grids(q)
     if h.ndim != 2 or h.shape[1] != 2**q:
         raise ValueError(f"h must have shape (b, 2**q) = (b, {2**q}), got {h.shape}")
+    finite = np.isfinite(h).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"h must be finite, but row {int(finite.argmin())} holds NaN or inf")
     b, n = h.shape
     half = n // 2
     tile = max(1, _TILE_ENTRIES // n)
-    hc = h.conj()
     phi = np.empty((2, b, half))
     slots = np.empty((2, b, half), dtype=np.int64)
     gain = np.empty(b)
     for start in range(0, b, tile):
         rows = slice(start, start + tile)
-        gain[rows] = _greedy_tile(hc[rows], grids, phi[:, rows], slots[:, rows])
+        hc = np.ascontiguousarray(h[rows].conj().T)
+        gain[rows] = _greedy_tile(hc, grids, phi[:, rows], slots[:, rows])
     return phi, slots, gain
 
 
 def _greedy_tile(
     hc: np.ndarray, grids: tuple[np.ndarray, np.ndarray], phi: np.ndarray, slots: np.ndarray
 ) -> np.ndarray:
-    """:func:`greedy_bpr_phases` on one tile of conjugated channel rows
-    ``hc``; fills the tile's views ``phi`` and ``slots`` and returns the
-    gain per row."""
-    b, n = hc.shape
-    acc = np.zeros(b, dtype=np.complex128)
-    # unplaced elements per row in ascending order, and their conj(h)
-    remaining = np.broadcast_to(np.arange(n), (b, n))
+    """:func:`greedy_bpr_phases` on one tile of conjugated channel rows,
+    held element-major: ``hc`` is the C-contiguous ``(n, rows)`` array
+    ``conj(h).T``. Fills the tile's views ``phi`` and ``slots`` and
+    returns the gain per row.
+
+    Every slot works on whole element rows of length ``rows``. The first
+    maximum over the unplaced elements is a running scan
+    (:func:`_first_max`); the chosen values are picked with one flat
+    ``take`` at ``pos * rows + col``, and the placed element is dropped
+    by an order-keeping flat ``take`` of the other element rows.
+    """
+    n, rows = hc.shape
+    col = np.arange(rows)
+    acc = np.zeros(rows, dtype=np.complex128)
+    # unplaced elements per column in ascending order, and their conj(h)
+    remaining = np.repeat(np.arange(n), rows).reshape(n, rows)
     cand = hc
     for block, angles in enumerate(grids):
         size = angles.size
         rotations = np.exp(1j * angles)
         for slot in range(n // 2):
             if block == slot == 0:
-                pos = np.abs(cand).argmax(axis=1)[:, None]
-                c = np.take_along_axis(cand, pos, axis=1)[:, 0]
+                pos = _first_max(np.abs(cand))
+                flat = pos * rows + col
+                c = cand.ravel().take(flat)
                 # keep this exact expression: its rounding decides the exact
                 # tie of the first slot (see greedy_bpr_phases)
                 g = np.abs(c[:, None] * rotations).argmax(axis=1)
             else:
-                phase = np.angle(cand * acc.conj()[:, None])
+                phase = np.angle(cand * acc.conj())
                 near = np.rint(phase * (-size / (2 * np.pi))).astype(np.int64) & (size - 1)
-                scores = np.abs(acc[:, None] + cand * rotations[near])
-                pos = scores.argmax(axis=1)[:, None]
-                g = np.take_along_axis(near, pos, axis=1)[:, 0]
-                c = np.take_along_axis(cand, pos, axis=1)[:, 0]
+                pos = _first_max(np.abs(acc + cand * rotations[near]))
+                flat = pos * rows + col
+                g = near.ravel().take(flat)
+                c = cand.ravel().take(flat)
             phi[block, :, slot] = angles[g]
-            slots[block, :, slot] = np.take_along_axis(remaining, pos, axis=1)[:, 0]
+            slots[block, :, slot] = remaining.ravel().take(flat)
             acc = acc + c * rotations[g]
-            keep = np.arange(cand.shape[1]) != pos
-            remaining = remaining[keep].reshape(b, -1)
-            cand = cand[keep].reshape(b, -1)
+            j = np.arange(cand.shape[0] - 1)[:, None]
+            keep = (j + (j >= pos)) * rows + col
+            cand = cand.ravel().take(keep)
+            remaining = remaining.ravel().take(keep)
     return np.abs(acc)
+
+
+def _first_max(scores: np.ndarray) -> np.ndarray:
+    """Row index of the first maximum in each column of ``scores``, shape
+    ``(m, rows)``: ``scores.argmax(axis=0)`` for finite scores, by a
+    running scan over the rows in ascending order."""
+    pos = np.zeros(scores.shape[1], dtype=np.int64)
+    best = scores[0]
+    for j in range(1, scores.shape[0]):
+        pos = np.where(scores[j] > best, j, pos)
+        best = np.maximum(best, scores[j])
+    return pos
 
 
 def complexity_probe(q_values: list[int] | tuple[int, ...]) -> list[tuple[int, int]]:

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import hadamard
 
-from beamlink import beamformer, phase_opt
+from beamlink import beamformer, channel, phase_opt
 from beamlink.beamformer import (
     BPR_COMPLEX,
     BPR_REAL,
@@ -204,6 +205,39 @@ class TestEquivalentChannel:
         bf = beamformer.build_dft_atb(2)
         with pytest.raises(ValueError):
             beamformer.equivalent_channel(bf, np.zeros(3, dtype=complex))
+
+
+class TestAntennaMajorRows:
+    """``F^H h`` reads the samplers' antenna-major rows in place, with the
+    bits of the same rows in C order."""
+
+    @pytest.mark.parametrize("q", [2, 4])
+    def test_layouts_give_identical_sums(self, q):
+        h = channel.sample_rayleigh_batch(3000, 2**q, substream(q, 40))
+        assert h.T.flags.c_contiguous
+        rows = np.ascontiguousarray(h)
+        for scheme in (DFT, HADAMARD):
+            bf = beamformer.build(scheme, q)
+            np.testing.assert_array_equal(
+                beamformer.equivalent_channel(bf, h), beamformer.equivalent_channel(bf, rows)
+            )
+        phi, _, _ = phase_opt.greedy_bpr_phases(h, q)
+        np.testing.assert_array_equal(
+            beamformer.bpr_rotated_sum(q, h, *phi), beamformer.bpr_rotated_sum(q, rows, *phi)
+        )
+
+    def test_antenna_major_block_is_not_copied(self):
+        h = channel.sample_rayleigh_batch(16384, 16, substream(0, 41))
+        bf = beamformer.build(DFT, 4)
+        tracemalloc.start()
+        try:
+            out = beamformer.equivalent_channel(bf, h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the output columns and their stack take 2 * out.nbytes; a
+        # transposed copy of h would add h.nbytes
+        assert peak < 2 * out.nbytes + h.nbytes // 2
 
 
 

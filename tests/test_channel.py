@@ -155,7 +155,8 @@ class TestMmwaveChannel:
         cfg = channel.SteeringConfig(spacing_over_wavelength=spacing)
         h = channel.sample_mmwave_batch(n, 3, n_antennas, cfg, substream(10, n_antennas))
         assert h.shape == (n, n_antennas)
-        assert h.flags.c_contiguous
+        # the rows come antenna-major, the layout the greedy and F^H h read
+        assert h.T.flags.c_contiguous
         rng = substream(10, n_antennas)
         gains = (rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))) / np.sqrt(2)
         angles = rng.uniform(-np.pi / 2, np.pi / 2, (n, 3))

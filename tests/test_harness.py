@@ -719,8 +719,10 @@ class TestDeterminism:
     # SHA-256 of CLI outputs recorded before a change meant to leave every
     # output unchanged; such a change must keep them. The runs cover the
     # criterion-9 command, Rayleigh 4-QAM with the stopping rule past one
-    # block, q=4 greedy with hadamard and bpr-complex, 16-QAM under eq10,
-    # and mmwave fig3 at the default 64-QAM and at BPSK.
+    # block, q=4 greedy with hadamard and bpr-complex (in one block and in
+    # two, where the rounding of bpr-real at 0 dB shows a change in the
+    # layout of the greedy's phases), 16-QAM under eq10, and mmwave fig3 at
+    # the default 64-QAM and at BPSK.
     @pytest.mark.parametrize(
         "args,config,pinned",
         [
@@ -753,6 +755,12 @@ class TestDeterminism:
                 {"n_antennas": 16, "n_rf": 8},
                 {"fig2.csv": "77bae29719d40c6b03c7eb61603f4019799b13de14bd781b56d8300ba9e2e17e"},
                 id="fig2-array16",
+            ),
+            pytest.param(
+                ("fig2", "--trials", "20000", "--seed", "2"),
+                {"n_antennas": 16, "n_rf": 8},
+                {"fig2.csv": "62e7a20e44bebbd73e0e07df215cbb19052d926639d7c59a1b9fe33372d95e87"},
+                id="fig2-array16-two-blocks",
             ),
             pytest.param(
                 ("fig3", "--mod", "16", "--norm", "eq10", "--snr", "0,15",

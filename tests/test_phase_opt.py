@@ -182,6 +182,39 @@ class TestGreedy:
         with pytest.raises(ValueError, match=r"\bh\b"):
             phase_opt.greedy_bpr_phases(np.ones(shape, dtype=complex), 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, complex(0, -np.inf)], ids=["nan", "inf"])
+    def test_rejects_non_finite_rows(self, bad):
+        # a NaN or inf entry leaves no maximum to pick, so the row is refused
+        h = np.ones((3, 4), dtype=complex)
+        h[1, 2] = bad
+        with pytest.raises(ValueError, match=r"\bh\b.*row 1\b"):
+            phase_opt.greedy_bpr_phases(h, 2)
+
+
+class TestLayout:
+    """The selection does not depend on how the rows of ``h`` are laid out."""
+
+    @pytest.mark.parametrize("q", [2, 4])
+    def test_layouts_give_identical_selections(self, q):
+        # two full tiles and a short last one; every tenth row lies on the
+        # {1, j, -1, -j} lattice, where candidates tie exactly
+        n = 2**q
+        rows = 2 * (phase_opt._TILE_ENTRIES // n) + 100
+        rng = substream(q, 66)
+        h = np.ascontiguousarray(channel.sample_rayleigh_batch(rows, n, rng))
+        lattice = np.array([1, 1j, -1, -1j])
+        h[::10] = lattice[rng.integers(0, 4, h[::10].shape)]
+        spaced = np.zeros((2 * rows, n), dtype=complex)
+        spaced[::2] = h
+        want = phase_opt.greedy_bpr_phases(h, q)
+        for rows_in in (np.asfortranarray(h), spaced[::2]):
+            got = phase_opt.greedy_bpr_phases(rows_in, q)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+        # returned C-contiguous, not as transposed views of an
+        # element-major buffer
+        assert want[0].flags.c_contiguous and want[1].flags.c_contiguous
+
 
 class TestFullGridIdentity:
     """On continuous channels the kernel makes every decision of the
