@@ -219,16 +219,17 @@ def _antenna_sums(h: np.ndarray, m: np.ndarray) -> np.ndarray:
     ``h`` is read antenna-major as the contiguous ``(n, ...)`` array
     ``moveaxis(h, -1, 0)``, which is a view for the antenna-major rows of
     the channel samplers and a copy otherwise, and output column j
-    accumulates ``h[k] * m[k, j]`` over the antennas k in order. A
+    accumulates ``h[k] * m[k, j]`` over the antennas k in order, then is
+    written into the preallocated C-contiguous ``(..., c)`` output. A
     threaded BLAS product on a block of rows wakes worker threads that
     keep spinning after it returns; these sums run on the calling thread
     alone, and their bits do not depend on the BLAS build.
     """
     h_t = np.ascontiguousarray(np.moveaxis(h, -1, 0))
-    cols = []
+    out = np.empty(h_t.shape[1:] + (m.shape[1],), dtype=np.result_type(h_t, m))
     for j in range(m.shape[1]):
         acc = h_t[0] * m[0, j]
         for k in range(1, m.shape[0]):
             acc += h_t[k] * m[k, j]
-        cols.append(acc)
-    return np.stack(cols, axis=-1)
+        out[..., j] = acc
+    return out

@@ -9,8 +9,9 @@ seed produce byte-identical CSV output.
 
 Sweeps run in fixed-size trial blocks, and every point of a sweep sees
 the same channel draws. fig2 and fig3 draw block b's channels once from
-their own substream, run one greedy selection on them if a blockwise
-scheme needs it and form ``F^H h`` once per scheme. The two blockwise
+their own substream and pass them through one block stage,
+:func:`_equivalent_channels`: one greedy selection if a blockwise
+scheme needs it, then ``F^H h`` once per scheme. The two blockwise
 schemes differ only in a scalar, so one rotated sum
 (:func:`beamformer.bpr_rotated_sum`) per block serves both. Every
 ``F^H h`` is summed antenna by antenna, so no BLAS call runs in the
@@ -46,8 +47,7 @@ from .rng import substream
 _PURPOSE_FIG1 = 1
 _PURPOSE_FIG2 = 2
 _PURPOSE_FIG3 = 3
-_PURPOSE_BPSK_CHECK = 4
-_PURPOSE_CONDITIONAL = 5
+# 4 and 5 key the reference simulators of tests/reference_sims.py
 _PURPOSE_FIG3_CHANNEL = 6
 
 TRIAL_BLOCK = 16384
@@ -217,35 +217,30 @@ def _batch_greedy_phases(h: np.ndarray, q: int) -> np.ndarray:
     return phase_opt.greedy_bpr_phases(h, q)[0]
 
 
-def _selected_phases(
-    schemes: tuple[str, ...], h: np.ndarray, cfg: ExperimentConfig
-) -> np.ndarray | tuple[()]:
-    """Greedy ``(phi1, phi2)`` per row of ``h`` if any of ``schemes`` is
-    blockwise, else ``()``. The selection does not depend on the golden
-    variant, so one serves every blockwise scheme on the same rows."""
-    if any(scheme in beamformer.BPR_SCHEMES for scheme in schemes):
-        return _batch_greedy_phases(h, cfg.q)
-    return ()
-
-
-def _rotated_sum(
-    h: np.ndarray, cfg: ExperimentConfig, phases: np.ndarray | tuple[()]
-) -> np.ndarray | None:
-    """:func:`beamformer.bpr_rotated_sum` of the rows of ``h`` under the
-    ``phases`` from :func:`_selected_phases`, or ``None`` if there are
-    none. The sum does not depend on the golden variant, so one serves
-    every blockwise scheme on the same rows."""
-    return beamformer.bpr_rotated_sum(cfg.q, h, *phases) if len(phases) else None
-
-
 def _batch_equivalent_channels(
     scheme: str, h: np.ndarray, cfg: ExperimentConfig, rotated: np.ndarray | None
 ) -> np.ndarray:
     """Per-row equivalent channels ``F^H h``; the blockwise schemes scale
-    ``rotated``, the block's :func:`_rotated_sum`."""
+    ``rotated``, the block's :func:`beamformer.bpr_rotated_sum`."""
     if scheme in beamformer.BPR_SCHEMES:
         return beamformer.bpr_scale(cfg.q, beamformer.golden_variant(scheme)) * rotated
     return beamformer.equivalent_channel(beamformer.build(scheme, cfg.q), h)
+
+
+def _equivalent_channels(
+    cfg: ExperimentConfig, schemes: tuple[str, ...], h: np.ndarray
+) -> dict[str, np.ndarray]:
+    """The block stage of fig2 and fig3: ``F^H h`` per row of ``h`` for
+    each of ``schemes``, in order.
+
+    If any scheme is blockwise, one greedy selection and one
+    :func:`beamformer.bpr_rotated_sum` run on the block. Neither depends
+    on the golden variant, so they serve every blockwise scheme.
+    """
+    rotated = None
+    if any(scheme in beamformer.BPR_SCHEMES for scheme in schemes):
+        rotated = beamformer.bpr_rotated_sum(cfg.q, h, *_batch_greedy_phases(h, cfg.q))
+    return {scheme: _batch_equivalent_channels(scheme, h, cfg, rotated) for scheme in schemes}
 
 
 def _link_draw(
@@ -257,9 +252,8 @@ def _link_draw(
     ``rng`` gives the bits of each codeword first, then the unit noise
     of :func:`stbc.received_parts`. ``sent`` holds the label indices of
     each codeword's two symbols and ``clean`` its noiseless received
-    rows ``h_eq^H S``, so ``A * clean + noise`` is
-    ``stbc.transmit_receive(S, h_eq, rng, A)`` bit for bit at any link
-    amplitude ``A``.
+    rows ``h_eq^H S``, so ``A * clean + noise`` is the received block at
+    any link amplitude ``A``.
     """
     k = stbc.bits_per_symbol(points)
     bits = rng.integers(0, 2, (h_eq.shape[0], 2 * k), dtype=np.uint8)
@@ -338,10 +332,7 @@ def ber_grid(
         h = _sample_channels(cfg, n, rng)
         n_blocks += 1
         schemes = tuple(dict.fromkeys(p.scheme for p, _ in active))
-        phases = _selected_phases(schemes, h, cfg)
-        rotated = _rotated_sum(h, cfg, phases)
-        for scheme in schemes:
-            h_eq = _batch_equivalent_channels(scheme, h, cfg, rotated)
+        for scheme, h_eq in _equivalent_channels(cfg, schemes, h).items():
             key = (cfg.schemes.index(scheme), len(cfg.snr_grid_db) - 1, b)
             link = _link_draw(h_eq, points, substream(cfg.seed, _PURPOSE_FIG3, *key))
             for p, amp in active:
@@ -491,11 +482,13 @@ def run_fig1(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     theta = np.linspace(-np.pi / 2, np.pi / 2, cfg.theta_points)
     h = _sample_channels(cfg, 1, substream(cfg.seed, _PURPOSE_FIG1))
-    phases = _selected_phases(cfg.schemes, h, cfg)
+    phases = ()
+    if any(scheme in beamformer.BPR_SCHEMES for scheme in cfg.schemes):
+        phases = _batch_greedy_phases(h, cfg.q)[:, 0]
     rows = []
     notes = ["blockwise patterns use greedy phases for one seeded channel draw"]
     for scheme in cfg.schemes:
-        bf = beamformer.build(scheme, cfg.q, *(phi[0] for phi in phases))
+        bf = beamformer.build(scheme, cfg.q, *phases)
         gains, spread = analysis.beamspace_pattern(bf, theta, cfg.steering)
         rows += [
             (scheme, k, float(t), float(g), float(spread[k]))
@@ -544,10 +537,7 @@ def quadratic_forms(cfg: ExperimentConfig) -> dict[str, np.ndarray]:
     done = 0
     for n, rng in _blocks(cfg.trials, cfg.seed, _PURPOSE_FIG2):
         h = _sample_channels(cfg, n, rng)
-        phases = _selected_phases(cfg.schemes, h, cfg)
-        rotated = _rotated_sum(h, cfg, phases)
-        for scheme in cfg.schemes:
-            h_eq = _batch_equivalent_channels(scheme, h, cfg, rotated)
+        for scheme, h_eq in _equivalent_channels(cfg, cfg.schemes, h).items():
             quad_forms[scheme][done : done + n] = np.sum(np.abs(h_eq) ** 2, axis=1)
         done += n
     return quad_forms
@@ -648,7 +638,7 @@ def run_all(cfg: ExperimentConfig, out_dir: str | Path) -> list[SweepResult]:
 
 
 # ---------------------------------------------------------------------------
-# validation utilities
+# BER curve gaps
 
 
 def measure_gap_db(
@@ -673,44 +663,3 @@ def _crossing_snr(curve: list[tuple[float, float]], target: float) -> float:
         if (l0 - log_t) * (l1 - log_t) <= 0 and l0 != l1:
             return s0 + (s1 - s0) * (l0 - log_t) / (l0 - l1)
     raise ValueError(f"curve does not cross BER {target}")
-
-
-def simulate_bpsk_rayleigh_ber(
-    gamma_bar_db: float, n_trials: int, seed: int = 0
-) -> tuple[float, float, float, int]:
-    """Monte-Carlo BPSK error rate over a scalar Rayleigh channel.
-
-    Each trial sends one symbol through stbc's link, ``y = A h s + z``,
-    and detects it from ``conj(h) y``; ``A = sqrt(gamma_bar / 2)`` makes
-    that statistic's SNR exponential with mean ``gamma_bar``, matching
-    the closed form :func:`beamlink.analysis.mgf_ber_bpsk`. Returns
-    (ber, wilson_lo, wilson_hi, n_trials).
-    """
-    points = stbc.make_constellation(2)
-    amplitude = np.sqrt(10.0 ** (gamma_bar_db / 10.0) / 2.0)
-    errors = 0
-    for n, rng in _blocks(n_trials, seed, _PURPOSE_BPSK_CHECK):
-        h = channel.sample_rayleigh_batch(n, 1, rng)
-        sent = rng.integers(0, 2, n)
-        # transmit_receive applies conj of its channel argument
-        y = stbc.transmit_receive(points[sent][:, None, None], h.conj(), rng, amplitude)
-        detected = stbc.demap(h.conj() * y, points)
-        errors += int(stbc.hamming_distance(sent, detected[:, 0]).sum())
-    lo, hi = analysis.wilson_interval(errors, n_trials)
-    return errors / n_trials, lo, hi, n_trials
-
-
-def simulate_conditional_ber(
-    h_eq: np.ndarray, points: np.ndarray, amplitude: float, n_trials: int, seed: int = 0
-) -> tuple[int, int]:
-    """Error count for a fixed equivalent channel and link amplitude
-    (noise-only randomness).
-
-    Returns (bit_errors, total_bits); used to compare simulation against
-    the conditional union bound.
-    """
-    errors = 0
-    for n, rng in _blocks(n_trials, seed, _PURPOSE_CONDITIONAL):
-        h_rows = np.broadcast_to(np.asarray(h_eq), (n, 2))
-        errors += _ber_block(h_rows, points, amplitude, _link_draw(h_rows, points, rng))
-    return errors, n_trials * 2 * stbc.bits_per_symbol(points)

@@ -83,12 +83,18 @@ def greedy_bpr_phases(h: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np
     scorer lets rounding decide among equal ``|h_v|`` at slot 1 and
     between an element's two equally near angles later, where this
     kernel takes the lowest index and the angle ``rint`` gives. Either
-    choice scores the full-grid maximum up to rounding. Rows run in
-    tiles of about ``_TILE_ENTRIES / n`` rows; neither the tiling nor
-    the layout of ``h`` changes a decision. When ``h.T`` is C-contiguous,
-    as the channel samplers return it, each tile's ``conj(h).T`` is
-    formed in one contiguous pass, with no transposed copy. A row holding NaN or inf has no maximum to pick and raises
-    a ValueError.
+    choice scores the full-grid maximum up to rounding.
+
+    Rows run in tiles of about ``_TILE_ENTRIES / n`` rows. The layout of
+    ``h`` changes no decision, and the tiling changes one only at a tie
+    to the last bit: numpy evaluates ``cand * rotations[near]`` on
+    operands of 256 KiB or more in place into its temporary, in the
+    order ``rotations[near] * cand``, and on a build whose complex
+    product is not commutative in the last bit the bits of the scores
+    then depend on the tile size. When ``h.T`` is C-contiguous, as
+    the channel samplers return it, each tile's ``conj(h).T`` is formed
+    in one contiguous pass, with no transposed copy. A row holding NaN
+    or inf has no maximum to pick and raises a ValueError.
     """
     h = np.asarray(h, dtype=np.complex128)
     grids = block_grids(q)

@@ -13,9 +13,12 @@ sees the two-dimensional equivalent channel ``F^H h``.
 
 A constellation is the array of its points, and a symbol is the label
 index of its point, whose binary expansion is its Gray bit label; bit
-errors are the popcounts of XORed indices. Packing, transmission and
-decoding accept leading batch axes, so one call runs a block of
-codewords and a single codeword is a batch of one.
+errors are the popcounts of XORed indices. The link runs at unit noise
+variance, so its amplitude (:func:`link_amplitude`) alone sets the SNR,
+and :func:`received_parts` splits the received rows into a noiseless
+part and the noise, so that one draw serves every amplitude. Packing,
+the received parts and decoding accept leading batch axes, so one call
+runs a block of codewords and a single codeword is a batch of one.
 """
 
 from __future__ import annotations
@@ -161,30 +164,17 @@ def link_amplitude(
     return float(np.sqrt(gamma0))
 
 
-def transmit_receive(
-    x: np.ndarray,
-    h: np.ndarray,
-    rng: np.random.Generator,
-    amplitude: float = 1.0,
-    sigma2: float = 1.0,
-) -> np.ndarray:
-    """Received rows ``y = amplitude * h^H X + z`` with z i.i.d. CN(0, sigma2).
+def received_parts(
+    x: np.ndarray, h: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The noiseless rows ``h^H X`` and the noise ``z`` of the received
+    rows ``y = amplitude * h^H X + z``.
 
     ``x`` has shape ``(..., n_rows, t)`` and ``h`` shape ``(..., n_rows)``.
-    The two terms are the parts of :func:`received_parts`.
-    """
-    clean, noise = received_parts(x, h, rng, sigma2)
-    return amplitude * clean + noise
-
-
-def received_parts(
-    x: np.ndarray, h: np.ndarray, rng: np.random.Generator, sigma2: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """The noiseless rows ``h^H X`` and the noise ``z`` of :func:`transmit_receive`.
-
-    The noise is i.i.d. CN(0, sigma2), its real parts drawn from ``rng``
-    before its imaginary parts, so ``amplitude * clean + noise`` is
-    :func:`transmit_receive`'s output bit for bit at any amplitude.
+    The noise is i.i.d. CN(0, 1): the link runs at unit noise variance,
+    so the link amplitude alone sets the SNR. Its real parts are drawn
+    from ``rng`` before its imaginary parts, so one draw serves every
+    amplitude.
     """
     h = np.asarray(h)
     x = np.asarray(x)
@@ -194,7 +184,7 @@ def received_parts(
     clean = hc[..., 0, None] * x[..., 0, :]
     for row in range(1, x.shape[-2]):
         clean = clean + hc[..., row, None] * x[..., row, :]
-    noise = np.sqrt(sigma2 / 2.0) * (
+    noise = np.sqrt(0.5) * (
         rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape)
     )
     return clean, noise
@@ -224,12 +214,3 @@ def decode_alamouti(
     idx = np.stack([demap(s1_hat, points), demap(s2_hat, points)], axis=-1)
     idx[zero] = 0
     return idx
-
-
-def alamouti_codebook(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All ``M**2`` codewords with their ``(M**2, 2)`` label index pairs.
-
-    Codeword ``i1 * M + i2`` encodes the symbols of label indices (i1, i2).
-    """
-    i1, i2 = np.divmod(np.arange(len(points) ** 2), len(points))
-    return alamouti_codeword(points[i1], points[i2]), np.stack([i1, i2], axis=1)

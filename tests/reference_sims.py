@@ -1,0 +1,83 @@
+"""Reference link simulations that only the tests run.
+
+They check the package's link against closed forms (criteria 5 and 6),
+so unlike :mod:`oracles` they run the package's own kernels: stbc's
+received parts and decoder, and the harness's trial blocks. Their
+substream purpose tags, 4 and 5, are reserved in the harness.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from beamlink import analysis, channel, harness, stbc
+
+_PURPOSE_BPSK_CHECK = 4
+_PURPOSE_CONDITIONAL = 5
+
+
+def transmit_receive(
+    x: np.ndarray,
+    h: np.ndarray,
+    rng: np.random.Generator,
+    amplitude: float = 1.0,
+    sigma2: float = 1.0,
+) -> np.ndarray:
+    """Received rows ``y = amplitude * h^H X + z`` with z i.i.d. CN(0, sigma2).
+
+    ``x`` has shape ``(..., n_rows, t)`` and ``h`` shape ``(..., n_rows)``;
+    the two terms come from :func:`stbc.received_parts`.
+    """
+    clean, noise = stbc.received_parts(x, h, rng)
+    return amplitude * clean + np.sqrt(sigma2) * noise
+
+
+def alamouti_codebook(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All ``M**2`` codewords with their ``(M**2, 2)`` label index pairs.
+
+    Codeword ``i1 * M + i2`` encodes the symbols of label indices (i1, i2).
+    """
+    i1, i2 = np.divmod(np.arange(len(points) ** 2), len(points))
+    return stbc.alamouti_codeword(points[i1], points[i2]), np.stack([i1, i2], axis=1)
+
+
+def simulate_bpsk_rayleigh_ber(
+    gamma_bar_db: float, n_trials: int, seed: int = 0
+) -> tuple[float, float, float, int]:
+    """Monte-Carlo BPSK error rate over a scalar Rayleigh channel.
+
+    Each trial sends one symbol through stbc's link, ``y = A h s + z``,
+    and detects it from ``conj(h) y``; ``A = sqrt(gamma_bar / 2)`` makes
+    that statistic's SNR exponential with mean ``gamma_bar``, matching
+    the closed form :func:`beamlink.analysis.mgf_ber_bpsk`. Returns
+    (ber, wilson_lo, wilson_hi, n_trials).
+    """
+    points = stbc.make_constellation(2)
+    amplitude = np.sqrt(10.0 ** (gamma_bar_db / 10.0) / 2.0)
+    errors = 0
+    for n, rng in harness._blocks(n_trials, seed, _PURPOSE_BPSK_CHECK):
+        h = channel.sample_rayleigh_batch(n, 1, rng)
+        sent = rng.integers(0, 2, n)
+        # transmit_receive applies conj of its channel argument
+        y = transmit_receive(points[sent][:, None, None], h.conj(), rng, amplitude)
+        detected = stbc.demap(h.conj() * y, points)
+        errors += int(stbc.hamming_distance(sent, detected[:, 0]).sum())
+    lo, hi = analysis.wilson_interval(errors, n_trials)
+    return errors / n_trials, lo, hi, n_trials
+
+
+def simulate_conditional_ber(
+    h_eq: np.ndarray, points: np.ndarray, amplitude: float, n_trials: int, seed: int = 0
+) -> tuple[int, int]:
+    """Error count for a fixed equivalent channel and link amplitude
+    (noise-only randomness), on fig3's link draw and decoder.
+
+    Returns (bit_errors, total_bits); used to compare simulation against
+    the conditional union bound.
+    """
+    errors = 0
+    for n, rng in harness._blocks(n_trials, seed, _PURPOSE_CONDITIONAL):
+        h_rows = np.broadcast_to(np.asarray(h_eq), (n, 2))
+        link = harness._link_draw(h_rows, points, rng)
+        errors += harness._ber_block(h_rows, points, amplitude, link)
+    return errors, n_trials * 2 * stbc.bits_per_symbol(points)

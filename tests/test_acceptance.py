@@ -25,6 +25,11 @@ from oracles import (
     rayleigh_q_mgf_reference,
     union_bound_enum,
 )
+from reference_sims import (
+    alamouti_codebook,
+    simulate_bpsk_rayleigh_ber,
+    simulate_conditional_ber,
+)
 
 GAMMA_BAR_GRID = (0.01, 0.1, 1.0, 10.0, 100.0, 1e4)
 
@@ -154,7 +159,7 @@ def test_criterion_5_monte_carlo_vs_closed_form():
     all_ok = True
     details = []
     for gamma_db in (0.0, 5.0, 10.0, 15.0):
-        ber, lo, hi, n = harness.simulate_bpsk_rayleigh_ber(gamma_db, n_trials, seed=seed)
+        ber, lo, hi, n = simulate_bpsk_rayleigh_ber(gamma_db, n_trials, seed=seed)
         expected = analysis.mgf_ber_bpsk(10 ** (gamma_db / 10.0))
         contained = lo <= expected <= hi
         all_ok &= contained
@@ -168,7 +173,7 @@ def test_criterion_5_monte_carlo_vs_closed_form():
 def test_criterion_6_union_and_chernoff_dominance():
     start = time.perf_counter()
     const = stbc.make_constellation(4)
-    codewords, pairs = stbc.alamouti_codebook(const)
+    codewords, pairs = alamouti_codebook(const)
     labels = pair_label_rows(pairs, 4)
     scheme = beamformer.BPR_REAL
     kappa = beamformer.kappa(scheme, 2)
@@ -188,7 +193,7 @@ def test_criterion_6_union_and_chernoff_dominance():
                 union_bound_enum(h_eq, codewords, labels, gamma0, kappa), rel=1e-9
             )
             amplitude = stbc.link_amplitude(gamma0, kappa, "eq10", True, 4, 3)
-            errors, bits = harness.simulate_conditional_ber(
+            errors, bits = simulate_conditional_ber(
                 h_eq, const, amplitude, n_trials=200_000, seed=1000 + ch_seed
             )
             lo, _ = analysis.wilson_interval(errors, bits)

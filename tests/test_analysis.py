@@ -20,6 +20,7 @@ from oracles import (
     union_bound_codebook,
     union_bound_enum,
 )
+from reference_sims import alamouti_codebook
 
 GAMMA_BAR_GRID = (0.01, 0.1, 1.0, 10.0, 100.0, 1e4)
 
@@ -123,7 +124,7 @@ class TestMinEuclideanDistance:
     @pytest.mark.parametrize("m", [2, 4, 16, 64])
     def test_matches_pairwise_search(self, m):
         c = stbc.make_constellation(m)
-        codewords, _ = stbc.alamouti_codebook(c)
+        codewords, _ = alamouti_codebook(c)
         for seed in (52, 53, 54):
             h_eq = _random_h_eq(seed)
             expected = min_codeword_distance(h_eq, codewords)
@@ -131,7 +132,7 @@ class TestMinEuclideanDistance:
 
     def test_bpsk_set_matches_pair_enumeration(self):
         c = stbc.make_constellation(2)
-        codewords, _ = stbc.alamouti_codebook(c)
+        codewords, _ = alamouti_codebook(c)
         bf = beamformer.build_dft_atb(2)
         rng = substream(0, 52)
         h = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / np.sqrt(2)
@@ -172,7 +173,7 @@ class TestUnionBound:
 
     def test_bpsk_matches_direct_enumeration(self):
         c = stbc.make_constellation(2)
-        codewords, pairs = stbc.alamouti_codebook(c)
+        codewords, pairs = alamouti_codebook(c)
         bits = pair_label_rows(pairs, 2)
         h_eq = self._h_eq()
         result = analysis.union_bound_ber(h_eq, c, gamma0=8.0, kappa=0.25)
@@ -181,7 +182,7 @@ class TestUnionBound:
 
     def test_4qam_matches_direct_enumeration(self):
         c = stbc.make_constellation(4)
-        codewords, pairs = stbc.alamouti_codebook(c)
+        codewords, pairs = alamouti_codebook(c)
         bits = pair_label_rows(pairs, 4)
         h_eq = self._h_eq(57)
         for gamma0 in (1.0, 30.0):
@@ -193,7 +194,7 @@ class TestUnionBound:
     def test_matches_full_codebook_oracle(self, order):
         # no sampling at any order: every ordered codeword pair counts
         c = stbc.make_constellation(order)
-        codewords, pairs = stbc.alamouti_codebook(c)
+        codewords, pairs = alamouti_codebook(c)
         bits = pair_label_rows(pairs, order)
         h_eq = self._h_eq(58)
         gamma0s = [10.0, 1000.0]
@@ -221,7 +222,7 @@ class TestChernoff:
     def test_dominates_exact_q_term(self):
         rng = substream(0, 55)
         c = stbc.make_constellation(4)
-        codewords, _ = stbc.alamouti_codebook(c)
+        codewords, _ = alamouti_codebook(c)
         for _ in range(1000):
             h_eq = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) / np.sqrt(2)
             k, l = rng.integers(0, 16, 2)

@@ -19,6 +19,11 @@ from beamlink import analysis, beamformer, channel, cli, harness, phase_opt, stb
 from beamlink.rng import substream
 
 from oracles import greedy_blockwise_reference, label_rows, ml_decode_index
+from reference_sims import (
+    simulate_bpsk_rayleigh_ber,
+    simulate_conditional_ber,
+    transmit_receive,
+)
 
 
 def _tiny_cfg(**overrides):
@@ -247,12 +252,10 @@ class TestBatchKernels:
         cfg = _tiny_cfg(schemes=("dft", "hadamard", "bpr-real", "bpr-complex"))
         rng = substream(0, 61)
         h = (rng.standard_normal((100, 4)) + 1j * rng.standard_normal((100, 4))) / np.sqrt(2)
-        phases = harness._selected_phases((scheme,), h, cfg)
-        batch = harness._batch_equivalent_channels(
-            scheme, h, cfg, harness._rotated_sum(h, cfg, phases)
-        )
+        phi1, phi2 = harness._batch_greedy_phases(h, 2)
+        batch = harness._equivalent_channels(cfg, (scheme,), h)[scheme]
         for i in range(100):
-            bf = beamformer.build(scheme, 2, *(phi[i] for phi in phases))
+            bf = beamformer.build(scheme, 2, phi1[i], phi2[i])
             expected = beamformer.equivalent_channel(bf, h[i])
             np.testing.assert_allclose(batch[i], expected, atol=1e-11)
 
@@ -323,7 +326,7 @@ class TestBatchKernels:
             labels = stbc.label_index(bits.reshape(-1, 2, k))
             assert np.array_equal(sent, labels)
             s = stbc.alamouti_codeword(points[labels[:, 0]], points[labels[:, 1]])
-            y = stbc.transmit_receive(s, h_eq, rng, amplitude)
+            y = transmit_receive(s, h_eq, rng, amplitude)
             assert np.array_equal(amplitude * clean + noise, y)
 
 
@@ -913,10 +916,12 @@ class TestGapMeasurement:
 class TestBpskRayleighSim:
     def test_matches_closed_form_loosely(self):
         gamma_db = 10.0
-        ber, lo, hi, n = harness.simulate_bpsk_rayleigh_ber(gamma_db, 40_000, seed=5)
+        ber, lo, hi, n = simulate_bpsk_rayleigh_ber(gamma_db, 40_000, seed=5)
         expected = analysis.mgf_ber_bpsk(10 ** (gamma_db / 10))
         assert n == 40_000
         assert abs(ber - expected) < 5 * np.sqrt(expected * (1 - expected) / n)
+        # purpose tag 4's draws, as recorded before the simulator left the package
+        assert ber == 1671 / 40_000
 
 
 class TestConditionalSim:
@@ -924,11 +929,19 @@ class TestConditionalSim:
         points = stbc.make_constellation(4)
         h_eq = np.array([1.0 + 0j, 0.5 + 0.5j])
         amplitude = stbc.link_amplitude(100.0, 0.25, "eq10", True, 4, 3)
-        errors, bits = harness.simulate_conditional_ber(
+        errors, bits = simulate_conditional_ber(
             h_eq, points, amplitude, n_trials=2000, seed=3
         )
         assert bits == 2000 * 4
         assert errors >= 0
+
+    def test_stream_pin(self):
+        # purpose tag 5's draws, as recorded before the simulator left the package
+        points = stbc.make_constellation(4)
+        amplitude = stbc.link_amplitude(10.0, 0.25, "eq10", True, 4, 3)
+        assert simulate_conditional_ber(
+            np.array([1.0 + 0j, 0.5 + 0.5j]), points, amplitude, 20_000, seed=3
+        ) == (2102, 80_000)
 
 
 class TestCli:

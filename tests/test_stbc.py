@@ -13,6 +13,7 @@ from oracles import (
     nearest_point_index,
     pair_label_rows,
 )
+from reference_sims import alamouti_codebook, transmit_receive
 
 
 def _transmit_block(sent, points, bf):
@@ -171,7 +172,7 @@ class TestDemap:
         zero = np.array([[True, False, False], [False, True, True]])
         h_eq[zero] = 0.0
         s = stbc.alamouti_codeword(points[sent[..., 0]], points[sent[..., 1]])
-        y = stbc.transmit_receive(s, h_eq, rng, amplitude=2.0, sigma2=0.0)
+        y = transmit_receive(s, h_eq, rng, amplitude=2.0, sigma2=0.0)
         out = stbc.decode_alamouti(y, h_eq, points, amplitude=2.0)
         assert out.shape == (2, 3, 2)
         np.testing.assert_array_equal(out[zero], np.zeros((3, 2)))
@@ -213,8 +214,8 @@ class TestEncode:
         h = np.array([0.3 - 0.2j, -1.1 + 0.4j, 0.5j, 0.8])
         h_eq = beamformer.equivalent_channel(bf, h)
         rng = substream(0, 40)
-        y_antenna = stbc.transmit_receive(bf @ s, h, rng, sigma2=0.0)
-        y_eq = stbc.transmit_receive(s, h_eq, rng, sigma2=0.0)
+        y_antenna = transmit_receive(bf @ s, h, rng, sigma2=0.0)
+        y_eq = transmit_receive(s, h_eq, rng, sigma2=0.0)
         np.testing.assert_allclose(y_antenna, y_eq, atol=1e-12)
 
     def test_eq10_scaling(self):
@@ -249,21 +250,21 @@ class TestTransmitReceive:
         x = np.arange(8, dtype=np.complex128).reshape(4, 2)
         h = np.zeros(4, dtype=complex)
         h[0] = 1.0
-        y = stbc.transmit_receive(x, h, substream(0, 43), amplitude=2.0, sigma2=0.0)
+        y = transmit_receive(x, h, substream(0, 43), amplitude=2.0, sigma2=0.0)
         np.testing.assert_allclose(y, 2.0 * x[0])
 
     def test_zero_codeword_gives_pure_noise(self):
         x = np.zeros((4, 2), dtype=complex)
         h = np.ones(4, dtype=complex)
-        y = stbc.transmit_receive(x, h, substream(0, 44), sigma2=1.0)
-        z = stbc.transmit_receive(x, h, substream(0, 44), sigma2=1.0)
+        y = transmit_receive(x, h, substream(0, 44), sigma2=1.0)
+        z = transmit_receive(x, h, substream(0, 44), sigma2=1.0)
         assert np.array_equal(y, z)
         assert np.all(y != 0)
 
     def test_noise_variance(self):
         x = np.zeros((500_000, 2, 2), dtype=complex)
         h = np.ones(2, dtype=complex)
-        samples = stbc.transmit_receive(x, h, substream(0, 45), sigma2=2.0).ravel()
+        samples = transmit_receive(x, h, substream(0, 45), sigma2=2.0).ravel()
         var = np.mean(np.abs(samples) ** 2)
         se = np.std(np.abs(samples) ** 2, ddof=1) / np.sqrt(samples.size)
         assert abs(var - 2.0) < 3 * se
@@ -295,13 +296,13 @@ class TestDecode:
             h_eq = beamformer.equivalent_channel(bf, h)
             sent = stbc.label_index(rng.integers(0, 2, (2, k)).astype(np.uint8))
             x = _transmit_block(sent, points, bf)
-            y = stbc.transmit_receive(x, h, rng, amplitude=1.5, sigma2=0.0)
+            y = transmit_receive(x, h, rng, amplitude=1.5, sigma2=0.0)
             assert np.array_equal(stbc.decode_alamouti(y, h_eq, points, amplitude=1.5), sent)
 
     def test_matches_exhaustive_ml(self):
         points = stbc.make_constellation(4)
         bf = beamformer.build_dft_atb(2)
-        codewords, pairs = stbc.alamouti_codebook(points)
+        codewords, pairs = alamouti_codebook(points)
         rng = substream(0, 47)
         for _ in range(1000):
             h = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / np.sqrt(2)
@@ -310,7 +311,7 @@ class TestDecode:
                 continue
             sent = stbc.label_index(rng.integers(0, 2, (2, 2)).astype(np.uint8))
             x = _transmit_block(sent, points, bf)
-            y = stbc.transmit_receive(x, h, rng, amplitude=1.0, sigma2=0.5)
+            y = transmit_receive(x, h, rng, amplitude=1.0, sigma2=0.5)
             fast = stbc.decode_alamouti(y, h_eq, points)
             ml = pairs[ml_decode_index(y, h_eq, codewords, 1.0)]
             assert np.array_equal(fast, ml)
@@ -326,7 +327,7 @@ class TestDecode:
             h_eq = beamformer.equivalent_channel(bf, h)
             bits = rng.integers(0, 2, 4).astype(np.uint8)
             x = _transmit_block(stbc.label_index(bits.reshape(2, 2)), points, bf)
-            y = stbc.transmit_receive(x, h, rng, amplitude=1.0, sigma2=1e8)
+            y = transmit_receive(x, h, rng, amplitude=1.0, sigma2=1e8)
             decoded = stbc.decode_alamouti(y, h_eq, points)
             errors += np.count_nonzero(pair_label_rows(decoded[None], 4)[0] != bits)
             bits_total += 4
@@ -346,7 +347,7 @@ class TestDecode:
         sent = stbc.label_index(bits.reshape(3, 2, k))
         h_eq = np.array([[0, 0], [0.8 - 0.3j, 0.2 + 0.9j], [0, 0]], dtype=complex)
         s = stbc.alamouti_codeword(points[sent[:, 0]], points[sent[:, 1]])
-        y = stbc.transmit_receive(s, h_eq, substream(0, 50), amplitude=1.5, sigma2=0.0)
+        y = transmit_receive(s, h_eq, substream(0, 50), amplitude=1.5, sigma2=0.0)
         out = stbc.decode_alamouti(y, h_eq, points, amplitude=1.5)
         first_twice = [0, 0]
         np.testing.assert_array_equal(out[0], first_twice)
@@ -356,7 +357,7 @@ class TestDecode:
 
 class TestErrorMatrix:
     def test_orthogonal_difference_property(self):
-        codewords, _ = stbc.alamouti_codebook(stbc.make_constellation(4))
+        codewords, _ = alamouti_codebook(stbc.make_constellation(4))
         n = codewords.shape[0]
         for k in range(n):
             for l in range(n):
@@ -369,7 +370,7 @@ class TestErrorMatrix:
 
     def test_codebook_shape_and_labels(self):
         points = stbc.make_constellation(16)
-        codewords, pairs = stbc.alamouti_codebook(points)
+        codewords, pairs = alamouti_codebook(points)
         assert codewords.shape == (256, 2, 2)
         assert pairs.shape == (256, 2)
         # codeword i1*M+i2 holds symbols (i1, i2), so its source bits are
