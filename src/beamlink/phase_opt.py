@@ -7,15 +7,16 @@ time, to maximize the aligned-sum magnitude
 
     | sum_v conj(h_v) * exp(j phi(v)) |
 
-Only the first slot scores a grid of angles; every later slot scores
-each unplaced element once, at the grid angle that rotates it closest
-to the phase of the sum placed so far, which is that element's best
-angle. The first slot's angle is the one decision left to rounding (see
-:func:`greedy_bpr_phases`). :func:`greedy_bpr_phases` runs on a batch of
-channel rows at once; a single channel is a batch of one. The kernel
-works element-major, on ``(n, rows)`` tiles of ``conj(h).T``, so the
-antenna-major rows of the channel samplers reach it without a transposed
-copy.
+Every slot scores each unplaced element once, at the grid angle that
+rotates it closest to the phase of the sum placed so far, which is that
+element's best angle. With nothing placed every angle is nearest, and
+slot 1 takes angle 0: both grids are the same cyclic group of angles,
+so the greedy is equivariant under a grid rotation of slot 1, whose
+angle only sets the global phase. :func:`greedy_bpr_phases` runs on a
+batch of channel rows at once; a single channel is a batch of one. The
+kernel works element-major, on ``(n, rows)`` tiles of ``conj(h).T``, so
+the antenna-major rows of the channel samplers reach it without a
+transposed copy.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ def block_grids(q: int) -> tuple[np.ndarray, np.ndarray]:
     return angles[:half], angles[half:]
 
 
-# channel entries (rows x n) in one row tile; a slot's (m, rows) candidate
-# arrays then take at most 1 MiB each
-_TILE_ENTRIES = 2**16
+# channel rows in one tile; no bit of the result depends on it. A slot's
+# (m, rows) candidate arrays then take at most n * 64 KiB each: 256 KiB at
+# n = 4, where larger tiles ran slower, and 1 MiB at n = 16
+_TILE_ROWS = 4096
 
 
 def greedy_bpr_phases(h: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -62,39 +64,34 @@ def greedy_bpr_phases(h: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np
     ``|acc + c e^{j theta}|^2 = |acc|^2 + |c|^2 + 2 |acc| |c| cos(theta - arg acc + arg c)``,
     so on the cyclic grid of G angles each element's best angle is the
     one nearest to ``arg acc - arg c``, index
-    ``rint(-G angle(c conj(acc)) / 2 pi) mod G``. From slot 2 on, each
-    unplaced element is scored once, at that angle, as
-    ``abs(acc + c * rotation)``, and the first maximum over the elements
-    in ascending index order wins.
+    ``rint(-G angle(c conj(acc)) / 2 pi) mod G``. Each unplaced element
+    is scored once, at that angle, as ``abs(acc + rotation * c)``, and
+    the first maximum over the elements in ascending index order wins.
 
-    Slot 1 (``acc = 0``) is the one step decided by rounding: every angle
-    gives ``|h_v|`` in exact arithmetic. Its element is the first maximum
-    of ``|h_v|``, so equal magnitudes go to the lowest index. Its angle is
-    the first maximum of ``abs(c * rotations)`` over that element's G
-    angles. That expression is kept as it is, because its rounding picks
-    the angle; a cheaper form such as ``|z|**2`` rounds differently and
-    changes phases.
+    Slot 1 (``acc = 0``) follows the same rule: every angle is nearest,
+    and the index is 0, so its element is the first maximum of ``|h_v|``
+    (equal magnitudes go to the lowest index) and its angle is 0. That
+    fixes only the global phase. Both grids are the cyclic group
+    ``{2 pi b / 2**(q-1)}`` modulo 2 pi, so rotating slot 1 by a grid
+    step rotates every later nearest angle by the same step and leaves
+    the elements, the gain and ``phi2 - phi1`` unchanged. So, away from
+    ties to the last bit, multiplying a row by a common phase
+    ``exp(j psi)`` changes none of its phases.
 
     Known limit: on continuous channels every decision equals that of a
     scorer that rates all (unplaced element, angle) pairs of every slot
-    and takes the first float maximum. On rows whose entries lie on a
-    lattice (Gaussian integers, say) candidates can tie exactly, and
-    there the two can break the tie differently, because the full-grid
-    scorer lets rounding decide among equal ``|h_v|`` at slot 1 and
-    between an element's two equally near angles later, where this
-    kernel takes the lowest index and the angle ``rint`` gives. Either
-    choice scores the full-grid maximum up to rounding.
+    after slot 1 and takes the first float maximum. On rows whose
+    entries lie on a lattice (Gaussian integers, say) an element's two
+    grid angles can be equally near; there the full-grid scorer lets
+    rounding decide, where this kernel takes the angle ``rint`` gives.
+    Either choice scores the full-grid maximum up to rounding.
 
-    Rows run in tiles of about ``_TILE_ENTRIES / n`` rows. The layout of
-    ``h`` changes no decision, and the tiling changes one only at a tie
-    to the last bit: numpy evaluates ``cand * rotations[near]`` on
-    operands of 256 KiB or more in place into its temporary, in the
-    order ``rotations[near] * cand``, and on a build whose complex
-    product is not commutative in the last bit the bits of the scores
-    then depend on the tile size. When ``h.T`` is C-contiguous, as
-    the channel samplers return it, each tile's ``conj(h).T`` is formed
-    in one contiguous pass, with no transposed copy. A row holding NaN
-    or inf has no maximum to pick and raises a ValueError.
+    Rows run in tiles of ``_TILE_ROWS`` rows; neither the tiling nor the
+    layout of ``h`` changes a bit of the result. When ``h.T`` is
+    C-contiguous, as the channel samplers return it, each tile's
+    ``conj(h).T`` is formed in one contiguous pass, with no transposed
+    copy. A row holding NaN or inf has no maximum to pick and raises a
+    ValueError.
     """
     h = np.asarray(h, dtype=np.complex128)
     grids = block_grids(q)
@@ -105,12 +102,11 @@ def greedy_bpr_phases(h: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np
         raise ValueError(f"h must be finite, but row {int(finite.argmin())} holds NaN or inf")
     b, n = h.shape
     half = n // 2
-    tile = max(1, _TILE_ENTRIES // n)
     phi = np.empty((2, b, half))
     slots = np.empty((2, b, half), dtype=np.int64)
     gain = np.empty(b)
-    for start in range(0, b, tile):
-        rows = slice(start, start + tile)
+    for start in range(0, b, _TILE_ROWS):
+        rows = slice(start, start + _TILE_ROWS)
         hc = np.ascontiguousarray(h[rows].conj().T)
         gain[rows] = _greedy_tile(hc, grids, phi[:, rows], slots[:, rows])
     return phi, slots, gain
@@ -140,23 +136,19 @@ def _greedy_tile(
         size = angles.size
         rotations = np.exp(1j * angles)
         for slot in range(n // 2):
-            if block == slot == 0:
-                pos = _first_max(np.abs(cand))
-                flat = pos * rows + col
-                c = cand.ravel().take(flat)
-                # keep this exact expression: its rounding decides the exact
-                # tie of the first slot (see greedy_bpr_phases)
-                g = np.abs(c[:, None] * rotations).argmax(axis=1)
-            else:
-                phase = np.angle(cand * acc.conj())
-                near = np.rint(phase * (-size / (2 * np.pi))).astype(np.int64) & (size - 1)
-                pos = _first_max(np.abs(acc + cand * rotations[near]))
-                flat = pos * rows + col
-                g = near.ravel().take(flat)
-                c = cand.ravel().take(flat)
+            # + 0.0 makes the signed zeros of a zero product +0, whose angle
+            # is 0, so slot 1 (acc = 0) takes grid index 0 on every row
+            phase = np.angle(cand * acc.conj() + 0.0)
+            near = np.rint(phase * (-size / (2 * np.pi))).astype(np.int64) & (size - 1)
+            # operand order fixed: numpy's elision would otherwise swap it
+            # on large tiles, and complex products round by order
+            pos = _first_max(np.abs(acc + rotations[near] * cand))
+            flat = pos * rows + col
+            g = near.ravel().take(flat)
+            c = cand.ravel().take(flat)
             phi[block, :, slot] = angles[g]
             slots[block, :, slot] = remaining.ravel().take(flat)
-            acc = acc + c * rotations[g]
+            acc = acc + rotations[g] * c
             j = np.arange(cand.shape[0] - 1)[:, None]
             keep = (j + (j >= pos)) * rows + col
             cand = cand.ravel().take(keep)
@@ -179,12 +171,10 @@ def _first_max(scores: np.ndarray) -> np.ndarray:
 def complexity_probe(q_values: list[int] | tuple[int, ...]) -> list[tuple[int, int]]:
     """Greedy candidate scores per channel row for each q.
 
-    The count is input independent: slot 1 takes ``|h_v|`` of the
-    ``2**q`` elements and scores the chosen one at the ``2**(q-1)``
-    angles of grid 1; each later slot scores the ``m`` unplaced elements
-    once, at their nearest angle, so the total over ``m = 2**q - 1 .. 1``
-    is ``2**q + 2**(q-1) + 2**q (2**q - 1) / 2``.
+    The count is input independent: each slot scores the ``m`` unplaced
+    elements once, at their nearest angle, so the total over
+    ``m = 2**q .. 1`` is ``2**q (2**q + 1) / 2``.
     """
     if not all(1 <= q <= 8 for q in q_values):
         raise ValueError(f"complexity probe limited to 1 <= q <= 8, got {list(q_values)}")
-    return [(int(q), 2**q + 2 ** (q - 1) + 2**q * (2**q - 1) // 2) for q in q_values]
+    return [(int(q), 2**q * (2**q + 1) // 2) for q in q_values]

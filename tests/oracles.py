@@ -160,13 +160,9 @@ def greedy_blockwise_reference(
     magnitude ``|acc + conj(h_v) exp(j angle)|``. Candidates are scanned
     by ascending element index, then ascending grid index, and only a
     strictly larger score replaces the best so far, so ties go to the
-    lowest element index, then the lowest grid index.
-
-    The first slot of every run is an exact tie in exact arithmetic
-    (all angles give ``|h_v|``), so floating-point rounding decides it.
-    Each element's scores are therefore computed as one array over the
-    grid, as numpy's array loops round differently from its scalar
-    arithmetic.
+    lowest element index, then the lowest grid index. The first slot of
+    a run scores grid index 0 only: with nothing placed every angle
+    gives ``|h_v|``, and a fixed first angle only sets the global phase.
 
     Returns (phi1, phi2, slots1, slots2, gain).
     """
@@ -177,12 +173,12 @@ def greedy_blockwise_reference(
     phis: list[list[float]] = [[], []]
     for block, angles in enumerate((grid1, grid2)):
         rotations = np.exp(1j * angles)
-        for _ in range(h.size // 2):
+        for slot in range(h.size // 2):
             best_score = -1.0
             best_pos = best_angle_idx = 0
             for pos, elem in enumerate(remaining):
                 scores = np.abs(acc + hc[elem] * rotations)
-                for bi in range(angles.size):
+                for bi in range(1 if block == slot == 0 else angles.size):
                     if scores[bi] > best_score:
                         best_score = float(scores[bi])
                         best_pos = pos
@@ -209,7 +205,8 @@ def greedy_full_grid(
     Every slot scores all ``m x G`` (unplaced element, grid angle) pairs
     as one ``(rows, m, G)`` array ``abs(acc + conj(h_v) * rotation)`` and
     takes the first flat maximum, so equal float scores go to the lowest
-    element index, then the lowest grid index. Returns ``(phi, slots,
+    element index, then the lowest grid index. Slot 1 scores grid index
+    0 only, as the kernel's rule states. Returns ``(phi, slots,
     gain)`` laid out as ``phase_opt.greedy_bpr_phases`` lays them out.
     """
     b, n = h.shape
@@ -227,8 +224,9 @@ def greedy_full_grid(
             rotations = np.exp(1j * angles)
             for slot in range(half):
                 m = remaining.shape[1]
-                scores = np.abs(acc[:, None, None] + cand[:, :, None] * rotations[None, None, :])
-                pos, gidx = np.divmod(scores.reshape(rows.size, -1).argmax(axis=1), angles.size)
+                grid = rotations[:1] if block == slot == 0 else rotations
+                scores = np.abs(acc[:, None, None] + cand[:, :, None] * grid[None, None, :])
+                pos, gidx = np.divmod(scores.reshape(rows.size, -1).argmax(axis=1), grid.size)
                 elem = remaining[rows, pos]
                 phi[block, start + rows, slot] = angles[gidx]
                 slots[block, start + rows, slot] = elem

@@ -147,6 +147,25 @@ class TestGreedy:
         _, _, rotated = _greedy_row(np.exp(1j * psi) * h, 2)
         assert rotated == pytest.approx(base, abs=1e-10)
 
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+    def test_global_phase_equivariance_batched(self, q):
+        # each row times its own common phase: slot 1 takes angle 0 on both,
+        # so every phase and slot is the same, not just the gain
+        n = 2**q
+        rng = substream(q, 67)
+        h = np.concatenate(
+            [
+                channel.sample_rayleigh_batch(8192, n, rng),
+                channel.sample_mmwave_batch(8192, 3, n, channel.SteeringConfig(), rng),
+            ]
+        )
+        psi = rng.uniform(0, 2 * np.pi, h.shape[0])
+        phi, slots, gain = phase_opt.greedy_bpr_phases(h, q)
+        rot_phi, rot_slots, rot_gain = phase_opt.greedy_bpr_phases(np.exp(1j * psi)[:, None] * h, q)
+        np.testing.assert_array_equal(rot_phi, phi)
+        np.testing.assert_array_equal(rot_slots, slots)
+        np.testing.assert_allclose(rot_gain, gain, rtol=1e-12)
+
     def test_permutation_consistency(self):
         h = _random_channel(4, 17)
         perm = np.array([2, 0, 3, 1])
@@ -192,14 +211,15 @@ class TestGreedy:
 
 
 class TestLayout:
-    """The selection does not depend on how the rows of ``h`` are laid out."""
+    """The selection does not depend on how the rows of ``h`` are laid out
+    or batched."""
 
     @pytest.mark.parametrize("q", [2, 4])
     def test_layouts_give_identical_selections(self, q):
         # two full tiles and a short last one; every tenth row lies on the
         # {1, j, -1, -j} lattice, where candidates tie exactly
         n = 2**q
-        rows = 2 * (phase_opt._TILE_ENTRIES // n) + 100
+        rows = 2 * phase_opt._TILE_ROWS + 100
         rng = substream(q, 66)
         h = np.ascontiguousarray(channel.sample_rayleigh_batch(rows, n, rng))
         lattice = np.array([1, 1j, -1, -1j])
@@ -207,8 +227,17 @@ class TestLayout:
         spaced = np.zeros((2 * rows, n), dtype=complex)
         spaced[::2] = h
         want = phase_opt.greedy_bpr_phases(h, q)
-        for rows_in in (np.asfortranarray(h), spaced[::2]):
-            got = phase_opt.greedy_bpr_phases(rows_in, q)
+        # 64-row batches score operands too small for numpy's temporary
+        # elision, so a product's operand order must not depend on it
+        phi, slots, gain = zip(
+            *(phase_opt.greedy_bpr_phases(h[i : i + 64], q) for i in range(0, rows, 64))
+        )
+        batched = (np.concatenate(phi, axis=1), np.concatenate(slots, axis=1), np.concatenate(gain))
+        for got in (
+            phase_opt.greedy_bpr_phases(np.asfortranarray(h), q),
+            phase_opt.greedy_bpr_phases(spaced[::2], q),
+            batched,
+        ):
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
         # returned C-contiguous, not as transposed views of an
@@ -287,11 +316,23 @@ class TestTieRule:
     def test_all_ones_row(self, q):
         n = 2**q
         phi, slots, gain = phase_opt.greedy_bpr_phases(np.ones((1, n), dtype=complex), q)
-        # equal candidates go to the lowest index, and every slot takes the
-        # angle of slot 1
+        # equal candidates go to the lowest index, and every slot takes
+        # slot 1's angle, 0
         np.testing.assert_array_equal(slots[:, 0].ravel(), np.arange(n))
-        np.testing.assert_allclose(np.exp(1j * phi), np.exp(1j * phi[0, 0, 0]), atol=1e-12)
+        np.testing.assert_array_equal(phi, 0.0)
         assert gain[0] == pytest.approx(n, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["mmwave", "rayleigh"])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+    def test_first_slot_takes_angle_zero(self, q, kind):
+        # every angle ties at slot 1; the rule, not rounding, takes index 0
+        rng = substream(q, 68)
+        if kind == "mmwave":
+            h = channel.sample_mmwave_batch(4096, 3, 2**q, channel.SteeringConfig(), rng)
+        else:
+            h = channel.sample_rayleigh_batch(4096, 2**q, rng)
+        phi, _, _ = phase_opt.greedy_bpr_phases(h, q)
+        np.testing.assert_array_equal(phi[0, :, 0], 0.0)
 
     def test_equal_magnitudes_first_slot_takes_lowest_index(self):
         # |-5| = |5j| = |3+4j| = |4-3j| = 5 exactly
@@ -314,15 +355,13 @@ class TestTieRule:
 
 class TestComplexityProbe:
     def test_frozen_counts(self):
-        # slot 1 takes |h_v| of the 2^q elements and scores one of them at
-        # the 2^(q-1) grid angles; each later slot scores every unplaced
-        # element once: 2^q + 2^(q-1) + 2^q (2^q - 1) / 2
-        assert phase_opt.complexity_probe([1, 2, 3, 4]) == [(1, 4), (2, 12), (3, 40), (4, 144)]
+        # each slot scores every unplaced element once: 2^q (2^q + 1) / 2
+        assert phase_opt.complexity_probe([1, 2, 3, 4]) == [(1, 3), (2, 10), (3, 36), (4, 136)]
 
     def test_closed_form(self):
         for q, count in phase_opt.complexity_probe([1, 2, 3, 4, 5, 6]):
             n = 2**q
-            assert count == n + n // 2 + n * (n - 1) // 2
+            assert count == sum(range(1, n + 1))
 
     def test_guard(self):
         with pytest.raises(ValueError):
