@@ -13,17 +13,21 @@ their own substream and pass them through one block stage,
 :func:`_equivalent_channels`: one greedy selection if a blockwise
 scheme needs it, then ``F^H h`` once per scheme. The two blockwise
 schemes differ only in a scalar, so one rotated sum
-(:func:`beamformer.bpr_rotated_sum`) per block serves both. Every
-``F^H h`` is summed antenna by antenna, so no BLAS call runs in the
-block loop and no BLAS worker thread spins beside it. fig3's bits and
-noise come from a second stream per (scheme, block), under the key of
-the scheme's highest-SNR point, and that one draw serves each SNR point
-of the scheme at its own link amplitude. The points of one curve are
-therefore correlated, while each point's interval holds on its own. A
-point's result does not depend on which other points are still
-running, and its stopping rule only decides how many blocks it joins.
-Each block is one call of each batched layer kernel; the harness holds
-no copy of their math.
+(:func:`beamformer.bpr_rotated_sum`) per stage call serves both. fig3
+stages a whole block at once. fig2 stages each block in row tiles,
+reduces each tile to ``||F^H h||^2`` per row at once, and releases the
+block before it draws the next, so it never holds a block's stage
+outputs. Every ``F^H h`` is summed antenna by antenna, so no BLAS call
+runs in the block loop and no BLAS worker thread spins beside it.
+fig3's bits and noise come from a second stream per (scheme, block),
+under the key of the scheme's highest-SNR point, and that one draw
+serves each SNR point of the scheme at its own link amplitude. The
+points of one curve are therefore correlated, while each point's
+interval holds on its own. A point's result does not depend on which
+other points are still running, and its stopping rule only decides how
+many blocks it joins. Each fig3 block and each fig2 stage tile is one
+call of each batched layer kernel; the harness holds no copy of their
+math.
 """
 
 from __future__ import annotations
@@ -51,6 +55,8 @@ _PURPOSE_FIG3 = 3
 _PURPOSE_FIG3_CHANNEL = 6
 
 TRIAL_BLOCK = 16384
+# channel entries in one row tile of fig2's block stage: 2048 rows at N = 16
+_STAGE_ENTRIES = 2**15
 
 CSV_HEADER = "scheme,modulation,metric,gamma0_db,value,ci_half_width,n_trials"
 
@@ -531,15 +537,32 @@ def run_fig2(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
 
 def quadratic_forms(cfg: ExperimentConfig) -> dict[str, np.ndarray]:
     """fig2's ``||F^H h||^2`` per realization for each scheme, on the
-    ``trials`` channel draws that every scheme shares."""
+    ``trials`` channel draws that every scheme shares.
+
+    Each block of draws passes through :func:`_equivalent_channels` in
+    row tiles of ``_STAGE_ENTRIES`` channel entries (2048 rows at
+    N = 16, 8192 at N = 4), and each tile's ``||F^H h||^2`` goes
+    straight into the output, so the greedy's phases, the rotated sum
+    and ``F^H h`` are never held for a whole block. Each block is
+    released before the next one is drawn. Every kernel of the stage
+    works row by row, so no bit of the result depends on the tiling.
+    """
     _check_fig2(cfg)
     quad_forms: dict[str, np.ndarray] = {s: np.empty(cfg.trials) for s in cfg.schemes}
+    tile = max(1, _STAGE_ENTRIES // cfg.n_antennas)
     done = 0
     for n, rng in _blocks(cfg.trials, cfg.seed, _PURPOSE_FIG2):
         h = _sample_channels(cfg, n, rng)
-        for scheme, h_eq in _equivalent_channels(cfg, cfg.schemes, h).items():
-            quad_forms[scheme][done : done + n] = np.sum(np.abs(h_eq) ** 2, axis=1)
+        for start in range(0, n, tile):
+            stage = _equivalent_channels(cfg, cfg.schemes, h[start : start + tile])
+            rows = slice(done + start, done + min(start + tile, n))
+            for scheme, h_eq in stage.items():
+                quad_forms[scheme][rows] = np.sum(np.abs(h_eq) ** 2, axis=1)
         done += n
+        # the next draw would otherwise run beside this block. The last
+        # tile's F^H h stays: freeing it too made the next draw fault its
+        # pages back in, 4% of the stage's time at N = 4
+        del h
     return quad_forms
 
 

@@ -140,9 +140,11 @@ def _greedy_tile(
             # is 0, so slot 1 (acc = 0) takes grid index 0 on every row
             phase = np.angle(cand * acc.conj() + 0.0)
             near = np.rint(phase * (-size / (2 * np.pi))).astype(np.int64) & (size - 1)
-            # operand order fixed: numpy's elision would otherwise swap it
-            # on large tiles, and complex products round by order
-            pos = _first_max(np.abs(acc + rotations[near] * cand))
+            # operand order fixed, as complex products round by order; the
+            # in-place add skips a broadcast output and commutes bit for bit
+            score = rotations[near] * cand
+            score += acc
+            pos = _first_max(np.abs(score))
             flat = pos * rows + col
             g = near.ravel().take(flat)
             c = cand.ravel().take(flat)

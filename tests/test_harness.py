@@ -7,6 +7,7 @@ import platform
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,12 @@ def _tiny_cfg(**overrides):
     )
     base.update(overrides)
     return harness.ExperimentConfig(**base)
+
+
+def _stage_tiles(cfg, blocks):
+    """Rows of fig2's stage tiles, in order, over blocks of the given sizes."""
+    tile = harness._STAGE_ENTRIES // cfg.n_antennas
+    return [min(tile, n - start) for n in blocks for start in range(0, n, tile)]
 
 
 # one override per case; each is invalid whatever the other fields hold
@@ -274,7 +281,11 @@ class TestBatchKernels:
             schemes=beamformer.SCHEMES, snr_grid_db=(10.0,), trials=n, max_trials=n
         )
         getattr(harness, sweep)(cfg)
-        assert rows == [harness.TRIAL_BLOCK, 100]
+        expected = [harness.TRIAL_BLOCK, 100]
+        if sweep == "quadratic_forms":
+            # fig2's stage runs each block in row tiles, one rotated sum each
+            expected = _stage_tiles(cfg, expected)
+        assert rows == expected
 
     def test_ber_block_matches_scalar_pipeline(self):
         points = stbc.make_constellation(16)
@@ -464,10 +475,12 @@ class TestFig2:
         assert r_eq10.path.read_bytes() == r_on.path.read_bytes()
 
     @pytest.mark.parametrize(
-        "schemes,calls",
+        "schemes,blocks",
         [(("dft", "bpr-real", "bpr-complex"), 2), (("dft", "hadamard"), 0)],
     )
-    def test_one_greedy_per_block_for_both_bpr_schemes(self, monkeypatch, schemes, calls):
+    def test_one_greedy_per_block_for_both_bpr_schemes(self, monkeypatch, schemes, blocks):
+        # one greedy per stage tile serves both blockwise schemes: the rows
+        # it sees are each block's tiles in order, and they cover the trials
         seen = []
         greedy = harness._batch_greedy_phases
 
@@ -478,7 +491,39 @@ class TestFig2:
         monkeypatch.setattr(harness, "_batch_greedy_phases", counting)
         cfg = _tiny_cfg(trials=harness.TRIAL_BLOCK + 100, schemes=schemes)
         harness.quadratic_forms(cfg)
-        assert seen == [harness.TRIAL_BLOCK, 100][:calls]
+        assert seen == _stage_tiles(cfg, [harness.TRIAL_BLOCK, 100][:blocks])
+        assert sum(seen) == (cfg.trials if blocks else 0)
+
+    @pytest.mark.parametrize("n_antennas", [4, 16])
+    def test_stage_tiling_changes_no_bit(self, monkeypatch, n_antennas):
+        # two blocks and a short one, in stage tiles of 1000 rows, of the
+        # default size and of more than a block
+        cfg = _tiny_cfg(
+            n_antennas=n_antennas, n_rf=n_antennas // 2, schemes=beamformer.SCHEMES,
+            trials=2 * harness.TRIAL_BLOCK + 100,
+        )
+        want = harness.quadratic_forms(cfg)
+        for rows in (1000, harness.TRIAL_BLOCK + 1):
+            monkeypatch.setattr(harness, "_STAGE_ENTRIES", rows * n_antennas)
+            got = harness.quadratic_forms(cfg)
+            for scheme in cfg.schemes:
+                assert got[scheme].tobytes() == want[scheme].tobytes(), (rows, scheme)
+
+    def test_stage_memory_stays_within_three_blocks(self):
+        # fig2-array16's config: N = 16, 32768 mmwave draws in two blocks
+        # of 4 MiB of channel entries. The output takes a quarter of a block,
+        # a draw under two blocks, and the staged block with one tile's work
+        # under two. A stage that holds the phases, the rotated sums and the
+        # four F^H h of a whole block, beside the next draw, peaked at 18 MiB.
+        cfg = harness.ExperimentConfig(n_antennas=16, n_rf=8, trials=2 * harness.TRIAL_BLOCK)
+        budget = 3 * harness.TRIAL_BLOCK * cfg.n_antennas * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            harness.quadratic_forms(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < budget, (peak, budget)
 
     def test_shared_greedy_matches_single_scheme_runs(self):
         array8 = dict(trials=3000, n_antennas=8, n_rf=4)

@@ -244,6 +244,48 @@ class TestLayout:
         # element-major buffer
         assert want[0].flags.c_contiguous and want[1].flags.c_contiguous
 
+    @pytest.mark.parametrize("kind", ["rayleigh", "gaussian-integer"])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_tiles_give_identical_score_bits(self, monkeypatch, q, kind):
+        # a score's bits decide nothing away from last-bit ties, so equal
+        # selections cannot show a product whose operand order moves with
+        # the tile. One 8192-row tile scores operands of 256 KiB and more,
+        # which numpy's temporary elision may reuse and so reorder; 64-row
+        # tiles score operands too small for it. Rotations by a multiple of
+        # pi/2 are exact, so an order shows from q = 4 on; entries of 3 keep
+        # the integer rows' products inexact there
+        n, rows, small = 2**q, 8192, 64
+        rng = substream(q, 68)
+        if kind == "rayleigh":
+            h = channel.sample_rayleigh_batch(rows, n, rng)
+        else:
+            h = rng.integers(-3, 4, (rows, n)) + 1j * rng.integers(-3, 4, (rows, n))
+        first_max = phase_opt._first_max
+        whole, differ, calls = [], [], 0
+
+        def recording(scores):
+            whole.append(scores.copy())
+            return first_max(scores)
+
+        def comparing(scores):
+            # tile t scores slot s in call t * n + s
+            nonlocal calls
+            t, s = divmod(calls, n)
+            calls += 1
+            want = whole[s][:, t * small : (t + 1) * small]
+            if not np.array_equal(scores.view(np.uint64), want.view(np.uint64)):
+                differ.append((s, t))
+            return first_max(scores)
+
+        monkeypatch.setattr(phase_opt, "_TILE_ROWS", rows)
+        monkeypatch.setattr(phase_opt, "_first_max", recording)
+        phase_opt.greedy_bpr_phases(h, q)
+        monkeypatch.setattr(phase_opt, "_TILE_ROWS", small)
+        monkeypatch.setattr(phase_opt, "_first_max", comparing)
+        phase_opt.greedy_bpr_phases(h, q)
+        assert len(whole) == n and calls == n * rows // small
+        assert differ == []
+
 
 class TestFullGridIdentity:
     """On continuous channels the kernel makes every decision of the
