@@ -126,7 +126,7 @@ def build_hadamard_atb(q: int) -> np.ndarray:
     return _sylvester(q).astype(np.complex128)[:, : n // 2] / np.sqrt(n)
 
 
-def bpr_rotated_sum(q: int, h: np.ndarray, phi1: np.ndarray, phi2: np.ndarray) -> np.ndarray:
+def bpr_rotated_sum(q: int, h: np.ndarray, idx1: np.ndarray, idx2: np.ndarray) -> np.ndarray:
     """Unscaled ``exp(-j phi1) h_top W + exp(-j phi2) h_bot W`` for each row of ``h``.
 
     Column k of :func:`build_bpr_atb` is ``g/sqrt(xi)`` times ``W[:, k]``
@@ -137,25 +137,24 @@ def bpr_rotated_sum(q: int, h: np.ndarray, phi1: np.ndarray, phi2: np.ndarray) -
     golden variant, so one sum serves both. The Sylvester products are
     summed antenna by antenna, with no BLAS call.
 
-    ``phi1`` and ``phi2`` must be values of the first and second grid
-    of :func:`phase_opt.block_grids`, as the greedy selects them, or a
-    ValueError is raised. Their rotations are looked up among the grid's
-    exponentials, with the bits of ``np.exp(-1j * phi)``.
+    ``idx1`` and ``idx2`` index the two grids of :func:`phase_opt.block_grids`,
+    as :func:`phase_opt.greedy_bpr_indices` returns them: ``phi1 =
+    grid1[idx1]``, ``phi2 = grid2[idx2]``, and their rotations are
+    ``np.exp(-1j * grid)[idx]``. An index off its grid raises a ValueError.
     """
     half = 2 ** (q - 1)
     w = _sylvester(q - 1).astype(np.float64)
     top = _antenna_sums(h[..., :half], w)
     bot = _antenna_sums(h[..., half:], w)
     grid1, grid2 = phase_opt.block_grids(q)
-    return _grid_rotations(grid1, phi1) * top + _grid_rotations(grid2, phi2) * bot
+    return _grid_rotations(grid1, idx1) * top + _grid_rotations(grid2, idx2) * bot
 
 
-def _grid_rotations(grid: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """``exp(-j phi)`` for phases ``phi`` on the grid ``2 pi b / len(grid)``
-    (reduced modulo 2 pi), indexed from the grid's exponentials."""
-    idx = np.rint(np.asarray(phi) * (len(grid) / (2.0 * np.pi))).astype(np.intp) % len(grid)
-    if not np.array_equal(grid[idx], phi):
-        raise ValueError("phases must be values of their block grid, phase_opt.block_grids(q)")
+def _grid_rotations(grid: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``exp(-j grid[idx])`` for integer indices ``idx`` on ``grid``."""
+    idx = np.asarray(idx)
+    if idx.dtype.kind not in "iu" or idx.size and not 0 <= idx.min() <= idx.max() < len(grid):
+        raise ValueError("indices must index their block grid, phase_opt.block_grids(q)")
     return np.exp(-1j * grid)[idx]
 
 

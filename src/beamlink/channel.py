@@ -80,8 +80,11 @@ def _plane_wave_sums(
     are held path-major, so each antenna's sum over the paths adds
     contiguous rows.
     """
-    step = np.exp(1j * (2.0 * np.pi * cfg.spacing_over_wavelength * np.sin(angles)))
-    step = np.ascontiguousarray(np.moveaxis(step, -1, 0))
+    phase = np.moveaxis(2.0 * np.pi * cfg.spacing_over_wavelength * np.sin(angles), -1, 0)
+    # cos and sin give the bits of np.exp(1j * phase), without its complex temporaries
+    step = np.empty(phase.shape, dtype=np.complex128)
+    np.cos(phase, out=step.real)
+    np.sin(phase, out=step.imag)
     wave = np.ascontiguousarray(np.moveaxis(gains, -1, 0), dtype=np.complex128)
     h = np.empty((n_antennas,) + wave.shape[1:], dtype=np.complex128)
     h[0] = wave.sum(axis=0)
@@ -94,8 +97,12 @@ def _plane_wave_sums(
 
 
 def _complex_normal(shape, rng: np.random.Generator) -> np.ndarray:
-    """I.i.d. CN(0, 1) entries: the real parts are drawn first, then the imaginary."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """I.i.d. CN(0, 1) entries: the real parts are drawn first, then the imaginary,
+    each scaled in place with the bits of ``(re + 1j * im) / np.sqrt(2.0)``."""
+    z = np.empty(shape, dtype=np.complex128)
+    np.multiply(rng.standard_normal(shape), 1.0 / np.sqrt(2.0), out=z.real)
+    np.multiply(rng.standard_normal(shape), 1.0 / np.sqrt(2.0), out=z.imag)
+    return z
 
 
 def sample_mmwave_batch(

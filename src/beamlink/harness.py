@@ -11,9 +11,10 @@ Sweeps run in fixed-size trial blocks, and every point of a sweep sees
 the same channel draws. fig2 and fig3 draw block b's channels once from
 their own substream and pass them through one block stage,
 :func:`_equivalent_channels`: one greedy selection if a blockwise
-scheme needs it, then ``F^H h`` once per scheme. The two blockwise
-schemes differ only in a scalar, so one rotated sum
-(:func:`beamformer.bpr_rotated_sum`) per stage call serves both. fig3
+scheme needs it, then ``F^H h`` once per scheme. The greedy hands its
+grid indices to the rotated sum (:func:`beamformer.bpr_rotated_sum`),
+and the two blockwise schemes differ only in a scalar, so one rotated
+sum per stage call serves both. fig3
 stages a whole block at once. fig2 stages each block in row tiles,
 reduces each tile to ``||F^H h||^2`` per row at once, and releases the
 block before it draws the next, so it never holds a block's stage
@@ -22,6 +23,9 @@ runs in the block loop and no BLAS worker thread spins beside it.
 fig3's bits and noise come from a second stream per (scheme, block),
 under the key of the scheme's highest-SNR point, and that one draw
 serves each SNR point of the scheme at its own link amplitude. The
+draw is kept as each symbol's combined noise and its reach
+(:func:`stbc.alamouti_noise`), so a point demaps only the symbols that
+its amplitude lets the noise carry to a decision boundary. The
 points of one curve are therefore correlated, while each point's
 interval holds on its own. A point's result does not depend on which
 other points are still running, and its stopping rule only decides how
@@ -219,8 +223,8 @@ def _sample_channels(cfg: ExperimentConfig, n: int, rng: np.random.Generator) ->
 
 
 def _batch_greedy_phases(h: np.ndarray, q: int) -> np.ndarray:
-    """``(phi1, phi2)`` per row of ``h``: the ``phi`` of :func:`phase_opt.greedy_bpr_phases`."""
-    return phase_opt.greedy_bpr_phases(h, q)[0]
+    """``(idx1, idx2)`` per row of ``h``: :func:`phase_opt.greedy_bpr_indices`."""
+    return phase_opt.greedy_bpr_indices(h, q)
 
 
 def _batch_equivalent_channels(
@@ -253,19 +257,19 @@ def _link_draw(
     h_eq: np.ndarray, points: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One block's link draw over the given equivalent channels:
-    ``(sent, clean, noise)``.
-
-    ``rng`` gives the bits of each codeword first, then the unit noise
-    of :func:`stbc.received_parts`. ``sent`` holds the label indices of
-    each codeword's two symbols and ``clean`` its noiseless received
-    rows ``h_eq^H S``, so ``A * clean + noise`` is the received block at
-    any link amplitude ``A``.
+    ``(sent, w, reach)``, each of shape ``(n, 2)``: the label indices of
+    each codeword's two symbols, then their combined noise and its reach
+    (:func:`stbc.alamouti_noise`). ``rng`` gives the bits of each
+    codeword, then the real and then the imaginary parts of the unit
+    noise of its two received slots.
     """
     k = stbc.bits_per_symbol(points)
     bits = rng.integers(0, 2, (h_eq.shape[0], 2 * k), dtype=np.uint8)
-    sent = stbc.label_index(bits.reshape(-1, 2, k))
-    s = stbc.alamouti_codeword(points[sent[:, 0]], points[sent[:, 1]])
-    return (sent, *stbc.received_parts(s, h_eq, rng))
+    sent = stbc.label_index(bits.reshape(-1, 2, k)).astype(np.uint8)
+    noise = np.empty(sent.shape, dtype=np.complex128)
+    np.multiply(rng.standard_normal(sent.shape), np.sqrt(0.5), out=noise.real)
+    np.multiply(rng.standard_normal(sent.shape), np.sqrt(0.5), out=noise.imag)
+    return (sent, *stbc.alamouti_noise(h_eq, noise, points))
 
 
 def _ber_block(
@@ -275,10 +279,19 @@ def _ber_block(
     link: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> int:
     """Bit error count of one block of codewords at link ``amplitude`` and
-    unit noise variance, given the block's :func:`_link_draw` ``link``."""
-    sent, clean, noise = link
-    decoded = stbc.decode_alamouti(amplitude * clean + noise, h_eq, points, amplitude)
-    return int(stbc.hamming_distance(sent, decoded).sum())
+    unit noise variance, given the block's :func:`_link_draw` ``link``.
+
+    Only a symbol whose reach is at least ``amplitude``, less 1e-9 of it
+    for the rounding of ``s + w / A``, is demapped; any other lies
+    strictly inside its own decision cell. A zero equivalent channel
+    (infinite reach) decodes to label index 0.
+    """
+    sent, w, reach = link
+    near = np.flatnonzero(reach >= amplitude * (1.0 - 1e-9))
+    sent, w, reach = sent.ravel()[near], w.ravel()[near], reach.ravel()[near]
+    decided = stbc.demap(points[sent] + w / amplitude, points)
+    decided[reach == np.inf] = 0
+    return int(stbc.hamming_distance(sent, decided).sum())
 
 
 @dataclass
@@ -490,7 +503,8 @@ def run_fig1(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
     h = _sample_channels(cfg, 1, substream(cfg.seed, _PURPOSE_FIG1))
     phases = ()
     if any(scheme in beamformer.BPR_SCHEMES for scheme in cfg.schemes):
-        phases = _batch_greedy_phases(h, cfg.q)[:, 0]
+        idx = _batch_greedy_phases(h, cfg.q)[:, 0]
+        phases = [grid[i] for grid, i in zip(phase_opt.block_grids(cfg.q), idx)]
     rows = []
     notes = ["blockwise patterns use greedy phases for one seeded channel draw"]
     for scheme in cfg.schemes:

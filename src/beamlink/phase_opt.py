@@ -12,11 +12,11 @@ rotates it closest to the phase of the sum placed so far, which is that
 element's best angle. With nothing placed every angle is nearest, and
 slot 1 takes angle 0: both grids are the same cyclic group of angles,
 so the greedy is equivariant under a grid rotation of slot 1, whose
-angle only sets the global phase. :func:`greedy_bpr_phases` runs on a
-batch of channel rows at once; a single channel is a batch of one. The
-kernel works element-major, on ``(n, rows)`` tiles of ``conj(h).T``, so
-the antenna-major rows of the channel samplers reach it without a
-transposed copy.
+angle only sets the global phase. :func:`greedy_bpr_indices` runs on a
+batch of channel rows at once and returns each slot's grid index; a
+single channel is a batch of one. The kernel works element-major, on
+``(n, rows)`` tiles of ``conj(h).T``, so the antenna-major rows of the
+channel samplers reach it without a transposed copy.
 """
 
 from __future__ import annotations
@@ -44,20 +44,21 @@ def block_grids(q: int) -> tuple[np.ndarray, np.ndarray]:
 _TILE_ROWS = 4096
 
 
-def greedy_bpr_phases(h: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def greedy_bpr_indices(h: np.ndarray, q: int) -> np.ndarray:
     """Greedy blockwise phase selection over the rows of ``h``, shape ``(b, 2**q)``.
 
-    Returns ``(phi, slots, gain)``. ``phi[block]`` and ``slots[block]``,
-    shape ``(b, 2**(q-1))``, hold the angle and the element of each slot
-    of the two blocks: slot k of row i rotates by ``phi[0, i, k]`` in the
-    top block and ``phi[1, i, k]`` in the bottom one. ``gain`` is the
-    aligned-sum magnitude per row. One channel is the batch ``h[None]``;
-    :func:`complexity_probe` gives the candidate scores per row.
+    Returns ``idx``, shape ``(2, b, 2**(q-1))``: slot k of row i rotates
+    by ``grid1[idx[0, i, k]]`` in the top block and ``grid2[idx[1, i, k]]``
+    in the bottom one, ``(grid1, grid2)`` being :func:`block_grids`. One
+    channel is the batch ``h[None]``; :func:`complexity_probe` gives the
+    candidate scores per row.
 
     The first pass fills the ``2**(q-1)`` slots of block 1 in turn, each
     with the (unplaced element, grid-1 angle) pair that maximizes the
     aligned-sum magnitude; the second fills block 2 the same way from
     the remaining elements and grid 2. Nothing placed is revisited.
+    Only the angles are returned: the beamformer reads slot k's angles
+    as column k's, whichever elements filled the slot.
 
     No slot scores the whole (element, angle) grid. With ``c = conj(h_v)``
     and the sum ``acc`` of the slots placed so far,
@@ -69,14 +70,14 @@ def greedy_bpr_phases(h: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np
     the first maximum over the elements in ascending index order wins.
 
     Slot 1 (``acc = 0``) follows the same rule: every angle is nearest,
-    and the index is 0, so its element is the first maximum of ``|h_v|``
-    (equal magnitudes go to the lowest index) and its angle is 0. That
-    fixes only the global phase. Both grids are the cyclic group
-    ``{2 pi b / 2**(q-1)}`` modulo 2 pi, so rotating slot 1 by a grid
-    step rotates every later nearest angle by the same step and leaves
-    the elements, the gain and ``phi2 - phi1`` unchanged. So, away from
-    ties to the last bit, multiplying a row by a common phase
-    ``exp(j psi)`` changes none of its phases.
+    and the index is 0, so it computes no angle, its element is the first
+    maximum of ``|h_v|`` (equal magnitudes go to the lowest index) and
+    its angle is 0. That fixes only the global phase. Both grids are the
+    cyclic group ``{2 pi b / 2**(q-1)}`` modulo 2 pi, so rotating slot 1
+    by a grid step rotates every later nearest angle by the same step and
+    leaves the elements, the aligned-sum magnitude and ``phi2 - phi1``
+    unchanged. So, away from ties to the last bit, multiplying a row by
+    a common phase ``exp(j psi)`` changes none of its indices.
 
     Known limit: on continuous channels every decision equals that of a
     scorer that rates all (unplaced element, angle) pairs of every slot
@@ -101,24 +102,19 @@ def greedy_bpr_phases(h: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np
     if not finite.all():
         raise ValueError(f"h must be finite, but row {int(finite.argmin())} holds NaN or inf")
     b, n = h.shape
-    half = n // 2
-    phi = np.empty((2, b, half))
-    slots = np.empty((2, b, half), dtype=np.int64)
-    gain = np.empty(b)
+    idx = np.empty((2, b, n // 2), dtype=np.int64)
     for start in range(0, b, _TILE_ROWS):
         rows = slice(start, start + _TILE_ROWS)
-        hc = np.ascontiguousarray(h[rows].conj().T)
-        gain[rows] = _greedy_tile(hc, grids, phi[:, rows], slots[:, rows])
-    return phi, slots, gain
+        _greedy_tile(np.ascontiguousarray(h[rows].conj().T), grids, idx[:, rows])
+    return idx
 
 
 def _greedy_tile(
-    hc: np.ndarray, grids: tuple[np.ndarray, np.ndarray], phi: np.ndarray, slots: np.ndarray
-) -> np.ndarray:
-    """:func:`greedy_bpr_phases` on one tile of conjugated channel rows,
+    hc: np.ndarray, grids: tuple[np.ndarray, np.ndarray], idx: np.ndarray
+) -> None:
+    """:func:`greedy_bpr_indices` on one tile of conjugated channel rows,
     held element-major: ``hc`` is the C-contiguous ``(n, rows)`` array
-    ``conj(h).T``. Fills the tile's views ``phi`` and ``slots`` and
-    returns the gain per row.
+    ``conj(h).T``. Fills the tile's view ``idx``.
 
     Every slot works on whole element rows of length ``rows``. The first
     maximum over the unplaced elements is a running scan
@@ -129,33 +125,32 @@ def _greedy_tile(
     n, rows = hc.shape
     col = np.arange(rows)
     acc = np.zeros(rows, dtype=np.complex128)
-    # unplaced elements per column in ascending order, and their conj(h)
-    remaining = np.repeat(np.arange(n), rows).reshape(n, rows)
     cand = hc
     for block, angles in enumerate(grids):
         size = angles.size
         rotations = np.exp(1j * angles)
         for slot in range(n // 2):
-            # + 0.0 makes the signed zeros of a zero product +0, whose angle
-            # is 0, so slot 1 (acc = 0) takes grid index 0 on every row
-            phase = np.angle(cand * acc.conj() + 0.0)
-            near = np.rint(phase * (-size / (2 * np.pi))).astype(np.int64) & (size - 1)
-            # operand order fixed, as complex products round by order; the
-            # in-place add skips a broadcast output and commutes bit for bit
-            score = rotations[near] * cand
-            score += acc
+            if block == slot == 0:
+                # nothing placed: grid index 0, of rotation 1, scores |conj(h_v)|
+                near, score = np.zeros(cand.shape, dtype=np.int64), cand
+            else:
+                # + 0.0 makes the signed zeros of a zero product +0, whose
+                # angle is 0, so a row with acc = 0 takes grid index 0
+                phase = np.angle(cand * acc.conj() + 0.0)
+                near = np.rint(phase * (-size / (2 * np.pi))).astype(np.int64) & (size - 1)
+                # operand order fixed, as complex products round by order; the
+                # in-place add skips a broadcast output and commutes bit for bit
+                score = rotations[near] * cand
+                score += acc
             pos = _first_max(np.abs(score))
             flat = pos * rows + col
             g = near.ravel().take(flat)
-            c = cand.ravel().take(flat)
-            phi[block, :, slot] = angles[g]
-            slots[block, :, slot] = remaining.ravel().take(flat)
-            acc = acc + rotations[g] * c
+            idx[block, :, slot] = g
+            if cand.shape[0] == 1:
+                break
+            acc = acc + rotations[g] * cand.ravel().take(flat)
             j = np.arange(cand.shape[0] - 1)[:, None]
-            keep = (j + (j >= pos)) * rows + col
-            cand = cand.ravel().take(keep)
-            remaining = remaining.ravel().take(keep)
-    return np.abs(acc)
+            cand = cand.ravel().take((j + (j >= pos)) * rows + col)
 
 
 def _first_max(scores: np.ndarray) -> np.ndarray:

@@ -15,10 +15,11 @@ A constellation is the array of its points, and a symbol is the label
 index of its point, whose binary expansion is its Gray bit label; bit
 errors are the popcounts of XORed indices. The link runs at unit noise
 variance, so its amplitude (:func:`link_amplitude`) alone sets the SNR,
-and :func:`received_parts` splits the received rows into a noiseless
-part and the noise, so that one draw serves every amplitude. Packing,
-the received parts and decoding accept leading batch axes, so one call
-runs a block of codewords and a single codeword is a batch of one.
+and combining gives the sent symbols plus the combined noise over the
+amplitude (:func:`alamouti_noise`), so one noise draw serves every
+amplitude. Packing, the combined noise and slicing accept leading batch
+axes, so one call runs a block of codewords and a single codeword is a
+batch of one.
 """
 
 from __future__ import annotations
@@ -134,16 +135,6 @@ def _slice_axis(x: np.ndarray, n_levels: int, scale: float) -> np.ndarray:
     return np.minimum(gray[below], gray[above])
 
 
-def alamouti_codeword(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    """Codewords ``[[s1, -conj(s2)], [s2, conj(s1)]]`` in the last two axes."""
-    out = np.empty(np.broadcast_shapes(np.shape(s1), np.shape(s2)) + (2, 2), dtype=np.complex128)
-    out[..., 0, 0] = s1
-    out[..., 0, 1] = -np.conj(s2)
-    out[..., 1, 0] = s2
-    out[..., 1, 1] = np.conj(s1)
-    return out
-
-
 def link_amplitude(
     gamma0: float, kappa: float, mode: str, include_array_gain: bool, n_antennas: int, n_paths: int
 ) -> float:
@@ -164,53 +155,40 @@ def link_amplitude(
     return float(np.sqrt(gamma0))
 
 
-def received_parts(
-    x: np.ndarray, h: np.ndarray, rng: np.random.Generator
+def alamouti_noise(
+    h_eq: np.ndarray, noise: np.ndarray, points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The noiseless rows ``h^H X`` and the noise ``z`` of the received
-    rows ``y = amplitude * h^H X + z``.
+    """The combined noise ``w`` of each symbol of a block of codewords,
+    and its reach.
 
-    ``x`` has shape ``(..., n_rows, t)`` and ``h`` shape ``(..., n_rows)``.
-    The noise is i.i.d. CN(0, 1): the link runs at unit noise variance,
-    so the link amplitude alone sets the SNR. Its real parts are drawn
-    from ``rng`` before its imaginary parts, so one draw serves every
-    amplitude.
+    ``h_eq = (g1, g2)`` and the unit noise ``n = (n1, n2)`` of each
+    codeword's two received slots have the same shape ``(..., 2)``, and
+    so have both results. The codeword arrives as ``y = A h_eq^H S + n``
+    at link amplitude A, and combining,
+    ``(g1 y1 + conj(g2) conj(y2), g2 y1 - conj(g1) conj(y2)) / (A ||h_eq||^2)``,
+    gives ``s + w / A`` by the codeword's orthogonality, with
+    ``w = (g1 n1 + conj(g2) conj(n2), g2 n1 - conj(g1) conj(n2)) / ||h_eq||^2``.
+    Its nearest-point decisions are joint maximum likelihood.
+
+    The reach ``max(|Re w|, |Im w|) * scale`` (``scale = sqrt(2 (M - 1) / 3)``
+    for square QAM, 1 for BPSK) counts half spacings of ``points``: a
+    symbol whose reach is below A stays strictly inside its own decision
+    cell. A zero equivalent channel has no combiner: its ``w`` is 0, its
+    reach infinite, and by convention it decodes to label index 0.
     """
-    h = np.asarray(h)
-    x = np.asarray(x)
-    if x.shape[-2] != h.shape[-1]:
-        raise ValueError("channel length does not match codeword rows")
-    hc = h.conj()
-    clean = hc[..., 0, None] * x[..., 0, :]
-    for row in range(1, x.shape[-2]):
-        clean = clean + hc[..., row, None] * x[..., row, :]
-    noise = np.sqrt(0.5) * (
-        rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape)
-    )
-    return clean, noise
-
-
-def decode_alamouti(
-    y: np.ndarray, h_eq: np.ndarray, points: np.ndarray, amplitude: float = 1.0
-) -> np.ndarray:
-    """Combine and demap received blocks back to the label indices of (s1, s2).
-
-    ``y`` and ``h_eq`` have shape ``(..., 2)``, and so has the result.
-    Linear combining against the known equivalent channel recovers
-    per-symbol statistics whose nearest-point decisions coincide with
-    joint maximum likelihood, thanks to the codeword's orthogonality. A
-    zero equivalent channel is degenerate; by convention the decoder
-    then emits label index 0 twice.
-    """
-    y = np.asarray(y)
-    h_eq = np.asarray(h_eq)
     g1, g2 = h_eq[..., 0], h_eq[..., 1]
-    y1, y2 = y[..., 0], y[..., 1]
-    denom = amplitude * (np.abs(g1) ** 2 + np.abs(g2) ** 2)
-    zero = denom == 0.0
-    denom = np.where(zero, 1.0, denom)
-    s1_hat = (g1 * y1 + np.conj(g2) * np.conj(y2)) / denom
-    s2_hat = (g2 * y1 - np.conj(g1) * np.conj(y2)) / denom
-    idx = np.stack([demap(s1_hat, points), demap(s2_hat, points)], axis=-1)
-    idx[zero] = 0
-    return idx
+    n1, n2 = noise[..., 0], noise[..., 1].conj()
+    w = np.empty(noise.shape, dtype=np.complex128)
+    w[..., 0] = g1 * n1 + g2.conj() * n2
+    w[..., 1] = g2 * n1 - g1.conj() * n2
+    gain = np.abs(g1) ** 2 + np.abs(g2) ** 2
+    zero = gain == 0.0
+    # the contiguous float parts (Re w1, Im w1, Re w2, Im w2) of each
+    # codeword, scaled by a real factor without a strided pass over w.real
+    parts = w.view(np.float64)
+    parts *= (1.0 / np.where(zero, 1.0, gain))[..., None]
+    scale = 1.0 if len(points) == 2 else _qam_axes(len(points))[2]
+    parts = np.abs(parts)
+    reach = np.maximum(parts[..., 0::2], parts[..., 1::2]) * scale
+    reach[zero] = np.inf
+    return w, reach

@@ -207,7 +207,8 @@ def greedy_full_grid(
     takes the first flat maximum, so equal float scores go to the lowest
     element index, then the lowest grid index. Slot 1 scores grid index
     0 only, as the kernel's rule states. Returns ``(phi, slots,
-    gain)`` laid out as ``phase_opt.greedy_bpr_phases`` lays them out.
+    gain)``, each of the first two laid out as
+    ``phase_opt.greedy_bpr_indices`` lays out its indices.
     """
     b, n = h.shape
     half = n // 2
@@ -236,6 +237,40 @@ def greedy_full_grid(
                 cand = cand[keep].reshape(rows.size, m - 1)
         gain[start : start + rows.size] = np.abs(acc)
     return phi, slots, gain
+
+
+def replay_greedy(
+    h: np.ndarray, idx: np.ndarray, grid1: np.ndarray, grid2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Replays a greedy blockwise selection from its grid indices alone.
+
+    ``h`` has shape ``(b, n)`` and ``idx`` shape ``(2, b, n // 2)``, as
+    ``phase_opt.greedy_bpr_indices`` returns them. Each slot rotates
+    every unplaced element by the slot's recorded angle and places the
+    first element with the largest ``|acc + conj(h_v) exp(j angle)|``.
+    That is the greedy's element: at the recorded angle no element
+    scores more than at its own best angle, where none beats the
+    greedy's choice. Returns ``(phi, slots, gain)``: the angles, each
+    slot's element and the aligned-sum magnitude of each row.
+    """
+    b, n = h.shape
+    hc = np.conj(h)
+    rows = np.arange(b)
+    acc = np.zeros(b, dtype=np.complex128)
+    placed = np.zeros((b, n), dtype=bool)
+    phi = np.empty(idx.shape)
+    slots = np.empty(idx.shape, dtype=np.int64)
+    for block, angles in enumerate((grid1, grid2)):
+        for slot in range(n // 2):
+            rotation = np.exp(1j * angles[idx[block, :, slot]])
+            scores = np.abs(acc[:, None] + hc * rotation[:, None])
+            scores[placed] = -np.inf
+            elem = scores.argmax(axis=1)
+            phi[block, :, slot] = angles[idx[block, :, slot]]
+            slots[block, :, slot] = elem
+            acc = acc + hc[rows, elem] * rotation
+            placed[rows, elem] = True
+    return phi, slots, np.abs(acc)
 
 
 def label_rows(order: int) -> np.ndarray:

@@ -1,9 +1,13 @@
 """Reference link simulations that only the tests run.
 
-They check the package's link against closed forms (criteria 5 and 6),
-so unlike :mod:`oracles` they run the package's own kernels: stbc's
-received parts and decoder, and the harness's trial blocks. Their
-substream purpose tags, 4 and 5, are reserved in the harness.
+The explicit Alamouti link lives here: the codeword, the received rows
+``A h^H S + z`` and the combine-and-demap decoder. The harness's link
+draws only the combined noise per symbol, and the tests check it
+against this explicit path on the same stream. The simulators check
+the package's link against closed forms (criteria 5 and 6), so unlike
+:mod:`oracles` they run the package's own kernels: stbc's slicer and
+the harness's trial blocks and link. Their substream purpose tags, 4
+and 5, are reserved in the harness.
 """
 
 from __future__ import annotations
@@ -16,6 +20,65 @@ _PURPOSE_BPSK_CHECK = 4
 _PURPOSE_CONDITIONAL = 5
 
 
+def alamouti_codeword(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """Codewords ``[[s1, -conj(s2)], [s2, conj(s1)]]`` in the last two axes."""
+    out = np.empty(np.broadcast_shapes(np.shape(s1), np.shape(s2)) + (2, 2), dtype=np.complex128)
+    out[..., 0, 0] = s1
+    out[..., 0, 1] = -np.conj(s2)
+    out[..., 1, 0] = s2
+    out[..., 1, 1] = np.conj(s1)
+    return out
+
+
+def received_parts(
+    x: np.ndarray, h: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The noiseless rows ``h^H X`` and the noise ``z`` of the received
+    rows ``y = amplitude * h^H X + z``.
+
+    ``x`` has shape ``(..., n_rows, t)`` and ``h`` shape ``(..., n_rows)``.
+    The noise is i.i.d. CN(0, 1), its real parts drawn from ``rng``
+    before its imaginary parts, so one draw serves every amplitude.
+    """
+    h = np.asarray(h)
+    x = np.asarray(x)
+    if x.shape[-2] != h.shape[-1]:
+        raise ValueError("channel length does not match codeword rows")
+    hc = h.conj()
+    clean = hc[..., 0, None] * x[..., 0, :]
+    for row in range(1, x.shape[-2]):
+        clean = clean + hc[..., row, None] * x[..., row, :]
+    noise = np.sqrt(0.5) * (
+        rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape)
+    )
+    return clean, noise
+
+
+def decode_alamouti(
+    y: np.ndarray, h_eq: np.ndarray, points: np.ndarray, amplitude: float = 1.0
+) -> np.ndarray:
+    """Combine and demap received blocks back to the label indices of (s1, s2).
+
+    ``y`` and ``h_eq`` have shape ``(..., 2)``, and so has the result.
+    Linear combining against the known equivalent channel recovers
+    per-symbol statistics whose nearest-point decisions coincide with
+    joint maximum likelihood. A zero equivalent channel is degenerate;
+    by convention the decoder then emits label index 0 twice.
+    """
+    y = np.asarray(y)
+    h_eq = np.asarray(h_eq)
+    g1, g2 = h_eq[..., 0], h_eq[..., 1]
+    y1, y2 = y[..., 0], y[..., 1]
+    denom = amplitude * (np.abs(g1) ** 2 + np.abs(g2) ** 2)
+    zero = denom == 0.0
+    denom = np.where(zero, 1.0, denom)
+    s1_hat = (g1 * y1 + np.conj(g2) * np.conj(y2)) / denom
+    s2_hat = (g2 * y1 - np.conj(g1) * np.conj(y2)) / denom
+    idx = np.stack([stbc.demap(s1_hat, points), stbc.demap(s2_hat, points)], axis=-1)
+    idx[zero] = 0
+    return idx
+
+
 def transmit_receive(
     x: np.ndarray,
     h: np.ndarray,
@@ -26,9 +89,9 @@ def transmit_receive(
     """Received rows ``y = amplitude * h^H X + z`` with z i.i.d. CN(0, sigma2).
 
     ``x`` has shape ``(..., n_rows, t)`` and ``h`` shape ``(..., n_rows)``;
-    the two terms come from :func:`stbc.received_parts`.
+    the two terms come from :func:`received_parts`.
     """
-    clean, noise = stbc.received_parts(x, h, rng)
+    clean, noise = received_parts(x, h, rng)
     return amplitude * clean + np.sqrt(sigma2) * noise
 
 
@@ -38,7 +101,7 @@ def alamouti_codebook(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Codeword ``i1 * M + i2`` encodes the symbols of label indices (i1, i2).
     """
     i1, i2 = np.divmod(np.arange(len(points) ** 2), len(points))
-    return stbc.alamouti_codeword(points[i1], points[i2]), np.stack([i1, i2], axis=1)
+    return alamouti_codeword(points[i1], points[i2]), np.stack([i1, i2], axis=1)
 
 
 def simulate_bpsk_rayleigh_ber(

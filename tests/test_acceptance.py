@@ -23,6 +23,7 @@ from oracles import (
     pair_label_rows,
     random_blockwise_gain,
     rayleigh_q_mgf_reference,
+    replay_greedy,
     union_bound_enum,
 )
 from reference_sims import (
@@ -108,7 +109,7 @@ def test_criterion_3_greedy_vs_oracle():
     beats_random = 0
     for seed in range(n_channels):
         h = sample_mmwave_batch(1, 3, 4, SteeringConfig(), substream(seed))[0]
-        _, _, gain = phase_opt.greedy_bpr_phases(h[None], 2)
+        _, _, gain = replay_greedy(h[None], phase_opt.greedy_bpr_indices(h[None], 2), *grids)
         exhaustive = blockwise_bruteforce_gain(h, *grids)
         bounded += gain[0] <= exhaustive + 1e-10
         rng = substream(seed, 91)
@@ -182,8 +183,9 @@ def test_criterion_6_union_and_chernoff_dominance():
     details = []
     for ch_seed in (1, 2, 3):
         h = sample_mmwave_batch(1, 3, 4, SteeringConfig(), substream(ch_seed))[0]
-        phi, _, _ = phase_opt.greedy_bpr_phases(h[None], 2)
-        bf = beamformer.build_bpr_atb(2, beamformer.REAL_GOLDEN, phi[0, 0], phi[1, 0])
+        idx = phase_opt.greedy_bpr_indices(h[None], 2)[:, 0]
+        phi1, phi2 = (grid[i] for grid, i in zip(phase_opt.block_grids(2), idx))
+        bf = beamformer.build_bpr_atb(2, beamformer.REAL_GOLDEN, phi1, phi2)
         h_eq = beamformer.equivalent_channel(bf, h)
         for gamma_db in (0.0, 4.0, 8.0, 12.0):
             gamma0 = 10 ** (gamma_db / 10.0)

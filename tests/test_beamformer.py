@@ -221,9 +221,9 @@ class TestAntennaMajorRows:
             np.testing.assert_array_equal(
                 beamformer.equivalent_channel(bf, h), beamformer.equivalent_channel(bf, rows)
             )
-        phi, _, _ = phase_opt.greedy_bpr_phases(h, q)
+        idx = phase_opt.greedy_bpr_indices(h, q)
         np.testing.assert_array_equal(
-            beamformer.bpr_rotated_sum(q, h, *phi), beamformer.bpr_rotated_sum(q, rows, *phi)
+            beamformer.bpr_rotated_sum(q, h, *idx), beamformer.bpr_rotated_sum(q, rows, *idx)
         )
 
     def test_antenna_major_block_is_not_copied(self):
@@ -252,10 +252,10 @@ class TestBprEquivalentChannels:
         for lead in [(), (40,), (3, 5)]:
             shape = (*lead, n)
             h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-            phi1, phi2 = (
-                grid[rng.integers(0, half, (*lead, half))] for grid in phase_opt.block_grids(q)
-            )
-            batch = beamformer.bpr_scale(q, variant) * beamformer.bpr_rotated_sum(q, h, phi1, phi2)
+            idx1, idx2 = rng.integers(0, half, (2, *lead, half))
+            grid1, grid2 = phase_opt.block_grids(q)
+            phi1, phi2 = grid1[idx1], grid2[idx2]
+            batch = beamformer.bpr_scale(q, variant) * beamformer.bpr_rotated_sum(q, h, idx1, idx2)
             assert batch.shape == (*lead, half)
             rows, p1, p2 = h.reshape(-1, n), phi1.reshape(-1, half), phi2.reshape(-1, half)
             want = np.array([
@@ -269,14 +269,16 @@ class TestBprEquivalentChannels:
     def test_grid_rotations_are_np_exp(self, q):
         # the lookup among the grid's exponentials keeps np.exp's bits
         for grid in phase_opt.block_grids(q):
-            phi = grid[substream(0, 39).integers(0, grid.size, (50, grid.size))]
-            assert np.array_equal(beamformer._grid_rotations(grid, phi), np.exp(-1j * phi))
+            idx = substream(0, 39).integers(0, grid.size, (50, grid.size))
+            assert np.array_equal(beamformer._grid_rotations(grid, idx), np.exp(-1j * grid[idx]))
 
     def test_rejects_phases_off_the_grid(self):
+        # the phases are grid indices: an index past either end of the
+        # grid, or an angle in place of an index, is refused
         h = np.ones((3, 4), dtype=np.complex128)
-        grid1, grid2 = phase_opt.block_grids(2)
-        on = np.broadcast_to(grid1, (3, 2))
+        on = np.broadcast_to(np.arange(2), (3, 2))
         beamformer.bpr_rotated_sum(2, h, on, on)
-        for off in (on + 1e-3, np.nextafter(on, 4.0)):
+        grid1, _ = phase_opt.block_grids(2)
+        for off in (on + 1, on - 1, np.broadcast_to(grid1, (3, 2))):
             with pytest.raises(ValueError, match="block_grids"):
                 beamformer.bpr_rotated_sum(2, h, on, off)

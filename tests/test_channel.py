@@ -200,3 +200,29 @@ class TestRayleighChannel:
         h = channel.sample_rayleigh_batch(1, 6, substream(seed))
         assert h.shape == (1, 6)
         assert np.array_equal(h[0], expected)
+
+
+class TestSamplerBits:
+    """The samplers write their real and imaginary parts in place, with the
+    bits of the complex expressions that built them before."""
+
+    def test_complex_normal_keeps_the_bits_of_the_complex_division(self):
+        shape = (65536, 3)
+        rng = substream(0, 80)
+        want = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+        got = channel._complex_normal(shape, substream(0, 80))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_plane_wave_steps_keep_the_bits_of_the_exponential(self):
+        # 2**17 rows of 3 paths: each path's step was np.exp(1j * phase)
+        n, cfg = 2**17, channel.SteeringConfig(spacing_over_wavelength=0.4)
+        rng = substream(0, 81)
+        gains = channel._complex_normal((n, 3), rng)
+        angles = rng.uniform(-np.pi / 2, np.pi / 2, (n, 3))
+        step = np.exp(1j * (2.0 * np.pi * cfg.spacing_over_wavelength * np.sin(angles))).T
+        wave = np.ascontiguousarray(gains.T)
+        got = channel._plane_wave_sums(gains, angles, 8, cfg)
+        for m in range(8):
+            if m:
+                wave = wave * step
+            assert np.array_equal(got[:, m].view(np.uint64), wave.sum(axis=0).view(np.uint64)), m

@@ -21,9 +21,11 @@ from beamlink.rng import substream
 
 from oracles import greedy_blockwise_reference, label_rows, ml_decode_index
 from reference_sims import (
+    alamouti_codeword,
+    decode_alamouti,
+    received_parts,
     simulate_bpsk_rayleigh_ber,
     simulate_conditional_ber,
-    transmit_receive,
 )
 
 
@@ -203,6 +205,28 @@ class TestConfig:
         assert _tiny_cfg(seed=1).content_hash() != _tiny_cfg(seed=2).content_hash()
 
 
+def _grid_index(grid, phi):
+    """Positions of the angles ``phi`` in ``grid``; each must be a value of it."""
+    hits = grid[:, None] == np.asarray(phi)[None, :]
+    assert hits.any(axis=0).all(), phi
+    return hits.argmax(axis=0)
+
+
+def _assert_greedy_matches_reference(h, q, idx, rows):
+    """The kernel's grid indices ``idx`` for the given rows of ``h`` are
+    the scalar reference's, and so is the realized ``||F^H h||^2``."""
+    grids = phase_opt.block_grids(q)
+    rotated = beamformer.bpr_rotated_sum(q, h, *idx)
+    for i in rows:
+        ref_phi1, ref_phi2, _, _, _ = greedy_blockwise_reference(h[i], *grids)
+        np.testing.assert_array_equal(idx[0, i], _grid_index(grids[0], ref_phi1))
+        np.testing.assert_array_equal(idx[1, i], _grid_index(grids[1], ref_phi2))
+        bf = beamformer.build_bpr_atb(q, beamformer.REAL_GOLDEN, ref_phi1, ref_phi2)
+        want = np.sum(np.abs(beamformer.equivalent_channel(bf, h[i])) ** 2)
+        scale = beamformer.bpr_scale(q, beamformer.REAL_GOLDEN)
+        assert np.sum(np.abs(scale * rotated[i]) ** 2) == pytest.approx(want, rel=1e-12)
+
+
 class TestBatchKernels:
     def test_blocks_cover_total_with_keyed_substreams(self):
         blocks = list(harness._blocks(40000, 11, 7))
@@ -215,20 +239,9 @@ class TestBatchKernels:
             rng = substream(q, 60)
             n = 2**q
             h = (rng.standard_normal((200, n)) + 1j * rng.standard_normal((200, n))) / np.sqrt(2)
-            phi, slots, gain = phase_opt.greedy_bpr_phases(h, q)
-            phi1, phi2 = harness._batch_greedy_phases(h, q)
-            np.testing.assert_array_equal(phi1, phi[0])
-            np.testing.assert_array_equal(phi2, phi[1])
-            grids = phase_opt.block_grids(q)
-            for i in range(200):
-                ref_phi1, ref_phi2, ref_slots1, ref_slots2, ref_gain = (
-                    greedy_blockwise_reference(h[i], *grids)
-                )
-                np.testing.assert_array_equal(phi[0, i], ref_phi1)
-                np.testing.assert_array_equal(phi[1, i], ref_phi2)
-                np.testing.assert_array_equal(slots[0, i], ref_slots1)
-                np.testing.assert_array_equal(slots[1, i], ref_slots2)
-                assert gain[i] == pytest.approx(ref_gain, rel=1e-12)
+            idx = harness._batch_greedy_phases(h, q)
+            np.testing.assert_array_equal(idx, phase_opt.greedy_bpr_indices(h, q))
+            _assert_greedy_matches_reference(h, q, idx, range(200))
 
     @pytest.mark.parametrize("q", [3, 4])
     def test_batch_greedy_matches_scalar_across_tiles(self, q):
@@ -241,28 +254,19 @@ class TestBatchKernels:
         rng = substream(q, 63)
         h = (rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n))) / np.sqrt(2)
         h[1::2] = 1j ** rng.integers(0, 4, (b // 2, n))
-        phi, slots, gain = phase_opt.greedy_bpr_phases(h, q)
-        grids = phase_opt.block_grids(q)
-        edges = [tile - 1, tile, 2 * tile - 1]
-        for i in [*edges, *range(2 * tile, b)]:
-            ref_phi1, ref_phi2, ref_slots1, ref_slots2, ref_gain = (
-                greedy_blockwise_reference(h[i], *grids)
-            )
-            np.testing.assert_array_equal(phi[0, i], ref_phi1)
-            np.testing.assert_array_equal(phi[1, i], ref_phi2)
-            np.testing.assert_array_equal(slots[0, i], ref_slots1)
-            np.testing.assert_array_equal(slots[1, i], ref_slots2)
-            assert gain[i] == pytest.approx(ref_gain, rel=1e-12)
+        idx = phase_opt.greedy_bpr_indices(h, q)
+        _assert_greedy_matches_reference(h, q, idx, [tile - 1, tile, 2 * tile - 1, *range(2 * tile, b)])
 
     @pytest.mark.parametrize("scheme", ["dft", "hadamard", "bpr-real", "bpr-complex"])
     def test_batch_equivalent_channels_match_scalar(self, scheme):
         cfg = _tiny_cfg(schemes=("dft", "hadamard", "bpr-real", "bpr-complex"))
         rng = substream(0, 61)
         h = (rng.standard_normal((100, 4)) + 1j * rng.standard_normal((100, 4))) / np.sqrt(2)
-        phi1, phi2 = harness._batch_greedy_phases(h, 2)
+        grid1, grid2 = phase_opt.block_grids(2)
+        idx1, idx2 = harness._batch_greedy_phases(h, 2)
         batch = harness._equivalent_channels(cfg, (scheme,), h)[scheme]
         for i in range(100):
-            bf = beamformer.build(scheme, 2, phi1[i], phi2[i])
+            bf = beamformer.build(scheme, 2, grid1[idx1[i]], grid2[idx2[i]])
             expected = beamformer.equivalent_channel(bf, h[i])
             np.testing.assert_allclose(batch[i], expected, atol=1e-11)
 
@@ -271,9 +275,11 @@ class TestBatchKernels:
         rows = []
         rotated_sum = beamformer.bpr_rotated_sum
 
-        def counting(q, h, phi1, phi2):
+        def counting(q, h, idx1, idx2):
+            # the greedy hands over grid indices, not angles
+            assert idx1.dtype.kind == idx2.dtype.kind == "i"
             rows.append(h.shape[0])
-            return rotated_sum(q, h, phi1, phi2)
+            return rotated_sum(q, h, idx1, idx2)
 
         monkeypatch.setattr(beamformer, "bpr_rotated_sum", counting)
         n = harness.TRIAL_BLOCK + 100
@@ -323,23 +329,71 @@ class TestBatchKernels:
             assert block_errors == errors
             assert errors > 0
 
-    @pytest.mark.parametrize("order", [2, 64])
-    def test_link_draw_is_transmit_receive_at_every_amplitude(self, order):
-        # A * clean + noise from one draw is stbc's link on the same stream
+    @pytest.mark.parametrize("order", [2, 4, 16, 64])
+    def test_ber_block_counts_the_explicit_link_error_for_error(self, order):
+        # the explicit path on the same stream: bits, the codeword, the
+        # received rows A h_eq^H S + z, combining and demapping every symbol
         points = stbc.make_constellation(order)
-        rng_data = substream(0, 64)
-        h_eq = (rng_data.standard_normal((300, 2)) + 1j * rng_data.standard_normal((300, 2))) / np.sqrt(2)
-        sent, clean, noise = harness._link_draw(h_eq, points, substream(9, 1))
         k = stbc.bits_per_symbol(points)
-        for amplitude in (0.3, 1.0, 17.8):
-            rng = substream(9, 1)
-            bits = rng.integers(0, 2, (300, 2 * k), dtype=np.uint8)
-            labels = stbc.label_index(bits.reshape(-1, 2, k))
-            assert np.array_equal(sent, labels)
-            s = stbc.alamouti_codeword(points[labels[:, 0]], points[labels[:, 1]])
-            y = transmit_receive(s, h_eq, rng, amplitude)
-            assert np.array_equal(amplitude * clean + noise, y)
+        cfg = _tiny_cfg(schemes=beamformer.SCHEMES, modulation=order)
+        amplitudes = [
+            stbc.link_amplitude(10.0 ** (db / 10.0), beamformer.kappa(scheme, 2), norm, True, 4, 3)
+            for db in range(0, 45, 5)
+            for scheme in ("dft", "bpr-real")
+            for norm in stbc.NORM_MODES
+        ]
+        skipped = errors = 0
+        for b in range(20):
+            kind = channel.CHANNEL_KINDS[b % 2]
+            h = harness._sample_channels(
+                harness.ExperimentConfig(channel_kind=kind), 1024, substream(b, 71)
+            )
+            h_eq = harness._equivalent_channels(cfg, (cfg.schemes[b % 4],), h)[cfg.schemes[b % 4]]
+            h_eq[::97] = 0.0
+            link = harness._link_draw(h_eq, points, substream(b, 72, order))
+            rng = substream(b, 72, order)
+            bits = rng.integers(0, 2, (1024, 2 * k), dtype=np.uint8)
+            sent = stbc.label_index(bits.reshape(-1, 2, k))
+            np.testing.assert_array_equal(link[0], sent)
+            assert link[0].dtype == np.uint8
+            s = alamouti_codeword(points[sent[:, 0]], points[sent[:, 1]])
+            clean, noise = received_parts(s, h_eq, rng)
+            for amplitude in amplitudes:
+                decoded = decode_alamouti(amplitude * clean + noise, h_eq, points, amplitude)
+                want = int(stbc.hamming_distance(sent, decoded).sum())
+                assert harness._ber_block(h_eq, points, amplitude, link) == want, (b, amplitude)
+                errors += want
+                skipped += int(np.count_nonzero(link[2] < amplitude))
+        # both branches of the reach rule ran
+        assert errors > 0 and skipped > 0
 
+    @pytest.mark.parametrize("order", [2, 4, 16, 64])
+    def test_reach_rule_at_the_decision_boundaries(self, order):
+        # axis noise of (1 +- 1e-6) half spacings, inward and outward, on
+        # every point: inner levels cross into a neighbour's cell, edge
+        # levels pushed outward stay, and each count equals a full demap
+        points = stbc.make_constellation(order)
+        half = 1.0 if order == 2 else 1.0 / np.sqrt(2.0 * (order - 1) / 3.0)
+        amplitude = 3.7
+        shifts = [
+            sign * factor * half * amplitude * axis
+            for sign in (1, -1)
+            for factor in (1 - 1e-6, 1 + 1e-6)
+            for axis in (1, 1j)
+        ]
+        labels, offsets = np.meshgrid(np.arange(order), shifts, indexing="ij")
+        sent = labels.reshape(-1, 2).astype(np.uint8)
+        w = offsets.reshape(-1, 2)
+        # h_eq = (1, 0) combines the noise (n1, n2) to (n1, -conj(n2))
+        h_eq = np.tile([1.0 + 0j, 0.0], (sent.shape[0], 1))
+        h_eq[0] = 0.0
+        noise = np.stack([w[:, 0], -np.conj(w[:, 1])], axis=1)
+        link = (sent, *stbc.alamouti_noise(h_eq, noise, points))
+        decided = stbc.demap(points[sent] + link[1] / amplitude, points)
+        decided[0] = 0
+        want = int(stbc.hamming_distance(sent, decided).sum())
+        assert harness._ber_block(h_eq, points, amplitude, link) == want
+        assert 0 < want < 2 * sent.size * stbc.bits_per_symbol(points)
 
 # the names that the benchmark's traced run wraps, with the arguments that
 # its observers read by name (perfbench/spans.py)
@@ -430,16 +484,28 @@ class TestFig1:
         [(("dft", "hadamard", "bpr-real", "bpr-complex"), 1), (("dft", "hadamard"), 0)],
     )
     def test_one_greedy_for_both_bpr_schemes(self, tmp_path, monkeypatch, schemes, calls):
-        seen = []
+        seen, picked = [], []
         greedy = harness._batch_greedy_phases
 
         def counting(h, q):
             seen.append(h.shape)
-            return greedy(h, q)
+            picked.append(greedy(h, q))
+            return picked[-1]
 
         monkeypatch.setattr(harness, "_batch_greedy_phases", counting)
-        harness.run_fig1(_tiny_cfg(theta_points=361, schemes=schemes), tmp_path)
+        cfg = _tiny_cfg(theta_points=361, schemes=schemes)
+        res = harness.run_fig1(cfg, tmp_path)
         assert seen == [(1, 4)] * calls
+        for scheme in set(schemes) & set(beamformer.BPR_SCHEMES):
+            # the patterns use the grid angles of the greedy's indices
+            phases = [grid[i] for grid, i in zip(phase_opt.block_grids(2), picked[0][:, 0])]
+            gains, _ = analysis.beamspace_pattern(
+                beamformer.build(scheme, 2, *phases),
+                np.linspace(-np.pi / 2, np.pi / 2, 361),
+                cfg.steering,
+            )
+            rows = [row[3] for row in res.rows if row[0] == scheme and row[1] == 0]
+            assert rows == list(gains[:, 0])
 
 
 class TestFig2:
@@ -974,11 +1040,11 @@ class TestConditionalSim:
         points = stbc.make_constellation(4)
         h_eq = np.array([1.0 + 0j, 0.5 + 0.5j])
         amplitude = stbc.link_amplitude(100.0, 0.25, "eq10", True, 4, 3)
-        errors, bits = simulate_conditional_ber(
-            h_eq, points, amplitude, n_trials=2000, seed=3
-        )
-        assert bits == 2000 * 4
-        assert errors >= 0
+        # eq10 scales the codeword by sqrt(gamma0 kappa) alone
+        assert amplitude == 5.0
+        # purpose tag 5's draws, as recorded before the link drew only the
+        # combined noise: at ||h_eq||^2 A^2 = 37.5 no bit of 8000 flips
+        assert simulate_conditional_ber(h_eq, points, amplitude, n_trials=2000, seed=3) == (0, 8000)
 
     def test_stream_pin(self):
         # purpose tag 5's draws, as recorded before the simulator left the package

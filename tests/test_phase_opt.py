@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import hadamard
 
-from beamlink import channel, phase_opt
+from beamlink import beamformer, channel, phase_opt
 from beamlink.rng import substream
 
 from oracles import (
@@ -12,6 +13,7 @@ from oracles import (
     greedy_full_grid,
     joint_bruteforce_gain,
     random_blockwise_gain,
+    replay_greedy,
     rotation_sweep_phases,
 )
 
@@ -94,10 +96,16 @@ class TestExhaustiveOracle:
             assert abs(np.sum(np.conj(h) * np.exp(1j * phases))) <= best + 1e-10
 
 
+def _replayed(h, q):
+    """The kernel's selection over the rows of ``h`` as ``(phi, slots,
+    gain)``: its grid indices, replayed by ``oracles.replay_greedy``."""
+    return replay_greedy(h, phase_opt.greedy_bpr_indices(h, q), *phase_opt.block_grids(q))
+
+
 def _greedy_row(h, q):
     """The selection for one channel: row 0 of a batch of one, as
     ``(phi, slots, gain)`` with ``phi[block]`` and ``slots[block]``."""
-    phi, slots, gain = phase_opt.greedy_bpr_phases(h[None], q)
+    phi, slots, gain = _replayed(h[None], q)
     return phi[:, 0], slots[:, 0], float(gain[0])
 
 
@@ -150,7 +158,7 @@ class TestGreedy:
     @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
     def test_global_phase_equivariance_batched(self, q):
         # each row times its own common phase: slot 1 takes angle 0 on both,
-        # so every phase and slot is the same, not just the gain
+        # so every grid index is the same, and the replayed slots and gain
         n = 2**q
         rng = substream(q, 67)
         h = np.concatenate(
@@ -160,8 +168,12 @@ class TestGreedy:
             ]
         )
         psi = rng.uniform(0, 2 * np.pi, h.shape[0])
-        phi, slots, gain = phase_opt.greedy_bpr_phases(h, q)
-        rot_phi, rot_slots, rot_gain = phase_opt.greedy_bpr_phases(np.exp(1j * psi)[:, None] * h, q)
+        rotated = np.exp(1j * psi)[:, None] * h
+        np.testing.assert_array_equal(
+            phase_opt.greedy_bpr_indices(rotated, q), phase_opt.greedy_bpr_indices(h, q)
+        )
+        phi, slots, gain = _replayed(h, q)
+        rot_phi, rot_slots, rot_gain = _replayed(rotated, q)
         np.testing.assert_array_equal(rot_phi, phi)
         np.testing.assert_array_equal(rot_slots, slots)
         np.testing.assert_allclose(rot_gain, gain, rtol=1e-12)
@@ -189,17 +201,19 @@ class TestGreedy:
 
     def test_angles_come_from_block_grids(self):
         h = _random_channel(8, 3)
+        idx = phase_opt.greedy_bpr_indices(h[None], 3)
+        assert idx.dtype == np.int64 and idx.min() >= 0 and idx.max() < 4
         phi, slots, _ = _greedy_row(h, 3)
         g1, g2 = phase_opt.block_grids(3)
-        assert set(np.round(phi[0], 12)) <= set(np.round(g1, 12))
-        assert set(np.round(phi[1], 12)) <= set(np.round(g2, 12))
+        np.testing.assert_array_equal(phi[0], g1[idx[0, 0]])
+        np.testing.assert_array_equal(phi[1], g2[idx[1, 0]])
         assert sorted(np.concatenate([slots[0], slots[1]])) == list(range(8))
 
     @pytest.mark.parametrize("shape", [(4,), (3, 8), (1, 2, 4)])
     def test_rejects_rows_of_the_wrong_shape(self, shape):
         # q = 2 needs rows of 4 elements; a single channel is a batch of one
         with pytest.raises(ValueError, match=r"\bh\b"):
-            phase_opt.greedy_bpr_phases(np.ones(shape, dtype=complex), 2)
+            phase_opt.greedy_bpr_indices(np.ones(shape, dtype=complex), 2)
 
     @pytest.mark.parametrize("bad", [np.nan, complex(0, -np.inf)], ids=["nan", "inf"])
     def test_rejects_non_finite_rows(self, bad):
@@ -207,7 +221,7 @@ class TestGreedy:
         h = np.ones((3, 4), dtype=complex)
         h[1, 2] = bad
         with pytest.raises(ValueError, match=r"\bh\b.*row 1\b"):
-            phase_opt.greedy_bpr_phases(h, 2)
+            phase_opt.greedy_bpr_indices(h, 2)
 
 
 class TestLayout:
@@ -226,23 +240,21 @@ class TestLayout:
         h[::10] = lattice[rng.integers(0, 4, h[::10].shape)]
         spaced = np.zeros((2 * rows, n), dtype=complex)
         spaced[::2] = h
-        want = phase_opt.greedy_bpr_phases(h, q)
+        want = phase_opt.greedy_bpr_indices(h, q)
         # 64-row batches score operands too small for numpy's temporary
         # elision, so a product's operand order must not depend on it
-        phi, slots, gain = zip(
-            *(phase_opt.greedy_bpr_phases(h[i : i + 64], q) for i in range(0, rows, 64))
+        batched = np.concatenate(
+            [phase_opt.greedy_bpr_indices(h[i : i + 64], q) for i in range(0, rows, 64)], axis=1
         )
-        batched = (np.concatenate(phi, axis=1), np.concatenate(slots, axis=1), np.concatenate(gain))
         for got in (
-            phase_opt.greedy_bpr_phases(np.asfortranarray(h), q),
-            phase_opt.greedy_bpr_phases(spaced[::2], q),
+            phase_opt.greedy_bpr_indices(np.asfortranarray(h), q),
+            phase_opt.greedy_bpr_indices(spaced[::2], q),
             batched,
         ):
-            for a, b in zip(got, want):
-                np.testing.assert_array_equal(a, b)
-        # returned C-contiguous, not as transposed views of an
+            np.testing.assert_array_equal(got, want)
+        # returned C-contiguous, not as a transposed view of an
         # element-major buffer
-        assert want[0].flags.c_contiguous and want[1].flags.c_contiguous
+        assert want.flags.c_contiguous
 
     @pytest.mark.parametrize("kind", ["rayleigh", "gaussian-integer"])
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -279,10 +291,10 @@ class TestLayout:
 
         monkeypatch.setattr(phase_opt, "_TILE_ROWS", rows)
         monkeypatch.setattr(phase_opt, "_first_max", recording)
-        phase_opt.greedy_bpr_phases(h, q)
+        phase_opt.greedy_bpr_indices(h, q)
         monkeypatch.setattr(phase_opt, "_TILE_ROWS", small)
         monkeypatch.setattr(phase_opt, "_first_max", comparing)
-        phase_opt.greedy_bpr_phases(h, q)
+        phase_opt.greedy_bpr_indices(h, q)
         assert len(whole) == n and calls == n * rows // small
         assert differ == []
 
@@ -316,9 +328,23 @@ class TestFullGridIdentity:
 
     @staticmethod
     def _assert_identical(h, q):
-        phi, slots, gain = phase_opt.greedy_bpr_phases(h, q)
-        ref_phi, ref_slots, ref_gain = greedy_full_grid(h, *phase_opt.block_grids(q))
-        np.testing.assert_array_equal(phi, ref_phi)
+        grids = phase_opt.block_grids(q)
+        idx = phase_opt.greedy_bpr_indices(h, q)
+        ref_phi, ref_slots, ref_gain = greedy_full_grid(h, *grids)
+        # the oracle's angles are grid values; G angles 2 pi g / G, reduced
+        ref_idx = np.rint(ref_phi * (grids[0].size / (2 * np.pi))).astype(np.int64) % grids[0].size
+        np.testing.assert_array_equal(np.stack([grids[0][ref_idx[0]], grids[1][ref_idx[1]]]), ref_phi)
+        np.testing.assert_array_equal(idx, ref_idx)
+        # the realized ||F^H h||^2, up to bpr_scale: the oracle's phases on
+        # the Sylvester sums, against the package's rotated sum
+        half = 2 ** (q - 1)
+        w = hadamard(half)
+        ref_sum = np.exp(-1j * ref_phi[0]) * (h[:, :half] @ w) + np.exp(-1j * ref_phi[1]) * (
+            h[:, half:] @ w
+        )
+        realized = np.sum(np.abs(beamformer.bpr_rotated_sum(q, h, *idx)) ** 2, axis=1)
+        np.testing.assert_allclose(realized, np.sum(np.abs(ref_sum) ** 2, axis=1), rtol=1e-12)
+        _, slots, gain = replay_greedy(h, idx, *grids)
         np.testing.assert_array_equal(slots, ref_slots)
         np.testing.assert_allclose(gain, ref_gain, rtol=1e-12)
 
@@ -349,7 +375,10 @@ class TestTieRule:
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     def test_zero_row(self, q):
         n = 2**q
-        phi, slots, gain = phase_opt.greedy_bpr_phases(np.zeros((1, n), dtype=complex), q)
+        np.testing.assert_array_equal(
+            phase_opt.greedy_bpr_indices(np.zeros((1, n), dtype=complex), q), 0
+        )
+        phi, slots, gain = _replayed(np.zeros((1, n), dtype=complex), q)
         np.testing.assert_array_equal(phi, 0.0)
         np.testing.assert_array_equal(slots[:, 0].ravel(), np.arange(n))
         assert gain[0] == 0.0
@@ -357,9 +386,12 @@ class TestTieRule:
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     def test_all_ones_row(self, q):
         n = 2**q
-        phi, slots, gain = phase_opt.greedy_bpr_phases(np.ones((1, n), dtype=complex), q)
-        # equal candidates go to the lowest index, and every slot takes
-        # slot 1's angle, 0
+        # every slot takes slot 1's angle, 0, and the replay places equal
+        # candidates in ascending order
+        np.testing.assert_array_equal(
+            phase_opt.greedy_bpr_indices(np.ones((1, n), dtype=complex), q), 0
+        )
+        phi, slots, gain = _replayed(np.ones((1, n), dtype=complex), q)
         np.testing.assert_array_equal(slots[:, 0].ravel(), np.arange(n))
         np.testing.assert_array_equal(phi, 0.0)
         assert gain[0] == pytest.approx(n, rel=1e-12)
@@ -373,13 +405,12 @@ class TestTieRule:
             h = channel.sample_mmwave_batch(4096, 3, 2**q, channel.SteeringConfig(), rng)
         else:
             h = channel.sample_rayleigh_batch(4096, 2**q, rng)
-        phi, _, _ = phase_opt.greedy_bpr_phases(h, q)
-        np.testing.assert_array_equal(phi[0, :, 0], 0.0)
+        np.testing.assert_array_equal(phase_opt.greedy_bpr_indices(h, q)[0, :, 0], 0)
 
     def test_equal_magnitudes_first_slot_takes_lowest_index(self):
         # |-5| = |5j| = |3+4j| = |4-3j| = 5 exactly
         h = np.array([[0.1, 2.0, -5.0, 5j, 3 + 4j, 1.0, 4 - 3j, 0.0]])
-        _, slots, _ = phase_opt.greedy_bpr_phases(h, 3)
+        _, slots, _ = _replayed(h, 3)
         assert slots[0, 0, 0] == 2
 
     @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
@@ -390,7 +421,7 @@ class TestTieRule:
         rng = substream(q, 65)
         h = rng.integers(-2, 3, (1024, n)) + 1j * rng.integers(-2, 3, (1024, n))
         grids = phase_opt.block_grids(q)
-        phi, slots, _ = phase_opt.greedy_bpr_phases(h, q)
+        phi, slots, _ = _replayed(h, q)
         chosen, best = _replayed_slot_scores(h, phi, slots, grids)
         np.testing.assert_allclose(chosen, best, rtol=1e-12, atol=0)
 

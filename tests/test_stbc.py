@@ -13,12 +13,18 @@ from oracles import (
     nearest_point_index,
     pair_label_rows,
 )
-from reference_sims import alamouti_codebook, transmit_receive
+from reference_sims import (
+    alamouti_codebook,
+    alamouti_codeword,
+    decode_alamouti,
+    received_parts,
+    transmit_receive,
+)
 
 
 def _transmit_block(sent, points, bf):
     """Antenna-domain block ``F S`` of the Alamouti codeword of label indices ``sent``."""
-    return bf @ stbc.alamouti_codeword(points[sent[0]], points[sent[1]])
+    return bf @ alamouti_codeword(points[sent[0]], points[sent[1]])
 
 
 class TestConstellations:
@@ -157,7 +163,7 @@ class TestDemap:
         with pytest.raises(ValueError, match=r"\bpoints\b"):
             stbc.demap(p[5], p)
         with pytest.raises(ValueError, match=r"\bpoints\b"):
-            stbc.decode_alamouti(np.ones(2, dtype=complex), np.ones(2, dtype=complex), p)
+            decode_alamouti(np.ones(2, dtype=complex), np.ones(2, dtype=complex), p)
         with pytest.raises(ValueError, match=r"\bpoints\b"):
             stbc.demap(0.0, stbc.make_constellation(64)[:32])
 
@@ -171,9 +177,9 @@ class TestDemap:
         h_eq = rng.standard_normal((2, 3, 2)) + 1j * rng.standard_normal((2, 3, 2))
         zero = np.array([[True, False, False], [False, True, True]])
         h_eq[zero] = 0.0
-        s = stbc.alamouti_codeword(points[sent[..., 0]], points[sent[..., 1]])
+        s = alamouti_codeword(points[sent[..., 0]], points[sent[..., 1]])
         y = transmit_receive(s, h_eq, rng, amplitude=2.0, sigma2=0.0)
-        out = stbc.decode_alamouti(y, h_eq, points, amplitude=2.0)
+        out = decode_alamouti(y, h_eq, points, amplitude=2.0)
         assert out.shape == (2, 3, 2)
         np.testing.assert_array_equal(out[zero], np.zeros((3, 2)))
         np.testing.assert_array_equal(out[~zero], sent[~zero])
@@ -187,7 +193,7 @@ class TestAlamoutiCodeword:
         re2=st.floats(-2, 2), im2=st.floats(-2, 2),
     )
     def test_orthogonality(self, re1, im1, re2, im2):
-        s = stbc.alamouti_codeword(re1 + 1j * im1, re2 + 1j * im2)
+        s = alamouti_codeword(re1 + 1j * im1, re2 + 1j * im2)
         energy = abs(re1 + 1j * im1) ** 2 + abs(re2 + 1j * im2) ** 2
         np.testing.assert_allclose(s @ s.conj().T, energy * np.eye(2), atol=1e-12)
 
@@ -195,13 +201,13 @@ class TestAlamoutiCodeword:
         rng = substream(0, 41)
         for _ in range(100):
             s1, s2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            s = stbc.alamouti_codeword(s1, s2)
+            s = alamouti_codeword(s1, s2)
             det = np.linalg.det(s)
             assert det.imag == pytest.approx(0.0, abs=1e-12)
             assert det.real == pytest.approx(abs(s1) ** 2 + abs(s2) ** 2, abs=1e-10)
 
     def test_identity_like_codeword(self):
-        np.testing.assert_allclose(stbc.alamouti_codeword(1.0, 0.0), np.eye(2))
+        np.testing.assert_allclose(alamouti_codeword(1.0, 0.0), np.eye(2))
 
 
 class TestEncode:
@@ -210,7 +216,7 @@ class TestEncode:
         points = stbc.make_constellation(4)
         bf = beamformer.build_dft_atb(2)
         sent = stbc.label_index(np.array([[0, 1], [1, 0]]))
-        s = stbc.alamouti_codeword(points[sent[0]], points[sent[1]])
+        s = alamouti_codeword(points[sent[0]], points[sent[1]])
         h = np.array([0.3 - 0.2j, -1.1 + 0.4j, 0.5j, 0.8])
         h_eq = beamformer.equivalent_channel(bf, h)
         rng = substream(0, 40)
@@ -297,7 +303,7 @@ class TestDecode:
             sent = stbc.label_index(rng.integers(0, 2, (2, k)).astype(np.uint8))
             x = _transmit_block(sent, points, bf)
             y = transmit_receive(x, h, rng, amplitude=1.5, sigma2=0.0)
-            assert np.array_equal(stbc.decode_alamouti(y, h_eq, points, amplitude=1.5), sent)
+            assert np.array_equal(decode_alamouti(y, h_eq, points, amplitude=1.5), sent)
 
     def test_matches_exhaustive_ml(self):
         points = stbc.make_constellation(4)
@@ -312,7 +318,7 @@ class TestDecode:
             sent = stbc.label_index(rng.integers(0, 2, (2, 2)).astype(np.uint8))
             x = _transmit_block(sent, points, bf)
             y = transmit_receive(x, h, rng, amplitude=1.0, sigma2=0.5)
-            fast = stbc.decode_alamouti(y, h_eq, points)
+            fast = decode_alamouti(y, h_eq, points)
             ml = pairs[ml_decode_index(y, h_eq, codewords, 1.0)]
             assert np.array_equal(fast, ml)
 
@@ -328,14 +334,14 @@ class TestDecode:
             bits = rng.integers(0, 2, 4).astype(np.uint8)
             x = _transmit_block(stbc.label_index(bits.reshape(2, 2)), points, bf)
             y = transmit_receive(x, h, rng, amplitude=1.0, sigma2=1e8)
-            decoded = stbc.decode_alamouti(y, h_eq, points)
+            decoded = decode_alamouti(y, h_eq, points)
             errors += np.count_nonzero(pair_label_rows(decoded[None], 4)[0] != bits)
             bits_total += 4
         assert errors / bits_total == pytest.approx(0.5, abs=0.02)
 
     def test_degenerate_channel_convention(self):
         points = stbc.make_constellation(4)
-        out = stbc.decode_alamouti(np.array([1.0 + 0j, 1.0 + 0j]), np.zeros(2, dtype=complex), points)
+        out = decode_alamouti(np.array([1.0 + 0j, 1.0 + 0j]), np.zeros(2, dtype=complex), points)
         assert np.array_equal(out, [0, 0])
 
     @pytest.mark.parametrize("order", [16, 64])
@@ -346,13 +352,45 @@ class TestDecode:
         bits = substream(0, 49).integers(0, 2, (3, 2 * k)).astype(np.uint8)
         sent = stbc.label_index(bits.reshape(3, 2, k))
         h_eq = np.array([[0, 0], [0.8 - 0.3j, 0.2 + 0.9j], [0, 0]], dtype=complex)
-        s = stbc.alamouti_codeword(points[sent[:, 0]], points[sent[:, 1]])
+        s = alamouti_codeword(points[sent[:, 0]], points[sent[:, 1]])
         y = transmit_receive(s, h_eq, substream(0, 50), amplitude=1.5, sigma2=0.0)
-        out = stbc.decode_alamouti(y, h_eq, points, amplitude=1.5)
+        out = decode_alamouti(y, h_eq, points, amplitude=1.5)
         first_twice = [0, 0]
         np.testing.assert_array_equal(out[0], first_twice)
         np.testing.assert_array_equal(out[1], sent[1])
         np.testing.assert_array_equal(out[2], first_twice)
+
+
+class TestAlamoutiNoise:
+    @pytest.mark.parametrize("order", [2, 4, 16, 64])
+    def test_combiner_output_is_symbol_plus_noise_over_amplitude(self, order):
+        # combining A h_eq^H S + z leaves s + w / A, whatever was sent
+        points = stbc.make_constellation(order)
+        rng = substream(0, 54, order)
+        h_eq = (rng.standard_normal((500, 2)) + 1j * rng.standard_normal((500, 2))) / np.sqrt(2)
+        sent = rng.integers(0, order, (500, 2))
+        clean, noise = received_parts(
+            alamouti_codeword(points[sent[:, 0]], points[sent[:, 1]]), h_eq, rng
+        )
+        w, reach = stbc.alamouti_noise(h_eq, noise, points)
+        g1, g2 = h_eq[:, 0], h_eq[:, 1]
+        for amplitude in (0.5, 3.0, 40.0):
+            y1, y2 = (amplitude * clean + noise).T
+            denom = amplitude * np.sum(np.abs(h_eq) ** 2, axis=1)
+            s_hat = np.stack(
+                [g1 * y1 + np.conj(g2) * np.conj(y2), g2 * y1 - np.conj(g1) * np.conj(y2)], axis=1
+            ) / denom[:, None]
+            np.testing.assert_allclose(points[sent] + w / amplitude, s_hat, rtol=0, atol=1e-12)
+        half = np.min(np.diff(np.unique(points.real))) / 2
+        np.testing.assert_allclose(reach * half, np.maximum(np.abs(w.real), np.abs(w.imag)))
+
+    def test_zero_channel_has_infinite_reach(self):
+        points = stbc.make_constellation(16)
+        h_eq = np.array([[0, 0], [0.8 - 0.3j, 0.2 + 0.9j]], dtype=complex)
+        w, reach = stbc.alamouti_noise(h_eq, np.ones((2, 2), dtype=complex), points)
+        np.testing.assert_array_equal(w[0], 0.0)
+        np.testing.assert_array_equal(reach[0], np.inf)
+        assert np.all(np.isfinite(reach[1]))
 
 
 class TestErrorMatrix:
