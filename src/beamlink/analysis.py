@@ -196,7 +196,7 @@ def union_bound_ber(h_eq: np.ndarray, points: np.ndarray, gamma0: float, kappa: 
     d, count, weight = _distance_classes(points)
     scale = np.sqrt(float(np.vdot(h_eq, h_eq).real) * gamma0 * kappa / 2.0)
     q_uv = q_function(scale * np.sqrt(d[:, None] + d[None, :]))
-    return float(2.0 * (weight @ q_uv @ count) / stbc.bits_per_symbol(points))
+    return float(2.0 * (weight @ q_uv @ count) / stbc.bits_per_symbol(len(points)))
 
 
 def wilson_interval(errors: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:

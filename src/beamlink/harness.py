@@ -10,28 +10,29 @@ seed produce byte-identical CSV output.
 Sweeps run in fixed-size trial blocks, and every point of a sweep sees
 the same channel draws. fig2 and fig3 draw block b's channels once from
 their own substream and pass them through one block stage,
-:func:`_equivalent_channels`: one greedy selection if a blockwise
+:func:`_block_gains`, which reduces the block to ``||F^H h||^2`` per row
+and scheme, in row tiles: one greedy selection per tile if a blockwise
 scheme needs it, then ``F^H h`` once per scheme. The greedy hands its
 grid indices to the rotated sum (:func:`beamformer.bpr_rotated_sum`),
 and the two blockwise schemes differ only in a scalar, so one rotated
-sum per stage call serves both. fig3
-stages a whole block at once. fig2 stages each block in row tiles,
-reduces each tile to ``||F^H h||^2`` per row at once, and releases the
-block before it draws the next, so it never holds a block's stage
-outputs. Every ``F^H h`` is summed antenna by antenna, so no BLAS call
-runs in the block loop and no BLAS worker thread spins beside it.
-fig3's bits and noise come from a second stream per (scheme, block),
-under the key of the scheme's highest-SNR point, and that one draw
-serves each SNR point of the scheme at its own link amplitude. The
-draw is kept as each symbol's combined noise and its reach
-(:func:`stbc.alamouti_noise`), so a point demaps only the symbols that
-its amplitude lets the noise carry to a decision boundary. The
-points of one curve are therefore correlated, while each point's
-interval holds on its own. A point's result does not depend on which
-other points are still running, and its stopping rule only decides how
-many blocks it joins. Each fig3 block and each fig2 stage tile is one
-call of each batched layer kernel; the harness holds no copy of their
-math.
+sum per tile serves both. The stage never holds a block of ``F^H h``,
+and each block is released before the next is drawn. Every ``F^H h``
+is summed antenna by antenna, so no BLAS call runs in the block loop
+and no BLAS worker thread spins beside it.
+
+fig3's link needs nothing of a row but its gain: Alamouti combining
+turns each symbol into ``s + z / (A ||F^H h||)`` with unit noise ``z``,
+whatever ``F^H h`` is. So block b makes one draw of bits and unit noise
+from a second stream, and that draw serves every point, of every scheme
+and SNR, at the point's own gain and link amplitude. It is kept with
+each symbol's reach (:func:`stbc.noise_reach`), so a point demaps only
+the symbols that its gain and amplitude let the noise carry to a
+decision boundary. The points are therefore correlated, while each
+point's interval holds on its own. A point's result does not depend on
+which other points are still running, and its stopping rule only
+decides how many blocks it joins. Each fig3 block and each stage tile
+is one call of each batched layer kernel; the harness holds no copy of
+their math.
 """
 
 from __future__ import annotations
@@ -231,45 +232,63 @@ def _batch_equivalent_channels(
     scheme: str, h: np.ndarray, cfg: ExperimentConfig, rotated: np.ndarray | None
 ) -> np.ndarray:
     """Per-row equivalent channels ``F^H h``; the blockwise schemes scale
-    ``rotated``, the block's :func:`beamformer.bpr_rotated_sum`."""
+    ``rotated``, the rows' :func:`beamformer.bpr_rotated_sum`."""
     if scheme in beamformer.BPR_SCHEMES:
         return beamformer.bpr_scale(cfg.q, beamformer.golden_variant(scheme)) * rotated
     return beamformer.equivalent_channel(beamformer.build(scheme, cfg.q), h)
 
 
-def _equivalent_channels(
+def _block_gains(
     cfg: ExperimentConfig, schemes: tuple[str, ...], h: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """The block stage of fig2 and fig3: ``F^H h`` per row of ``h`` for
-    each of ``schemes``, in order.
+    """The block stage of fig2 and fig3: ``||F^H h||^2`` per row of the
+    block ``h`` for each of ``schemes``, in order.
 
-    If any scheme is blockwise, one greedy selection and one
-    :func:`beamformer.bpr_rotated_sum` run on the block. Neither depends
-    on the golden variant, so they serve every blockwise scheme.
+    The block runs in row tiles of ``_STAGE_ENTRIES`` channel entries
+    (2048 rows at N = 16, 8192 at N = 4). If any scheme is blockwise,
+    one greedy selection and one :func:`beamformer.bpr_rotated_sum` run
+    on each tile; neither depends on the golden variant, so they serve
+    every blockwise scheme. Each scheme's ``F^H h`` is reduced to its
+    squared row norms at once, so no stage output but the gains is ever
+    held for a whole block. Every kernel of the stage works row by row,
+    so no bit of the result depends on the tiling.
     """
-    rotated = None
-    if any(scheme in beamformer.BPR_SCHEMES for scheme in schemes):
-        rotated = beamformer.bpr_rotated_sum(cfg.q, h, *_batch_greedy_phases(h, cfg.q))
-    return {scheme: _batch_equivalent_channels(scheme, h, cfg, rotated) for scheme in schemes}
+    gains = {scheme: np.empty(h.shape[0]) for scheme in schemes}
+    blockwise = any(scheme in beamformer.BPR_SCHEMES for scheme in schemes)
+    tile = max(1, _STAGE_ENTRIES // cfg.n_antennas)
+    for start in range(0, h.shape[0], tile):
+        rows = slice(start, start + tile)
+        part, rotated = h[rows], None
+        if blockwise:
+            rotated = beamformer.bpr_rotated_sum(cfg.q, part, *_batch_greedy_phases(part, cfg.q))
+        for scheme in schemes:
+            h_eq = _batch_equivalent_channels(scheme, part, cfg, rotated)
+            gains[scheme][rows] = np.sum(np.abs(h_eq) ** 2, axis=1)
+    return gains
 
 
 def _link_draw(
-    h_eq: np.ndarray, points: np.ndarray, rng: np.random.Generator
+    n: int, order: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One block's link draw over the given equivalent channels:
-    ``(sent, w, reach)``, each of shape ``(n, 2)``: the label indices of
-    each codeword's two symbols, then their combined noise and its reach
-    (:func:`stbc.alamouti_noise`). ``rng`` gives the bits of each
-    codeword, then the real and then the imaginary parts of the unit
-    noise of its two received slots.
+    """One block's link draw for ``n`` codewords of the order-M
+    constellation: ``(sent, z, reach)``, each of shape ``(n, 2)``.
+
+    ``rng`` gives the bits of each codeword, then the real and then the
+    imaginary parts of its two symbols' unit noise ``z``. ``sent`` holds
+    the symbols' label indices, and ``reach`` is :func:`stbc.noise_reach`
+    of ``z``. The draw reads no channel: Alamouti combining over any
+    ``h_eq = (g1, g2)`` turns the received noise ``(n1, n2)`` into
+    ``z / ||h_eq||`` with ``z = U (n1, conj(n2))``, and
+    ``U = [[g1, conj(g2)], [g2, -conj(g1)]] / ||h_eq||`` is unitary, so
+    ``z`` is unit noise whatever ``h_eq`` is (Alamouti, IEEE JSAC 1998).
     """
-    k = stbc.bits_per_symbol(points)
-    bits = rng.integers(0, 2, (h_eq.shape[0], 2 * k), dtype=np.uint8)
-    sent = stbc.label_index(bits.reshape(-1, 2, k)).astype(np.uint8)
-    noise = np.empty(sent.shape, dtype=np.complex128)
-    np.multiply(rng.standard_normal(sent.shape), np.sqrt(0.5), out=noise.real)
-    np.multiply(rng.standard_normal(sent.shape), np.sqrt(0.5), out=noise.imag)
-    return (sent, *stbc.alamouti_noise(h_eq, noise, points))
+    k = stbc.bits_per_symbol(order)
+    bits = rng.integers(0, 2, (n, 2 * k), dtype=np.uint8)
+    sent = stbc.label_index(bits.reshape(n, 2, k)).astype(np.uint8)
+    z = np.empty(sent.shape, dtype=np.complex128)
+    np.multiply(rng.standard_normal(sent.shape), np.sqrt(0.5), out=z.real)
+    np.multiply(rng.standard_normal(sent.shape), np.sqrt(0.5), out=z.imag)
+    return sent, z, stbc.noise_reach(z, order)
 
 
 def _ber_block(
@@ -279,18 +298,22 @@ def _ber_block(
     link: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> int:
     """Bit error count of one block of codewords at link ``amplitude`` and
-    unit noise variance, given the block's :func:`_link_draw` ``link``.
+    unit noise variance, given each row's gain ``h_eq = ||F^H h||^2`` and
+    the block's :func:`_link_draw` ``link``.
 
-    Only a symbol whose reach is at least ``amplitude``, less 1e-9 of it
-    for the rounding of ``s + w / A``, is demapped; any other lies
-    strictly inside its own decision cell. A zero equivalent channel
-    (infinite reach) decodes to label index 0.
+    Combining gives each symbol as ``s + z / (A ||F^H h||)``. Only a
+    symbol whose reach is at least ``A ||F^H h||``, less 1e-9 of it for
+    the rounding of that sum, is demapped; any other lies strictly
+    inside its own decision cell. A row of zero gain decodes to label
+    index 0.
     """
-    sent, w, reach = link
-    near = np.flatnonzero(reach >= amplitude * (1.0 - 1e-9))
-    sent, w, reach = sent.ravel()[near], w.ravel()[near], reach.ravel()[near]
-    decided = stbc.demap(points[sent] + w / amplitude, points)
-    decided[reach == np.inf] = 0
+    sent, z, reach = link
+    edge = amplitude * np.sqrt(h_eq)
+    near = np.flatnonzero(reach >= (edge * (1.0 - 1e-9))[:, None])
+    sent, z, edge = sent.ravel()[near], z.ravel()[near], edge[near >> 1]
+    zero = edge == 0.0
+    decided = stbc.demap(points[sent] + z / np.where(zero, 1.0, edge), len(points))
+    decided[zero] = 0
     return int(stbc.hamming_distance(sent, decided).sum())
 
 
@@ -314,23 +337,20 @@ class BerPoint:
 def ber_grid(
     cfg: ExperimentConfig, cells: list[tuple[int, int, float]] | None = None
 ) -> tuple[list[BerPoint], int]:
-    """Run the stopping-rule Monte Carlo for fig3 points on shared channels.
+    """Run the stopping-rule Monte Carlo for fig3 points on shared draws.
 
     ``cells`` lists ``(scheme_idx, snr_idx, gamma0_db)``; by default every
     scheme at every SNR of ``cfg``, scheme-major. Block b draws its
-    channels once from ``(seed, FIG3_CHANNEL, b)``, runs one greedy
-    selection if a still-active scheme is blockwise and forms ``F^H h``
-    once per active scheme. Each active scheme then makes one
-    :func:`_link_draw` of bits and unit noise from
-    ``(seed, FIG3, scheme_idx, J - 1, b)``, J being
-    ``len(cfg.snr_grid_db)``: the key its highest-SNR point had when
-    each point drew alone, so that point, which the stopping rule
-    extends most, keeps its draws. Each of the scheme's active points
-    decodes that draw at its own link amplitude (:func:`_ber_block`), so
-    the points of a scheme are correlated, while each point's interval
-    holds on its own. A point leaves after the block that meets both
-    the minimum trial count and the target error count, or at the trial
-    cap; at least one block runs.
+    channels once from ``(seed, FIG3_CHANNEL, b)`` and reduces them to
+    each still-active scheme's ``||F^H h||^2`` per row
+    (:func:`_block_gains`). It then makes one :func:`_link_draw` of bits
+    and unit noise from ``(seed, FIG3, b)``, and every active point, of
+    every scheme, decodes that draw at its own gain and link amplitude
+    (:func:`_ber_block`). So all points share channels, bits and noise:
+    they are correlated, while each point's interval holds on its own.
+    A point leaves after the block that meets both the minimum trial
+    count and the target error count, or at the trial cap; at least one
+    block runs.
 
     Returns the points, with their Wilson half-widths, and the number of
     channel blocks drawn.
@@ -348,24 +368,20 @@ def ber_grid(
     active = [(p, _link_amplitude(cfg, p.scheme, p.gamma0_db)) for p in grid]
     n_blocks = 0
     for b, (n, rng) in enumerate(_blocks(cfg.max_trials, cfg.seed, _PURPOSE_FIG3_CHANNEL)):
-        h = _sample_channels(cfg, n, rng)
         n_blocks += 1
         schemes = tuple(dict.fromkeys(p.scheme for p, _ in active))
-        for scheme, h_eq in _equivalent_channels(cfg, schemes, h).items():
-            key = (cfg.schemes.index(scheme), len(cfg.snr_grid_db) - 1, b)
-            link = _link_draw(h_eq, points, substream(cfg.seed, _PURPOSE_FIG3, *key))
-            for p, amp in active:
-                if p.scheme != scheme:
-                    continue
-                p.bit_errors += _ber_block(h_eq, points, amp, link)
-                p.trials += n
-                p.blocks += 1
-                if p.trials >= cfg.trials and p.bit_errors >= cfg.target_errors:
-                    p.stop = "target"
+        gains = _block_gains(cfg, schemes, _sample_channels(cfg, n, rng))
+        link = _link_draw(n, cfg.modulation, substream(cfg.seed, _PURPOSE_FIG3, b))
+        for p, amp in active:
+            p.bit_errors += _ber_block(gains[p.scheme], points, amp, link)
+            p.trials += n
+            p.blocks += 1
+            if p.trials >= cfg.trials and p.bit_errors >= cfg.target_errors:
+                p.stop = "target"
         active = [(p, amp) for p, amp in active if p.stop is None]
         if not active:
             break
-    bits_per_cw = 2 * stbc.bits_per_symbol(points)
+    bits_per_cw = 2 * stbc.bits_per_symbol(cfg.modulation)
     for p in grid:
         p.stop = p.stop or "cap"
         n_bits = p.trials * bits_per_cw
@@ -553,30 +569,17 @@ def quadratic_forms(cfg: ExperimentConfig) -> dict[str, np.ndarray]:
     """fig2's ``||F^H h||^2`` per realization for each scheme, on the
     ``trials`` channel draws that every scheme shares.
 
-    Each block of draws passes through :func:`_equivalent_channels` in
-    row tiles of ``_STAGE_ENTRIES`` channel entries (2048 rows at
-    N = 16, 8192 at N = 4), and each tile's ``||F^H h||^2`` goes
-    straight into the output, so the greedy's phases, the rotated sum
-    and ``F^H h`` are never held for a whole block. Each block is
-    released before the next one is drawn. Every kernel of the stage
-    works row by row, so no bit of the result depends on the tiling.
+    Each block of draws passes through the block stage,
+    :func:`_block_gains`, and is released before the next one is drawn.
     """
     _check_fig2(cfg)
     quad_forms: dict[str, np.ndarray] = {s: np.empty(cfg.trials) for s in cfg.schemes}
-    tile = max(1, _STAGE_ENTRIES // cfg.n_antennas)
     done = 0
     for n, rng in _blocks(cfg.trials, cfg.seed, _PURPOSE_FIG2):
-        h = _sample_channels(cfg, n, rng)
-        for start in range(0, n, tile):
-            stage = _equivalent_channels(cfg, cfg.schemes, h[start : start + tile])
-            rows = slice(done + start, done + min(start + tile, n))
-            for scheme, h_eq in stage.items():
-                quad_forms[scheme][rows] = np.sum(np.abs(h_eq) ** 2, axis=1)
+        gains = _block_gains(cfg, cfg.schemes, _sample_channels(cfg, n, rng))
+        for scheme, gain in gains.items():
+            quad_forms[scheme][done : done + n] = gain
         done += n
-        # the next draw would otherwise run beside this block. The last
-        # tile's F^H h stays: freeing it too made the next draw fault its
-        # pages back in, 4% of the stage's time at N = 4
-        del h
     return quad_forms
 
 
@@ -584,7 +587,7 @@ def monotonicity_notes(scheme: str, curve: list[tuple[float, float, float]]) -> 
     """Flag adjacent (snr_db, ber, half_width) points whose increase
     exceeds the combined confidence.
 
-    fig3's points along one curve share bits and noise, so adjacent
+    fig3's points share channels, bits and noise, so adjacent
     estimates differ by less than independent ones would, and the sum
     of the two half-widths overstates the spread of their difference:
     the check is conservative, and a flag is the stronger evidence.
@@ -625,7 +628,7 @@ def run_fig3(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
     ]
     notes = [
         f"normalization={cfg.normalization}",
-        "the points of a scheme share bits and noise; each CI holds per point, "
+        "every point of every scheme shares channels, bits and noise; each CI holds per point, "
         "and the non-monotone flags below are conservative",
     ]
     for scheme in cfg.schemes:

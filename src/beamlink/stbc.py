@@ -13,13 +13,17 @@ sees the two-dimensional equivalent channel ``F^H h``.
 
 A constellation is the array of its points, and a symbol is the label
 index of its point, whose binary expansion is its Gray bit label; bit
-errors are the popcounts of XORed indices. The link runs at unit noise
-variance, so its amplitude (:func:`link_amplitude`) alone sets the SNR,
-and combining gives the sent symbols plus the combined noise over the
-amplitude (:func:`alamouti_noise`), so one noise draw serves every
-amplitude. Packing, the combined noise and slicing accept leading batch
-axes, so one call runs a block of codewords and a single codeword is a
-batch of one.
+errors are the popcounts of XORed indices. The slicer and the label
+length take the constellation's order, and the slicer reads nothing
+else. The link runs at unit noise variance, so its amplitude
+(:func:`link_amplitude`) alone sets the SNR. Alamouti combining over
+the equivalent channel ``h_eq`` gives each sent symbol plus
+``z / (A ||h_eq||)``, where ``z`` is unit complex Gaussian noise
+whatever ``h_eq`` is, so one noise draw serves every channel and every
+amplitude; :func:`noise_reach` says how far that noise carries a
+symbol. Packing, the reach and slicing accept leading batch axes, so
+one call runs a block of codewords and a single codeword is a batch of
+one.
 """
 
 from __future__ import annotations
@@ -66,9 +70,9 @@ def make_constellation(order: int) -> np.ndarray:
     return amp / scale
 
 
-def bits_per_symbol(points: np.ndarray) -> int:
-    """Label length ``log2(M)`` of the M-point constellation ``points``."""
-    return len(points).bit_length() - 1
+def bits_per_symbol(order: int) -> int:
+    """Label length ``log2(M)`` of the constellation of order M."""
+    return int(order).bit_length() - 1
 
 
 def label_index(bits: np.ndarray) -> np.ndarray:
@@ -86,8 +90,8 @@ def hamming_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _POPCOUNT[np.bitwise_xor(a, b)]
 
 
-def demap(symbol: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Label index of the constellation point nearest to each symbol.
+def demap(symbol: np.ndarray, order: int) -> np.ndarray:
+    """Label index of the nearest point of ``make_constellation(order)`` to each symbol.
 
     Square Gray QAM separates into two PAM decisions, so each axis is
     sliced on its own: with ``scale = sqrt(2 (M - 1) / 3)`` and
@@ -104,15 +108,10 @@ def demap(symbol: np.ndarray, points: np.ndarray) -> np.ndarray:
     index among the equidistant points, the first-minimum rule of an
     exhaustive nearest-point search.
 
-    The slicer reads only ``len(points)``, so any ``points`` other than
-    ``make_constellation(len(points))`` raises a ValueError.
+    An order outside ``SUPPORTED_ORDERS`` raises a ValueError.
     """
-    order = len(points)
-    if order not in SUPPORTED_ORDERS or not np.array_equal(points, make_constellation(order)):
-        raise ValueError(
-            f"points must be make_constellation(M) for M in {SUPPORTED_ORDERS}, "
-            f"got another array of {order} points"
-        )
+    if order not in SUPPORTED_ORDERS:
+        raise ValueError(f"unsupported constellation order {order}")
     symbol = np.asarray(symbol)
     if order == 2:
         return (symbol.real < 0).astype(np.intp)
@@ -155,40 +154,16 @@ def link_amplitude(
     return float(np.sqrt(gamma0))
 
 
-def alamouti_noise(
-    h_eq: np.ndarray, noise: np.ndarray, points: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The combined noise ``w`` of each symbol of a block of codewords,
-    and its reach.
+def noise_reach(z: np.ndarray, order: int) -> np.ndarray:
+    """How far the noise ``z`` carries a symbol of the order-M
+    constellation along the axes its decision reads, in half spacings:
+    ``max(|Re z|, |Im z|) * scale`` for square QAM
+    (``scale = sqrt(2 (M - 1) / 3)``) and ``|Re z|`` for BPSK.
 
-    ``h_eq = (g1, g2)`` and the unit noise ``n = (n1, n2)`` of each
-    codeword's two received slots have the same shape ``(..., 2)``, and
-    so have both results. The codeword arrives as ``y = A h_eq^H S + n``
-    at link amplitude A, and combining,
-    ``(g1 y1 + conj(g2) conj(y2), g2 y1 - conj(g1) conj(y2)) / (A ||h_eq||^2)``,
-    gives ``s + w / A`` by the codeword's orthogonality, with
-    ``w = (g1 n1 + conj(g2) conj(n2), g2 n1 - conj(g1) conj(n2)) / ||h_eq||^2``.
-    Its nearest-point decisions are joint maximum likelihood.
-
-    The reach ``max(|Re w|, |Im w|) * scale`` (``scale = sqrt(2 (M - 1) / 3)``
-    for square QAM, 1 for BPSK) counts half spacings of ``points``: a
-    symbol whose reach is below A stays strictly inside its own decision
-    cell. A zero equivalent channel has no combiner: its ``w`` is 0, its
-    reach infinite, and by convention it decodes to label index 0.
+    A symbol received as ``s + z / a`` whose reach is below ``a`` stays
+    strictly inside its own decision cell.
     """
-    g1, g2 = h_eq[..., 0], h_eq[..., 1]
-    n1, n2 = noise[..., 0], noise[..., 1].conj()
-    w = np.empty(noise.shape, dtype=np.complex128)
-    w[..., 0] = g1 * n1 + g2.conj() * n2
-    w[..., 1] = g2 * n1 - g1.conj() * n2
-    gain = np.abs(g1) ** 2 + np.abs(g2) ** 2
-    zero = gain == 0.0
-    # the contiguous float parts (Re w1, Im w1, Re w2, Im w2) of each
-    # codeword, scaled by a real factor without a strided pass over w.real
-    parts = w.view(np.float64)
-    parts *= (1.0 / np.where(zero, 1.0, gain))[..., None]
-    scale = 1.0 if len(points) == 2 else _qam_axes(len(points))[2]
-    parts = np.abs(parts)
-    reach = np.maximum(parts[..., 0::2], parts[..., 1::2]) * scale
-    reach[zero] = np.inf
-    return w, reach
+    z = np.asarray(z)
+    if order == 2:
+        return np.abs(z.real)
+    return np.maximum(np.abs(z.real), np.abs(z.imag)) * _qam_axes(order)[2]

@@ -1,9 +1,10 @@
 """Reference link simulations that only the tests run.
 
 The explicit Alamouti link lives here: the codeword, the received rows
-``A h^H S + z`` and the combine-and-demap decoder. The harness's link
-draws only the combined noise per symbol, and the tests check it
-against this explicit path on the same stream. The simulators check
+``A h^H S + n``, the combine-and-demap decoder and the unit noise
+``z = U (n1, conj(n2))`` that combining leaves of ``n``. The harness's
+link draws ``z`` itself and reads only ``||h_eq||^2`` of a channel, and
+the tests check it against this explicit path. The simulators check
 the package's link against closed forms (criteria 5 and 6), so unlike
 :mod:`oracles` they run the package's own kernels: stbc's slicer and
 the harness's trial blocks and link. Their substream purpose tags, 4
@@ -74,9 +75,27 @@ def decode_alamouti(
     denom = np.where(zero, 1.0, denom)
     s1_hat = (g1 * y1 + np.conj(g2) * np.conj(y2)) / denom
     s2_hat = (g2 * y1 - np.conj(g1) * np.conj(y2)) / denom
-    idx = np.stack([stbc.demap(s1_hat, points), stbc.demap(s2_hat, points)], axis=-1)
+    idx = np.stack([stbc.demap(s1_hat, len(points)), stbc.demap(s2_hat, len(points))], axis=-1)
     idx[zero] = 0
     return idx
+
+
+def unit_noise(h_eq: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """``z = U (n1, conj(n2))`` per codeword, with
+    ``U = [[g1, conj(g2)], [g2, -conj(g1)]] / ||h_eq||`` unitary.
+
+    ``h_eq = (g1, g2)`` and the received noise ``(n1, n2)`` have shape
+    ``(..., 2)``, and so has ``z``. Combining ``A h_eq^H S + n`` gives
+    ``s + z / (A ||h_eq||)``. A zero channel has no combiner; its ``z``
+    is ``(n1, conj(n2))``.
+    """
+    g1, g2 = h_eq[..., 0], h_eq[..., 1]
+    norm = np.sqrt(np.abs(g1) ** 2 + np.abs(g2) ** 2)
+    zero = norm == 0.0
+    scale = np.where(zero, 1.0, norm)
+    g1, g2 = np.where(zero, 1.0, g1) / scale, g2 / scale
+    n1, n2 = noise[..., 0], np.conj(noise[..., 1])
+    return np.stack([g1 * n1 + np.conj(g2) * n2, g2 * n1 - np.conj(g1) * n2], axis=-1)
 
 
 def transmit_receive(
@@ -123,7 +142,7 @@ def simulate_bpsk_rayleigh_ber(
         sent = rng.integers(0, 2, n)
         # transmit_receive applies conj of its channel argument
         y = transmit_receive(points[sent][:, None, None], h.conj(), rng, amplitude)
-        detected = stbc.demap(h.conj() * y, points)
+        detected = stbc.demap(h.conj() * y, 2)
         errors += int(stbc.hamming_distance(sent, detected[:, 0]).sum())
     lo, hi = analysis.wilson_interval(errors, n_trials)
     return errors / n_trials, lo, hi, n_trials
@@ -138,9 +157,9 @@ def simulate_conditional_ber(
     Returns (bit_errors, total_bits); used to compare simulation against
     the conditional union bound.
     """
+    gain = float(np.vdot(h_eq, h_eq).real)
     errors = 0
     for n, rng in harness._blocks(n_trials, seed, _PURPOSE_CONDITIONAL):
-        h_rows = np.broadcast_to(np.asarray(h_eq), (n, 2))
-        link = harness._link_draw(h_rows, points, rng)
-        errors += harness._ber_block(h_rows, points, amplitude, link)
-    return errors, n_trials * 2 * stbc.bits_per_symbol(points)
+        link = harness._link_draw(n, len(points), rng)
+        errors += harness._ber_block(np.full(n, gain), points, amplitude, link)
+    return errors, n_trials * 2 * stbc.bits_per_symbol(len(points))
