@@ -215,16 +215,20 @@ def equivalent_channel(f: np.ndarray, h: np.ndarray) -> np.ndarray:
 def _antenna_sums(h: np.ndarray, m: np.ndarray) -> np.ndarray:
     """``h @ m`` for ``h`` of shape ``(..., n)`` and ``m`` of shape ``(n, c)``, without BLAS.
 
-    ``h`` is read antenna-major as the contiguous ``(n, ...)`` array
-    ``moveaxis(h, -1, 0)``, which is a view for the antenna-major rows of
-    the channel samplers and a copy otherwise, and output column j
+    ``h`` is read antenna-major as ``moveaxis(h, -1, 0)``. That is a view
+    when each antenna's row of it is C-contiguous, as in the antenna-major
+    blocks of the channel samplers and in their row tiles, and a
+    C-contiguous copy otherwise, because numpy's contiguous and strided
+    complex-multiply loops can round differently. Output column j
     accumulates ``h[k] * m[k, j]`` over the antennas k in order, then is
     written into the preallocated C-contiguous ``(..., c)`` output. A
     threaded BLAS product on a block of rows wakes worker threads that
     keep spinning after it returns; these sums run on the calling thread
     alone, and their bits do not depend on the BLAS build.
     """
-    h_t = np.ascontiguousarray(np.moveaxis(h, -1, 0))
+    h_t = np.moveaxis(h, -1, 0)
+    if not h_t[0].flags.c_contiguous:
+        h_t = np.ascontiguousarray(h_t)
     out = np.empty(h_t.shape[1:] + (m.shape[1],), dtype=np.result_type(h_t, m))
     for j in range(m.shape[1]):
         acc = h_t[0] * m[0, j]

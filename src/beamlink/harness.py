@@ -17,8 +17,11 @@ grid indices to the rotated sum (:func:`beamformer.bpr_rotated_sum`),
 and the two blockwise schemes differ only in a scalar, so one rotated
 sum per tile serves both. The stage never holds a block of ``F^H h``,
 and each block is released before the next is drawn. Every ``F^H h``
-is summed antenna by antenna, so no BLAS call runs in the block loop
-and no BLAS worker thread spins beside it.
+is summed antenna by antenna, so no BLAS call runs in the block loop.
+No BLAS worker thread spins beside it either: the package root,
+``beamlink/__init__.py``, loads numpy with one OpenBLAS thread unless
+the caller sets a count, and the manifest records the process's thread
+count (``process_threads``).
 
 fig3's link needs nothing of a row but its gain: Alamouti combining
 turns each symbol into ``s + z / (A ||F^H h||)`` with unit noise ``z``,
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 import time
 from collections.abc import Callable
@@ -458,6 +462,15 @@ class SweepResult:
     telemetry: dict = field(default_factory=dict)
 
 
+def _process_threads() -> int | None:
+    """OS threads of this process (entries of ``/proc/self/task``), or None
+    where that directory does not exist."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except FileNotFoundError:
+        return None
+
+
 def write_manifest(
     out_dir: Path,
     cfg: ExperimentConfig,
@@ -470,6 +483,7 @@ def write_manifest(
         "config_sha256": cfg.content_hash(),
         "files": {r.path.name: _sha256(r.path) for r in results},
         "notes": {r.name: r.notes for r in results if r.notes},
+        "process_threads": _process_threads(),
         "runner_wall_s": runner_wall_s,
         "telemetry": {r.name: r.telemetry for r in results if r.telemetry},
         "versions": {

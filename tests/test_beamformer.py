@@ -239,6 +239,40 @@ class TestAntennaMajorRows:
         # it; a transposed copy of h would add h.nbytes
         assert peak < out.nbytes + h.nbytes // 2
 
+    @pytest.mark.parametrize("q", [2, 4])
+    @pytest.mark.parametrize("kind", ["mmwave", "rayleigh"])
+    def test_row_tiles_give_the_bits_of_their_c_order_copy(self, q, kind):
+        rng = substream(q, 42)
+        if kind == "mmwave":
+            h = channel.sample_mmwave_batch(3000, 3, 2**q, channel.SteeringConfig(), rng)
+        else:
+            h = channel.sample_rayleigh_batch(3000, 2**q, rng)
+        tile = h[700:2300]
+        assert not tile.T.flags.c_contiguous and tile.T[0].flags.c_contiguous
+        rows = np.ascontiguousarray(tile)
+        for scheme in (DFT, HADAMARD):
+            bf = beamformer.build(scheme, q)
+            np.testing.assert_array_equal(
+                beamformer.equivalent_channel(bf, tile), beamformer.equivalent_channel(bf, rows)
+            )
+        idx = phase_opt.greedy_bpr_indices(tile, q)
+        np.testing.assert_array_equal(
+            beamformer.bpr_rotated_sum(q, tile, *idx), beamformer.bpr_rotated_sum(q, rows, *idx)
+        )
+
+    def test_row_tile_is_not_copied(self):
+        h = channel.sample_rayleigh_batch(32768, 16, substream(0, 43))
+        tile = h[8192:24576]
+        bf = beamformer.build(DFT, 4)
+        tracemalloc.start()
+        try:
+            out = beamformer.equivalent_channel(bf, tile)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # as for a whole block: a copy of the tile would add tile.nbytes
+        assert peak < out.nbytes + tile.nbytes // 2
+
 
 
 class TestBprEquivalentChannels:

@@ -1029,6 +1029,102 @@ class TestDeterminism:
         for name, digest in manifest["files"].items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
+    def test_manifest_records_process_threads(self, tmp_path, monkeypatch):
+        harness.write_manifest(tmp_path, _tiny_cfg(), [], 0.0, {})
+        threads = json.loads((tmp_path / "manifest.json").read_text())["process_threads"]
+        if os.path.isdir("/proc/self/task"):
+            assert threads >= 1
+        else:
+            assert threads is None
+
+        def no_task_dir(path):
+            raise FileNotFoundError(path)
+
+        monkeypatch.setattr(harness.os, "listdir", no_task_dir)
+        harness.write_manifest(tmp_path, _tiny_cfg(), [], 0.0, {})
+        assert json.loads((tmp_path / "manifest.json").read_text())["process_threads"] is None
+
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_NUMPY_BLAS = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+_needs_openblas = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or "openblas" not in _NUMPY_BLAS.get("name", ""),
+    reason="needs /proc/self/task and numpy on OpenBLAS",
+)
+
+
+def _run_child(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on ``args`` that imports this beamlink, with
+    none of the variables that set OpenBLAS's thread count but ``env``."""
+    paths = [str(Path(harness.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    child_env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    child_env.update(env, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=child_env)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def _probe(code: str, *args: str, **env: str):
+    """The JSON that the last line of ``code``, run by :func:`_run_child`, prints."""
+    return json.loads(_run_child("-c", code, *args, **env).stdout.splitlines()[-1])
+
+
+# Imports beamlink in a fresh interpreter (after numpy if argv[1] says
+# "numpy-first"), runs a small fig3 and fig2, and prints the process's
+# threads and what became of os.environ.
+_IMPORT_PROBE = """
+import json, os, sys
+if sys.argv[1] == "numpy-first":
+    import numpy
+before = dict(os.environ)
+writes = []
+_set = type(os.environ).__setitem__
+type(os.environ).__setitem__ = lambda env, key, value: (writes.append(key), _set(env, key, value))
+import beamlink
+kept = dict(os.environ) == before
+from beamlink import harness
+n = 2048
+harness.ber_grid(harness.ExperimentConfig(modulation=4, snr_grid_db=(10.0,), trials=n, max_trials=n))
+harness.quadratic_forms(harness.ExperimentConfig(trials=n))
+print(json.dumps({
+    "threads": len(os.listdir("/proc/self/task")),
+    "cpus": len(os.sched_getaffinity(0)),
+    "environ_kept": kept,
+    "writes": writes,
+    "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+}))
+"""
+
+
+@_needs_openblas
+class TestBlasThreads:
+    """``import beamlink`` loads numpy without OpenBLAS's worker threads,
+    unless the caller set a thread count or loaded numpy first, and
+    leaves ``os.environ`` as it was. pytest loads numpy before beamlink,
+    so each case runs in a fresh interpreter."""
+
+    def test_no_worker_thread_by_default(self):
+        out = _probe(_IMPORT_PROBE, "beamlink-first")
+        assert out["threads"] == 1
+        assert out["environ_kept"]
+        assert out["OPENBLAS_NUM_THREADS"] is None
+
+    def test_caller_thread_count_is_kept(self):
+        out = _probe(_IMPORT_PROBE, "beamlink-first", OPENBLAS_NUM_THREADS="2")
+        assert out["environ_kept"] and out["writes"] == []
+        assert out["OPENBLAS_NUM_THREADS"] == "2"
+        if out["cpus"] >= 2:
+            assert out["threads"] >= 2
+
+    def test_numpy_loaded_first_leaves_environ_alone(self):
+        out = _probe(_IMPORT_PROBE, "numpy-first")
+        assert out["environ_kept"] and out["writes"] == []
+
+    def test_default_run_manifest_reads_one_thread(self, tmp_path):
+        _run_child("-m", "beamlink", "fig2", "--trials", "500", "--out", str(tmp_path))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["process_threads"] == 1
+
 
 # Runs fig3's and fig2's block loops in a fresh interpreter and prints, for
 # every thread but the main one, the CPU ticks (utime + stime) it spent.
@@ -1045,8 +1141,8 @@ def ticks():
             out[int(tid)] = int(stat[11]) + int(stat[12])
     return out
 
-# BLAS workers spin for about 0.1 s after they start at import; wait until
-# no thread gains a tick for 0.3 s
+# the BLAS worker that OPENBLAS_NUM_THREADS=2 starts when numpy loads spins
+# for about 0.1 s; wait until no thread gains a tick for 0.3 s
 before = ticks()
 for _ in range(50):
     time.sleep(0.3)
@@ -1064,14 +1160,10 @@ print(json.dumps([t - before.get(tid, 0) for tid, t in ticks().items()]))
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
 def test_block_loops_keep_other_threads_idle():
     # a threaded BLAS product in the block loop wakes worker threads that
-    # spin for a while after each call; the loops run on the main thread
-    paths = [str(Path(harness.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    proc = subprocess.run(
-        [sys.executable, "-c", _THREAD_PROBE], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    growth = json.loads(proc.stdout.splitlines()[-1])
+    # spin for a while after each call; the loops run on the main thread.
+    # beamlink starts no BLAS worker by default, so the child asks for one
+    # and the check still watches a live pool
+    growth = _probe(_THREAD_PROBE, OPENBLAS_NUM_THREADS="2")
     assert max(growth, default=0) <= 2, growth
 
 
