@@ -96,10 +96,14 @@ def _plane_wave_sums(
     return np.moveaxis(h, 0, -1)
 
 
-def _complex_normal(shape, rng: np.random.Generator) -> np.ndarray:
+def _complex_normal(shape, rng: np.random.Generator, order: str = "C") -> np.ndarray:
     """I.i.d. CN(0, 1) entries: the real parts are drawn first, then the imaginary,
-    each scaled in place with the bits of ``(re + 1j * im) / np.sqrt(2.0)``."""
-    z = np.empty(shape, dtype=np.complex128)
+    each scaled in place with the bits of ``(re + 1j * im) / np.sqrt(2.0)``.
+
+    The draws are in C order whatever the memory ``order`` of the result,
+    so its values do not depend on ``order``.
+    """
+    z = np.empty(shape, dtype=np.complex128, order=order)
     np.multiply(rng.standard_normal(shape), 1.0 / np.sqrt(2.0), out=z.real)
     np.multiply(rng.standard_normal(shape), 1.0 / np.sqrt(2.0), out=z.imag)
     return z
@@ -131,8 +135,8 @@ def sample_rayleigh_batch(
 ) -> np.ndarray:
     """One i.i.d. CN(0, 1) channel per row, the rich-scattering baseline.
 
-    The entries are drawn row by row and then laid out antenna-major
-    once, as :func:`sample_mmwave_batch` lays out its rows: ``h.T`` is
-    C-contiguous.
+    The entries are drawn row by row and written straight into an
+    antenna-major buffer, laid out as :func:`sample_mmwave_batch` lays out
+    its rows: ``h.T`` is C-contiguous, and no transposed copy is made.
     """
-    return np.asfortranarray(_complex_normal((n_trials, n_antennas), rng))
+    return _complex_normal((n_trials, n_antennas), rng, order="F")

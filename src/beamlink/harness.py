@@ -36,6 +36,18 @@ which other points are still running, and its stopping rule only
 decides how many blocks it joins. Each fig3 block and each stage tile
 is one call of each batched layer kernel; the harness holds no copy of
 their math.
+
+fig3 draws a block's link before its stage, so the stage runs the
+greedy only on rows that a blockwise decision can read. Unit rotations
+give ``|r1 a_k + r2 b_k| >= ||a_k| - |b_k||`` for the Sylvester sums
+``a = h_top W`` and ``b = h_bot W`` (:func:`beamformer.bpr_block_sums`),
+so ``F = sum_k (|a_k| - |b_k|)^2`` bounds every rotated sum from below.
+A row whose floor, less margins that exceed its rounding and the 1e-9
+edge of the reach rule by more than 10^3, clears its largest reach
+squared over the smallest ``A^2 |bpr_scale|^2`` among the running
+blockwise points is demapped by none of them. Its blockwise gains read
+``+inf``, which the reach rule skips as it would the true gains, so
+every output keeps its bits (:func:`_block_gains`, :func:`_gain_limits`).
 """
 
 from __future__ import annotations
@@ -64,7 +76,8 @@ _PURPOSE_FIG3 = 3
 _PURPOSE_FIG3_CHANNEL = 6
 
 TRIAL_BLOCK = 16384
-# channel entries in one row tile of fig2's block stage: 2048 rows at N = 16
+# channel entries in one row tile of the block stage of fig2 and fig3:
+# 2048 rows at N = 16, 8192 at N = 4
 _STAGE_ENTRIES = 2**15
 
 CSV_HEADER = "scheme,modulation,metric,gamma0_db,value,ci_half_width,n_trials"
@@ -242,8 +255,16 @@ def _batch_equivalent_channels(
     return beamformer.equivalent_channel(beamformer.build(scheme, cfg.q), h)
 
 
+# relative margin of fig3's gate (_block_gains): it absorbs the 1e-9 edge
+# of _ber_block and the rounding of the gains, the limits and the edges
+_GAIN_MARGIN = 1e-5
+
+
 def _block_gains(
-    cfg: ExperimentConfig, schemes: tuple[str, ...], h: np.ndarray
+    cfg: ExperimentConfig,
+    schemes: tuple[str, ...],
+    h: np.ndarray,
+    limit: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """The block stage of fig2 and fig3: ``||F^H h||^2`` per row of the
     block ``h`` for each of ``schemes``, in order.
@@ -256,18 +277,43 @@ def _block_gains(
     squared row norms at once, so no stage output but the gains is ever
     held for a whole block. Every kernel of the stage works row by row,
     so no bit of the result depends on the tiling.
+
+    fig3 passes a ``limit`` per row (:func:`_gain_limits`): an unscaled
+    ``||rotated sum||^2`` above which no running blockwise point can
+    demap the row. Each tile then forms its Sylvester sums
+    (:func:`beamformer.bpr_block_sums`) once, and skips each row whose
+    limit lies below ``(1 - 1e-5)`` times its
+    :func:`beamformer.bpr_floor`, a floor under the computed
+    ``||rotated sum||^2`` whatever the greedy picks. The greedy and the
+    rotated sum run on the other rows alone, still one call each per
+    tile, with no rows if none is left. The blockwise gains of a skipped
+    row read ``+inf``; every other gain keeps its bits. The margin
+    ``1e-5`` exceeds the ``2e-9`` that ``_ber_block``'s 1e-9 edge takes
+    off a squared gain by 5000 times, and the rounding of the scaled
+    gains, of the limits and of the edges, a few ``u = 2**-53``, by far
+    more. So a skipped row's symbols lie strictly inside their cells at
+    every running blockwise point, as with a gain of ``+inf``: its count
+    is 0 either way. fig2 passes no limit and computes every row.
     """
-    gains = {scheme: np.empty(h.shape[0]) for scheme in schemes}
+    gains = {scheme: np.full(h.shape[0], np.inf) for scheme in schemes}
     blockwise = any(scheme in beamformer.BPR_SCHEMES for scheme in schemes)
     tile = max(1, _STAGE_ENTRIES // cfg.n_antennas)
     for start in range(0, h.shape[0], tile):
         rows = slice(start, start + tile)
-        part, rotated = h[rows], None
+        part, near, sums, rotated = h[rows], slice(None), None, None
+        if blockwise and limit is not None:
+            sums = beamformer.bpr_block_sums(cfg.q, part)
+            floor = beamformer.bpr_floor(sums)
+            near = np.flatnonzero(~(limit[rows] < floor * (1.0 - _GAIN_MARGIN)))
+            sums = (sums[0][near], sums[1][near])
+        gated = part[near]
         if blockwise:
-            rotated = beamformer.bpr_rotated_sum(cfg.q, part, *_batch_greedy_phases(part, cfg.q))
+            idx = _batch_greedy_phases(gated, cfg.q)
+            rotated = beamformer.bpr_rotated_sum(cfg.q, gated, *idx, sums=sums)
         for scheme in schemes:
-            h_eq = _batch_equivalent_channels(scheme, part, cfg, rotated)
-            gains[scheme][rows] = np.sum(np.abs(h_eq) ** 2, axis=1)
+            bpr = scheme in beamformer.BPR_SCHEMES
+            h_eq = _batch_equivalent_channels(scheme, gated if bpr else part, cfg, rotated)
+            gains[scheme][rows][near if bpr else slice(None)] = np.sum(np.abs(h_eq) ** 2, axis=1)
     return gains
 
 
@@ -338,6 +384,28 @@ class BerPoint:
     half_width: float = float("nan")
 
 
+def _gain_limits(
+    cfg: ExperimentConfig, active: list[tuple[BerPoint, float]], reach: np.ndarray
+) -> np.ndarray | None:
+    """The per-row gate of :func:`_block_gains` for one fig3 block, or
+    None if no blockwise point runs: each row's largest symbol ``reach``,
+    squared, over the smallest ``A^2 |bpr_scale|^2`` among the ``active``
+    blockwise points. A point demaps a symbol only if its reach is at
+    least ``A ||F^H h||`` (:func:`_ber_block`), and a blockwise
+    ``||F^H h||^2`` is ``|bpr_scale|^2 ||rotated sum||^2``, so no running
+    blockwise point demaps a row whose rotated sum clears its limit.
+    """
+    scales = [
+        amp * amp * abs(beamformer.bpr_scale(cfg.q, beamformer.golden_variant(p.scheme))) ** 2
+        for p, amp in active
+        if p.scheme in beamformer.BPR_SCHEMES
+    ]
+    if not scales:
+        return None
+    widest = np.maximum(reach[:, 0], reach[:, 1])
+    return widest * widest / min(scales)
+
+
 def ber_grid(
     cfg: ExperimentConfig, cells: list[tuple[int, int, float]] | None = None
 ) -> tuple[list[BerPoint], int]:
@@ -345,13 +413,16 @@ def ber_grid(
 
     ``cells`` lists ``(scheme_idx, snr_idx, gamma0_db)``; by default every
     scheme at every SNR of ``cfg``, scheme-major. Block b draws its
-    channels once from ``(seed, FIG3_CHANNEL, b)`` and reduces them to
-    each still-active scheme's ``||F^H h||^2`` per row
-    (:func:`_block_gains`). It then makes one :func:`_link_draw` of bits
-    and unit noise from ``(seed, FIG3, b)``, and every active point, of
-    every scheme, decodes that draw at its own gain and link amplitude
-    (:func:`_ber_block`). So all points share channels, bits and noise:
-    they are correlated, while each point's interval holds on its own.
+    channels once from ``(seed, FIG3_CHANNEL, b)`` and one
+    :func:`_link_draw` of bits and unit noise from ``(seed, FIG3, b)``.
+    It reduces the channels to each still-active scheme's
+    ``||F^H h||^2`` per row (:func:`_block_gains`), and every active
+    point, of every scheme, decodes the link draw at its own gain and
+    link amplitude (:func:`_ber_block`). So all points share channels,
+    bits and noise: they are correlated, while each point's interval
+    holds on its own. The link is drawn first, so that the stage can
+    skip the greedy on rows that no running blockwise point can demap
+    (:func:`_gain_limits`); no count changes.
     A point leaves after the block that meets both the minimum trial
     count and the target error count, or at the trial cap; at least one
     block runs.
@@ -374,8 +445,9 @@ def ber_grid(
     for b, (n, rng) in enumerate(_blocks(cfg.max_trials, cfg.seed, _PURPOSE_FIG3_CHANNEL)):
         n_blocks += 1
         schemes = tuple(dict.fromkeys(p.scheme for p, _ in active))
-        gains = _block_gains(cfg, schemes, _sample_channels(cfg, n, rng))
         link = _link_draw(n, cfg.modulation, substream(cfg.seed, _PURPOSE_FIG3, b))
+        limit = _gain_limits(cfg, active, link[2])
+        gains = _block_gains(cfg, schemes, _sample_channels(cfg, n, rng), limit)
         for p, amp in active:
             p.bit_errors += _ber_block(gains[p.scheme], points, amp, link)
             p.trials += n
@@ -613,6 +685,28 @@ def monotonicity_notes(scheme: str, curve: list[tuple[float, float, float]]) -> 
     return notes
 
 
+def _capped_notes(grid: list[BerPoint]) -> list[str]:
+    """One note per fig3 point stopped at ``max_trials``, with its bit
+    errors and codewords.
+
+    A capped point with no bit error has no measured BER: with no
+    codeword error in n codewords, the codeword error rate, and so the
+    BER beneath it, is below ``3/n`` at 95% confidence (the rule of three).
+    """
+    notes = []
+    for p in grid:
+        if p.stop != "cap":
+            continue
+        note = (
+            f"capped at max_trials: {p.scheme} {p.gamma0_db:g} dB, "
+            f"{p.bit_errors} bit error{'' if p.bit_errors == 1 else 's'} in {p.trials} codewords"
+        )
+        if p.bit_errors == 0:
+            note += f"; BER < 3/{p.trials} = {3 / p.trials:.3g} at 95% (rule of three), not measured"
+        notes.append(note)
+    return notes
+
+
 def _check_fig2(cfg: ExperimentConfig) -> None:
     # the confidence half width is a sample standard deviation
     if cfg.trials < 2:
@@ -648,6 +742,7 @@ def run_fig3(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
     for scheme in cfg.schemes:
         curve = [(p.gamma0_db, p.ber, p.half_width) for p in grid if p.scheme == scheme]
         notes.extend(monotonicity_notes(scheme, curve))
+    notes.extend(_capped_notes(grid))
     telemetry = {
         "channel_blocks": n_blocks,
         "radiated_power": {scheme: radiated_power(cfg, scheme) for scheme in cfg.schemes},

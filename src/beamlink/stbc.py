@@ -76,9 +76,15 @@ def bits_per_symbol(order: int) -> int:
 
 
 def label_index(bits: np.ndarray) -> np.ndarray:
-    """Label indices of the big-endian bit groups in the last axis of ``bits``."""
+    """Label indices of the big-endian bit groups in the last axis of ``bits``,
+    as int64, packed by shifts and ORs."""
     bits = np.asarray(bits, dtype=np.uint8)
-    return bits @ (1 << np.arange(bits.shape[-1] - 1, -1, -1))
+    index = np.zeros(bits.shape[:-1], dtype=np.int64)
+    for j in range(bits.shape[-1]):
+        index <<= 1
+        index |= bits[..., j]
+    # a single group gives a scalar
+    return index[()]
 
 
 # set bits of every label index of the largest constellation

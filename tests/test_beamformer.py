@@ -1,8 +1,11 @@
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import hadamard
 
 from beamlink import beamformer, channel, phase_opt
@@ -316,3 +319,115 @@ class TestBprEquivalentChannels:
         for off in (on + 1, on - 1, np.broadcast_to(grid1, (3, 2))):
             with pytest.raises(ValueError, match="block_grids"):
                 beamformer.bpr_rotated_sum(2, h, on, off)
+
+
+def _rotated_norms(q, h, idx1, idx2):
+    """The computed unscaled ``||bpr_rotated_sum||^2`` of each row, as the
+    block stage reduces it."""
+    return np.sum(np.abs(beamformer.bpr_rotated_sum(q, h, idx1, idx2)) ** 2, axis=-1)
+
+
+def _index_sets(q, rows, rng):
+    """Every pair of grid index vectors at q = 2; 40 random pairs per row above."""
+    half = 2 ** (q - 1)
+    if q == 2:
+        for flat in itertools.product(range(half), repeat=2 * half):
+            pair = np.broadcast_to(np.reshape(flat, (2, 1, half)), (2, rows, half))
+            yield pair[0], pair[1]
+        return
+    for _ in range(40):
+        yield tuple(rng.integers(0, half, (2, rows, half)))
+
+
+def _adversarial_rows(q, rows, rng):
+    """Named groups of channel rows on which the floor is tight or
+    degenerate, from Rayleigh and mmwave draws scaled by 1e-3 to 1e3:
+    the draws themselves; their bottom block set to the top one turned
+    (``|a_k| = |b_k|``); set to the top one negated and scaled by
+    ``1 + t`` for tiny ``t`` (``b = -(1 + t) a``, where a rotation of 1 on
+    both blocks meets the floor); Gaussian-integer rows whose bottom block
+    is the top one times a unit; and zero rows."""
+    n, half = 2**q, 2 ** (q - 1)
+    draws = {
+        "rayleigh": channel.sample_rayleigh_batch(rows, n, rng),
+        "mmwave": channel.sample_mmwave_batch(rows, 3, n, channel.SteeringConfig(), rng),
+    }
+    groups = {}
+    for kind, h in draws.items():
+        h = np.array(h) * 10.0 ** rng.uniform(-3.0, 3.0, (rows, 1))
+        turned, opposite = h.copy(), h.copy()
+        turned[:, half:] = h[:, :half] * np.exp(1j * rng.uniform(0, 2 * np.pi, (rows, 1)))
+        opposite[:, half:] = -h[:, :half] * (1.0 + 10.0 ** rng.uniform(-16.0, -2.0, (rows, 1)))
+        groups.update({kind: h, f"{kind} turned": turned, f"{kind} opposite": opposite})
+    lattice = rng.integers(-3, 4, (rows, n)) + 1j * rng.integers(-3, 4, (rows, n))
+    lattice[:, half:] = rng.choice([1, -1, 1j, -1j], (rows, 1)) * lattice[:, :half]
+    groups["lattice"] = lattice * 10.0 ** rng.integers(-3, 4, (rows, 1))
+    groups["zero"] = np.zeros((4, n), dtype=complex)
+    return groups
+
+
+@st.composite
+def _floor_rows(draw):
+    """One q = 2 row: free, Gaussian integer, ``|a_k| = |b_k|`` or near
+    ``b = -a``, at a scale from 1e-3 to 1e3, or zero."""
+    kind = draw(st.sampled_from(["free", "lattice", "turned", "opposite", "zero"]))
+    part = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+    h = np.array([complex(draw(part), draw(part)) for _ in range(4)])
+    if kind == "lattice":
+        h = np.round(h)
+    elif kind == "turned":
+        h[2:] = h[:2] * np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+    elif kind == "opposite":
+        h[2:] = -h[:2] * (1.0 + draw(st.floats(0.0, 1e-3)))
+    elif kind == "zero":
+        h[:] = 0.0
+    return h * 10.0 ** draw(st.floats(-3.0, 3.0))
+
+
+class TestBprFloor:
+    """The floor under the rotated sum, less its rounding margin, never
+    exceeds the computed unscaled ``||bpr_rotated_sum||^2``, whatever the
+    grid indices."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_floor_never_exceeds_any_rotated_sum(self, q):
+        rng = substream(q, 44)
+        groups = _adversarial_rows(q, 2000, rng)
+        h = np.concatenate(list(groups.values()))
+        sums = beamformer.bpr_block_sums(q, h)
+        floor = beamformer.bpr_floor(sums)
+        scale = np.sum(np.abs(sums[0]) ** 2 + np.abs(sums[1]) ** 2, axis=-1)
+        slack = np.full(h.shape[0], np.inf)
+        for idx1, idx2 in _index_sets(q, h.shape[0], rng):
+            norms = _rotated_norms(q, h, idx1, idx2)
+            with_sums = beamformer.bpr_rotated_sum(q, h, idx1, idx2, sums=sums)
+            np.testing.assert_array_equal(norms, np.sum(np.abs(with_sums) ** 2, axis=-1))
+            assert np.all(floor <= norms)
+            slack = np.minimum(slack, norms - floor)
+        ends = np.cumsum([len(g) for g in groups.values()])
+        group = dict(zip(groups, np.split(np.arange(h.shape[0]), ends[:-1])))
+        # |a_k| = |b_k| gives no positive floor, and a zero row a floor of 0
+        for name in ("rayleigh turned", "mmwave turned", "lattice"):
+            assert np.all(floor[group[name]] <= 0.0), name
+        assert np.all(floor[group["zero"]] == 0.0)
+        # the draws get positive floors; on rows near b = -a the rotation
+        # of 1 meets the exact floor, and the margin alone holds them
+        assert np.all(floor[group["rayleigh"]] > 0.0) and np.all(floor[group["mmwave"]] > 0.0)
+        if q < 4:
+            near = group["rayleigh opposite"]
+            assert np.min(slack[near] / scale[near]) < 1.01e-11
+
+    @settings(max_examples=300, deadline=None)
+    @given(h=_floor_rows())
+    def test_floor_holds_on_single_rows(self, h):
+        h = h[None]
+        floor = beamformer.bpr_floor(beamformer.bpr_block_sums(2, h))
+        for idx1, idx2 in _index_sets(2, 1, None):
+            assert floor[0] <= _rotated_norms(2, h, idx1, idx2)[0]
+
+    def test_block_sums_are_the_sylvester_products(self):
+        h = channel.sample_rayleigh_batch(500, 8, substream(0, 45))
+        w = hadamard(4).astype(float)
+        top, bot = beamformer.bpr_block_sums(3, h)
+        np.testing.assert_allclose(top, h[:, :4] @ w, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(bot, h[:, 4:] @ w, rtol=0, atol=1e-14)

@@ -213,6 +213,15 @@ class TestSamplerBits:
         got = channel._complex_normal(shape, substream(0, 80))
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    def test_rayleigh_rows_keep_the_bits_of_the_row_major_draw(self):
+        # the rows were drawn row-major and then copied antenna-major
+        shape = (16384, 4)
+        rng = substream(0, 82)
+        want = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+        got = channel.sample_rayleigh_batch(*shape, substream(0, 82))
+        assert got.T.flags.c_contiguous
+        assert np.array_equal(got.T.view(np.uint64), np.ascontiguousarray(want.T).view(np.uint64))
+
     def test_plane_wave_steps_keep_the_bits_of_the_exponential(self):
         # 2**17 rows of 3 paths: each path's step was np.exp(1j * phase)
         n, cfg = 2**17, channel.SteeringConfig(spacing_over_wavelength=0.4)

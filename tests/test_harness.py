@@ -290,14 +290,14 @@ class TestBatchKernels:
 
     @pytest.mark.parametrize("sweep", ["quadratic_forms", "ber_grid"])
     def test_one_rotated_sum_per_block(self, monkeypatch, sweep):
-        rows = []
+        calls = []
         rotated_sum = beamformer.bpr_rotated_sum
 
-        def counting(q, h, idx1, idx2):
+        def counting(q, h, idx1, idx2, sums=None):
             # the greedy hands over grid indices, not angles
             assert idx1.dtype.kind == idx2.dtype.kind == "i"
-            rows.append(h.shape[0])
-            return rotated_sum(q, h, idx1, idx2)
+            calls.append(h)
+            return rotated_sum(q, h, idx1, idx2, sums=sums)
 
         monkeypatch.setattr(beamformer, "bpr_rotated_sum", counting)
         n = harness.TRIAL_BLOCK + 100
@@ -305,9 +305,37 @@ class TestBatchKernels:
             schemes=beamformer.SCHEMES, snr_grid_db=(10.0,), trials=n, max_trials=n
         )
         getattr(harness, sweep)(cfg)
-        # fig2 and fig3 share one stage, which runs each block in row tiles,
-        # one rotated sum each
-        assert rows == _stage_tiles(cfg, [harness.TRIAL_BLOCK, 100])
+        rows = [h.shape[0] for h in calls]
+        if sweep == "quadratic_forms":
+            # fig2 and fig3 share one stage, which runs each block in row
+            # tiles, one rotated sum each; fig2 computes whole tiles
+            assert rows == _stage_tiles(cfg, [harness.TRIAL_BLOCK, 100])
+            return
+        # fig3: one rotated sum per tile, on exactly the rows whose floor
+        # does not clear the limit, both recomputed here from the block's
+        # channel and link draws
+        expected = []
+        amplitudes = [harness._link_amplitude(cfg, s, 10.0) for s in beamformer.BPR_SCHEMES]
+        scale = min(
+            a * a * abs(beamformer.bpr_scale(2, beamformer.golden_variant(s))) ** 2
+            for a, s in zip(amplitudes, beamformer.BPR_SCHEMES)
+        )
+        tile = harness._STAGE_ENTRIES // cfg.n_antennas
+        for b, (size, rng) in enumerate(harness._blocks(n, cfg.seed, harness._PURPOSE_FIG3_CHANNEL)):
+            h = harness._sample_channels(cfg, size, rng)
+            link = harness._link_draw(size, cfg.modulation, substream(cfg.seed, harness._PURPOSE_FIG3, b))
+            limit = link[2].max(axis=1) ** 2 / scale
+            # the Sylvester sums of q = 2: W = [[1, 1], [1, -1]]
+            a = np.abs(np.stack([h[:, 0] + h[:, 1], h[:, 0] - h[:, 1]], axis=1))
+            c = np.abs(np.stack([h[:, 2] + h[:, 3], h[:, 2] - h[:, 3]], axis=1))
+            floor = np.sum((a - c) ** 2, axis=1) - 1e-11 * np.sum(a**2 + c**2, axis=1)
+            keep = ~(limit < floor * (1.0 - 1e-5))
+            expected += [h[s : s + tile][keep[s : s + tile]] for s in range(0, size, tile)]
+        assert rows == [len(want) for want in expected]
+        for got, want in zip(calls, expected):
+            np.testing.assert_array_equal(got, want)
+        # the gate both skips rows and keeps some
+        assert 0 < sum(rows) < n
 
     def test_ber_block_matches_scalar_pipeline(self):
         points = stbc.make_constellation(16)
@@ -481,14 +509,122 @@ class TestBatchKernels:
                 assert abs(z) < critical, (order, amplitude, explicit, reduced)
 
 
+def _gate_block(kind, order, seed):
+    """A config with every scheme, one block of its channels (every 331st
+    row zero) and one link draw of the given order."""
+    cfg = _tiny_cfg(schemes=beamformer.SCHEMES, channel_kind=kind, modulation=order)
+    n = harness.TRIAL_BLOCK
+    h = harness._sample_channels(cfg, n, substream(seed, 90))
+    h[::331] = 0.0
+    return cfg, h, harness._link_draw(n, order, substream(seed, 91, order))
+
+
+def _active(cfg, snrs):
+    """``ber_grid``'s running points: each (scheme, dB) with its amplitude."""
+    return [
+        (harness.BerPoint(i, 0, scheme, db), harness._link_amplitude(cfg, scheme, db))
+        for i, (scheme, db) in enumerate(snrs)
+    ]
+
+
+class TestGainGate:
+    """fig3's stage runs the greedy only on rows that an active blockwise
+    point can demap; the blockwise gains of the other rows read +inf."""
+
+    def test_no_blockwise_point_sets_no_limit(self):
+        cfg, h, link = _gate_block("rayleigh", 4, 0)
+        assert harness._gain_limits(cfg, _active(cfg, [("dft", 10.0)]), link[2]) is None
+
+    @pytest.mark.parametrize("kind", channel.CHANNEL_KINDS)
+    @pytest.mark.parametrize("snr_db", [0.0, 10.0, 17.5, 30.0])
+    def test_gated_gains_equal_the_full_stage_on_computed_rows(self, kind, snr_db):
+        cfg, h, link = _gate_block(kind, 4, 1)
+        active = _active(cfg, [(scheme, snr_db) for scheme in cfg.schemes])
+        limit = harness._gain_limits(cfg, active, link[2])
+        full = harness._block_gains(cfg, cfg.schemes, h)
+        gated = harness._block_gains(cfg, cfg.schemes, h, limit)
+        floor = beamformer.bpr_floor(beamformer.bpr_block_sums(2, h))
+        computed = ~(limit < floor * (1.0 - harness._GAIN_MARGIN))
+        for scheme in cfg.schemes:
+            if scheme in beamformer.BPR_SCHEMES:
+                np.testing.assert_array_equal(gated[scheme][computed], full[scheme][computed])
+                assert np.all(gated[scheme][~computed] == np.inf)
+            else:
+                np.testing.assert_array_equal(gated[scheme], full[scheme])
+        # zero rows are always computed, and the gate skips some rows
+        assert computed[::331].all() and not computed.all()
+
+    @pytest.mark.parametrize("kind", channel.CHANNEL_KINDS)
+    @pytest.mark.parametrize("order", [4, 64])
+    @pytest.mark.parametrize("snr_real,snr_complex", [(0.0, 10.0), (17.5, 5.0), (30.0, 20.0)])
+    def test_counts_on_gated_gains_equal_those_on_full_gains(
+        self, kind, order, snr_real, snr_complex
+    ):
+        # bpr-real and bpr-complex run at different SNRs; every amplitude
+        # from the smallest one the limit serves upward counts the same
+        # errors on gated gains as on full ones, right at that amplitude
+        # and just above it included
+        cfg, h, link = _gate_block(kind, order, 2)
+        active = _active(cfg, [("bpr-real", snr_real), ("bpr-complex", snr_complex)])
+        limit = harness._gain_limits(cfg, active, link[2])
+        full = harness._block_gains(cfg, beamformer.BPR_SCHEMES, h)
+        gated = harness._block_gains(cfg, beamformer.BPR_SCHEMES, h, limit)
+        assert any(np.isinf(g).any() for g in gated.values())
+        points = stbc.make_constellation(order)
+        smallest = min(
+            amp**2 * abs(beamformer.bpr_scale(2, beamformer.golden_variant(p.scheme))) ** 2
+            for p, amp in active
+        )
+        errors = 0
+        for p, amp in active:
+            scale = abs(beamformer.bpr_scale(2, beamformer.golden_variant(p.scheme)))
+            base = np.sqrt(smallest) / scale
+            for a in [amp, *(base * f for f in (1.0, 1 + 1e-12, 1 + 1e-6, 1.001, 1.5, 4.0, 30.0))]:
+                want = harness._ber_block(full[p.scheme], points, a, link)
+                assert harness._ber_block(gated[p.scheme], points, a, link) == want, (p.scheme, a)
+                errors += want
+        assert errors > 0
+
+    @pytest.mark.parametrize("order", [4, 64])
+    def test_counts_hold_on_rows_whose_gain_sits_on_the_floor(self, order):
+        # with a zero bottom block, ||rotated sum||^2 is the floor's F for
+        # any phases. Each row is scaled so that, at the point's amplitude,
+        # its widest reach lies from 3e-5 to 1e-2 beyond its edge, or as far
+        # inside it: the rows beyond are demapped, many in error, and only
+        # the margins keep the gate from skipping them
+        cfg = _tiny_cfg(schemes=("bpr-real",), modulation=order)
+        n = 4096
+        rng = substream(order, 92)
+        h = np.array(channel.sample_rayleigh_batch(n, 4, rng))
+        h[:, 2:] = 0.0
+        link = harness._link_draw(n, order, substream(order, 93))
+        active = _active(cfg, [("bpr-real", 10.0)])
+        ((_, amp),) = active
+        scale = abs(beamformer.bpr_scale(2, beamformer.REAL_GOLDEN)) ** 2
+        norm = np.sum(np.abs(beamformer.bpr_block_sums(2, h)[0]) ** 2, axis=1)
+        offset = rng.choice([-1, 1], n) * 10.0 ** rng.uniform(-4.5, -2.0, n)
+        target = link[2].max(axis=1) ** 2 * (1.0 - offset)
+        h *= np.sqrt(target / (amp**2 * scale * norm))[:, None]
+        limit = harness._gain_limits(cfg, active, link[2])
+        full = harness._block_gains(cfg, cfg.schemes, h)["bpr-real"]
+        gated = harness._block_gains(cfg, cfg.schemes, h, limit)["bpr-real"]
+        points = stbc.make_constellation(order)
+        want = harness._ber_block(full, points, amp, link)
+        assert want > 0
+        assert harness._ber_block(gated, points, amp, link) == want
+        # the rows inside their edge are skipped, those beyond it kept
+        np.testing.assert_array_equal(np.isinf(gated), offset < 0.0)
+
+
 # the names that the benchmark's traced run wraps, with the arguments that
-# its observers read by name (perfbench/spans.py)
+# its observers read by name (perfbench/spans.py) and the type each must
+# have: an observer counts an int's value and an array's rows, shape[0]
 _TRACED_READS = (
-    (channel, "sample_mmwave_batch", ("n_trials",)),
-    (channel, "sample_rayleigh_batch", ("n_trials",)),
-    (harness, "_batch_greedy_phases", ("h", "q")),
-    (harness, "_batch_equivalent_channels", ("h",)),
-    (harness, "_ber_block", ("h_eq",)),
+    (channel, "sample_mmwave_batch", {"n_trials": int}),
+    (channel, "sample_rayleigh_batch", {"n_trials": int}),
+    (harness, "_batch_greedy_phases", {"h": np.ndarray, "q": int}),
+    (harness, "_batch_equivalent_channels", {"h": np.ndarray}),
+    (harness, "_ber_block", {"h_eq": np.ndarray}),
 )
 
 
@@ -497,25 +633,38 @@ class TestTracedNames:
         calls = {name: [] for _, name, _ in _TRACED_READS}
         ber_results = []
 
-        def counting(fn, name):
+        def counting(fn, name, reads):
             sig = inspect.signature(fn)
 
             def wrapper(*args, **kwargs):
-                calls[name].append(set(sig.bind(*args, **kwargs).arguments))
+                bound = sig.bind(*args, **kwargs).arguments
                 result = fn(*args, **kwargs)
+                # each read argument by name, as its observer reads it
+                seen = {}
+                for arg, kind in reads.items():
+                    value = bound.get(arg)
+                    ok = isinstance(value, kind) and not isinstance(value, bool)
+                    if ok and kind is np.ndarray:
+                        ok = value.ndim >= 1
+                    seen[arg] = ok
+                if name == "_batch_equivalent_channels":
+                    # the rows counted are the rows whose F^H h was formed
+                    seen["rows"] = result.shape[0] == bound["h"].shape[0]
+                calls[name].append(seen)
                 if name == "_ber_block":
                     ber_results.append(result)
                 return result
 
             return wrapper
 
-        for module, name, _ in _TRACED_READS:
-            monkeypatch.setattr(module, name, counting(getattr(module, name), name))
+        for module, name, reads in _TRACED_READS:
+            monkeypatch.setattr(module, name, counting(getattr(module, name), name, reads))
         for kind in channel.CHANNEL_KINDS:
             harness.run_all(_tiny_cfg(channel_kind=kind, theta_points=361), tmp_path / kind)
         for _, name, reads in _TRACED_READS:
             assert calls[name], f"{name} was never called"
-            assert all(set(reads) <= bound for bound in calls[name]), name
+            for seen in calls[name]:
+                assert all(seen.values()), (name, seen)
         assert all(type(errors) is int for errors in ber_results)
 
 
@@ -721,6 +870,22 @@ class TestFig3:
         )
         res = harness.run_fig3(cfg, tmp_path)
         assert all(row[4] == 0.0 for row in res.rows)
+
+    def test_capped_points_are_noted(self, tmp_path):
+        # 4-QAM at 0 dB meets the error target in one block; at 30 dB the
+        # points run to the cap, and at 280 dB they see no error at all
+        cfg = _tiny_cfg(**{**self._MIXED_STOPS, "snr_grid_db": (0.0, 30.0, 280.0)})
+        res = harness.run_fig3(cfg, tmp_path)
+        capped = [p for p in res.telemetry["points"] if p["stop"] == "cap"]
+        notes = [n for n in res.notes if n.startswith("capped at max_trials")]
+        assert len(notes) == len(capped) == 4
+        for p, note in zip(capped, notes):
+            assert f"{p['scheme']} {p['gamma0_db']:g} dB" in note
+            errors = f"{p['bit_errors']} bit error{'' if p['bit_errors'] == 1 else 's'}"
+            assert f"{errors} in {p['trials']} codewords" in note
+            bounded = f"BER < 3/{cfg.max_trials} = {3 / cfg.max_trials:.3g} at 95%"
+            assert (bounded in note) == (p["bit_errors"] == 0)
+        assert {p["gamma0_db"] for p in capped if p["bit_errors"] == 0} == {280.0}
 
     def test_overwhelming_noise_gives_coin_flips(self, tmp_path):
         cfg = _tiny_cfg(

@@ -49,6 +49,19 @@ class TestConstellations:
         assert total / order == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("order", [2, 4, 16, 64])
+    def test_label_index_equals_the_weighted_sum(self, order):
+        # the big-endian weighted sum of the bits, as an integer matmul
+        k = stbc.bits_per_symbol(order)
+        weights = 1 << np.arange(k - 1, -1, -1)
+        for shape in [(k,), (64, k), (16, 2, k), (3, 4, 2, k)]:
+            bits = substream(order, 13).integers(0, 2, shape, dtype=np.uint8)
+            got = stbc.label_index(bits)
+            want = bits @ weights
+            assert got.dtype == want.dtype == np.int64
+            assert np.shape(got) == np.shape(want) == shape[:-1]
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("order", [2, 4, 16, 64])
     def test_labels_distinct_and_roundtrip(self, order):
         points = stbc.make_constellation(order)
         labels = label_rows(order)
