@@ -199,14 +199,17 @@ def union_bound_ber(h_eq: np.ndarray, points: np.ndarray, gamma0: float, kappa: 
     return float(2.0 * (weight @ q_uv @ count) / stbc.bits_per_symbol(len(points)))
 
 
-def wilson_interval(errors: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (95% by default)."""
+Z95 = 1.959963984540054  # the two-sided 95% quantile of the standard normal
+
+
+def wilson_interval(errors: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if n <= 0:
         raise ValueError("n must be positive")
     p_hat = errors / n
-    denom = 1.0 + z * z / n
-    center = (p_hat + z * z / (2 * n)) / denom
-    half = z * np.sqrt(p_hat * (1 - p_hat) / n + z * z / (4 * n * n)) / denom
+    denom = 1.0 + Z95 * Z95 / n
+    center = (p_hat + Z95 * Z95 / (2 * n)) / denom
+    half = Z95 * np.sqrt(p_hat * (1 - p_hat) / n + Z95 * Z95 / (4 * n * n)) / denom
     lo = 0.0 if errors == 0 else max(0.0, float(center - half))
     hi = 1.0 if errors == n else min(1.0, float(center + half))
     return lo, hi

@@ -37,8 +37,9 @@ golden variants differ only in the scalar :func:`bpr_scale`, so one
 rotated sum serves both. The rotated sum rotates the two Sylvester sums
 of a row (:func:`bpr_block_sums`), and :func:`bpr_floor` bounds its
 squared norm from below for every choice of grid phases, rounding
-included, so a caller can tell from the sums alone that a row's gain is
-large, before any phase is chosen.
+included, so a caller can tell from the row alone that its gain is
+large, before any phase is chosen. Each of the two forms the sums of
+the rows it is given, so no other module forms or holds them.
 """
 
 from __future__ import annotations
@@ -143,13 +144,7 @@ def bpr_block_sums(q: int, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _antenna_sums(h[..., :half], w), _antenna_sums(h[..., half:], w)
 
 
-def bpr_rotated_sum(
-    q: int,
-    h: np.ndarray,
-    idx1: np.ndarray,
-    idx2: np.ndarray,
-    sums: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
+def bpr_rotated_sum(q: int, h: np.ndarray, idx1: np.ndarray, idx2: np.ndarray) -> np.ndarray:
     """Unscaled ``exp(-j phi1) h_top W + exp(-j phi2) h_bot W`` for each row of ``h``.
 
     Column k of :func:`build_bpr_atb` is ``g/sqrt(xi)`` times ``W[:, k]``
@@ -157,16 +152,15 @@ def bpr_rotated_sum(
     with the symmetric real ``W`` no per-row matrix is formed: ``F^H h``
     for each row, F being :func:`build_bpr_atb` with that row's phases,
     is :func:`bpr_scale` times this sum. The sum does not depend on the
-    golden variant, so one sum serves both. ``sums`` are the rows'
-    :func:`bpr_block_sums`, if the caller has formed them already; the
-    sum is then read from them, with the same bits.
+    golden variant, so one sum serves both. It rotates the rows'
+    :func:`bpr_block_sums`, formed here.
 
     ``idx1`` and ``idx2`` index the two grids of :func:`phase_opt.block_grids`,
     as :func:`phase_opt.greedy_bpr_indices` returns them: ``phi1 =
     grid1[idx1]``, ``phi2 = grid2[idx2]``, and their rotations are
     ``np.exp(-1j * grid)[idx]``. An index off its grid raises a ValueError.
     """
-    top, bot = bpr_block_sums(q, h) if sums is None else sums
+    top, bot = bpr_block_sums(q, h)
     grid1, grid2 = phase_opt.block_grids(q)
     return _grid_rotations(grid1, idx1) * top + _grid_rotations(grid2, idx2) * bot
 
@@ -175,9 +169,10 @@ def bpr_rotated_sum(
 _FLOOR_MARGIN = 1e-11
 
 
-def bpr_floor(sums: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """A floor under the computed ``||bpr_rotated_sum||^2`` of each row,
-    whatever its grid indices, from the row's :func:`bpr_block_sums` ``(a, b)``.
+def bpr_floor(q: int, h: np.ndarray) -> np.ndarray:
+    """A floor under the computed ``||bpr_rotated_sum||^2`` of each row of
+    ``h``, whatever its grid indices, from the row's :func:`bpr_block_sums`
+    ``(a, b)``, formed here.
 
     Unit rotations ``r1``, ``r2`` give ``|r1 a_k + r2 b_k| >= ||a_k| - |b_k||``,
     so ``F = sum_k (|a_k| - |b_k|)^2`` bounds the rotated sum's squared
@@ -193,7 +188,7 @@ def bpr_floor(sums: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     them. A row with ``|a_k| = |b_k|`` gets a negative floor, and a zero
     row a floor of 0.
     """
-    top, bot = sums
+    top, bot = bpr_block_sums(q, h)
     floor = np.zeros(top.shape[:-1])
     # column by column: a sum over a short last axis costs several times more
     for k in range(top.shape[-1]):

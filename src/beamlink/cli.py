@@ -41,7 +41,8 @@ _FLAGS = {
     "--mod": ("modulation", _number(int), "constellation order M"),
     "--channel": ("channel_kind", str, f"channel model ({', '.join(channel.CHANNEL_KINDS)})"),
     "--norm": ("normalization", str, f"link normalization ({', '.join(stbc.NORM_MODES)})"),
-    "--snr": ("snr_grid_db", _comma_list(_number(float)), "comma-separated SNR grid in dB"),
+    "--snr": ("snr_grid_db", _comma_list(_number(float)), "comma-separated SNR grid in dB; "
+              "a list that starts with a negative value takes '=', as in --snr=-10,0"),
 }
 
 _VERBS = {

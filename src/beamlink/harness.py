@@ -40,10 +40,11 @@ their math.
 fig3 draws a block's link before its stage, so the stage runs the
 greedy only on rows that a blockwise decision can read. Unit rotations
 give ``|r1 a_k + r2 b_k| >= ||a_k| - |b_k||`` for the Sylvester sums
-``a = h_top W`` and ``b = h_bot W`` (:func:`beamformer.bpr_block_sums`),
-so ``F = sum_k (|a_k| - |b_k|)^2`` bounds every rotated sum from below.
-A row whose floor, less margins that exceed its rounding and the 1e-9
-edge of the reach rule by more than 10^3, clears its largest reach
+``a = h_top W`` and ``b = h_bot W``, so ``F = sum_k (|a_k| - |b_k|)^2``
+bounds every rotated sum from below (:func:`beamformer.bpr_floor`, which
+forms the sums, as the rotated sum does). A row whose floor, less
+margins that exceed its rounding and the 1e-9 edge of the reach rule by
+more than 10^3, clears its largest reach
 squared over the smallest ``A^2 |bpr_scale|^2`` among the running
 blockwise points is demapped by none of them. Its blockwise gains read
 ``+inf``, which the reach rule skips as it would the true gains, so
@@ -58,7 +59,7 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from numbers import Real
 from pathlib import Path
 
@@ -280,14 +281,14 @@ def _block_gains(
 
     fig3 passes a ``limit`` per row (:func:`_gain_limits`): an unscaled
     ``||rotated sum||^2`` above which no running blockwise point can
-    demap the row. Each tile then forms its Sylvester sums
-    (:func:`beamformer.bpr_block_sums`) once, and skips each row whose
-    limit lies below ``(1 - 1e-5)`` times its
-    :func:`beamformer.bpr_floor`, a floor under the computed
-    ``||rotated sum||^2`` whatever the greedy picks. The greedy and the
-    rotated sum run on the other rows alone, still one call each per
-    tile, with no rows if none is left. The blockwise gains of a skipped
-    row read ``+inf``; every other gain keeps its bits. The margin
+    demap the row. Each tile then skips each row whose limit lies below
+    ``(1 - 1e-5)`` times its :func:`beamformer.bpr_floor`, a floor under
+    the computed ``||rotated sum||^2`` whatever the greedy picks. The
+    greedy and the rotated sum run on the other rows alone, still one
+    call each per tile, with no rows if none is left; the rotated sum
+    forms their Sylvester sums again, with the bits the floor read. The
+    blockwise gains of a skipped row read ``+inf``; every other gain
+    keeps its bits. The margin
     ``1e-5`` exceeds the ``2e-9`` that ``_ber_block``'s 1e-9 edge takes
     off a squared gain by 5000 times, and the rounding of the scaled
     gains, of the limits and of the edges, a few ``u = 2**-53``, by far
@@ -300,16 +301,14 @@ def _block_gains(
     tile = max(1, _STAGE_ENTRIES // cfg.n_antennas)
     for start in range(0, h.shape[0], tile):
         rows = slice(start, start + tile)
-        part, near, sums, rotated = h[rows], slice(None), None, None
+        part, near, rotated = h[rows], slice(None), None
         if blockwise and limit is not None:
-            sums = beamformer.bpr_block_sums(cfg.q, part)
-            floor = beamformer.bpr_floor(sums)
+            floor = beamformer.bpr_floor(cfg.q, part)
             near = np.flatnonzero(~(limit[rows] < floor * (1.0 - _GAIN_MARGIN)))
-            sums = (sums[0][near], sums[1][near])
         gated = part[near]
         if blockwise:
             idx = _batch_greedy_phases(gated, cfg.q)
-            rotated = beamformer.bpr_rotated_sum(cfg.q, gated, *idx, sums=sums)
+            rotated = beamformer.bpr_rotated_sum(cfg.q, gated, *idx)
         for scheme in schemes:
             bpr = scheme in beamformer.BPR_SCHEMES
             h_eq = _batch_equivalent_channels(scheme, gated if bpr else part, cfg, rotated)
@@ -369,12 +368,11 @@ def _ber_block(
 
 @dataclass
 class BerPoint:
-    """Stopping-rule Monte-Carlo tally of one fig3 (scheme, SNR) point."""
+    """Stopping-rule Monte-Carlo tally of one fig3 (scheme, SNR) point at its link amplitude."""
 
-    scheme_idx: int
-    snr_idx: int
     scheme: str
     gamma0_db: float
+    amplitude: float
     blocks: int = 0
     trials: int = 0
     bit_errors: int = 0
@@ -385,7 +383,7 @@ class BerPoint:
 
 
 def _gain_limits(
-    cfg: ExperimentConfig, active: list[tuple[BerPoint, float]], reach: np.ndarray
+    cfg: ExperimentConfig, active: list[BerPoint], reach: np.ndarray
 ) -> np.ndarray | None:
     """The per-row gate of :func:`_block_gains` for one fig3 block, or
     None if no blockwise point runs: each row's largest symbol ``reach``,
@@ -396,8 +394,9 @@ def _gain_limits(
     blockwise point demaps a row whose rotated sum clears its limit.
     """
     scales = [
-        amp * amp * abs(beamformer.bpr_scale(cfg.q, beamformer.golden_variant(p.scheme))) ** 2
-        for p, amp in active
+        p.amplitude * p.amplitude
+        * abs(beamformer.bpr_scale(cfg.q, beamformer.golden_variant(p.scheme))) ** 2
+        for p in active
         if p.scheme in beamformer.BPR_SCHEMES
     ]
     if not scales:
@@ -406,16 +405,13 @@ def _gain_limits(
     return widest * widest / min(scales)
 
 
-def ber_grid(
-    cfg: ExperimentConfig, cells: list[tuple[int, int, float]] | None = None
-) -> tuple[list[BerPoint], int]:
-    """Run the stopping-rule Monte Carlo for fig3 points on shared draws.
+def ber_grid(cfg: ExperimentConfig) -> tuple[list[BerPoint], int]:
+    """Run the stopping-rule Monte Carlo for every fig3 point of ``cfg``,
+    each scheme at each SNR, scheme-major, on shared draws.
 
-    ``cells`` lists ``(scheme_idx, snr_idx, gamma0_db)``; by default every
-    scheme at every SNR of ``cfg``, scheme-major. Block b draws its
-    channels once from ``(seed, FIG3_CHANNEL, b)`` and one
-    :func:`_link_draw` of bits and unit noise from ``(seed, FIG3, b)``.
-    It reduces the channels to each still-active scheme's
+    Block b draws its channels once from ``(seed, FIG3_CHANNEL, b)`` and
+    one :func:`_link_draw` of bits and unit noise from ``(seed, FIG3,
+    b)``. It reduces the channels to each still-active scheme's
     ``||F^H h||^2`` per row (:func:`_block_gains`), and every active
     point, of every scheme, decodes the link draw at its own gain and
     link amplitude (:func:`_ber_block`). So all points share channels,
@@ -432,29 +428,26 @@ def ber_grid(
     """
     _check_fig3(cfg)
     points = stbc.make_constellation(cfg.modulation)
-    if cells is None:
-        cells = [
-            (si, gi, g)
-            for si in range(len(cfg.schemes))
-            for gi, g in enumerate(cfg.snr_grid_db)
-        ]
-    grid = [BerPoint(si, gi, cfg.schemes[si], g) for si, gi, g in cells]
-    # (point, link amplitude) for each point still running
-    active = [(p, _link_amplitude(cfg, p.scheme, p.gamma0_db)) for p in grid]
+    grid = [
+        BerPoint(scheme, g, _link_amplitude(cfg, scheme, g))
+        for scheme in cfg.schemes
+        for g in cfg.snr_grid_db
+    ]
+    active = grid  # the points still running
     n_blocks = 0
     for b, (n, rng) in enumerate(_blocks(cfg.max_trials, cfg.seed, _PURPOSE_FIG3_CHANNEL)):
         n_blocks += 1
-        schemes = tuple(dict.fromkeys(p.scheme for p, _ in active))
+        schemes = tuple(dict.fromkeys(p.scheme for p in active))
         link = _link_draw(n, cfg.modulation, substream(cfg.seed, _PURPOSE_FIG3, b))
         limit = _gain_limits(cfg, active, link[2])
         gains = _block_gains(cfg, schemes, _sample_channels(cfg, n, rng), limit)
-        for p, amp in active:
-            p.bit_errors += _ber_block(gains[p.scheme], points, amp, link)
+        for p in active:
+            p.bit_errors += _ber_block(gains[p.scheme], points, p.amplitude, link)
             p.trials += n
             p.blocks += 1
             if p.trials >= cfg.trials and p.bit_errors >= cfg.target_errors:
                 p.stop = "target"
-        active = [(p, amp) for p, amp in active if p.stop is None]
+        active = [p for p in active if p.stop is None]
         if not active:
             break
     bits_per_cw = 2 * stbc.bits_per_symbol(cfg.modulation)
@@ -487,15 +480,14 @@ def _link_amplitude(cfg: ExperimentConfig, scheme: str, gamma0_db: float) -> flo
     )
 
 
-def _ber_point(
-    cfg: ExperimentConfig, scheme_idx: int, snr_idx: int, gamma0_db: float
-) -> tuple[float, float, int]:
-    """One (scheme, SNR) point of :func:`ber_grid`, on the same draws.
+def _ber_point(cfg: ExperimentConfig, scheme: str, gamma0_db: float) -> tuple[float, float, int]:
+    """One (scheme, SNR) point of :func:`ber_grid`, on the same draws:
+    :func:`ber_grid` of ``cfg`` with that scheme and SNR alone.
 
     Returns (ber, wilson_half_width, codeword_trials), equal bit for bit
     to that point's row of the whole grid.
     """
-    (p,), _ = ber_grid(cfg, [(scheme_idx, snr_idx, gamma0_db)])
+    (p,), _ = ber_grid(replace(cfg, schemes=(scheme,), snr_grid_db=(gamma0_db,)))
     return p.ber, p.half_width, p.trials
 
 
@@ -640,7 +632,7 @@ def run_fig2(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
         for gamma0_db in cfg.snr_grid_db:
             gamma0 = 10.0 ** (gamma0_db / 10.0)
             rates = analysis.spectral_efficiency(qf, gamma0 * eff_scale)
-            half = 1.959963984540054 * rates.std(ddof=1) / np.sqrt(rates.size)
+            half = analysis.Z95 * rates.std(ddof=1) / np.sqrt(rates.size)
             rows.append(
                 (scheme, None, "spectral_efficiency_bits", gamma0_db,
                  float(rates.mean()), float(half), int(rates.size))

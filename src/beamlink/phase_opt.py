@@ -40,7 +40,10 @@ def block_grids(q: int) -> tuple[np.ndarray, np.ndarray]:
 
 # channel rows in one tile; no bit of the result depends on it. A slot's
 # (m, rows) candidate arrays then take at most n * 64 KiB each: 256 KiB at
-# n = 4, where larger tiles ran slower, and 1 MiB at n = 16
+# n = 4, where larger tiles ran slower, and 1 MiB at n = 16. Each 8192-row
+# harness stage tile at n = 4 runs as two greedy tiles: one greedy tile per
+# stage tile raised a Rayleigh 4-QAM run's median peak RSS by 1.3 to
+# 1.6 MiB. The 2048-row stage tiles at n = 16 never split.
 _TILE_ROWS = 4096
 
 

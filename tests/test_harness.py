@@ -293,11 +293,11 @@ class TestBatchKernels:
         calls = []
         rotated_sum = beamformer.bpr_rotated_sum
 
-        def counting(q, h, idx1, idx2, sums=None):
+        def counting(q, h, idx1, idx2):
             # the greedy hands over grid indices, not angles
             assert idx1.dtype.kind == idx2.dtype.kind == "i"
             calls.append(h)
-            return rotated_sum(q, h, idx1, idx2, sums=sums)
+            return rotated_sum(q, h, idx1, idx2)
 
         monkeypatch.setattr(beamformer, "bpr_rotated_sum", counting)
         n = harness.TRIAL_BLOCK + 100
@@ -522,8 +522,8 @@ def _gate_block(kind, order, seed):
 def _active(cfg, snrs):
     """``ber_grid``'s running points: each (scheme, dB) with its amplitude."""
     return [
-        (harness.BerPoint(i, 0, scheme, db), harness._link_amplitude(cfg, scheme, db))
-        for i, (scheme, db) in enumerate(snrs)
+        harness.BerPoint(scheme, db, harness._link_amplitude(cfg, scheme, db))
+        for scheme, db in snrs
     ]
 
 
@@ -543,7 +543,7 @@ class TestGainGate:
         limit = harness._gain_limits(cfg, active, link[2])
         full = harness._block_gains(cfg, cfg.schemes, h)
         gated = harness._block_gains(cfg, cfg.schemes, h, limit)
-        floor = beamformer.bpr_floor(beamformer.bpr_block_sums(2, h))
+        floor = beamformer.bpr_floor(2, h)
         computed = ~(limit < floor * (1.0 - harness._GAIN_MARGIN))
         for scheme in cfg.schemes:
             if scheme in beamformer.BPR_SCHEMES:
@@ -572,11 +572,12 @@ class TestGainGate:
         assert any(np.isinf(g).any() for g in gated.values())
         points = stbc.make_constellation(order)
         smallest = min(
-            amp**2 * abs(beamformer.bpr_scale(2, beamformer.golden_variant(p.scheme))) ** 2
-            for p, amp in active
+            p.amplitude**2 * abs(beamformer.bpr_scale(2, beamformer.golden_variant(p.scheme))) ** 2
+            for p in active
         )
         errors = 0
-        for p, amp in active:
+        for p in active:
+            amp = p.amplitude
             scale = abs(beamformer.bpr_scale(2, beamformer.golden_variant(p.scheme)))
             base = np.sqrt(smallest) / scale
             for a in [amp, *(base * f for f in (1.0, 1 + 1e-12, 1 + 1e-6, 1.001, 1.5, 4.0, 30.0))]:
@@ -599,7 +600,8 @@ class TestGainGate:
         h[:, 2:] = 0.0
         link = harness._link_draw(n, order, substream(order, 93))
         active = _active(cfg, [("bpr-real", 10.0)])
-        ((_, amp),) = active
+        (point,) = active
+        amp = point.amplitude
         scale = abs(beamformer.bpr_scale(2, beamformer.REAL_GOLDEN)) ** 2
         norm = np.sum(np.abs(beamformer.bpr_block_sums(2, h)[0]) ** 2, axis=1)
         offset = rng.choice([-1, 1], n) * 10.0 ** rng.uniform(-4.5, -2.0, n)
@@ -923,7 +925,7 @@ class TestFig3:
             snr_grid_db=(0.0,), schemes=("dft",), trials=trials,
             target_errors=target_errors, max_trials=max_trials,
         )
-        assert harness._ber_point(cfg, 0, 0, 0.0)[2] == expected
+        assert harness._ber_point(cfg, "dft", 0.0)[2] == expected
 
     # 4-QAM: the 0 dB points meet the error target in one block, and the
     # 30 dB points run past `trials` to the cap
@@ -932,13 +934,16 @@ class TestFig3:
     )
 
     def test_point_equals_its_grid_row(self):
-        cfg = _tiny_cfg(**self._MIXED_STOPS)
-        grid, _ = harness.ber_grid(cfg)
-        assert {p.stop for p in grid} == {"target", "cap"}
-        assert len({p.blocks for p in grid}) > 1
-        for p in grid:
-            alone = harness._ber_point(cfg, p.scheme_idx, p.snr_idx, p.gamma0_db)
-            assert alone == (p.ber, p.half_width, p.trials)
+        # with every scheme, a lone blockwise point's gate limit differs from
+        # the grid's in the golden variant's scale as well as in amplitude
+        for schemes in (("dft", "bpr-real"), beamformer.SCHEMES):
+            cfg = _tiny_cfg(schemes=schemes, **self._MIXED_STOPS)
+            grid, _ = harness.ber_grid(cfg)
+            assert {p.stop for p in grid} == {"target", "cap"}
+            assert len({p.blocks for p in grid}) > 1
+            for p in grid:
+                alone = harness._ber_point(cfg, p.scheme, p.gamma0_db)
+                assert alone == (p.ber, p.half_width, p.trials), (schemes, p.scheme)
 
     @pytest.mark.parametrize(
         "schemes,overrides,draws,greedy_runs",
@@ -1001,7 +1006,7 @@ class TestFig3:
         ]
         assert draws == expected
         assert n_blocks == max(p.blocks for p in grid)
-        assert len({p.blocks for p in grid if p.scheme_idx == 0}) > 1
+        assert len({p.blocks for p in grid if p.scheme == schemes[0]}) > 1
 
     def test_manifest_records_each_point(self, tmp_path):
         cfg = _tiny_cfg(**self._MIXED_STOPS)
@@ -1520,6 +1525,12 @@ class TestCli:
             assert called == ["run_all", "run_table1", "run_fig1", "run_fig2", "run_fig3"]
         else:
             assert called == [f"run_{verb}"]
+
+    def test_negative_snr_list_after_equals(self, tmp_path):
+        # argparse reads "-10,0" after a space as a flag; after "=" it is the value
+        assert cli.main(["fig2", "--trials", "200", "--snr=-10,0", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "fig2.csv").read_text().splitlines()[1:]
+        assert {float(line.split(",")[3]) for line in lines} == {-10.0, 0.0}
 
     def test_config_file_reload(self, tmp_path):
         cfg = _tiny_cfg(trials=200, max_trials=400)
