@@ -2,10 +2,10 @@
 
 Every run writes CSV files plus a ``manifest.json`` holding the config,
 its content hash, the SHA-256 of each data file, the wall time of each
-runner, the python, numpy and scipy versions and each runner's
-telemetry. All randomness flows through :func:`beamlink.rng.substream`
-keyed by (purpose, indices, block), so reruns with the same config and
-seed produce byte-identical CSV output.
+runner, the python and numpy versions and each runner's telemetry. All
+randomness flows through :func:`beamlink.rng.substream` keyed by
+(purpose, indices, block), so reruns with the same config and seed
+produce byte-identical CSV output.
 
 Sweeps run in fixed-size trial blocks, and every point of a sweep sees
 the same channel draws. fig2 and fig3 draw block b's channels once from
@@ -64,7 +64,6 @@ from numbers import Real
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import analysis, beamformer, channel, phase_opt, stbc
 from .rng import substream
@@ -553,7 +552,6 @@ def write_manifest(
         "versions": {
             "python": ".".join(map(str, sys.version_info[:3])),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "wall_time_s": wall_s,
     }
