@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from . import stbc
-from .channel import SteeringConfig, steering_vector
+from .channel import steering_vector
 
 
 _erfc = np.vectorize(math.erfc, otypes=[np.float64])
@@ -99,9 +99,7 @@ def spectral_efficiency(quad_form, snr: float):
     return np.log2(1.0 + snr * quad_form)
 
 
-def beamspace_pattern(
-    f: np.ndarray, theta_grid: np.ndarray, cfg: SteeringConfig | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def beamspace_pattern(f: np.ndarray, theta_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gains ``|a(theta)^H f_k|^2`` of each beamformer column over the grid.
 
     Returns ``(gains, spread_rad)``: the gains, shape ``(n_theta,
@@ -110,7 +108,7 @@ def beamspace_pattern(
     """
     f = np.asarray(f)
     theta = np.asarray(theta_grid, dtype=np.float64)
-    steer = steering_vector(theta, f.shape[0], cfg)
+    steer = steering_vector(theta, f.shape[0])
     response = steer.conj() @ f
     gains = np.abs(response) ** 2
     widths = np.gradient(theta) if theta.size > 1 else np.array([0.0])

@@ -6,8 +6,9 @@ and a departure angle drawn uniformly on [-pi/2, pi/2]:
 
     h = sum_l alpha_l * a(theta_l)
 
-where ``a`` is the array steering vector. The i.i.d. complex Gaussian
-model is the classical rich-scattering baseline. Both samplers draw one
+where ``a`` is the steering vector of the array, whose elements sit half
+a wavelength apart (:data:`SPACING`). The i.i.d. complex Gaussian model
+is the classical rich-scattering baseline. Both samplers draw one
 channel per row from a caller-provided generator and return the rows
 antenna-major (``h.T`` is C-contiguous), the layout in which the greedy
 selector and the equivalent channels read them.
@@ -15,58 +16,34 @@ selector and the equivalent channels read them.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from numbers import Real
-
 import numpy as np
 
 MMWAVE = "mmwave"
 RAYLEIGH = "rayleigh"
 CHANNEL_KINDS = (MMWAVE, RAYLEIGH)
+# element spacing d / lambda of the array: the narrow-band steering
+# vector depends on the geometry only through this ratio
+SPACING = 0.5
 
 
-@dataclass(frozen=True)
-class SteeringConfig:
-    """Array geometry used when evaluating steering vectors.
-
-    ``spacing_over_wavelength`` is d/lambda for a uniform linear array;
-    half-wavelength spacing (0.5) is the default. The narrow-band
-    steering vector depends on the geometry only through this ratio.
-    """
-
-    spacing_over_wavelength: float = 0.5
-
-    def __post_init__(self) -> None:
-        d = self.spacing_over_wavelength
-        if not (isinstance(d, Real) and not isinstance(d, bool) and math.isfinite(d) and d > 0):
-            raise ValueError(f"spacing_over_wavelength must be a finite positive number, got {d!r}")
-
-
-def steering_vector(
-    theta: float | np.ndarray, n_antennas: int, cfg: SteeringConfig | None = None
-) -> np.ndarray:
+def steering_vector(theta: float | np.ndarray, n_antennas: int) -> np.ndarray:
     """Transmit steering vectors of a uniform linear array.
 
-    Element m (0-based) is ``exp(j * 2*pi * (d/lambda) * m * sin(theta))``,
+    Element m (0-based) is ``exp(j * 2*pi * SPACING * m * sin(theta))``,
     so element 0 is always 1 and every element has unit modulus. ``theta``
     may be an array of angles; the elements go on a new last axis, giving
     shape ``theta.shape + (n_antennas,)``. It is :func:`_plane_wave_sums`
     of one unit-gain path per angle.
     """
-    if cfg is None:
-        cfg = SteeringConfig()
     theta = np.asarray(theta, dtype=np.float64)
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta must be finite")
     if n_antennas < 1:
         raise ValueError("n_antennas must be at least 1")
-    return _plane_wave_sums(np.ones(theta.shape + (1,)), theta[..., None], n_antennas, cfg)
+    return _plane_wave_sums(np.ones(theta.shape + (1,)), theta[..., None], n_antennas)
 
 
-def _plane_wave_sums(
-    gains: np.ndarray, angles: np.ndarray, n_antennas: int, cfg: SteeringConfig
-) -> np.ndarray:
+def _plane_wave_sums(gains: np.ndarray, angles: np.ndarray, n_antennas: int) -> np.ndarray:
     """``sum_l gains[..., l] * a(angles[..., l])`` over the paths in the last axis.
 
     Returns an antenna-major array of shape ``gains.shape[:-1] +
@@ -74,13 +51,13 @@ def _plane_wave_sums(
     C-contiguous ``(n_antennas,) + gains.shape[:-1]`` buffer the sums are
     written to, so ``moveaxis(result, -1, 0)`` (``result.T`` for a block
     of rows) is C-contiguous and no copy is made. Each path's phase step
-    ``z = exp(j * 2*pi * (d/lambda) * sin(theta))`` is the only complex
+    ``z = exp(j * 2*pi * SPACING * sin(theta))`` is the only complex
     exponential; antenna m's wave is antenna m-1's times ``z``, so no
     exponential runs on the ``(..., paths, antennas)`` array. The waves
     are held path-major, so each antenna's sum over the paths adds
     contiguous rows.
     """
-    phase = np.moveaxis(2.0 * np.pi * cfg.spacing_over_wavelength * np.sin(angles), -1, 0)
+    phase = np.moveaxis(2.0 * np.pi * SPACING * np.sin(angles), -1, 0)
     # cos and sin give the bits of np.exp(1j * phase), without its complex temporaries
     step = np.empty(phase.shape, dtype=np.complex128)
     np.cos(phase, out=step.real)
@@ -110,11 +87,7 @@ def _complex_normal(shape, rng: np.random.Generator, order: str = "C") -> np.nda
 
 
 def sample_mmwave_batch(
-    n_trials: int,
-    n_paths: int,
-    n_antennas: int,
-    cfg: SteeringConfig,
-    rng: np.random.Generator,
+    n_trials: int, n_paths: int, n_antennas: int, rng: np.random.Generator
 ) -> np.ndarray:
     """One sparse geometric channel per row, drawn from ``rng``.
 
@@ -127,7 +100,7 @@ def sample_mmwave_batch(
     """
     gains = _complex_normal((n_trials, n_paths), rng)
     angles = rng.uniform(-np.pi / 2, np.pi / 2, (n_trials, n_paths))
-    return _plane_wave_sums(gains, angles, n_antennas, cfg)
+    return _plane_wave_sums(gains, angles, n_antennas)
 
 
 def sample_rayleigh_batch(

@@ -83,6 +83,8 @@ _STAGE_ENTRIES = 2**15
 CSV_HEADER = "scheme,modulation,metric,gamma0_db,value,ci_half_width,n_trials"
 
 DEFAULT_SNR_GRID_DB = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
+# departure angles of fig1's grid over [-pi/2, pi/2]: a quarter-degree step
+FIG1_ANGLES = 721
 # no physical link lies beyond this; near 3080 dB, 10**(snr/10) overflows a float
 MAX_ABS_SNR_DB = 300.0
 
@@ -91,11 +93,13 @@ MAX_ABS_SNR_DB = 300.0
 class ExperimentConfig:
     """Sweep configuration; defaults match the reference simulation setup
     (4 transmit antennas, 1 receive antenna, 2 time slots / RF chains,
-    3 paths, half-wavelength spacing, 64-QAM).
+    3 paths, 64-QAM).
 
     The link is MISO with unit noise variance, so the SNR axis
-    gamma0 = P / sigma^2 alone sets the operating point, and the
-    narrow-band steering depends only on ``spacing_over_wavelength``.
+    gamma0 = P / sigma^2 alone sets the operating point. The array is
+    half-wavelength (:data:`channel.SPACING`), fig1 evaluates
+    :data:`FIG1_ANGLES` angles, and the eq1 link and fig2's rate carry
+    the array gain ``N_t / L``; none of these is a field.
     """
 
     n_antennas: int = 4
@@ -110,9 +114,6 @@ class ExperimentConfig:
     max_trials: int = 10_000_000
     seed: int = 0
     normalization: str = stbc.NORM_EQ1
-    include_array_gain: bool = True
-    spacing_over_wavelength: float = 0.5
-    theta_points: int = 721
 
     def __post_init__(self) -> None:
         snrs = _items("snr_grid_db", self.snr_grid_db, Real, "numbers")
@@ -124,14 +125,10 @@ class ExperimentConfig:
     def q(self) -> int:
         return int(np.log2(self.n_antennas))
 
-    @property
-    def steering(self) -> channel.SteeringConfig:
-        return channel.SteeringConfig(spacing_over_wavelength=self.spacing_over_wavelength)
-
     def validate(self) -> None:
         for name in (
             "n_antennas", "n_rf", "n_paths", "modulation",
-            "trials", "max_trials", "target_errors", "seed", "theta_points",
+            "trials", "max_trials", "target_errors", "seed",
         ):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -141,8 +138,6 @@ class ExperimentConfig:
             raise ValueError("n_antennas must be a power of two, at least 2")
         if self.n_rf != n // 2:
             raise ValueError(f"n_rf must equal n_antennas / 2 = {n // 2}, got {self.n_rf}")
-        if not isinstance(self.include_array_gain, bool):
-            raise ValueError(f"include_array_gain must be a bool, got {self.include_array_gain!r}")
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must be nonempty")
         if not all(abs(v) <= MAX_ABS_SNR_DB for v in self.snr_grid_db):
@@ -159,10 +154,6 @@ class ExperimentConfig:
             raise ValueError("target_errors must be nonnegative")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.theta_points < 361:
-            raise ValueError("theta_points must be at least 361")
-        # raises a ValueError naming spacing_over_wavelength unless finite and positive
-        channel.SteeringConfig(self.spacing_over_wavelength)
         if self.modulation not in stbc.SUPPORTED_ORDERS:
             raise ValueError(f"unsupported modulation order {self.modulation}")
         if not self.schemes:
@@ -236,7 +227,7 @@ def _blocks(total: int, seed: int, *key: int):
 
 def _sample_channels(cfg: ExperimentConfig, n: int, rng: np.random.Generator) -> np.ndarray:
     if cfg.channel_kind == channel.MMWAVE:
-        return channel.sample_mmwave_batch(n, cfg.n_paths, cfg.n_antennas, cfg.steering, rng)
+        return channel.sample_mmwave_batch(n, cfg.n_paths, cfg.n_antennas, rng)
     return channel.sample_rayleigh_batch(n, cfg.n_antennas, rng)
 
 
@@ -475,7 +466,7 @@ def radiated_power(cfg: ExperimentConfig, scheme: str) -> float:
 def _link_amplitude(cfg: ExperimentConfig, scheme: str, gamma0_db: float) -> float:
     return stbc.link_amplitude(
         10.0 ** (gamma0_db / 10.0), beamformer.kappa(scheme, cfg.q), cfg.normalization,
-        cfg.include_array_gain, cfg.n_antennas, cfg.n_paths,
+        cfg.n_antennas, cfg.n_paths,
     )
 
 
@@ -591,7 +582,7 @@ def run_fig1(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    theta = np.linspace(-np.pi / 2, np.pi / 2, cfg.theta_points)
+    theta = np.linspace(-np.pi / 2, np.pi / 2, FIG1_ANGLES)
     h = _sample_channels(cfg, 1, substream(cfg.seed, _PURPOSE_FIG1))
     phases = ()
     if any(scheme in beamformer.BPR_SCHEMES for scheme in cfg.schemes):
@@ -601,7 +592,7 @@ def run_fig1(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
     notes = ["blockwise patterns use greedy phases for one seeded channel draw"]
     for scheme in cfg.schemes:
         bf = beamformer.build(scheme, cfg.q, *phases)
-        gains, spread = analysis.beamspace_pattern(bf, theta, cfg.steering)
+        gains, spread = analysis.beamspace_pattern(bf, theta)
         rows += [
             (scheme, k, float(t), float(g), float(spread[k]))
             for k in range(bf.shape[1])
@@ -623,7 +614,7 @@ def run_fig2(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
     quad_forms = quadratic_forms(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    eff_scale = cfg.n_antennas / cfg.n_paths if cfg.include_array_gain else 1.0
+    eff_scale = cfg.n_antennas / cfg.n_paths
     rows = []
     for scheme in cfg.schemes:
         qf = quad_forms[scheme]
@@ -637,7 +628,7 @@ def run_fig2(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
             )
     path = out_dir / "fig2.csv"
     _write_csv(path, CSV_HEADER, rows)
-    notes = [f"include_array_gain={cfg.include_array_gain} (rate uses P*{eff_scale:g})"]
+    notes = [f"rate uses P*N_t/L = P*{eff_scale:g}"]
     return SweepResult(name="fig2", path=path, rows=rows, notes=notes)
 
 

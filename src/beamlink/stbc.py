@@ -140,24 +140,19 @@ def _slice_axis(x: np.ndarray, n_levels: int, scale: float) -> np.ndarray:
     return np.minimum(gray[below], gray[above])
 
 
-def link_amplitude(
-    gamma0: float, kappa: float, mode: str, include_array_gain: bool, n_antennas: int, n_paths: int
-) -> float:
+def link_amplitude(gamma0: float, kappa: float, mode: str, n_antennas: int, n_paths: int) -> float:
     """Scale multiplying ``h_eq^H S`` in the received block.
 
     Under ``eq1`` the codeword is F S and the link applies the
-    received-signal prefactor sqrt(P N_t / L) (or sqrt(P) when the array
-    gain factor is disabled); under ``eq10`` the explicit sqrt(gamma0 *
-    kappa) codeword scaling is the only amplitude, so the bound formulas
-    describe the link exactly.
+    received-signal prefactor sqrt(P N_t / L); under ``eq10`` the
+    explicit sqrt(gamma0 * kappa) codeword scaling is the only amplitude,
+    so the bound formulas describe the link exactly.
     """
     if mode not in NORM_MODES:
         raise ValueError(f"mode must be one of {NORM_MODES}, got {mode!r}")
     if mode == NORM_EQ10:
         return float(np.sqrt(gamma0 * kappa))
-    if include_array_gain:
-        return float(np.sqrt(gamma0 * n_antennas / n_paths))
-    return float(np.sqrt(gamma0))
+    return float(np.sqrt(gamma0 * n_antennas / n_paths))
 
 
 def noise_reach(z: np.ndarray, order: int) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from beamlink import analysis, beamformer, harness, phase_opt, stbc
-from beamlink.channel import SteeringConfig, sample_mmwave_batch
+from beamlink.channel import sample_mmwave_batch
 from beamlink.rng import substream
 
 from oracles import (
@@ -108,7 +108,7 @@ def test_criterion_3_greedy_vs_oracle():
     bounded = 0
     beats_random = 0
     for seed in range(n_channels):
-        h = sample_mmwave_batch(1, 3, 4, SteeringConfig(), substream(seed))[0]
+        h = sample_mmwave_batch(1, 3, 4, substream(seed))[0]
         _, _, gain = replay_greedy(h[None], phase_opt.greedy_bpr_indices(h[None], 2), *grids)
         exhaustive = blockwise_bruteforce_gain(h, *grids)
         bounded += gain[0] <= exhaustive + 1e-10
@@ -182,7 +182,7 @@ def test_criterion_6_union_and_chernoff_dominance():
     chernoff_ok = True
     details = []
     for ch_seed in (1, 2, 3):
-        h = sample_mmwave_batch(1, 3, 4, SteeringConfig(), substream(ch_seed))[0]
+        h = sample_mmwave_batch(1, 3, 4, substream(ch_seed))[0]
         idx = phase_opt.greedy_bpr_indices(h[None], 2)[:, 0]
         phi1, phi2 = (grid[i] for grid, i in zip(phase_opt.block_grids(2), idx))
         bf = beamformer.build_bpr_atb(2, beamformer.REAL_GOLDEN, phi1, phi2)
@@ -194,7 +194,7 @@ def test_criterion_6_union_and_chernoff_dominance():
             assert bound == pytest.approx(
                 union_bound_enum(h_eq, codewords, labels, gamma0, kappa), rel=1e-9
             )
-            amplitude = stbc.link_amplitude(gamma0, kappa, "eq10", True, 4, 3)
+            amplitude = stbc.link_amplitude(gamma0, kappa, "eq10", 4, 3)
             errors, bits = simulate_conditional_ber(
                 h_eq, const, amplitude, n_trials=200_000, seed=1000 + ch_seed
             )
@@ -264,7 +264,7 @@ def test_criterion_8_spectral_efficiency_ordering(tmp_path):
     )
     quad_forms = harness.quadratic_forms(cfg)
     gamma30 = 10.0**3
-    eff = cfg.n_antennas / cfg.n_paths if cfg.include_array_gain else 1.0
+    eff = cfg.n_antennas / cfg.n_paths
     rates = {
         s: analysis.spectral_efficiency(quad_forms[s], gamma30 * eff) for s in cfg.schemes
     }

@@ -5,7 +5,6 @@ import pytest
 from scipy.stats import norm
 
 from beamlink import analysis, beamformer, stbc
-from beamlink.channel import SteeringConfig
 from beamlink.rng import substream
 
 from oracles import (
@@ -94,7 +93,7 @@ class TestBeamspacePattern:
         bf = beamformer.build_dft_atb(2)
         for k, s in ((0, 0.0), (1, -0.5)):
             theta = np.array([np.arcsin(s)])
-            gains, _ = analysis.beamspace_pattern(bf, theta, SteeringConfig())
+            gains, _ = analysis.beamspace_pattern(bf, theta)
             expected = 16 * beamformer.kappa(beamformer.DFT, 2)  # = N_t for the DFT scheme
             assert gains[0, k] == pytest.approx(expected, abs=1e-10)
 

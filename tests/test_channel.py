@@ -52,10 +52,9 @@ class TestSteeringVector:
     @pytest.mark.parametrize("shape", [(721,), (50, 3)])
     def test_array_matches_stacked_scalar_calls(self, shape):
         theta = substream(8, 0).uniform(-np.pi / 2, np.pi / 2, shape)
-        cfg = channel.SteeringConfig(spacing_over_wavelength=0.4)
-        batched = channel.steering_vector(theta, 16, cfg)
+        batched = channel.steering_vector(theta, 16)
         stacked = np.stack(
-            [channel.steering_vector(float(t), 16, cfg) for t in theta.ravel()]
+            [channel.steering_vector(float(t), 16) for t in theta.ravel()]
         ).reshape(shape + (16,))
         assert np.array_equal(batched, stacked)
 
@@ -63,21 +62,11 @@ class TestSteeringVector:
         with pytest.raises(ValueError):
             channel.steering_vector(np.array([0.0, np.inf]), 4)
 
-    def test_custom_spacing(self):
-        cfg = channel.SteeringConfig(spacing_over_wavelength=0.25)
-        v = channel.steering_vector(np.pi / 2, 3, cfg)
-        np.testing.assert_allclose(v, np.exp(1j * np.pi / 2 * np.arange(3)), atol=1e-12)
-
-
-class TestSteeringConfig:
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            channel.SteeringConfig(spacing_over_wavelength=-0.5)
-
-    @pytest.mark.parametrize("spacing", [float("inf"), float("nan"), "0.5", True])
-    def test_rejects_what_it_cannot_model(self, spacing):
-        with pytest.raises(ValueError, match=r"\bspacing_over_wavelength\b"):
-            channel.SteeringConfig(spacing_over_wavelength=spacing)
+    def test_half_wavelength_spacing(self):
+        # at endfire, half-wavelength elements alternate in sign
+        assert channel.SPACING == 0.5
+        v = channel.steering_vector(np.pi / 2, 3)
+        np.testing.assert_allclose(v, [1.0, -1.0, 1.0], atol=1e-12)
 
 
 class _FixedPaths:
@@ -99,17 +88,15 @@ class _FixedPaths:
 
 class TestMmwaveChannel:
     def test_single_boresight_path_gives_ones(self):
-        cfg = channel.SteeringConfig()
-        h = channel.sample_mmwave_batch(1, 1, 4, cfg, _FixedPaths([[1.0]], [[0.0]]))
+        h = channel.sample_mmwave_batch(1, 1, 4, _FixedPaths([[1.0]], [[0.0]]))
         np.testing.assert_allclose(h[0], np.ones(4))
         np.testing.assert_allclose(h[0], geometric_channel([1.0], [0.0], 4, 0.5))
 
     def test_seed_determinism(self):
-        cfg = channel.SteeringConfig()
-        a = channel.sample_mmwave_batch(1, 3, 4, cfg, substream(42))
-        b = channel.sample_mmwave_batch(1, 3, 4, cfg, substream(42))
+        a = channel.sample_mmwave_batch(1, 3, 4, substream(42))
+        b = channel.sample_mmwave_batch(1, 3, 4, substream(42))
         assert np.array_equal(a, b)
-        c = channel.sample_mmwave_batch(1, 3, 4, cfg, substream(43))
+        c = channel.sample_mmwave_batch(1, 3, 4, substream(43))
         assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -121,7 +108,7 @@ class TestMmwaveChannel:
         re, im = rng.standard_normal(3), rng.standard_normal(3)
         angles = rng.uniform(-np.pi / 2, np.pi / 2, 3)
         gains = (re + 1j * im) / np.sqrt(2)
-        h = channel.sample_mmwave_batch(1, 3, 8, channel.SteeringConfig(), substream(seed))
+        h = channel.sample_mmwave_batch(1, 3, 8, substream(seed))
         assert h.shape == (1, 8)
         np.testing.assert_allclose(h[0], geometric_channel(gains, angles, 8, 0.5), atol=1e-13)
 
@@ -129,21 +116,19 @@ class TestMmwaveChannel:
         # E ||h||^2 = L * N_t for unit-variance gains and unit-modulus steering
         L, n, trials = 3, 4, 100_000
         rng = substream(5, 0)
-        cfg = channel.SteeringConfig()
-        h = channel.sample_mmwave_batch(trials, L, n, cfg, rng)
+        h = channel.sample_mmwave_batch(trials, L, n, rng)
         stat = np.sum(np.abs(h) ** 2, axis=1) / n
         se = stat.std(ddof=1) / np.sqrt(trials)
         assert abs(stat.mean() - L) < 3 * se
 
     def test_batch_matches_per_row_construction(self):
         rng = substream(9, 0)
-        cfg = channel.SteeringConfig(spacing_over_wavelength=0.4)
         gains = (rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3))) / np.sqrt(2)
         angles = rng.uniform(-np.pi / 2, np.pi / 2, (50, 3))
-        batch = channel.sample_mmwave_batch(50, 3, 4, cfg, _FixedPaths(gains, angles))
+        batch = channel.sample_mmwave_batch(50, 3, 4, _FixedPaths(gains, angles))
         for i in range(50):
             np.testing.assert_allclose(
-                batch[i], geometric_channel(gains[i], angles[i], 4, 0.4), atol=1e-13
+                batch[i], geometric_channel(gains[i], angles[i], 4, 0.5), atol=1e-13
             )
 
     @pytest.mark.parametrize("n_antennas", [4, 16, 64])
@@ -151,9 +136,8 @@ class TestMmwaveChannel:
         # antenna m's wave is antenna m-1's times each path's phase step;
         # the rows match the sum over paths of an exponential per (path,
         # antenna) phase, and the naive oracle, to rounding
-        n, spacing = 2000, 0.4
-        cfg = channel.SteeringConfig(spacing_over_wavelength=spacing)
-        h = channel.sample_mmwave_batch(n, 3, n_antennas, cfg, substream(10, n_antennas))
+        n, spacing = 2000, 0.5
+        h = channel.sample_mmwave_batch(n, 3, n_antennas, substream(10, n_antennas))
         assert h.shape == (n, n_antennas)
         # the rows come antenna-major, the layout the greedy and F^H h read
         assert h.T.flags.c_contiguous
@@ -224,13 +208,13 @@ class TestSamplerBits:
 
     def test_plane_wave_steps_keep_the_bits_of_the_exponential(self):
         # 2**17 rows of 3 paths: each path's step was np.exp(1j * phase)
-        n, cfg = 2**17, channel.SteeringConfig(spacing_over_wavelength=0.4)
+        n = 2**17
         rng = substream(0, 81)
         gains = channel._complex_normal((n, 3), rng)
         angles = rng.uniform(-np.pi / 2, np.pi / 2, (n, 3))
-        step = np.exp(1j * (2.0 * np.pi * cfg.spacing_over_wavelength * np.sin(angles))).T
+        step = np.exp(1j * (2.0 * np.pi * channel.SPACING * np.sin(angles))).T
         wave = np.ascontiguousarray(gains.T)
-        got = channel._plane_wave_sums(gains, angles, 8, cfg)
+        got = channel._plane_wave_sums(gains, angles, 8)
         for m in range(8):
             if m:
                 wave = wave * step

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -83,11 +84,7 @@ _REJECTED_OVERRIDES = [
     {"target_errors": 1.0},
     {"snr_grid_db": (0.0, float("nan"))},
     {"snr_grid_db": (0.0, float("inf"))},
-    {"theta_points": 10},
     {"seed": -1},
-    {"spacing_over_wavelength": 0.0},
-    {"include_array_gain": "no"},
-    {"include_array_gain": 1},
     {"n_rf": 0},
     {"n_antennas": 4.0},
     {"modulation": 64.0},
@@ -95,9 +92,6 @@ _REJECTED_OVERRIDES = [
     {"snr_grid_db": (0.0, 400.0)},
     {"schemes": ()},
     {"schemes": ("dft", "dft")},
-    {"spacing_over_wavelength": float("nan")},
-    {"spacing_over_wavelength": float("inf")},
-    {"spacing_over_wavelength": "0.5"},
     {"snr_grid_db": 5},
     {"snr_grid_db": ("a",)},
     {"snr_grid_db": "5"},
@@ -125,9 +119,6 @@ def _valid_config_fields(draw):
         max_trials=draw(st.integers(1, 2000)),
         seed=draw(st.integers(0, 2**32)),
         normalization=draw(st.sampled_from(stbc.NORM_MODES)),
-        include_array_gain=draw(st.booleans()),
-        spacing_over_wavelength=draw(st.floats(0.05, 1.0)),
-        theta_points=draw(st.integers(361, 1000)),
     )
 
 
@@ -139,7 +130,11 @@ class TestConfig:
         assert cfg.n_rf == 2
         assert cfg.n_paths == 3
         assert cfg.modulation == 64
-        assert cfg.spacing_over_wavelength == 0.5
+        # the exact field list: a new knob needs a deliberate edit here
+        assert [f.name for f in dataclasses.fields(cfg)] == [
+            "n_antennas", "n_rf", "n_paths", "snr_grid_db", "modulation", "schemes",
+            "channel_kind", "trials", "target_errors", "max_trials", "seed", "normalization",
+        ]
 
     @pytest.mark.parametrize("overrides", _REJECTED_OVERRIDES)
     def test_validation_rejects(self, overrides):
@@ -208,7 +203,11 @@ class TestConfig:
 
     # the removed knobs, and a typo, are rejected by name
     @pytest.mark.parametrize(
-        "key", ["n_receive", "carrier_frequency_hz", "noise_variance", "n_antenas"]
+        "key",
+        [
+            "n_receive", "carrier_frequency_hz", "noise_variance", "n_antenas",
+            "theta_points", "spacing_over_wavelength", "include_array_gain",
+        ],
     )
     def test_from_dict_rejects_unknown_keys(self, key):
         data = {**_tiny_cfg().to_dict(), key: 1}
@@ -383,7 +382,7 @@ class TestBatchKernels:
 
     # eq1 and eq10 link amplitudes of dft and bpr-real from 0 to 40 dB
     _AMPLITUDES = [
-        stbc.link_amplitude(10.0 ** (db / 10.0), beamformer.kappa(scheme, 2), norm, True, 4, 3)
+        stbc.link_amplitude(10.0 ** (db / 10.0), beamformer.kappa(scheme, 2), norm, 4, 3)
         for db in range(0, 45, 5)
         for scheme in ("dft", "bpr-real")
         for norm in stbc.NORM_MODES
@@ -488,7 +487,7 @@ class TestBatchKernels:
         h_eq = beamformer.equivalent_channel(beamformer.build("dft", 2), h)
         gain = harness._block_gains(cfg, ("dft",), h)["dft"]
         amplitudes = [
-            stbc.link_amplitude(10.0 ** (db / 10), 1.0, "eq1", True, 4, 3) for db in (0, 10, 20)
+            stbc.link_amplitude(10.0 ** (db / 10), 1.0, "eq1", 4, 3) for db in (0, 10, 20)
         ]
         critical = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * 4 * len(amplitudes)))
         for order in stbc.SUPPORTED_ORDERS:
@@ -661,7 +660,7 @@ class TestTracedNames:
         for module, name, reads in _TRACED_READS:
             monkeypatch.setattr(module, name, counting(getattr(module, name), name, reads))
         for kind in channel.CHANNEL_KINDS:
-            harness.run_all(_tiny_cfg(channel_kind=kind, theta_points=361), tmp_path / kind)
+            harness.run_all(_tiny_cfg(channel_kind=kind), tmp_path / kind)
         for _, name, reads in _TRACED_READS:
             assert calls[name], f"{name} was never called"
             for seen in calls[name]:
@@ -705,11 +704,11 @@ class TestTable1:
 
 class TestFig1:
     def test_rows_and_spread(self, tmp_path):
-        cfg = _tiny_cfg(theta_points=361)
+        cfg = _tiny_cfg()
         res = harness.run_fig1(cfg, tmp_path)
         header = res.path.read_text().splitlines()[0]
         assert header == "scheme,column,theta_rad,gain,spread_rad"
-        assert len(res.rows) == 2 * 2 * 361  # schemes x columns x grid
+        assert len(res.rows) == 2 * 2 * harness.FIG1_ANGLES  # schemes x columns x grid
         gains = np.array([row[3] for row in res.rows])
         assert np.all(gains >= 0)
         spreads = {(row[0], row[1]): row[4] for row in res.rows}
@@ -729,7 +728,7 @@ class TestFig1:
             return picked[-1]
 
         monkeypatch.setattr(harness, "_batch_greedy_phases", counting)
-        cfg = _tiny_cfg(theta_points=361, schemes=schemes)
+        cfg = _tiny_cfg(schemes=schemes)
         res = harness.run_fig1(cfg, tmp_path)
         assert seen == [(1, 4)] * calls
         for scheme in set(schemes) & set(beamformer.BPR_SCHEMES):
@@ -737,8 +736,7 @@ class TestFig1:
             phases = [grid[i] for grid, i in zip(phase_opt.block_grids(2), picked[0][:, 0])]
             gains, _ = analysis.beamspace_pattern(
                 beamformer.build(scheme, 2, *phases),
-                np.linspace(-np.pi / 2, np.pi / 2, 361),
-                cfg.steering,
+                np.linspace(-np.pi / 2, np.pi / 2, harness.FIG1_ANGLES),
             )
             rows = [row[3] for row in res.rows if row[0] == scheme and row[1] == 0]
             assert rows == list(gains[:, 0])
@@ -760,21 +758,19 @@ class TestFig2:
         top = {s: by_scheme[s][-1][4] for s in cfg.schemes}
         assert top["bpr-real"] > top["dft"]
 
-    def test_array_gain_flag_changes_rates(self, tmp_path):
-        cfg_on = _tiny_cfg(trials=1000, include_array_gain=True)
-        cfg_off = _tiny_cfg(trials=1000, include_array_gain=False)
-        r_on = harness.run_fig2(cfg_on, tmp_path / "on")
-        r_off = harness.run_fig2(cfg_off, tmp_path / "off")
-        assert r_on.rows[1][4] > r_off.rows[1][4]
-        assert any("include_array_gain" in n for n in r_on.notes)
+    def test_rate_carries_the_array_gain(self, tmp_path):
+        cfg = _tiny_cfg(trials=1000)
+        res = harness.run_fig2(cfg, tmp_path / "eq1")
+        quad_forms = harness.quadratic_forms(cfg)
+        for scheme, _, _, gamma0_db, value, _, _ in res.rows:
+            snr = 10.0 ** (gamma0_db / 10.0) * (cfg.n_antennas / cfg.n_paths)
+            assert value == float(np.log2(1.0 + snr * quad_forms[scheme]).mean())
+        assert "rate uses P*N_t/L = P*1.33333" in res.notes
         # the rate reads no normalization mode, so fig2 names none and its
         # bytes do not depend on it
-        assert not any("normalization" in n for n in r_on.notes + r_off.notes)
-        r_eq10 = harness.run_fig2(
-            _tiny_cfg(trials=1000, include_array_gain=True, normalization="eq10"),
-            tmp_path / "eq10",
-        )
-        assert r_eq10.path.read_bytes() == r_on.path.read_bytes()
+        assert not any("normalization" in n for n in res.notes)
+        r_eq10 = harness.run_fig2(_tiny_cfg(trials=1000, normalization="eq10"), tmp_path / "eq10")
+        assert r_eq10.path.read_bytes() == res.path.read_bytes()
 
     @pytest.mark.parametrize(
         "schemes,blocks",
@@ -1388,7 +1384,7 @@ class TestConditionalSim:
     def test_eq10_amplitude_definition(self):
         points = stbc.make_constellation(4)
         h_eq = np.array([1.0 + 0j, 0.5 + 0.5j])
-        amplitude = stbc.link_amplitude(100.0, 0.25, "eq10", True, 4, 3)
+        amplitude = stbc.link_amplitude(100.0, 0.25, "eq10", 4, 3)
         # eq10 scales the codeword by sqrt(gamma0 kappa) alone
         assert amplitude == 5.0
         # purpose tag 5's draws: at ||h_eq||^2 A^2 = 37.5 no bit of 8000 flips
@@ -1398,7 +1394,7 @@ class TestConditionalSim:
         # purpose tag 5's draws, as recorded when the link first drew its
         # unit noise for every channel
         points = stbc.make_constellation(4)
-        amplitude = stbc.link_amplitude(10.0, 0.25, "eq10", True, 4, 3)
+        amplitude = stbc.link_amplitude(10.0, 0.25, "eq10", 4, 3)
         assert simulate_conditional_ber(
             np.array([1.0 + 0j, 0.5 + 0.5j]), points, amplitude, 20_000, seed=3
         ) == (2055, 80_000)

@@ -164,7 +164,7 @@ class TestGreedy:
         h = np.concatenate(
             [
                 channel.sample_rayleigh_batch(8192, n, rng),
-                channel.sample_mmwave_batch(8192, 3, n, channel.SteeringConfig(), rng),
+                channel.sample_mmwave_batch(8192, 3, n, rng),
             ]
         )
         psi = rng.uniform(0, 2 * np.pi, h.shape[0])
@@ -177,6 +177,27 @@ class TestGreedy:
         np.testing.assert_array_equal(rot_phi, phi)
         np.testing.assert_array_equal(rot_slots, slots)
         np.testing.assert_allclose(rot_gain, gain, rtol=1e-12)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_scale_invariance_batched(self, q):
+        # each row times its own positive scale: every score of the row
+        # scales with it, so no choice moves. A power of two scales each
+        # score exactly; other scales move only roundings, far from ties
+        n = 2**q
+        rng = substream(q, 68)
+        h = np.concatenate(
+            [
+                channel.sample_rayleigh_batch(8192, n, rng),
+                channel.sample_mmwave_batch(8192, 3, n, rng),
+            ]
+        )
+        want = phase_opt.greedy_bpr_indices(h, q)
+        exact = np.ldexp(1.0, rng.integers(-30, 31, h.shape[0]))
+        seeded = 10.0 ** rng.uniform(-3.0, 3.0, h.shape[0])
+        for scale in (exact, seeded):
+            np.testing.assert_array_equal(
+                phase_opt.greedy_bpr_indices(scale[:, None] * h, q), want
+            )
 
     def test_permutation_consistency(self):
         h = _random_channel(4, 17)
@@ -311,7 +332,7 @@ class TestFullGridIdentity:
         rows = 2**16 + 300
         rng = substream(q, 64)
         if kind == "mmwave":
-            h = channel.sample_mmwave_batch(rows, 3, 2**q, channel.SteeringConfig(), rng)
+            h = channel.sample_mmwave_batch(rows, 3, 2**q, rng)
         else:
             h = channel.sample_rayleigh_batch(rows, 2**q, rng)
         self._assert_identical(h, q)
@@ -320,7 +341,7 @@ class TestFullGridIdentity:
         rng = substream(5, 64)
         h = np.concatenate(
             [
-                channel.sample_mmwave_batch(8192, 3, 32, channel.SteeringConfig(), rng),
+                channel.sample_mmwave_batch(8192, 3, 32, rng),
                 channel.sample_rayleigh_batch(8192, 32, rng),
             ]
         )
@@ -402,7 +423,7 @@ class TestTieRule:
         # every angle ties at slot 1; the rule, not rounding, takes index 0
         rng = substream(q, 68)
         if kind == "mmwave":
-            h = channel.sample_mmwave_batch(4096, 3, 2**q, channel.SteeringConfig(), rng)
+            h = channel.sample_mmwave_batch(4096, 3, 2**q, rng)
         else:
             h = channel.sample_rayleigh_batch(4096, 2**q, rng)
         np.testing.assert_array_equal(phase_opt.greedy_bpr_indices(h, q)[0, :, 0], 0)

@@ -231,8 +231,9 @@ class TestEncode:
         bf = beamformer.build_dft_atb(2)
         kappa = beamformer.kappa(beamformer.DFT, 2)
         x1 = _transmit_block(stbc.label_index(np.array([[0, 1], [1, 0]])), points, bf)
-        for include_array_gain in (True, False):
-            amp = stbc.link_amplitude(4.0, kappa, "eq10", include_array_gain, 4, 3)
+        # eq10 carries no array gain N_t / L
+        for n_antennas, n_paths in ((4, 3), (16, 1)):
+            amp = stbc.link_amplitude(4.0, kappa, "eq10", n_antennas, n_paths)
             np.testing.assert_allclose(amp * x1, np.sqrt(4.0 * kappa) * x1)
 
     def test_eq10_power_audit(self):
@@ -243,7 +244,7 @@ class TestEncode:
         kappa = beamformer.kappa(beamformer.DFT, 2)
         rng = substream(0, 42)
         gamma0 = 7.0
-        amp = stbc.link_amplitude(gamma0, kappa, "eq10", True, 4, 3)
+        amp = stbc.link_amplitude(gamma0, kappa, "eq10", 4, 3)
         total = 0.0
         n = 4000
         for _ in range(n):
@@ -278,12 +279,12 @@ class TestTransmitReceive:
         assert abs(var - 2.0) < 3 * se
 
     def test_eq1_amplitude(self):
-        assert stbc.link_amplitude(9.0, 0.25, "eq1", True, 4, 3) == pytest.approx(np.sqrt(12.0))
+        assert stbc.link_amplitude(9.0, 0.25, "eq1", 4, 3) == pytest.approx(np.sqrt(12.0))
 
     @pytest.mark.parametrize("mode", ["eq01", "EQ10", ""])
     def test_link_amplitude_rejects_unknown_mode(self, mode):
         with pytest.raises(ValueError, match=r"\bmode\b"):
-            stbc.link_amplitude(10.0, 0.25, mode, True, 4, 3)
+            stbc.link_amplitude(10.0, 0.25, mode, 4, 3)
 
 
 class TestDecode:
