@@ -26,9 +26,11 @@ hold quantized rotation angles, ``g`` is the golden number (real variant
 
 normalizes with ``n`` the root of the squared golden number's surd
 (``sqrt 5`` real, ``sqrt 3`` complex). The beamformer keeps the first
-``2**(q-1)`` columns of the recursive matrix. Every builder returns the
-``(2**q, 2**(q-1))`` complex array itself, and :func:`build` is the one
-map from a scheme name to its builder.
+``2**(q-1)`` columns of the recursive matrix. Every function here that
+depends on the scheme takes its name: :func:`build` returns the
+``(2**q, 2**(q-1))`` complex array itself, and :func:`kappa`, :func:`xi`
+and :func:`bpr_scale` its scalars; the last two read the one table of
+``(g, n)`` per blockwise scheme.
 
 The per-block products ``F^H h`` (:func:`equivalent_channel`,
 :func:`bpr_rotated_sum`) are sums over antenna elements that run on the
@@ -45,7 +47,6 @@ the rows it is given, so no other module forms or holds them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,33 +60,29 @@ SCHEMES = (DFT, HADAMARD, BPR_REAL, BPR_COMPLEX)
 BPR_SCHEMES = (BPR_REAL, BPR_COMPLEX)
 
 
-@dataclass(frozen=True)
-class GoldenVariant:
-    """Golden-number scalar and the surd root of its normalizer."""
-
-    g: complex
-    n_root: float
-
-
-REAL_GOLDEN = GoldenVariant(g=(1.0 + math.sqrt(5.0)) / 2.0, n_root=math.sqrt(5.0))
-COMPLEX_GOLDEN = GoldenVariant(g=(1j + math.sqrt(3.0)) / 2.0, n_root=math.sqrt(3.0))
+# golden number g and surd root n of each blockwise scheme
+_GOLDEN = {
+    BPR_REAL: ((1.0 + math.sqrt(5.0)) / 2.0, math.sqrt(5.0)),
+    BPR_COMPLEX: ((1j + math.sqrt(3.0)) / 2.0, math.sqrt(3.0)),
+}
 
 
-def golden_variant(scheme: str) -> GoldenVariant:
-    if scheme == BPR_REAL:
-        return REAL_GOLDEN
-    if scheme == BPR_COMPLEX:
-        return COMPLEX_GOLDEN
-    raise ValueError(f"no golden variant for scheme {scheme!r}")
+def _golden(scheme: str) -> tuple[complex, float]:
+    """``(g, n)`` of a blockwise scheme."""
+    if scheme in _GOLDEN:
+        return _GOLDEN[scheme]
+    if scheme in SCHEMES:
+        raise ValueError(
+            f"xi and bpr_scale are defined only for the blockwise schemes, not {scheme!r}"
+        )
+    raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def xi(q: int, n_root: float) -> float:
-    """Normalizer ``n * ((1+n)**q - (1-n)**q) / 2**q``."""
+def xi(scheme: str, q: int) -> float:
+    """Normalizer ``n * ((1+n)**q - (1-n)**q) / 2**q`` of a blockwise scheme."""
     if q < 1:
         raise ValueError("q must be at least 1")
-    if not n_root > 0:
-        raise ValueError("n_root must be positive")
-    n = float(n_root)
+    _, n = _golden(scheme)
     return n * ((1.0 + n) ** q - (1.0 - n) ** q) / 2.0**q
 
 
@@ -95,10 +92,8 @@ def kappa(scheme: str, q: int) -> float:
         raise ValueError("q must be at least 1")
     if scheme in (DFT, HADAMARD):
         return 1.0 / 2**q
-    if scheme in BPR_SCHEMES:
-        variant = golden_variant(scheme)
-        return (variant.g * variant.g.conjugate()).real / xi(q, variant.n_root)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    g, _ = _golden(scheme)
+    return (g * g.conjugate()).real / xi(scheme, q)
 
 
 def _sylvester(k: int) -> np.ndarray:
@@ -107,28 +102,6 @@ def _sylvester(k: int) -> np.ndarray:
     for _ in range(k):
         w = np.block([[w, w], [w, -w]])
     return w
-
-
-def build_dft_atb(q: int) -> np.ndarray:
-    """First ``2**(q-1)`` columns of the unitary ``2**q``-point DFT matrix.
-
-    Entry (m, k) is ``exp(-j 2 pi m k / 2**q) / sqrt(2**q)``; the kept
-    columns are orthonormal, so ``F^H F = I``.
-    """
-    if q < 1:
-        raise ValueError("q must be at least 1")
-    n = 2**q
-    m = np.arange(n)[:, None]
-    k = np.arange(n // 2)[None, :]
-    return np.exp(-2j * np.pi * m * k / n) / np.sqrt(n)
-
-
-def build_hadamard_atb(q: int) -> np.ndarray:
-    """First ``2**(q-1)`` columns of the scaled Sylvester Hadamard matrix."""
-    if q < 1:
-        raise ValueError("q must be at least 1")
-    n = 2**q
-    return _sylvester(q).astype(np.complex128)[:, : n // 2] / np.sqrt(n)
 
 
 def bpr_block_sums(q: int, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -147,11 +120,11 @@ def bpr_block_sums(q: int, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def bpr_rotated_sum(q: int, h: np.ndarray, idx1: np.ndarray, idx2: np.ndarray) -> np.ndarray:
     """Unscaled ``exp(-j phi1) h_top W + exp(-j phi2) h_bot W`` for each row of ``h``.
 
-    Column k of :func:`build_bpr_atb` is ``g/sqrt(xi)`` times ``W[:, k]``
+    Column k of a blockwise :func:`build` is ``g/sqrt(xi)`` times ``W[:, k]``
     rotated by ``phi1[k]`` (top block) and ``phi2[k]`` (bottom block), so
     with the symmetric real ``W`` no per-row matrix is formed: ``F^H h``
-    for each row, F being :func:`build_bpr_atb` with that row's phases,
-    is :func:`bpr_scale` times this sum. The sum does not depend on the
+    for each row, F being :func:`build` with that row's phases, is
+    :func:`bpr_scale` times this sum. The sum does not depend on the
     golden variant, so one sum serves both. It rotates the rows'
     :func:`bpr_block_sums`, formed here.
 
@@ -206,43 +179,50 @@ def _grid_rotations(grid: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.exp(-1j * grid)[idx]
 
 
-def bpr_scale(q: int, variant: GoldenVariant) -> complex:
-    """``conj(g) / sqrt(xi)``, the factor that turns :func:`bpr_rotated_sum` into ``F^H h``."""
-    return np.conj(variant.g) / np.sqrt(xi(q, variant.n_root))
+def bpr_scale(scheme: str, q: int) -> complex:
+    """``conj(g) / sqrt(xi)`` of a blockwise scheme, the factor that turns
+    :func:`bpr_rotated_sum` into ``F^H h``."""
+    g, _ = _golden(scheme)
+    return np.conj(g) / np.sqrt(xi(scheme, q))
 
 
-def build_bpr_atb(
-    q: int, variant: GoldenVariant, phi1: np.ndarray, phi2: np.ndarray
+def build(
+    scheme: str, q: int, phi1: np.ndarray | None = None, phi2: np.ndarray | None = None
 ) -> np.ndarray:
-    """Blockwise phase-rotated beamformer ``g/sqrt(xi) [[W A], [W B]]``.
+    """The ``(2**q, 2**(q-1))`` beamformer of the named scheme.
 
-    ``phi1`` and ``phi2`` are the diagonals of the rotation blocks A and
-    B, each of length ``2**(q-1)``. These are the kept first half of the
-    columns of the recursive block matrix, so column k carries
-    ``exp(j phi1[k])`` on the top antenna block and ``exp(j phi2[k])`` on
-    the bottom one.
+    * ``dft``: the first ``2**(q-1)`` columns of the unitary ``2**q``-point
+      DFT matrix. Entry (m, k) is ``exp(-j 2 pi m k / 2**q) / sqrt(2**q)``;
+      the kept columns are orthonormal, so ``F^H F = I``.
+    * ``hadamard``: the first ``2**(q-1)`` columns of the scaled Sylvester
+      Hadamard matrix.
+    * ``bpr-real``, ``bpr-complex``: the blockwise phase-rotated beamformer
+      ``g/sqrt(xi) [[W A], [W B]]``. ``phi1`` and ``phi2`` are the
+      diagonals of the rotation blocks A and B, each of length
+      ``2**(q-1)``. These are the kept first half of the columns of the
+      recursive block matrix, so column k carries ``exp(j phi1[k])`` on
+      the top antenna block and ``exp(j phi2[k])`` on the bottom one.
+
+    Only the blockwise schemes read the phases.
     """
     if q < 1:
         raise ValueError("q must be at least 1")
-    half = 2 ** (q - 1)
+    n = 2**q
+    half = n // 2
+    if scheme == DFT:
+        m = np.arange(n)[:, None]
+        k = np.arange(half)[None, :]
+        return np.exp(-2j * np.pi * m * k / n) / np.sqrt(n)
+    if scheme == HADAMARD:
+        return _sylvester(q).astype(np.complex128)[:, :half] / np.sqrt(n)
+    g, _ = _golden(scheme)
     phi1 = np.asarray(phi1, dtype=np.float64)
     phi2 = np.asarray(phi2, dtype=np.float64)
     if phi1.shape != (half,) or phi2.shape != (half,):
         raise ValueError(f"phase vectors must each have length {half}")
     w = _sylvester(q - 1).astype(np.complex128)
     block = np.vstack([w * np.exp(1j * phi1), w * np.exp(1j * phi2)])
-    return variant.g / np.sqrt(xi(q, variant.n_root)) * block
-
-
-def build(
-    scheme: str, q: int, phi1: np.ndarray | None = None, phi2: np.ndarray | None = None
-) -> np.ndarray:
-    """Beamformer of the named scheme; only the blockwise schemes read the phases."""
-    if scheme == DFT:
-        return build_dft_atb(q)
-    if scheme == HADAMARD:
-        return build_hadamard_atb(q)
-    return build_bpr_atb(q, golden_variant(scheme), phi1, phi2)
+    return g / np.sqrt(xi(scheme, q)) * block
 
 
 def equivalent_channel(f: np.ndarray, h: np.ndarray) -> np.ndarray:

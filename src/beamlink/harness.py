@@ -242,7 +242,7 @@ def _batch_equivalent_channels(
     """Per-row equivalent channels ``F^H h``; the blockwise schemes scale
     ``rotated``, the rows' :func:`beamformer.bpr_rotated_sum`."""
     if scheme in beamformer.BPR_SCHEMES:
-        return beamformer.bpr_scale(cfg.q, beamformer.golden_variant(scheme)) * rotated
+        return beamformer.bpr_scale(scheme, cfg.q) * rotated
     return beamformer.equivalent_channel(beamformer.build(scheme, cfg.q), h)
 
 
@@ -384,8 +384,7 @@ def _gain_limits(
     blockwise point demaps a row whose rotated sum clears its limit.
     """
     scales = [
-        p.amplitude * p.amplitude
-        * abs(beamformer.bpr_scale(cfg.q, beamformer.golden_variant(p.scheme))) ** 2
+        p.amplitude * p.amplitude * abs(beamformer.bpr_scale(p.scheme, cfg.q)) ** 2
         for p in active
         if p.scheme in beamformer.BPR_SCHEMES
     ]
@@ -562,11 +561,7 @@ def run_table1(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
     q = cfg.q
     rows = []
     for scheme in beamformer.SCHEMES:
-        xi_val = (
-            beamformer.xi(q, beamformer.golden_variant(scheme).n_root)
-            if scheme in beamformer.BPR_SCHEMES
-            else None
-        )
+        xi_val = beamformer.xi(scheme, q) if scheme in beamformer.BPR_SCHEMES else None
         rows.append((scheme, q, beamformer.kappa(scheme, q), xi_val))
     path = out_dir / "table1.csv"
     _write_csv(path, "scheme,q,kappa,xi", rows)
@@ -577,19 +572,25 @@ def run_fig1(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
     """Beamspace gain of every beamformer column over a departure grid.
 
     The blockwise schemes are channel dependent; their patterns use the
-    greedy selection for one seeded channel draw, recorded in the notes.
-    One selection serves both blockwise schemes, as in fig2.
+    greedy selection for one seeded channel draw, and a note gives its
+    grid angles ``phi1`` and ``phi2``. One selection serves both blockwise
+    schemes, as in fig2.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     theta = np.linspace(-np.pi / 2, np.pi / 2, FIG1_ANGLES)
     h = _sample_channels(cfg, 1, substream(cfg.seed, _PURPOSE_FIG1))
     phases = ()
+    notes = []
     if any(scheme in beamformer.BPR_SCHEMES for scheme in cfg.schemes):
         idx = _batch_greedy_phases(h, cfg.q)[:, 0]
         phases = [grid[i] for grid, i in zip(phase_opt.block_grids(cfg.q), idx)]
+        phi1, phi2 = (", ".join(f"{a:.6g}" for a in phi) for phi in phases)
+        notes.append(
+            "blockwise patterns use the greedy phases of one seeded channel draw:"
+            f" phi1 = [{phi1}] rad, phi2 = [{phi2}] rad"
+        )
     rows = []
-    notes = ["blockwise patterns use greedy phases for one seeded channel draw"]
     for scheme in cfg.schemes:
         bf = beamformer.build(scheme, cfg.q, *phases)
         gains, spread = analysis.beamspace_pattern(bf, theta)

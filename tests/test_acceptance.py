@@ -69,14 +69,14 @@ def test_criterion_2_constant_modulus_and_structure():
     for q in (1, 2, 3, 4):
         half = 2 ** (q - 1)
         builds = [
-            (beamformer.DFT, beamformer.build_dft_atb(q)),
-            (beamformer.HADAMARD, beamformer.build_hadamard_atb(q)),
-            (beamformer.BPR_REAL, beamformer.build_bpr_atb(
-                q, beamformer.REAL_GOLDEN,
+            (beamformer.DFT, beamformer.build(beamformer.DFT, q)),
+            (beamformer.HADAMARD, beamformer.build(beamformer.HADAMARD, q)),
+            (beamformer.BPR_REAL, beamformer.build(
+                beamformer.BPR_REAL, q,
                 rng.uniform(0, 2 * np.pi, half), rng.uniform(0, 2 * np.pi, half),
             )),
-            (beamformer.BPR_COMPLEX, beamformer.build_bpr_atb(
-                q, beamformer.COMPLEX_GOLDEN,
+            (beamformer.BPR_COMPLEX, beamformer.build(
+                beamformer.BPR_COMPLEX, q,
                 rng.uniform(0, 2 * np.pi, half), rng.uniform(0, 2 * np.pi, half),
             )),
         ]
@@ -185,7 +185,7 @@ def test_criterion_6_union_and_chernoff_dominance():
         h = sample_mmwave_batch(1, 3, 4, substream(ch_seed))[0]
         idx = phase_opt.greedy_bpr_indices(h[None], 2)[:, 0]
         phi1, phi2 = (grid[i] for grid, i in zip(phase_opt.block_grids(2), idx))
-        bf = beamformer.build_bpr_atb(2, beamformer.REAL_GOLDEN, phi1, phi2)
+        bf = beamformer.build(beamformer.BPR_REAL, 2, phi1, phi2)
         h_eq = beamformer.equivalent_channel(bf, h)
         for gamma_db in (0.0, 4.0, 8.0, 12.0):
             gamma0 = 10 ** (gamma_db / 10.0)

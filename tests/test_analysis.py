@@ -47,19 +47,19 @@ def _quad_form(bf, h):
 
 class TestSpectralEfficiency:
     def test_zero_channel(self):
-        bf = beamformer.build_dft_atb(2)
+        bf = beamformer.build(beamformer.DFT, 2)
         quad_form = _quad_form(bf, np.zeros(4, dtype=complex))
         assert analysis.spectral_efficiency(quad_form, 10.0) == 0.0
 
     def test_zero_power(self):
-        bf = beamformer.build_dft_atb(2)
+        bf = beamformer.build(beamformer.DFT, 2)
         quad_form = _quad_form(bf, np.ones(4, dtype=complex))
         assert analysis.spectral_efficiency(quad_form, 0.0) == 0.0
 
     def test_matches_dense_oracle(self):
         # elementwise over quadratic forms of several channels
         rng = substream(0, 50)
-        bf = beamformer.build_dft_atb(2)
+        bf = beamformer.build(beamformer.DFT, 2)
         h = (rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))) / np.sqrt(2)
         quad_forms = np.array([_quad_form(bf, row) for row in h])
         rates = analysis.spectral_efficiency(quad_forms, 3.0)
@@ -69,7 +69,7 @@ class TestSpectralEfficiency:
 
     def test_monotone_in_power(self):
         rng = substream(0, 51)
-        bf = beamformer.build_hadamard_atb(2)
+        bf = beamformer.build(beamformer.HADAMARD, 2)
         h = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / np.sqrt(2)
         quad_form = _quad_form(bf, h)
         rates = [analysis.spectral_efficiency(quad_form, p) for p in (0.1, 1.0, 10.0, 100.0)]
@@ -90,7 +90,7 @@ class TestBeamspacePattern:
     def test_dft_peak_gain_is_coherent_sum(self):
         # column k of the DFT beamformer aligns at sin(theta) = -k / 2^(q-1);
         # the coherent sum of N unit-modulus terms of power kappa gives N^2 kappa
-        bf = beamformer.build_dft_atb(2)
+        bf = beamformer.build(beamformer.DFT, 2)
         for k, s in ((0, 0.0), (1, -0.5)):
             theta = np.array([np.arcsin(s)])
             gains, _ = analysis.beamspace_pattern(bf, theta)
@@ -98,7 +98,7 @@ class TestBeamspacePattern:
             assert gains[0, k] == pytest.approx(expected, abs=1e-10)
 
     def test_dft_columns_have_distinct_mainlobes(self):
-        bf = beamformer.build_dft_atb(2)
+        bf = beamformer.build(beamformer.DFT, 2)
         theta = np.linspace(-np.pi / 2, np.pi / 2, 721)
         gains, _ = analysis.beamspace_pattern(bf, theta)
         peaks = theta[np.argmax(gains, axis=0)]
@@ -106,8 +106,8 @@ class TestBeamspacePattern:
         assert np.all(gains >= 0)
 
     def test_bpr_spreads_reported(self):
-        bf = beamformer.build_bpr_atb(
-            2, beamformer.REAL_GOLDEN, np.array([0.0, np.pi]), np.array([np.pi, 0.0])
+        bf = beamformer.build(
+            beamformer.BPR_REAL, 2, np.array([0.0, np.pi]), np.array([np.pi, 0.0])
         )
         theta = np.linspace(-np.pi / 2, np.pi / 2, 721)
         _, spread = analysis.beamspace_pattern(bf, theta)
@@ -132,7 +132,7 @@ class TestMinEuclideanDistance:
     def test_bpsk_set_matches_pair_enumeration(self):
         c = stbc.make_constellation(2)
         codewords, _ = alamouti_codebook(c)
-        bf = beamformer.build_dft_atb(2)
+        bf = beamformer.build(beamformer.DFT, 2)
         rng = substream(0, 52)
         h = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / np.sqrt(2)
         h_eq = dense_matvec(bf, h)

@@ -12,10 +12,8 @@ from beamlink import beamformer, channel, phase_opt
 from beamlink.beamformer import (
     BPR_COMPLEX,
     BPR_REAL,
-    COMPLEX_GOLDEN,
     DFT,
     HADAMARD,
-    REAL_GOLDEN,
     SCHEMES,
 )
 from beamlink.rng import substream
@@ -39,13 +37,18 @@ class TestXi:
         ],
     )
     def test_frozen_values(self, q, n_root, expected):
-        assert beamformer.xi(q, n_root) == pytest.approx(expected, abs=1e-12)
+        scheme = {math.sqrt(5): BPR_REAL, math.sqrt(3): BPR_COMPLEX}[n_root]
+        assert beamformer.xi(scheme, q) == pytest.approx(expected, abs=1e-12)
 
     def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            beamformer.xi(0, 2.0)
-        with pytest.raises(ValueError):
-            beamformer.xi(2, 0.0)
+        with pytest.raises(ValueError, match="q must be at least 1"):
+            beamformer.xi(BPR_REAL, 0)
+        for scalar in (beamformer.xi, beamformer.bpr_scale):
+            with pytest.raises(ValueError, match="unknown scheme 'zadoff-chu'"):
+                scalar("zadoff-chu", 2)
+            for scheme in (DFT, HADAMARD):
+                with pytest.raises(ValueError, match="only for the blockwise schemes"):
+                    scalar(scheme, 2)
 
 
 class TestKappa:
@@ -63,7 +66,7 @@ class TestKappa:
         )
 
     def test_unknown_scheme(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown scheme 'zadoff-chu'"):
             beamformer.kappa("zadoff-chu", 2)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -78,35 +81,41 @@ class TestKappa:
 
 class TestBuild:
     def test_maps_each_scheme_to_its_builder(self):
+        # each scheme against an oracle built from its own formula and literal
+        # golden numbers (1+sqrt 5)/2, (j+sqrt 3)/2 with surd roots sqrt 5, sqrt 3
         phi1, phi2 = np.array([0.0, np.pi]), np.array([np.pi / 2, 0.0])
+        dft = [[np.exp(-2j * np.pi * m * k / 4) / 2 for k in range(2)] for m in range(4)]
         expected = {
-            DFT: beamformer.build_dft_atb(2),
-            HADAMARD: beamformer.build_hadamard_atb(2),
-            BPR_REAL: beamformer.build_bpr_atb(2, REAL_GOLDEN, phi1, phi2),
-            BPR_COMPLEX: beamformer.build_bpr_atb(2, COMPLEX_GOLDEN, phi1, phi2),
+            DFT: np.array(dft),
+            HADAMARD: hadamard(4)[:, :2] / 2.0,
+            BPR_REAL: golden_block(2, (1 + math.sqrt(5)) / 2, math.sqrt(5), phi1, phi2)[:, :2],
+            BPR_COMPLEX: golden_block(2, (1j + math.sqrt(3)) / 2, math.sqrt(3), phi1, phi2)[:, :2],
         }
         for scheme in SCHEMES:
-            np.testing.assert_array_equal(beamformer.build(scheme, 2, phi1, phi2), expected[scheme])
+            np.testing.assert_allclose(
+                beamformer.build(scheme, 2, phi1, phi2), expected[scheme], rtol=0, atol=1e-15
+            )
 
     @pytest.mark.parametrize("scheme", ["zadoff-chu", BPR_REAL])
     def test_rejects_unknown_scheme_and_missing_phases(self, scheme):
-        with pytest.raises(ValueError):
+        match = {"zadoff-chu": "unknown scheme 'zadoff-chu'", BPR_REAL: "phase vectors"}[scheme]
+        with pytest.raises(ValueError, match=match):
             beamformer.build(scheme, 2)
 
 
 class TestDftConstruction:
     def test_q1_single_column(self):
-        bf = beamformer.build_dft_atb(1)
+        bf = beamformer.build(DFT, 1)
         np.testing.assert_allclose(bf, np.array([[1.0], [1.0]]) / np.sqrt(2))
 
     def test_q2_orthonormal_columns(self):
-        bf = beamformer.build_dft_atb(2)
+        bf = beamformer.build(DFT, 2)
         gram = dense_gram(bf)
         np.testing.assert_allclose(gram, np.eye(2), atol=1e-12)
         np.testing.assert_allclose(np.abs(bf), 0.5, atol=1e-12)
 
     def test_q3_gram_identity(self):
-        bf = beamformer.build_hadamard_atb(3)
+        bf = beamformer.build(HADAMARD, 3)
         np.testing.assert_allclose(dense_gram(bf), np.eye(4), atol=1e-12)
 
 
@@ -118,18 +127,18 @@ class TestHadamardConstruction:
         np.testing.assert_array_equal(w, hadamard(2**k))
 
     def test_q1(self):
-        bf = beamformer.build_hadamard_atb(1)
+        bf = beamformer.build(HADAMARD, 1)
         np.testing.assert_allclose(bf, np.array([[1.0], [1.0]]) / np.sqrt(2))
 
     def test_q2_entries(self):
-        bf = beamformer.build_hadamard_atb(2)
+        bf = beamformer.build(HADAMARD, 2)
         np.testing.assert_allclose(np.abs(bf) ** 2, 0.25, atol=1e-14)
         assert np.all(np.isin(bf.real * 2, [-1.0, 1.0]))
 
 
 class TestBprConstruction:
     def test_q1_zero_phases(self):
-        bf = beamformer.build_bpr_atb(1, REAL_GOLDEN, np.zeros(1), np.zeros(1))
+        bf = beamformer.build(BPR_REAL, 1, np.zeros(1), np.zeros(1))
         g = (1 + math.sqrt(5)) / 2
         np.testing.assert_allclose(
             bf, g / math.sqrt(5) * np.array([[1.0], [1.0]]), atol=1e-14
@@ -140,12 +149,12 @@ class TestBprConstruction:
         rng = substream(0, 17)
         phi1 = rng.uniform(0, 2 * np.pi, 2)
         phi2 = rng.uniform(0, 2 * np.pi, 2)
-        for variant, expected in ((REAL_GOLDEN, (3 + math.sqrt(5)) / 10), (COMPLEX_GOLDEN, 1 / 3)):
-            bf = beamformer.build_bpr_atb(2, variant, phi1, phi2)
+        for scheme, expected in ((BPR_REAL, (3 + math.sqrt(5)) / 10), (BPR_COMPLEX, 1 / 3)):
+            bf = beamformer.build(scheme, 2, phi1, phi2)
             np.testing.assert_allclose(np.abs(bf) ** 2, expected, atol=1e-10)
 
     def test_q2_zero_phases_reduce_to_scaled_hadamard(self):
-        bf = beamformer.build_bpr_atb(2, REAL_GOLDEN, np.zeros(2), np.zeros(2))
+        bf = beamformer.build(BPR_REAL, 2, np.zeros(2), np.zeros(2))
         g = (1 + math.sqrt(5)) / 2
         w2 = np.array([[1.0, 1.0], [1.0, -1.0]])
         np.testing.assert_allclose(bf[:2, :], g / math.sqrt(5) * w2, atol=1e-14)
@@ -153,13 +162,13 @@ class TestBprConstruction:
     def test_reconstruction_from_stored_parts(self):
         rng = substream(0, 23)
         phi1, phi2 = rng.uniform(0, 2 * np.pi, (2, 4))
-        bf = beamformer.build_bpr_atb(3, COMPLEX_GOLDEN, phi1, phi2)
-        full = golden_block(3, COMPLEX_GOLDEN.g, COMPLEX_GOLDEN.n_root, phi1, phi2)
+        bf = beamformer.build(BPR_COMPLEX, 3, phi1, phi2)
+        full = golden_block(3, (1j + math.sqrt(3)) / 2, math.sqrt(3), phi1, phi2)
         assert np.array_equal(bf, full[:, :4])
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            beamformer.build_bpr_atb(2, REAL_GOLDEN, np.zeros(3), np.zeros(2))
+        with pytest.raises(ValueError, match="phase vectors must each have length 2"):
+            beamformer.build(BPR_REAL, 2, np.zeros(3), np.zeros(2))
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -177,12 +186,12 @@ def test_constant_modulus_invariant(scheme, q):
 
 class TestEquivalentChannel:
     def test_dft_q1_all_ones(self):
-        bf = beamformer.build_dft_atb(1)
+        bf = beamformer.build(DFT, 1)
         h_eq = beamformer.equivalent_channel(bf, np.array([1.0 + 0j, 1.0 + 0j]))
         np.testing.assert_allclose(h_eq, [np.sqrt(2)], atol=1e-14)
 
     def test_zero_channel(self):
-        bf = beamformer.build_dft_atb(2)
+        bf = beamformer.build(DFT, 2)
         np.testing.assert_allclose(
             beamformer.equivalent_channel(bf, np.zeros(4, dtype=complex)), np.zeros(2)
         )
@@ -193,7 +202,7 @@ class TestEquivalentChannel:
         rng = substream(0, 31)
         matrices = [beamformer.build(s, q) for s in (DFT, HADAMARD) for q in (1, 2, 3, 4)]
         phi1, phi2 = rng.uniform(0, 2 * np.pi, (2, 2))
-        matrices.append(beamformer.build_bpr_atb(2, REAL_GOLDEN, phi1, phi2))
+        matrices.append(beamformer.build(BPR_REAL, 2, phi1, phi2))
         for bf in matrices:
             for lead in [(), (3, 5)]:
                 shape = (*lead, bf.shape[0])
@@ -205,7 +214,7 @@ class TestEquivalentChannel:
                 assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=-1))
 
     def test_dimension_mismatch(self):
-        bf = beamformer.build_dft_atb(2)
+        bf = beamformer.build(DFT, 2)
         with pytest.raises(ValueError):
             beamformer.equivalent_channel(bf, np.zeros(3, dtype=complex))
 
@@ -279,10 +288,10 @@ class TestAntennaMajorRows:
 
 
 class TestBprEquivalentChannels:
-    @pytest.mark.parametrize("variant", [REAL_GOLDEN, COMPLEX_GOLDEN], ids=["real", "complex"])
+    @pytest.mark.parametrize("scheme", [BPR_REAL, BPR_COMPLEX], ids=["real", "complex"])
     @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
-    def test_rows_match_built_matrix(self, q, variant):
-        # bpr_scale times the rotated sum is F^H h of build_bpr_atb with each
+    def test_rows_match_built_matrix(self, q, scheme):
+        # bpr_scale times the rotated sum is F^H h of build with each
         # row's grid phases, on one row, a batch and an (a, b) batch of rows
         rng = substream(0, 32 + q)
         n, half = 2**q, 2 ** (q - 1)
@@ -292,11 +301,11 @@ class TestBprEquivalentChannels:
             idx1, idx2 = rng.integers(0, half, (2, *lead, half))
             grid1, grid2 = phase_opt.block_grids(q)
             phi1, phi2 = grid1[idx1], grid2[idx2]
-            batch = beamformer.bpr_scale(q, variant) * beamformer.bpr_rotated_sum(q, h, idx1, idx2)
+            batch = beamformer.bpr_scale(scheme, q) * beamformer.bpr_rotated_sum(q, h, idx1, idx2)
             assert batch.shape == (*lead, half)
             rows, p1, p2 = h.reshape(-1, n), phi1.reshape(-1, half), phi2.reshape(-1, half)
             want = np.array([
-                dense_matvec(beamformer.build_bpr_atb(q, variant, p1[i], p2[i]), rows[i])
+                dense_matvec(beamformer.build(scheme, q, p1[i], p2[i]), rows[i])
                 for i in range(len(rows))
             ])
             err = np.linalg.norm(batch.reshape(len(rows), half) - want, axis=-1)

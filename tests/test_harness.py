@@ -5,6 +5,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -234,9 +235,9 @@ def _assert_greedy_matches_reference(h, q, idx, rows):
         ref_phi1, ref_phi2, _, _, _ = greedy_blockwise_reference(h[i], *grids)
         np.testing.assert_array_equal(idx[0, i], _grid_index(grids[0], ref_phi1))
         np.testing.assert_array_equal(idx[1, i], _grid_index(grids[1], ref_phi2))
-        bf = beamformer.build_bpr_atb(q, beamformer.REAL_GOLDEN, ref_phi1, ref_phi2)
+        bf = beamformer.build(beamformer.BPR_REAL, q, ref_phi1, ref_phi2)
         want = np.sum(np.abs(beamformer.equivalent_channel(bf, h[i])) ** 2)
-        scale = beamformer.bpr_scale(q, beamformer.REAL_GOLDEN)
+        scale = beamformer.bpr_scale(beamformer.BPR_REAL, q)
         assert np.sum(np.abs(scale * rotated[i]) ** 2) == pytest.approx(want, rel=1e-12)
 
 
@@ -315,7 +316,7 @@ class TestBatchKernels:
         expected = []
         amplitudes = [harness._link_amplitude(cfg, s, 10.0) for s in beamformer.BPR_SCHEMES]
         scale = min(
-            a * a * abs(beamformer.bpr_scale(2, beamformer.golden_variant(s))) ** 2
+            a * a * abs(beamformer.bpr_scale(s, 2)) ** 2
             for a, s in zip(amplitudes, beamformer.BPR_SCHEMES)
         )
         tile = harness._STAGE_ENTRIES // cfg.n_antennas
@@ -570,13 +571,13 @@ class TestGainGate:
         assert any(np.isinf(g).any() for g in gated.values())
         points = stbc.make_constellation(order)
         smallest = min(
-            p.amplitude**2 * abs(beamformer.bpr_scale(2, beamformer.golden_variant(p.scheme))) ** 2
+            p.amplitude**2 * abs(beamformer.bpr_scale(p.scheme, 2)) ** 2
             for p in active
         )
         errors = 0
         for p in active:
             amp = p.amplitude
-            scale = abs(beamformer.bpr_scale(2, beamformer.golden_variant(p.scheme)))
+            scale = abs(beamformer.bpr_scale(p.scheme, 2))
             base = np.sqrt(smallest) / scale
             for a in [amp, *(base * f for f in (1.0, 1 + 1e-12, 1 + 1e-6, 1.001, 1.5, 4.0, 30.0))]:
                 want = harness._ber_block(full[p.scheme], points, a, link)
@@ -600,7 +601,7 @@ class TestGainGate:
         active = _active(cfg, [("bpr-real", 10.0)])
         (point,) = active
         amp = point.amplitude
-        scale = abs(beamformer.bpr_scale(2, beamformer.REAL_GOLDEN)) ** 2
+        scale = abs(beamformer.bpr_scale(beamformer.BPR_REAL, 2)) ** 2
         norm = np.sum(np.abs(beamformer.bpr_block_sums(2, h)[0]) ** 2, axis=1)
         offset = rng.choice([-1, 1], n) * 10.0 ** rng.uniform(-4.5, -2.0, n)
         target = link[2].max(axis=1) ** 2 * (1.0 - offset)
@@ -687,17 +688,10 @@ class TestTable1:
         values = {row[0]: row[2] for row in res.rows}
         rng = substream(0, 63)
         for scheme in beamformer.SCHEMES:
+            phases = ()
             if scheme in beamformer.BPR_SCHEMES:
-                bf = beamformer.build_bpr_atb(
-                    3,
-                    beamformer.golden_variant(scheme),
-                    rng.uniform(0, 2 * np.pi, 4),
-                    rng.uniform(0, 2 * np.pi, 4),
-                )
-            elif scheme == "dft":
-                bf = beamformer.build_dft_atb(3)
-            else:
-                bf = beamformer.build_hadamard_atb(3)
+                phases = (rng.uniform(0, 2 * np.pi, 4), rng.uniform(0, 2 * np.pi, 4))
+            bf = beamformer.build(scheme, 3, *phases)
             measured = np.abs(bf) ** 2
             np.testing.assert_allclose(measured, values[scheme], atol=1e-12)
 
@@ -731,6 +725,17 @@ class TestFig1:
         cfg = _tiny_cfg(schemes=schemes)
         res = harness.run_fig1(cfg, tmp_path)
         assert seen == [(1, 4)] * calls
+        if calls:
+            # the note states the grid angles of the greedy's indices
+            (note,) = res.notes
+            found = re.findall(r"phi[12] = \[([^\]]*)\] rad", note)
+            assert len(found) == 2
+            for grid, i, angles in zip(phase_opt.block_grids(2), picked[0][:, 0], found):
+                stated = [float(a) for a in angles.split(", ")]
+                np.testing.assert_allclose(stated, grid[i], rtol=1e-5, atol=1e-5)
+        else:
+            # no greedy runs, so no note claims one
+            assert res.notes == []
         for scheme in set(schemes) & set(beamformer.BPR_SCHEMES):
             # the patterns use the grid angles of the greedy's indices
             phases = [grid[i] for grid, i in zip(phase_opt.block_grids(2), picked[0][:, 0])]

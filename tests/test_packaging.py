@@ -1,9 +1,12 @@
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
 
 import pytest
+
+from beamlink import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -25,3 +28,11 @@ def test_runtime_imports_are_declared():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     declared = {re.match(r"[\w.-]+", req)[0] for req in project["dependencies"]}
     assert _runtime_imports() == declared == {"numpy"}
+
+
+def test_console_script_resolves():
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    module, _, attr = scripts["beamlink"].partition(":")
+    target = getattr(importlib.import_module(module), attr)
+    assert callable(target) and target is cli.main

@@ -216,7 +216,7 @@ class TestEncode:
     def test_eq1_codeword(self):
         # under eq1 the array sends F S; through h it arrives as S through F^H h
         points = stbc.make_constellation(4)
-        bf = beamformer.build_dft_atb(2)
+        bf = beamformer.build(beamformer.DFT, 2)
         sent = stbc.label_index(np.array([[0, 1], [1, 0]]))
         s = alamouti_codeword(points[sent[0]], points[sent[1]])
         h = np.array([0.3 - 0.2j, -1.1 + 0.4j, 0.5j, 0.8])
@@ -228,7 +228,7 @@ class TestEncode:
 
     def test_eq10_scaling(self):
         points = stbc.make_constellation(4)
-        bf = beamformer.build_dft_atb(2)
+        bf = beamformer.build(beamformer.DFT, 2)
         kappa = beamformer.kappa(beamformer.DFT, 2)
         x1 = _transmit_block(stbc.label_index(np.array([[0, 1], [1, 0]])), points, bf)
         # eq10 carries no array gain N_t / L
@@ -240,7 +240,7 @@ class TestEncode:
         # E ||X||_F^2 = gamma0 * kappa * E ||F S||_F^2 = 4 gamma0 kappa for
         # orthonormal-column F and unit-energy symbols
         points = stbc.make_constellation(16)
-        bf = beamformer.build_dft_atb(2)
+        bf = beamformer.build(beamformer.DFT, 2)
         kappa = beamformer.kappa(beamformer.DFT, 2)
         rng = substream(0, 42)
         gamma0 = 7.0
@@ -295,10 +295,10 @@ class TestDecode:
         k = stbc.bits_per_symbol(order)
         rng = substream(0, 46)
         if scheme == "dft":
-            bf = beamformer.build_dft_atb(2)
+            bf = beamformer.build(beamformer.DFT, 2)
         else:
-            bf = beamformer.build_bpr_atb(
-                2, beamformer.REAL_GOLDEN, np.array([0.0, np.pi]), np.array([np.pi, np.pi])
+            bf = beamformer.build(
+                beamformer.BPR_REAL, 2, np.array([0.0, np.pi]), np.array([np.pi, np.pi])
             )
         for _ in range(50):
             h = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / np.sqrt(2)
@@ -310,7 +310,7 @@ class TestDecode:
 
     def test_matches_exhaustive_ml(self):
         points = stbc.make_constellation(4)
-        bf = beamformer.build_dft_atb(2)
+        bf = beamformer.build(beamformer.DFT, 2)
         codewords, pairs = alamouti_codebook(points)
         rng = substream(0, 47)
         for _ in range(1000):
@@ -327,7 +327,7 @@ class TestDecode:
 
     def test_pure_guessing_limit(self):
         points = stbc.make_constellation(4)
-        bf = beamformer.build_dft_atb(2)
+        bf = beamformer.build(beamformer.DFT, 2)
         rng = substream(0, 48)
         errors = 0
         bits_total = 0
