@@ -135,7 +135,11 @@ def bpr_rotated_sum(q: int, h: np.ndarray, idx1: np.ndarray, idx2: np.ndarray) -
     """
     top, bot = bpr_block_sums(q, h)
     grid1, grid2 = phase_opt.block_grids(q)
-    return _grid_rotations(grid1, idx1) * top + _grid_rotations(grid2, idx2) * bot
+    # each sum is dropped once rotated; the in-place add commutes bit for bit
+    rotated = _grid_rotations(grid1, idx1) * top
+    del top
+    rotated += _grid_rotations(grid2, idx2) * bot
+    return rotated
 
 
 # rounding margin of bpr_floor, as a share of sum_k |a_k|^2 + |b_k|^2

@@ -9,9 +9,12 @@ and a departure angle drawn uniformly on [-pi/2, pi/2]:
 where ``a`` is the steering vector of the array, whose elements sit half
 a wavelength apart (:data:`SPACING`). The i.i.d. complex Gaussian model
 is the classical rich-scattering baseline. Both samplers draw one
-channel per row from a caller-provided generator and return the rows
-antenna-major (``h.T`` is C-contiguous), the layout in which the greedy
-selector and the equivalent channels read them.
+channel per row from a caller-provided generator. The Rayleigh sampler
+returns the rows themselves; the geometric sampler returns each row's
+paths, and :func:`plane_wave_sums` forms the rows of any slice of them,
+so a caller that works in row tiles never holds a block of rows. Rows
+come antenna-major (``h.T`` is C-contiguous), the layout in which the
+greedy selector and the equivalent channels read them.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ def steering_vector(theta: float | np.ndarray, n_antennas: int) -> np.ndarray:
     Element m (0-based) is ``exp(j * 2*pi * SPACING * m * sin(theta))``,
     so element 0 is always 1 and every element has unit modulus. ``theta``
     may be an array of angles; the elements go on a new last axis, giving
-    shape ``theta.shape + (n_antennas,)``. It is :func:`_plane_wave_sums`
+    shape ``theta.shape + (n_antennas,)``. It is :func:`plane_wave_sums`
     of one unit-gain path per angle.
     """
     theta = np.asarray(theta, dtype=np.float64)
@@ -40,10 +43,10 @@ def steering_vector(theta: float | np.ndarray, n_antennas: int) -> np.ndarray:
         raise ValueError("theta must be finite")
     if n_antennas < 1:
         raise ValueError("n_antennas must be at least 1")
-    return _plane_wave_sums(np.ones(theta.shape + (1,)), theta[..., None], n_antennas)
+    return plane_wave_sums(np.ones(theta.shape + (1,)), theta[..., None], n_antennas)
 
 
-def _plane_wave_sums(gains: np.ndarray, angles: np.ndarray, n_antennas: int) -> np.ndarray:
+def plane_wave_sums(gains: np.ndarray, angles: np.ndarray, n_antennas: int) -> np.ndarray:
     """``sum_l gains[..., l] * a(angles[..., l])`` over the paths in the last axis.
 
     Returns an antenna-major array of shape ``gains.shape[:-1] +
@@ -55,7 +58,9 @@ def _plane_wave_sums(gains: np.ndarray, angles: np.ndarray, n_antennas: int) -> 
     exponential; antenna m's wave is antenna m-1's times ``z``, so no
     exponential runs on the ``(..., paths, antennas)`` array. The waves
     are held path-major, so each antenna's sum over the paths adds
-    contiguous rows.
+    contiguous rows. Every row is formed from its own paths alone, so
+    the rows of a slice of the paths are that slice of the rows, bit for
+    bit.
     """
     phase = np.moveaxis(2.0 * np.pi * SPACING * np.sin(angles), -1, 0)
     # cos and sin give the bits of np.exp(1j * phase), without its complex temporaries
@@ -87,20 +92,21 @@ def _complex_normal(shape, rng: np.random.Generator, order: str = "C") -> np.nda
 
 
 def sample_mmwave_batch(
-    n_trials: int, n_paths: int, n_antennas: int, rng: np.random.Generator
-) -> np.ndarray:
-    """One sparse geometric channel per row, drawn from ``rng``.
+    n_trials: int, n_paths: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The paths of one sparse geometric channel per row, drawn from ``rng``.
 
-    Each row sums ``n_paths`` plane waves with i.i.d. CN(0, 1) gains and
-    i.i.d. uniform [-pi/2, pi/2] departure angles. The stream is consumed
-    in a fixed order (gain real parts, gain imaginary parts, angles), so
-    one channel per seed is ``sample_mmwave_batch(1, ..., substream(seed))[0]``.
-    The ``(n_trials, n_antennas)`` result is laid out antenna-major:
-    ``h.T`` is C-contiguous.
+    Returns ``(gains, angles)``, each of shape ``(n_trials, n_paths)``:
+    i.i.d. CN(0, 1) gains and i.i.d. uniform [-pi/2, pi/2] departure
+    angles. The stream is consumed in a fixed order (gain real parts,
+    gain imaginary parts, angles). The channel rows are
+    ``plane_wave_sums(gains[rows], angles[rows], n_antennas)`` for any
+    row slice (:func:`plane_wave_sums`), so one channel per seed is
+    ``plane_wave_sums(*sample_mmwave_batch(1, ..., substream(seed)), n_antennas)[0]``.
     """
     gains = _complex_normal((n_trials, n_paths), rng)
     angles = rng.uniform(-np.pi / 2, np.pi / 2, (n_trials, n_paths))
-    return _plane_wave_sums(gains, angles, n_antennas)
+    return gains, angles
 
 
 def sample_rayleigh_batch(
@@ -109,7 +115,7 @@ def sample_rayleigh_batch(
     """One i.i.d. CN(0, 1) channel per row, the rich-scattering baseline.
 
     The entries are drawn row by row and written straight into an
-    antenna-major buffer, laid out as :func:`sample_mmwave_batch` lays out
+    antenna-major buffer, laid out as :func:`plane_wave_sums` lays out
     its rows: ``h.T`` is C-contiguous, and no transposed copy is made.
     """
     return _complex_normal((n_trials, n_antennas), rng, order="F")

@@ -9,15 +9,21 @@ produce byte-identical CSV output.
 
 Sweeps run in fixed-size trial blocks, and every point of a sweep sees
 the same channel draws. fig2 and fig3 draw block b's channels once from
-their own substream and pass them through one block stage,
-:func:`_block_gains`, which reduces the block to ``||F^H h||^2`` per row
-and scheme, in row tiles: one greedy selection per tile if a blockwise
-scheme needs it, then ``F^H h`` once per scheme. The greedy hands its
-grid indices to the rotated sum (:func:`beamformer.bpr_rotated_sum`),
-and the two blockwise schemes differ only in a scalar, so one rotated
-sum per tile serves both. The stage never holds a block of ``F^H h``,
-and each block is released before the next is drawn. Every ``F^H h``
-is summed antenna by antenna, so no BLAS call runs in the block loop.
+their own substream, as a function of a row slice
+(:func:`_sample_channels`): a geometric block keeps only its paths, and
+the rows of a slice are formed from that slice's paths
+(:func:`channel.plane_wave_sums`); a Rayleigh block's rows are its
+draws. One block stage, :func:`_block_gains`, reduces the block to
+``||F^H h||^2`` per row and scheme, in row tiles, and writes the gains
+into arrays its caller passes: it forms one tile's rows, runs one
+greedy selection on them if a blockwise scheme needs it, then ``F^H h``
+once per scheme. The greedy hands its grid indices to the rotated sum
+(:func:`beamformer.bpr_rotated_sum`), and the two blockwise schemes
+differ only in a scalar, so one rotated sum per tile serves both. The
+stage never holds a block of ``F^H h``, nor a block of geometric
+channel rows; each tile is released before the next is formed, and
+each block before the next is drawn. Every ``F^H h`` is summed antenna
+by antenna, so no BLAS call runs in the block loop.
 No BLAS worker thread spins beside it either: the package root,
 ``beamlink/__init__.py``, loads numpy with one OpenBLAS thread unless
 the caller sets a count, and the manifest records the process's thread
@@ -225,10 +231,18 @@ def _blocks(total: int, seed: int, *key: int):
         yield min(TRIAL_BLOCK, total - start), substream(seed, *key, b)
 
 
-def _sample_channels(cfg: ExperimentConfig, n: int, rng: np.random.Generator) -> np.ndarray:
+def _sample_channels(
+    cfg: ExperimentConfig, n: int, rng: np.random.Generator
+) -> Callable[[slice], np.ndarray]:
+    """Draw ``n`` channels from ``rng`` and return their rows as a function
+    of a row slice: a geometric block keeps only its paths and forms a
+    slice's rows from them (:func:`channel.plane_wave_sums`), a Rayleigh
+    block slices its drawn rows."""
     if cfg.channel_kind == channel.MMWAVE:
-        return channel.sample_mmwave_batch(n, cfg.n_paths, cfg.n_antennas, rng)
-    return channel.sample_rayleigh_batch(n, cfg.n_antennas, rng)
+        gains, angles = channel.sample_mmwave_batch(n, cfg.n_paths, rng)
+        return lambda rows: channel.plane_wave_sums(gains[rows], angles[rows], cfg.n_antennas)
+    h = channel.sample_rayleigh_batch(n, cfg.n_antennas, rng)
+    return lambda rows: h[rows]
 
 
 def _batch_greedy_phases(h: np.ndarray, q: int) -> np.ndarray:
@@ -253,21 +267,25 @@ _GAIN_MARGIN = 1e-5
 
 def _block_gains(
     cfg: ExperimentConfig,
-    schemes: tuple[str, ...],
-    h: np.ndarray,
+    channels: Callable[[slice], np.ndarray],
+    gains: dict[str, np.ndarray],
     limit: np.ndarray | None = None,
-) -> dict[str, np.ndarray]:
-    """The block stage of fig2 and fig3: ``||F^H h||^2`` per row of the
-    block ``h`` for each of ``schemes``, in order.
+) -> None:
+    """The block stage of fig2 and fig3: for each scheme in ``gains``,
+    writes ``||F^H h||^2`` per row of one block into ``gains[scheme]``, an
+    array of the block's length that the caller passes.
 
-    The block runs in row tiles of ``_STAGE_ENTRIES`` channel entries
-    (2048 rows at N = 16, 8192 at N = 4). If any scheme is blockwise,
-    one greedy selection and one :func:`beamformer.bpr_rotated_sum` run
-    on each tile; neither depends on the golden variant, so they serve
-    every blockwise scheme. Each scheme's ``F^H h`` is reduced to its
-    squared row norms at once, so no stage output but the gains is ever
-    held for a whole block. Every kernel of the stage works row by row,
-    so no bit of the result depends on the tiling.
+    ``channels`` gives the rows of a row slice of the block
+    (:func:`_sample_channels`). The block runs in row tiles of
+    ``_STAGE_ENTRIES`` channel entries (2048 rows at N = 16, 8192 at
+    N = 4), and only the current tile's rows are ever formed. If any
+    scheme is blockwise, one greedy selection and one
+    :func:`beamformer.bpr_rotated_sum` run on each tile; neither depends
+    on the golden variant, so they serve every blockwise scheme. Each
+    scheme's ``F^H h`` is reduced to its squared row norms at once, so no
+    stage output but the gains is ever held for a whole block. Every
+    kernel of the stage works row by row, so no bit of the result depends
+    on the tiling.
 
     fig3 passes a ``limit`` per row (:func:`_gain_limits`): an unscaled
     ``||rotated sum||^2`` above which no running blockwise point can
@@ -276,34 +294,39 @@ def _block_gains(
     the computed ``||rotated sum||^2`` whatever the greedy picks. The
     greedy and the rotated sum run on the other rows alone, still one
     call each per tile, with no rows if none is left; the rotated sum
-    forms their Sylvester sums again, with the bits the floor read. The
-    blockwise gains of a skipped row read ``+inf``; every other gain
-    keeps its bits. The margin
-    ``1e-5`` exceeds the ``2e-9`` that ``_ber_block``'s 1e-9 edge takes
-    off a squared gain by 5000 times, and the rounding of the scaled
-    gains, of the limits and of the edges, a few ``u = 2**-53``, by far
-    more. So a skipped row's symbols lie strictly inside their cells at
-    every running blockwise point, as with a gain of ``+inf``: its count
-    is 0 either way. fig2 passes no limit and computes every row.
+    forms their Sylvester sums again, with the bits the floor read. A
+    tile that keeps every row passes the tile itself, with no gathered
+    copy. The blockwise gains of a skipped row are left as the caller
+    set them, and fig3 sets ``+inf``; every other gain keeps its bits.
+    The margin ``1e-5`` exceeds the ``2e-9`` that ``_ber_block``'s 1e-9
+    edge takes off a squared gain by 5000 times, and the rounding of the
+    scaled gains, of the limits and of the edges, a few ``u = 2**-53``,
+    by far more. So a skipped row's symbols lie strictly inside their
+    cells at every running blockwise point, as with a gain of ``+inf``:
+    its count is 0 either way. fig2 passes no limit and computes every
+    row.
     """
-    gains = {scheme: np.full(h.shape[0], np.inf) for scheme in schemes}
-    blockwise = any(scheme in beamformer.BPR_SCHEMES for scheme in schemes)
+    n = len(next(iter(gains.values())))
+    blockwise = any(scheme in beamformer.BPR_SCHEMES for scheme in gains)
     tile = max(1, _STAGE_ENTRIES // cfg.n_antennas)
-    for start in range(0, h.shape[0], tile):
+    for start in range(0, n, tile):
         rows = slice(start, start + tile)
-        part, near, rotated = h[rows], slice(None), None
+        part = gated = channels(rows)
+        near, rotated = slice(None), None
         if blockwise and limit is not None:
             floor = beamformer.bpr_floor(cfg.q, part)
-            near = np.flatnonzero(~(limit[rows] < floor * (1.0 - _GAIN_MARGIN)))
-        gated = part[near]
+            skip = limit[rows] < floor * (1.0 - _GAIN_MARGIN)
+            if skip.any():
+                near = np.flatnonzero(~skip)
+                gated = part[near]
         if blockwise:
-            idx = _batch_greedy_phases(gated, cfg.q)
-            rotated = beamformer.bpr_rotated_sum(cfg.q, gated, *idx)
-        for scheme in schemes:
+            rotated = beamformer.bpr_rotated_sum(cfg.q, gated, *_batch_greedy_phases(gated, cfg.q))
+        for scheme, out in gains.items():
             bpr = scheme in beamformer.BPR_SCHEMES
             h_eq = _batch_equivalent_channels(scheme, gated if bpr else part, cfg, rotated)
-            gains[scheme][rows][near if bpr else slice(None)] = np.sum(np.abs(h_eq) ** 2, axis=1)
-    return gains
+            out[rows][near if bpr else slice(None)] = np.sum(np.abs(h_eq) ** 2, axis=1)
+        # the tile is released before the next one is formed
+        del part, gated, rotated, h_eq
 
 
 def _link_draw(
@@ -429,7 +452,8 @@ def ber_grid(cfg: ExperimentConfig) -> tuple[list[BerPoint], int]:
         schemes = tuple(dict.fromkeys(p.scheme for p in active))
         link = _link_draw(n, cfg.modulation, substream(cfg.seed, _PURPOSE_FIG3, b))
         limit = _gain_limits(cfg, active, link[2])
-        gains = _block_gains(cfg, schemes, _sample_channels(cfg, n, rng), limit)
+        gains = {scheme: np.full(n, np.inf) for scheme in schemes}
+        _block_gains(cfg, _sample_channels(cfg, n, rng), gains, limit)
         for p in active:
             p.bit_errors += _ber_block(gains[p.scheme], points, p.amplitude, link)
             p.trials += n
@@ -579,7 +603,7 @@ def run_fig1(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     theta = np.linspace(-np.pi / 2, np.pi / 2, FIG1_ANGLES)
-    h = _sample_channels(cfg, 1, substream(cfg.seed, _PURPOSE_FIG1))
+    h = _sample_channels(cfg, 1, substream(cfg.seed, _PURPOSE_FIG1))(slice(None))
     phases = ()
     notes = []
     if any(scheme in beamformer.BPR_SCHEMES for scheme in cfg.schemes):
@@ -638,15 +662,16 @@ def quadratic_forms(cfg: ExperimentConfig) -> dict[str, np.ndarray]:
     ``trials`` channel draws that every scheme shares.
 
     Each block of draws passes through the block stage,
-    :func:`_block_gains`, and is released before the next one is drawn.
+    :func:`_block_gains`, which writes its gains straight into the
+    block's slice of the result, and is released before the next one is
+    drawn.
     """
     _check_fig2(cfg)
     quad_forms: dict[str, np.ndarray] = {s: np.empty(cfg.trials) for s in cfg.schemes}
     done = 0
     for n, rng in _blocks(cfg.trials, cfg.seed, _PURPOSE_FIG2):
-        gains = _block_gains(cfg, cfg.schemes, _sample_channels(cfg, n, rng))
-        for scheme, gain in gains.items():
-            quad_forms[scheme][done : done + n] = gain
+        block = {scheme: qf[done : done + n] for scheme, qf in quad_forms.items()}
+        _block_gains(cfg, _sample_channels(cfg, n, rng), block)
         done += n
     return quad_forms
 

@@ -38,13 +38,12 @@ def block_grids(q: int) -> tuple[np.ndarray, np.ndarray]:
     return angles[:half], angles[half:]
 
 
-# channel rows in one tile; no bit of the result depends on it. A slot's
-# (m, rows) candidate arrays then take at most n * 64 KiB each: 256 KiB at
-# n = 4, where larger tiles ran slower, and 1 MiB at n = 16. Each 8192-row
-# harness stage tile at n = 4 runs as two greedy tiles: one greedy tile per
-# stage tile raised a Rayleigh 4-QAM run's median peak RSS by 1.3 to
-# 1.6 MiB. The 2048-row stage tiles at n = 16 never split.
-_TILE_ROWS = 4096
+# channel entries in one tile, 4096 rows at n = 4 and 1024 at n = 16; no
+# bit of the result depends on it. A slot's (m, rows) candidate arrays then
+# take at most 256 KiB each, whatever n. Each harness stage tile of 2**15
+# entries runs as two greedy tiles: one greedy tile per stage tile raised a
+# Rayleigh 4-QAM run's median peak RSS by 1.3 to 1.6 MiB.
+_TILE_ENTRIES = 2**14
 
 
 def greedy_bpr_indices(h: np.ndarray, q: int) -> np.ndarray:
@@ -90,12 +89,11 @@ def greedy_bpr_indices(h: np.ndarray, q: int) -> np.ndarray:
     rounding decide, where this kernel takes the angle ``rint`` gives.
     Either choice scores the full-grid maximum up to rounding.
 
-    Rows run in tiles of ``_TILE_ROWS`` rows; neither the tiling nor the
-    layout of ``h`` changes a bit of the result. When ``h.T`` is
-    C-contiguous, as the channel samplers return it, each tile's
-    ``conj(h).T`` is formed in one contiguous pass, with no transposed
-    copy. A row holding NaN or inf has no maximum to pick and raises a
-    ValueError.
+    Rows run in tiles of ``_TILE_ENTRIES`` channel entries; neither the
+    tiling nor the layout of ``h`` changes a bit of the result. Each
+    tile's C-contiguous ``conj(h).T`` is formed in one pass, whatever the
+    layout of ``h``. A row holding NaN or inf has no maximum to pick and
+    raises a ValueError.
     """
     h = np.asarray(h, dtype=np.complex128)
     grids = block_grids(q)
@@ -106,9 +104,10 @@ def greedy_bpr_indices(h: np.ndarray, q: int) -> np.ndarray:
         raise ValueError(f"h must be finite, but row {int(finite.argmin())} holds NaN or inf")
     b, n = h.shape
     idx = np.empty((2, b, n // 2), dtype=np.int64)
-    for start in range(0, b, _TILE_ROWS):
-        rows = slice(start, start + _TILE_ROWS)
-        _greedy_tile(np.ascontiguousarray(h[rows].conj().T), grids, idx[:, rows])
+    tile = max(1, _TILE_ENTRIES // n)
+    for start in range(0, b, tile):
+        rows = slice(start, start + tile)
+        _greedy_tile(np.conjugate(h[rows].T, order="C"), grids, idx[:, rows])
     return idx
 
 
@@ -138,14 +137,23 @@ def _greedy_tile(
                 near, score = np.zeros(cand.shape, dtype=np.int64), cand
             else:
                 # + 0.0 makes the signed zeros of a zero product +0, whose
-                # angle is 0, so a row with acc = 0 takes grid index 0
-                phase = np.angle(cand * acc.conj() + 0.0)
-                near = np.rint(phase * (-size / (2 * np.pi))).astype(np.int64) & (size - 1)
+                # angle is 0, so a row with acc = 0 takes grid index 0; the
+                # chain runs in place, and each step drops the one before
+                phase = cand * acc.conj()
+                phase += 0.0
+                phase = np.angle(phase)
+                phase *= -size / (2 * np.pi)
+                np.rint(phase, out=phase)
+                near = phase.astype(np.int64)
+                near &= size - 1
                 # operand order fixed, as complex products round by order; the
                 # in-place add skips a broadcast output and commutes bit for bit
                 score = rotations[near] * cand
                 score += acc
-            pos = _first_max(np.abs(score))
+            # each score gives way to its magnitude, dropped once scanned
+            score = np.abs(score)
+            pos = _first_max(score)
+            del score
             flat = pos * rows + col
             g = near.ravel().take(flat)
             idx[block, :, slot] = g

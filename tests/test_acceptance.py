@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from beamlink import analysis, beamformer, harness, phase_opt, stbc
-from beamlink.channel import sample_mmwave_batch
+from beamlink.channel import plane_wave_sums, sample_mmwave_batch
 from beamlink.rng import substream
 
 from oracles import (
@@ -108,7 +108,7 @@ def test_criterion_3_greedy_vs_oracle():
     bounded = 0
     beats_random = 0
     for seed in range(n_channels):
-        h = sample_mmwave_batch(1, 3, 4, substream(seed))[0]
+        h = plane_wave_sums(*sample_mmwave_batch(1, 3, substream(seed)), 4)[0]
         _, _, gain = replay_greedy(h[None], phase_opt.greedy_bpr_indices(h[None], 2), *grids)
         exhaustive = blockwise_bruteforce_gain(h, *grids)
         bounded += gain[0] <= exhaustive + 1e-10
@@ -182,7 +182,7 @@ def test_criterion_6_union_and_chernoff_dominance():
     chernoff_ok = True
     details = []
     for ch_seed in (1, 2, 3):
-        h = sample_mmwave_batch(1, 3, 4, substream(ch_seed))[0]
+        h = plane_wave_sums(*sample_mmwave_batch(1, 3, substream(ch_seed)), 4)[0]
         idx = phase_opt.greedy_bpr_indices(h[None], 2)[:, 0]
         phi1, phi2 = (grid[i] for grid, i in zip(phase_opt.block_grids(2), idx))
         bf = beamformer.build(beamformer.BPR_REAL, 2, phi1, phi2)

@@ -256,7 +256,7 @@ class TestAntennaMajorRows:
     def test_row_tiles_give_the_bits_of_their_c_order_copy(self, q, kind):
         rng = substream(q, 42)
         if kind == "mmwave":
-            h = channel.sample_mmwave_batch(3000, 3, 2**q, rng)
+            h = channel.plane_wave_sums(*channel.sample_mmwave_batch(3000, 3, rng), 2**q)
         else:
             h = channel.sample_rayleigh_batch(3000, 2**q, rng)
         tile = h[700:2300]
@@ -359,7 +359,7 @@ def _adversarial_rows(q, rows, rng):
     n, half = 2**q, 2 ** (q - 1)
     draws = {
         "rayleigh": channel.sample_rayleigh_batch(rows, n, rng),
-        "mmwave": channel.sample_mmwave_batch(rows, 3, n, rng),
+        "mmwave": channel.plane_wave_sums(*channel.sample_mmwave_batch(rows, 3, rng), n),
     }
     groups = {}
     for kind, h in draws.items():

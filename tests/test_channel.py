@@ -86,17 +86,22 @@ class _FixedPaths:
         return self.angles
 
 
+def _mmwave_rows(n_trials, n_paths, n_antennas, rng):
+    """The rows of one block of geometric channels, formed from its paths."""
+    return channel.plane_wave_sums(*channel.sample_mmwave_batch(n_trials, n_paths, rng), n_antennas)
+
+
 class TestMmwaveChannel:
     def test_single_boresight_path_gives_ones(self):
-        h = channel.sample_mmwave_batch(1, 1, 4, _FixedPaths([[1.0]], [[0.0]]))
+        h = _mmwave_rows(1, 1, 4, _FixedPaths([[1.0]], [[0.0]]))
         np.testing.assert_allclose(h[0], np.ones(4))
         np.testing.assert_allclose(h[0], geometric_channel([1.0], [0.0], 4, 0.5))
 
     def test_seed_determinism(self):
-        a = channel.sample_mmwave_batch(1, 3, 4, substream(42))
-        b = channel.sample_mmwave_batch(1, 3, 4, substream(42))
+        a = _mmwave_rows(1, 3, 4, substream(42))
+        b = _mmwave_rows(1, 3, 4, substream(42))
         assert np.array_equal(a, b)
-        c = channel.sample_mmwave_batch(1, 3, 4, substream(43))
+        c = _mmwave_rows(1, 3, 4, substream(43))
         assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -108,7 +113,7 @@ class TestMmwaveChannel:
         re, im = rng.standard_normal(3), rng.standard_normal(3)
         angles = rng.uniform(-np.pi / 2, np.pi / 2, 3)
         gains = (re + 1j * im) / np.sqrt(2)
-        h = channel.sample_mmwave_batch(1, 3, 8, substream(seed))
+        h = _mmwave_rows(1, 3, 8, substream(seed))
         assert h.shape == (1, 8)
         np.testing.assert_allclose(h[0], geometric_channel(gains, angles, 8, 0.5), atol=1e-13)
 
@@ -116,7 +121,7 @@ class TestMmwaveChannel:
         # E ||h||^2 = L * N_t for unit-variance gains and unit-modulus steering
         L, n, trials = 3, 4, 100_000
         rng = substream(5, 0)
-        h = channel.sample_mmwave_batch(trials, L, n, rng)
+        h = _mmwave_rows(trials, L, n, rng)
         stat = np.sum(np.abs(h) ** 2, axis=1) / n
         se = stat.std(ddof=1) / np.sqrt(trials)
         assert abs(stat.mean() - L) < 3 * se
@@ -125,7 +130,7 @@ class TestMmwaveChannel:
         rng = substream(9, 0)
         gains = (rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3))) / np.sqrt(2)
         angles = rng.uniform(-np.pi / 2, np.pi / 2, (50, 3))
-        batch = channel.sample_mmwave_batch(50, 3, 4, _FixedPaths(gains, angles))
+        batch = _mmwave_rows(50, 3, 4, _FixedPaths(gains, angles))
         for i in range(50):
             np.testing.assert_allclose(
                 batch[i], geometric_channel(gains[i], angles[i], 4, 0.5), atol=1e-13
@@ -137,7 +142,7 @@ class TestMmwaveChannel:
         # the rows match the sum over paths of an exponential per (path,
         # antenna) phase, and the naive oracle, to rounding
         n, spacing = 2000, 0.5
-        h = channel.sample_mmwave_batch(n, 3, n_antennas, substream(10, n_antennas))
+        h = _mmwave_rows(n, 3, n_antennas, substream(10, n_antennas))
         assert h.shape == (n, n_antennas)
         # the rows come antenna-major, the layout the greedy and F^H h read
         assert h.T.flags.c_contiguous
@@ -186,6 +191,32 @@ class TestRayleighChannel:
         assert np.array_equal(h[0], expected)
 
 
+class TestPlaneWaveTiles:
+    """The rows formed from a slice of a block's paths are that slice of
+    the block's rows, bit for bit, so a caller may form them tile by tile."""
+
+    @pytest.mark.parametrize("tile", [1, 7, 2048])
+    def test_sliced_paths_give_the_bits_of_the_whole_block(self, tile):
+        # 4100 rows: the 7- and 2048-row tiles end on a short last tile
+        n = 4100
+        gains, angles = channel.sample_mmwave_batch(n, 3, substream(tile, 83))
+        whole = channel.plane_wave_sums(gains, angles, 16)
+        for start in range(0, n, tile):
+            rows = slice(start, start + tile)
+            got = channel.plane_wave_sums(gains[rows], angles[rows], 16)
+            assert got.T.flags.c_contiguous
+            assert got.tobytes() == whole[rows].tobytes(), start
+
+    def test_sampler_returns_the_paths_in_stream_order(self):
+        # gain real parts, then imaginary parts, then angles
+        rng = substream(3, 84)
+        re, im = rng.standard_normal((500, 3)), rng.standard_normal((500, 3))
+        angles = rng.uniform(-np.pi / 2, np.pi / 2, (500, 3))
+        got_gains, got_angles = channel.sample_mmwave_batch(500, 3, substream(3, 84))
+        assert got_gains.tobytes() == ((re + 1j * im) / np.sqrt(2.0)).tobytes()
+        assert got_angles.tobytes() == angles.tobytes()
+
+
 class TestSamplerBits:
     """The samplers write their real and imaginary parts in place, with the
     bits of the complex expressions that built them before."""
@@ -214,7 +245,7 @@ class TestSamplerBits:
         angles = rng.uniform(-np.pi / 2, np.pi / 2, (n, 3))
         step = np.exp(1j * (2.0 * np.pi * channel.SPACING * np.sin(angles))).T
         wave = np.ascontiguousarray(gains.T)
-        got = channel._plane_wave_sums(gains, angles, 8)
+        got = channel.plane_wave_sums(gains, angles, 8)
         for m in range(8):
             if m:
                 wave = wave * step

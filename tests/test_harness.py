@@ -52,6 +52,19 @@ def _stage_tiles(cfg, blocks):
     return [min(tile, n - start) for n in blocks for start in range(0, n, tile)]
 
 
+def _block_rows(cfg, n, rng):
+    """Every row of one block of ``cfg``'s channels, drawn from ``rng``."""
+    return harness._sample_channels(cfg, n, rng)(slice(None))
+
+
+def _stage_gains(cfg, schemes, h, limit=None):
+    """:func:`harness._block_gains` of the rows ``h`` for ``schemes``, into
+    outputs that start at ``+inf``, as fig3's do."""
+    gains = {scheme: np.full(h.shape[0], np.inf) for scheme in schemes}
+    harness._block_gains(cfg, lambda rows: h[rows], gains, limit)
+    return gains
+
+
 class _Replay:
     """A generator that hands :func:`harness._link_draw` the given bits,
     then the real and then the imaginary parts of the given unit noise."""
@@ -263,7 +276,7 @@ class TestBatchKernels:
         # elements from {1, j, -1, -j}, so equal scores across elements are
         # common and the order in which unplaced elements are scanned shows
         n = 2**q
-        tile = phase_opt._TILE_ROWS
+        tile = phase_opt._TILE_ENTRIES // n
         b = 2 * tile + 300
         rng = substream(q, 63)
         h = (rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n))) / np.sqrt(2)
@@ -280,7 +293,7 @@ class TestBatchKernels:
         idx1, idx2 = harness._batch_greedy_phases(h, 2)
         rotated = beamformer.bpr_rotated_sum(2, h, idx1, idx2)
         batch = harness._batch_equivalent_channels(scheme, h, cfg, rotated)
-        gains = harness._block_gains(cfg, (scheme,), h)[scheme]
+        gains = _stage_gains(cfg, (scheme,), h)[scheme]
         for i in range(100):
             bf = beamformer.build(scheme, 2, grid1[idx1[i]], grid2[idx2[i]])
             expected = beamformer.equivalent_channel(bf, h[i])
@@ -321,7 +334,7 @@ class TestBatchKernels:
         )
         tile = harness._STAGE_ENTRIES // cfg.n_antennas
         for b, (size, rng) in enumerate(harness._blocks(n, cfg.seed, harness._PURPOSE_FIG3_CHANNEL)):
-            h = harness._sample_channels(cfg, size, rng)
+            h = _block_rows(cfg, size, rng)
             link = harness._link_draw(size, cfg.modulation, substream(cfg.seed, harness._PURPOSE_FIG3, b))
             limit = link[2].max(axis=1) ** 2 / scale
             # the Sylvester sums of q = 2: W = [[1, 1], [1, -1]]
@@ -402,11 +415,9 @@ class TestBatchKernels:
         for b in range(20):
             kind = channel.CHANNEL_KINDS[b % 2]
             scheme = cfg.schemes[b % 4]
-            h = harness._sample_channels(
-                harness.ExperimentConfig(channel_kind=kind), 1024, substream(b, 71)
-            )
+            h = _block_rows(harness.ExperimentConfig(channel_kind=kind), 1024, substream(b, 71))
             h[::97] = 0.0
-            gain = harness._block_gains(cfg, (scheme,), h)[scheme]
+            gain = _stage_gains(cfg, (scheme,), h)[scheme]
             rotated = beamformer.bpr_rotated_sum(2, h, *harness._batch_greedy_phases(h, 2))
             h_eq = harness._batch_equivalent_channels(scheme, h, cfg, rotated)
             np.testing.assert_array_equal(gain, np.sum(np.abs(h_eq) ** 2, axis=1))
@@ -484,9 +495,9 @@ class TestBatchKernels:
         # family-wise level of 1e-3 (Bonferroni over the 12 points).
         n = harness.TRIAL_BLOCK
         cfg = _tiny_cfg(schemes=("dft",))
-        h = harness._sample_channels(cfg, n, substream(0, 73))
+        h = _block_rows(cfg, n, substream(0, 73))
         h_eq = beamformer.equivalent_channel(beamformer.build("dft", 2), h)
-        gain = harness._block_gains(cfg, ("dft",), h)["dft"]
+        gain = _stage_gains(cfg, ("dft",), h)["dft"]
         amplitudes = [
             stbc.link_amplitude(10.0 ** (db / 10), 1.0, "eq1", 4, 3) for db in (0, 10, 20)
         ]
@@ -513,7 +524,7 @@ def _gate_block(kind, order, seed):
     row zero) and one link draw of the given order."""
     cfg = _tiny_cfg(schemes=beamformer.SCHEMES, channel_kind=kind, modulation=order)
     n = harness.TRIAL_BLOCK
-    h = harness._sample_channels(cfg, n, substream(seed, 90))
+    h = _block_rows(cfg, n, substream(seed, 90))
     h[::331] = 0.0
     return cfg, h, harness._link_draw(n, order, substream(seed, 91, order))
 
@@ -534,14 +545,50 @@ class TestGainGate:
         cfg, h, link = _gate_block("rayleigh", 4, 0)
         assert harness._gain_limits(cfg, _active(cfg, [("dft", 10.0)]), link[2]) is None
 
+    def test_tile_that_keeps_every_row_is_passed_itself(self, monkeypatch):
+        # an infinite limit keeps every row: the greedy and the rotated sum
+        # get each tile's own array, with no gathered copy, and one tile
+        # with a finite limit row still gets a gathered copy of the others
+        cfg, h, link = _gate_block("mmwave", 4, 3)
+        tile = harness._STAGE_ENTRIES // cfg.n_antennas
+        limit = np.full(h.shape[0], np.inf)
+        limit[tile + 5] = -1.0
+        tiles, greedy_rows, summed_rows = [], [], []
+
+        def channels(rows):
+            tiles.append(h[rows].copy())
+            return tiles[-1]
+
+        def greedy(h, q, _fn=harness._batch_greedy_phases):
+            greedy_rows.append(h)
+            return _fn(h, q)
+
+        def rotated_sum(q, h, idx1, idx2, _fn=beamformer.bpr_rotated_sum):
+            summed_rows.append(h)
+            return _fn(q, h, idx1, idx2)
+
+        monkeypatch.setattr(harness, "_batch_greedy_phases", greedy)
+        monkeypatch.setattr(beamformer, "bpr_rotated_sum", rotated_sum)
+        gains = {scheme: np.full(h.shape[0], np.inf) for scheme in cfg.schemes}
+        harness._block_gains(cfg, channels, gains, limit)
+        assert len(tiles) == len(greedy_rows) == len(summed_rows) == 2
+        assert greedy_rows[0] is summed_rows[0] is tiles[0]
+        assert greedy_rows[1] is summed_rows[1] is not tiles[1]
+        assert len(greedy_rows[1]) == tile - 1
+        full = _stage_gains(cfg, cfg.schemes, h)
+        for scheme in beamformer.BPR_SCHEMES:
+            full[scheme][tile + 5] = np.inf
+        for scheme in cfg.schemes:
+            np.testing.assert_array_equal(gains[scheme], full[scheme])
+
     @pytest.mark.parametrize("kind", channel.CHANNEL_KINDS)
     @pytest.mark.parametrize("snr_db", [0.0, 10.0, 17.5, 30.0])
     def test_gated_gains_equal_the_full_stage_on_computed_rows(self, kind, snr_db):
         cfg, h, link = _gate_block(kind, 4, 1)
         active = _active(cfg, [(scheme, snr_db) for scheme in cfg.schemes])
         limit = harness._gain_limits(cfg, active, link[2])
-        full = harness._block_gains(cfg, cfg.schemes, h)
-        gated = harness._block_gains(cfg, cfg.schemes, h, limit)
+        full = _stage_gains(cfg, cfg.schemes, h)
+        gated = _stage_gains(cfg, cfg.schemes, h, limit)
         floor = beamformer.bpr_floor(2, h)
         computed = ~(limit < floor * (1.0 - harness._GAIN_MARGIN))
         for scheme in cfg.schemes:
@@ -566,8 +613,8 @@ class TestGainGate:
         cfg, h, link = _gate_block(kind, order, 2)
         active = _active(cfg, [("bpr-real", snr_real), ("bpr-complex", snr_complex)])
         limit = harness._gain_limits(cfg, active, link[2])
-        full = harness._block_gains(cfg, beamformer.BPR_SCHEMES, h)
-        gated = harness._block_gains(cfg, beamformer.BPR_SCHEMES, h, limit)
+        full = _stage_gains(cfg, beamformer.BPR_SCHEMES, h)
+        gated = _stage_gains(cfg, beamformer.BPR_SCHEMES, h, limit)
         assert any(np.isinf(g).any() for g in gated.values())
         points = stbc.make_constellation(order)
         smallest = min(
@@ -607,8 +654,8 @@ class TestGainGate:
         target = link[2].max(axis=1) ** 2 * (1.0 - offset)
         h *= np.sqrt(target / (amp**2 * scale * norm))[:, None]
         limit = harness._gain_limits(cfg, active, link[2])
-        full = harness._block_gains(cfg, cfg.schemes, h)["bpr-real"]
-        gated = harness._block_gains(cfg, cfg.schemes, h, limit)["bpr-real"]
+        full = _stage_gains(cfg, cfg.schemes, h)["bpr-real"]
+        gated = _stage_gains(cfg, cfg.schemes, h, limit)["bpr-real"]
         points = stbc.make_constellation(order)
         want = harness._ber_block(full, points, amp, link)
         assert want > 0
@@ -811,6 +858,25 @@ class TestFig2:
             got = harness.quadratic_forms(cfg)
             for scheme in cfg.schemes:
                 assert got[scheme].tobytes() == want[scheme].tobytes(), (rows, scheme)
+
+    def test_stage_streams_its_blocks_in_bounded_memory(self):
+        # fig2-array16's config, N = 16, at 32768 and 65536 draws. The stage
+        # forms each tile's rows from the block's paths, so its peak less
+        # its output stays under 4.5 MiB, and a block more changes it by
+        # at most 64 KiB. A stage that drew each block's 4 MiB of channel
+        # rows whole read 8.4 MiB.
+        transient = []
+        for trials in (2 * harness.TRIAL_BLOCK, 4 * harness.TRIAL_BLOCK):
+            cfg = harness.ExperimentConfig(n_antennas=16, n_rf=8, trials=trials)
+            tracemalloc.start()
+            try:
+                out = harness.quadratic_forms(cfg)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            transient.append(peak - sum(qf.nbytes for qf in out.values()))
+        assert max(transient) <= 4.5 * 2**20, transient
+        assert abs(transient[1] - transient[0]) <= 64 * 2**10, transient
 
     def test_stage_memory_stays_within_three_blocks(self):
         # fig2-array16's config: N = 16, 32768 mmwave draws in two blocks

@@ -164,7 +164,7 @@ class TestGreedy:
         h = np.concatenate(
             [
                 channel.sample_rayleigh_batch(8192, n, rng),
-                channel.sample_mmwave_batch(8192, 3, n, rng),
+                channel.plane_wave_sums(*channel.sample_mmwave_batch(8192, 3, rng), n),
             ]
         )
         psi = rng.uniform(0, 2 * np.pi, h.shape[0])
@@ -188,7 +188,7 @@ class TestGreedy:
         h = np.concatenate(
             [
                 channel.sample_rayleigh_batch(8192, n, rng),
-                channel.sample_mmwave_batch(8192, 3, n, rng),
+                channel.plane_wave_sums(*channel.sample_mmwave_batch(8192, 3, rng), n),
             ]
         )
         want = phase_opt.greedy_bpr_indices(h, q)
@@ -254,7 +254,7 @@ class TestLayout:
         # two full tiles and a short last one; every tenth row lies on the
         # {1, j, -1, -j} lattice, where candidates tie exactly
         n = 2**q
-        rows = 2 * phase_opt._TILE_ROWS + 100
+        rows = 2 * (phase_opt._TILE_ENTRIES // n) + 100
         rng = substream(q, 66)
         h = np.ascontiguousarray(channel.sample_rayleigh_batch(rows, n, rng))
         lattice = np.array([1, 1j, -1, -1j])
@@ -310,10 +310,10 @@ class TestLayout:
                 differ.append((s, t))
             return first_max(scores)
 
-        monkeypatch.setattr(phase_opt, "_TILE_ROWS", rows)
+        monkeypatch.setattr(phase_opt, "_TILE_ENTRIES", rows * n)
         monkeypatch.setattr(phase_opt, "_first_max", recording)
         phase_opt.greedy_bpr_indices(h, q)
-        monkeypatch.setattr(phase_opt, "_TILE_ROWS", small)
+        monkeypatch.setattr(phase_opt, "_TILE_ENTRIES", small * n)
         monkeypatch.setattr(phase_opt, "_first_max", comparing)
         phase_opt.greedy_bpr_indices(h, q)
         assert len(whole) == n and calls == n * rows // small
@@ -332,7 +332,7 @@ class TestFullGridIdentity:
         rows = 2**16 + 300
         rng = substream(q, 64)
         if kind == "mmwave":
-            h = channel.sample_mmwave_batch(rows, 3, 2**q, rng)
+            h = channel.plane_wave_sums(*channel.sample_mmwave_batch(rows, 3, rng), 2**q)
         else:
             h = channel.sample_rayleigh_batch(rows, 2**q, rng)
         self._assert_identical(h, q)
@@ -341,7 +341,7 @@ class TestFullGridIdentity:
         rng = substream(5, 64)
         h = np.concatenate(
             [
-                channel.sample_mmwave_batch(8192, 3, 32, rng),
+                channel.plane_wave_sums(*channel.sample_mmwave_batch(8192, 3, rng), 32),
                 channel.sample_rayleigh_batch(8192, 32, rng),
             ]
         )
@@ -423,7 +423,7 @@ class TestTieRule:
         # every angle ties at slot 1; the rule, not rounding, takes index 0
         rng = substream(q, 68)
         if kind == "mmwave":
-            h = channel.sample_mmwave_batch(4096, 3, 2**q, rng)
+            h = channel.plane_wave_sums(*channel.sample_mmwave_batch(4096, 3, rng), 2**q)
         else:
             h = channel.sample_rayleigh_batch(4096, 2**q, rng)
         np.testing.assert_array_equal(phase_opt.greedy_bpr_indices(h, q)[0, :, 0], 0)
