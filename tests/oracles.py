@@ -273,6 +273,90 @@ def replay_greedy(
     return phi, slots, np.abs(acc)
 
 
+def greedy_nearest_angle(
+    h: np.ndarray, grid1: np.ndarray, grid2: np.ndarray, tile_entries: int = 2**14
+) -> np.ndarray:
+    """Batched greedy blockwise selection that scores each unplaced element
+    at its nearest grid angle, by that angle's ``atan2`` and the ``hypot``
+    of the rotated sum.
+
+    Every slot takes each element's nearest angle
+    ``rint(-G angle(conj(h_v) conj(acc)) / 2 pi) mod G``, scores it as
+    ``abs(acc + rotation * conj(h_v))`` and places the first maximum
+    over the elements in ascending index order, found by a running
+    scan; the placed element leaves by an order-keeping ``take``. Slot
+    1 takes grid index 0 and the first maximum of ``|h_v|``. The rows
+    of ``h``, shape ``(b, n)``, run in tiles of ``tile_entries``
+    entries. Returns the grid indices laid out as
+    ``phase_opt.greedy_bpr_indices`` lays them out.
+    """
+    b, n = h.shape
+    idx = np.empty((2, b, n // 2), dtype=np.int64)
+    tile = max(1, tile_entries // n)
+    for start in range(0, b, tile):
+        rows = slice(start, start + tile)
+        _nearest_angle_tile(np.conjugate(h[rows].T, order="C"), (grid1, grid2), idx[:, rows])
+    return idx
+
+
+def _nearest_angle_tile(
+    hc: np.ndarray, grids: tuple[np.ndarray, np.ndarray], idx: np.ndarray
+) -> None:
+    """:func:`greedy_nearest_angle` on the element-major tile
+    ``hc = conj(h).T``, shape ``(n, rows)``; fills the tile's view ``idx``."""
+    n, rows = hc.shape
+    col = np.arange(rows)
+    acc = np.zeros(rows, dtype=np.complex128)
+    cand = hc
+    for block, angles in enumerate(grids):
+        size = angles.size
+        rotations = np.exp(1j * angles)
+        for slot in range(n // 2):
+            if block == slot == 0:
+                # nothing placed: grid index 0, of rotation 1, scores |conj(h_v)|
+                near, score = np.zeros(cand.shape, dtype=np.int64), cand
+            else:
+                # + 0.0 makes the signed zeros of a zero product +0, whose
+                # angle is 0, so a row with acc = 0 takes grid index 0
+                phase = cand * acc.conj()
+                phase += 0.0
+                phase = np.angle(phase)
+                phase *= -size / (2 * np.pi)
+                np.rint(phase, out=phase)
+                near = phase.astype(np.int64)
+                near &= size - 1
+                score = rotations[near] * cand
+                score += acc
+            score = np.abs(score)
+            pos = _running_first_max(score)
+            del score
+            flat = pos * rows + col
+            g = near.ravel().take(flat)
+            idx[block, :, slot] = g
+            if cand.shape[0] == 1:
+                break
+            acc = acc + rotations[g] * cand.ravel().take(flat)
+            j = np.arange(cand.shape[0] - 1)[:, None]
+            cand = cand.ravel().take((j + (j >= pos)) * rows + col)
+
+
+def _running_first_max(scores: np.ndarray) -> np.ndarray:
+    """Row index of the first maximum in each column of ``scores``, by a
+    running scan over the rows in ascending order."""
+    pos = np.zeros(scores.shape[1], dtype=np.int64)
+    best = scores[0]
+    for j in range(1, scores.shape[0]):
+        pos = np.where(scores[j] > best, j, pos)
+        best = np.maximum(best, scores[j])
+    return pos
+
+
+def grid_projection_bruteforce(p: np.ndarray, size: int) -> np.ndarray:
+    """``max_k Re(exp(2 pi j k / size) p)`` over all ``size`` grid rotations."""
+    k = np.arange(size)
+    return np.max(np.real(np.exp(2j * np.pi * k / size) * np.asarray(p)[..., None]), axis=-1)
+
+
 def label_rows(order: int) -> np.ndarray:
     """Gray bit labels of an ``order``-point constellation, one row per label index.
 

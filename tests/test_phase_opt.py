@@ -11,6 +11,8 @@ from oracles import (
     blockwise_bruteforce_gain,
     element_grid_angles,
     greedy_full_grid,
+    greedy_nearest_angle,
+    grid_projection_bruteforce,
     joint_bruteforce_gain,
     random_blockwise_gain,
     replay_greedy,
@@ -245,6 +247,27 @@ class TestGreedy:
             phase_opt.greedy_bpr_indices(h, 2)
 
 
+    @pytest.mark.parametrize("q", [2, 4])
+    def test_rows_far_from_unit_scale_keep_their_indices(self, q):
+        # near 2**-530 the scores of a unit row scaled down underflow and
+        # moved decisions, and from 2**511 they overflow; each such row is
+        # scored at an exact power-of-two scale, so it keeps its indices,
+        # whatever the scales of the rows that share its tile
+        n = 2**q
+        rng = substream(q, 72)
+        h = np.concatenate(
+            [
+                channel.sample_rayleigh_batch(4096, n, rng),
+                channel.plane_wave_sums(*channel.sample_mmwave_batch(4096, 3, rng), n),
+            ]
+        )
+        exps = [-1000, -600, -540, -530, -520, -511, 0, 500, 510, 600, 1000]
+        e = rng.choice(exps, size=(h.shape[0], 1))
+        scaled = np.ldexp(h.real, e) + 1j * np.ldexp(h.imag, e)
+        np.testing.assert_array_equal(
+            phase_opt.greedy_bpr_indices(scaled, q), phase_opt.greedy_bpr_indices(h, q)
+        )
+
 class TestLayout:
     """The selection does not depend on how the rows of ``h`` are laid out
     or batched."""
@@ -284,9 +307,10 @@ class TestLayout:
         # selections cannot show a product whose operand order moves with
         # the tile. One 8192-row tile scores operands of 256 KiB and more,
         # which numpy's temporary elision may reuse and so reorder; 64-row
-        # tiles score operands too small for it. Rotations by a multiple of
-        # pi/2 are exact, so an order shows from q = 4 on; entries of 3 keep
-        # the integer rows' products inexact there
+        # tiles score operands too small for it. Entries of 3 keep the
+        # integer rows' products inexact. Each column's candidates are
+        # swap-removed by that column's own picks, so a column holds its
+        # candidates in the same order in every tile
         n, rows, small = 2**q, 8192, 64
         rng = substream(q, 68)
         if kind == "rayleigh":
@@ -296,11 +320,11 @@ class TestLayout:
         first_max = phase_opt._first_max
         whole, differ, calls = [], [], 0
 
-        def recording(scores):
+        def recording(scores, keys):
             whole.append(scores.copy())
-            return first_max(scores)
+            return first_max(scores, keys)
 
-        def comparing(scores):
+        def comparing(scores, keys):
             # tile t scores slot s in call t * n + s
             nonlocal calls
             t, s = divmod(calls, n)
@@ -308,7 +332,7 @@ class TestLayout:
             want = whole[s][:, t * small : (t + 1) * small]
             if not np.array_equal(scores.view(np.uint64), want.view(np.uint64)):
                 differ.append((s, t))
-            return first_max(scores)
+            return first_max(scores, keys)
 
         monkeypatch.setattr(phase_opt, "_TILE_ENTRIES", rows * n)
         monkeypatch.setattr(phase_opt, "_first_max", recording)
@@ -368,6 +392,58 @@ class TestFullGridIdentity:
         _, slots, gain = replay_greedy(h, idx, *grids)
         np.testing.assert_array_equal(slots, ref_slots)
         np.testing.assert_allclose(gain, ref_gain, rtol=1e-12)
+
+
+class TestNearestAngleKernel:
+    """The kernel picks every index of the kernel in ``oracles`` that
+    scores each candidate at its nearest angle by ``atan2`` and ``hypot``
+    and drops the placed element by an order-keeping ``take``."""
+
+    @pytest.mark.parametrize("kind", ["mmwave", "rayleigh"])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+    def test_same_indices(self, q, kind):
+        rng = substream(q, 69)
+        rows = 2**16
+        if kind == "mmwave":
+            h = channel.plane_wave_sums(*channel.sample_mmwave_batch(rows, 3, rng), 2**q)
+        else:
+            h = channel.sample_rayleigh_batch(rows, 2**q, rng)
+        np.testing.assert_array_equal(
+            phase_opt.greedy_bpr_indices(h, q), greedy_nearest_angle(h, *phase_opt.block_grids(q))
+        )
+
+    def test_same_indices_q8(self):
+        # 256 elements: the keys must tell 256 element indices apart
+        rng = substream(8, 69)
+        h = np.concatenate(
+            [
+                channel.plane_wave_sums(*channel.sample_mmwave_batch(3, 3, rng), 256),
+                channel.sample_rayleigh_batch(3, 256, rng),
+            ]
+        )
+        np.testing.assert_array_equal(
+            phase_opt.greedy_bpr_indices(h, 8), greedy_nearest_angle(h, *phase_opt.block_grids(8))
+        )
+
+
+class TestGridProjection:
+    """``_grid_projection`` is the largest ``Re(r p)`` over the grid's
+    rotations ``r``, up to rounding."""
+
+    @pytest.mark.parametrize("size", [1, 2, 4, 8, 16, 32])
+    def test_matches_bruteforce(self, size):
+        rng = substream(size, 70)
+        drawn = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
+        # each grid direction, each midpoint between two (where two
+        # rotations tie) and the axes and diagonals the folds meet at
+        turns = np.concatenate([np.arange(2 * size) / (2 * size), np.arange(8) / 8])
+        radii = rng.uniform(0.5, 2.0, turns.size)
+        p = np.concatenate([drawn, radii * np.exp(-2j * np.pi * turns), [0.0]])
+        got = phase_opt._grid_projection(p, size)
+        want = grid_projection_bruteforce(p, size)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(p))
+        # a new array: the kernel adds to it in place
+        assert not np.shares_memory(got, p)
 
 
 def _replayed_slot_scores(h, phi, slots, grids):
