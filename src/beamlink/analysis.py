@@ -200,6 +200,53 @@ def union_bound_ber(h_eq: np.ndarray, points: np.ndarray, gamma0: float, kappa: 
 Z95 = 1.959963984540054  # the two-sided 95% quantile of the standard normal
 
 
+def regression_means(ys, x: np.ndarray, mu: float) -> list[tuple[float, float, float, float]]:
+    """Control-variate estimates of ``E y`` for each sample ``y`` of ``ys``,
+    each paired row by row with the control sample ``x``, whose exact mean
+    is ``mu`` (the regression estimator; Asmussen and Glynn, *Stochastic
+    Simulation*, 2007, ch. V).
+
+    With ``S`` the sums of products of the centred samples, each ``y``
+    gives
+
+        beta = S_xy / S_xx
+        mean = ybar - beta (xbar - mu)
+        half = Z95 sqrt((S_yy - beta S_xy) / (n - 2) / n)
+
+    and ``plain = Z95 sqrt(S_yy / (n - 1) / n)``, the half-width of the
+    plain sample mean ``ybar``. Returns ``(mean, half, beta, plain)`` per
+    ``y``. ``ys`` may be a generator: each ``y`` is released once
+    centred, before the next is formed. No centred copy of ``x`` is
+    held: the centred ``y`` sums to zero, so ``S_xy`` is the sum of ``x``
+    times the centred ``y``. A constant ``x`` gives ``beta = 0``, and a
+    residual sum that rounds below zero gives ``half = 0``. Every sum is
+    a numpy reduction, with no BLAS call, so no bit depends on the BLAS
+    build.
+    """
+    n = x.size
+    if n < 3:
+        raise ValueError(f"a regression mean needs n >= 3 samples, got {n}")
+    x_bar = x.mean()
+    s_xx = np.square(x - x_bar).sum()
+    estimates = []
+    for y in ys:
+        y_bar = y.mean()
+        yc = y - y_bar
+        del y  # from here only the centred copy of a generated sample is held
+        s_xy = (x * yc).sum()
+        s_yy = np.square(yc, out=yc).sum()
+        del yc  # released before the next sample is formed
+        beta = s_xy / s_xx if s_xx > 0.0 else 0.0
+        residual = max(s_yy - beta * s_xy, 0.0)
+        estimates.append((
+            float(y_bar - beta * (x_bar - mu)),
+            float(Z95 * np.sqrt(residual / (n - 2) / n)),
+            float(beta),
+            float(Z95 * np.sqrt(s_yy / (n - 1) / n)),
+        ))
+    return estimates
+
+
 def wilson_interval(errors: int, n: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if n <= 0:

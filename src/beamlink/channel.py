@@ -119,3 +119,16 @@ def sample_rayleigh_batch(
     its rows: ``h.T`` is C-contiguous, and no transposed copy is made.
     """
     return _complex_normal((n_trials, n_antennas), rng, order="F")
+
+
+def mean_energy(kind: str, n_antennas: int, n_paths: int) -> float:
+    """The exact ``E ||h||^2`` of a row of the ``kind`` sampler.
+
+    A geometric row sums ``n_paths`` independent zero-mean paths, each
+    of CN(0, 1) gain times a unit-modulus steering vector, so its energy
+    has mean ``n_antennas * n_paths``; a Rayleigh row holds
+    ``n_antennas`` CN(0, 1) entries, so its mean is ``n_antennas``.
+    """
+    if kind not in CHANNEL_KINDS:
+        raise ValueError(f"unknown channel kind {kind!r}")
+    return float(n_antennas * (n_paths if kind == MMWAVE else 1))

@@ -10,6 +10,7 @@ record to stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from pathlib import Path
@@ -79,7 +80,29 @@ def config_from_args(args: argparse.Namespace) -> harness.ExperimentConfig:
     return config.from_dict(data)
 
 
+# glibc's mallopt parameter M_TOP_PAD: the bytes kept above the heap top
+# when the heap grows or is trimmed
+_M_TOP_PAD = -2
+_TOP_PAD_BYTES = 4 << 20
+
+
+def _pad_heap_top() -> None:
+    """Keep 4 MiB above the heap top, where the C library has ``mallopt``.
+
+    Each stage tile frees its work arrays. glibc then trims the freed
+    top of the heap, and the next tile faults the same pages back in; a
+    pad of a few tiles' size keeps them mapped. Elsewhere this does
+    nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_TOP_PAD, _TOP_PAD_BYTES)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _pad_heap_top()
     args = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)

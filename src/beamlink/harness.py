@@ -23,7 +23,9 @@ differ only in a scalar, so one rotated sum per tile serves both. The
 stage never holds a block of ``F^H h``, nor a block of geometric
 channel rows; each tile is released before the next is formed, and
 each block before the next is drawn. Every ``F^H h`` is summed antenna
-by antenna, so no BLAS call runs in the block loop.
+by antenna, so no BLAS call runs in the block loop. fig2's stage also
+writes each row's ``||h||^2``, the control of its regression estimate
+(:func:`run_fig2`).
 No BLAS worker thread spins beside it either: the package root,
 ``beamlink/__init__.py``, loads numpy with one OpenBLAS thread unless
 the caller sets a count, and the manifest records the process's thread
@@ -270,6 +272,7 @@ def _block_gains(
     channels: Callable[[slice], np.ndarray],
     gains: dict[str, np.ndarray],
     limit: np.ndarray | None = None,
+    energy: np.ndarray | None = None,
 ) -> None:
     """The block stage of fig2 and fig3: for each scheme in ``gains``,
     writes ``||F^H h||^2`` per row of one block into ``gains[scheme]``, an
@@ -305,6 +308,10 @@ def _block_gains(
     cells at every running blockwise point, as with a gain of ``+inf``:
     its count is 0 either way. fig2 passes no limit and computes every
     row.
+
+    fig2 also passes ``energy``, an array of the block's length, and each
+    tile writes its rows' ``||h||^2`` into it (:func:`_row_energy`) while
+    the rows are live, so the channel is still formed once per tile.
     """
     n = len(next(iter(gains.values())))
     blockwise = any(scheme in beamformer.BPR_SCHEMES for scheme in gains)
@@ -312,6 +319,8 @@ def _block_gains(
     for start in range(0, n, tile):
         rows = slice(start, start + tile)
         part = gated = channels(rows)
+        if energy is not None:
+            energy[rows] = _row_energy(part)
         near, rotated = slice(None), None
         if blockwise and limit is not None:
             floor = beamformer.bpr_floor(cfg.q, part)
@@ -327,6 +336,17 @@ def _block_gains(
             out[rows][near if bpr else slice(None)] = np.sum(np.abs(h_eq) ** 2, axis=1)
         # the tile is released before the next one is formed
         del part, gated, rotated, h_eq
+
+
+def _row_energy(h: np.ndarray) -> np.ndarray:
+    """``||h||^2`` per row of ``h``, summed antenna by antenna, so that no
+    bit depends on the number of rows or their layout."""
+    out = np.zeros(h.shape[0])
+    for m in range(h.shape[1]):
+        col = h[:, m]
+        out += col.real * col.real
+        out += col.imag * col.imag
+    return out
 
 
 def _link_draw(
@@ -633,45 +653,71 @@ def run_fig2(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
 
     One common set of channel realizations is shared by all schemes
     (paired comparison); each realization gets one greedy phase
-    selection, shared by both blockwise schemes. The confidence half
-    width is 1.96 sigma of the sample mean.
+    selection, shared by both blockwise schemes. Each point's mean is
+    the regression (control-variate) estimate on the channel energy
+    ``X = ||h||^2``, whose exact mean is known
+    (:func:`channel.mean_energy`; :func:`analysis.regression_means`):
+    ``X`` tracks every scheme's rate, so the estimate keeps the plain
+    mean's expectation with a narrower spread. The confidence half width
+    is 1.96 sigma of the regression residual's mean. The telemetry
+    holds the control's exact and sample means and, per point, the
+    slope ``beta`` and the plain sample mean's half width.
     """
-    quad_forms = quadratic_forms(cfg)
+    energy = np.empty(cfg.trials)
+    quad_forms = quadratic_forms(cfg, energy)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     eff_scale = cfg.n_antennas / cfg.n_paths
-    rows = []
-    for scheme in cfg.schemes:
-        qf = quad_forms[scheme]
-        for gamma0_db in cfg.snr_grid_db:
-            gamma0 = 10.0 ** (gamma0_db / 10.0)
-            rates = analysis.spectral_efficiency(qf, gamma0 * eff_scale)
-            half = analysis.Z95 * rates.std(ddof=1) / np.sqrt(rates.size)
-            rows.append(
-                (scheme, None, "spectral_efficiency_bits", gamma0_db,
-                 float(rates.mean()), float(half), int(rates.size))
-            )
+    mu = channel.mean_energy(cfg.channel_kind, cfg.n_antennas, cfg.n_paths)
+    points = [(scheme, g) for scheme in cfg.schemes for g in cfg.snr_grid_db]
+    rates = (
+        analysis.spectral_efficiency(quad_forms[scheme], 10.0 ** (g / 10.0) * eff_scale)
+        for scheme, g in points
+    )
+    estimates = analysis.regression_means(rates, energy, mu)
+    rows = [
+        (scheme, None, "spectral_efficiency_bits", g, mean, half, cfg.trials)
+        for (scheme, g), (mean, half, _, _) in zip(points, estimates)
+    ]
     path = out_dir / "fig2.csv"
     _write_csv(path, CSV_HEADER, rows)
-    notes = [f"rate uses P*N_t/L = P*{eff_scale:g}"]
-    return SweepResult(name="fig2", path=path, rows=rows, notes=notes)
+    notes = [
+        f"rate uses P*N_t/L = P*{eff_scale:g}",
+        f"each mean is regressed on the control ||h||^2, of exact mean {mu:g}",
+    ]
+    telemetry = {
+        "control": {
+            "name": "||h||^2",
+            "exact_mean": mu,
+            "sample_mean": float(energy.mean()),
+        },
+        "points": [
+            {"scheme": scheme, "gamma0_db": g, "beta": beta, "plain_half_width": plain}
+            for (scheme, g), (_, _, beta, plain) in zip(points, estimates)
+        ],
+    }
+    return SweepResult(name="fig2", path=path, rows=rows, notes=notes, telemetry=telemetry)
 
 
-def quadratic_forms(cfg: ExperimentConfig) -> dict[str, np.ndarray]:
+def quadratic_forms(
+    cfg: ExperimentConfig, energy: np.ndarray | None = None
+) -> dict[str, np.ndarray]:
     """fig2's ``||F^H h||^2`` per realization for each scheme, on the
     ``trials`` channel draws that every scheme shares.
 
     Each block of draws passes through the block stage,
     :func:`_block_gains`, which writes its gains straight into the
     block's slice of the result, and is released before the next one is
-    drawn.
+    drawn. If ``energy``, an array of ``trials`` entries, is given, the
+    stage also writes each realization's ``||h||^2`` into it.
     """
     _check_fig2(cfg)
     quad_forms: dict[str, np.ndarray] = {s: np.empty(cfg.trials) for s in cfg.schemes}
     done = 0
     for n, rng in _blocks(cfg.trials, cfg.seed, _PURPOSE_FIG2):
         block = {scheme: qf[done : done + n] for scheme, qf in quad_forms.items()}
-        _block_gains(cfg, _sample_channels(cfg, n, rng), block)
+        block_energy = None if energy is None else energy[done : done + n]
+        _block_gains(cfg, _sample_channels(cfg, n, rng), block, energy=block_energy)
         done += n
     return quad_forms
 
@@ -715,9 +761,9 @@ def _capped_notes(grid: list[BerPoint]) -> list[str]:
 
 
 def _check_fig2(cfg: ExperimentConfig) -> None:
-    # the confidence half width is a sample standard deviation
-    if cfg.trials < 2:
-        raise ValueError(f"fig2 requires trials >= 2 realizations, got {cfg.trials}")
+    # the half width is the residual deviation of a fitted slope, on n - 2 degrees of freedom
+    if cfg.trials < 3:
+        raise ValueError(f"fig2 requires trials >= 3 realizations, got {cfg.trials}")
 
 
 def _check_fig3(cfg: ExperimentConfig) -> None:

@@ -350,3 +350,48 @@ class TestWilson:
         lo, hi = analysis.wilson_interval(0, 1000)
         assert lo == 0.0
         assert hi > 0
+
+
+class TestRegressionMeans:
+    """The control-variate estimator of fig2's means and half-widths."""
+
+    def test_linear_response_has_no_residual(self):
+        # y = a + b x: the regression recovers a + b mu with half-width 0.
+        # Every sum here is exact in binary, so the results are too.
+        x = np.arange(1000.0)
+        a, b, mu = 1.5, -0.75, 400.0
+        ((mean, half, beta, plain),) = analysis.regression_means([a + b * x], x, mu)
+        assert (mean, half, beta) == (a + b * mu, 0.0, b)
+        assert plain > 0
+
+    def test_constant_response_has_zero_slope(self):
+        x = substream(1, 90).exponential(2.0, 1000)
+        ((mean, half, beta, plain),) = analysis.regression_means([np.full(1000, 0.5)], x, 2.0)
+        assert (mean, half, beta, plain) == (0.5, 0.0, 0.0, 0.0)
+
+    def test_constant_control_gives_the_plain_mean(self):
+        y = substream(2, 90).standard_normal(1000)
+        ((mean, half, beta, plain),) = analysis.regression_means([y], np.full(1000, 3.0), 3.0)
+        assert beta == 0.0
+        assert mean == pytest.approx(y.mean(), rel=1e-15)
+        assert half == pytest.approx(plain * np.sqrt(999 / 998), rel=1e-12)
+
+    def test_matches_a_least_squares_fit(self):
+        # the mean is the fitted value at x = mu, and the half-width is
+        # Z95 times the residual standard error over sqrt(n)
+        rng = substream(3, 90)
+        n, mu = 4000, 1.0
+        x = rng.exponential(mu, n)
+        ys = [np.log2(1.0 + s * x + 0.3 * rng.standard_normal(n) ** 2) for s in (0.5, 10.0)]
+        got = analysis.regression_means(iter(ys), x, mu)
+        design = np.column_stack([np.ones(n), x - mu])
+        for y, (mean, half, beta, plain) in zip(ys, got):
+            coef, rss, _, _ = np.linalg.lstsq(design, y, rcond=None)
+            assert mean == pytest.approx(coef[0], rel=1e-12)
+            assert beta == pytest.approx(coef[1], rel=1e-12)
+            assert half == pytest.approx(analysis.Z95 * np.sqrt(rss[0] / (n - 2) / n), rel=1e-9)
+            assert plain == pytest.approx(analysis.Z95 * y.std(ddof=1) / np.sqrt(n), rel=1e-12)
+
+    def test_rejects_fewer_than_three_samples(self):
+        with pytest.raises(ValueError, match="n >= 3"):
+            analysis.regression_means([np.ones(2)], np.arange(2.0), 0.5)

@@ -250,3 +250,32 @@ class TestSamplerBits:
             if m:
                 wave = wave * step
             assert np.array_equal(got[:, m].view(np.uint64), wave.sum(axis=0).view(np.uint64)), m
+
+
+class TestMeanEnergy:
+    """fig2's control variate is ``||h||^2``, whose exact mean each sampler states."""
+
+    @pytest.mark.parametrize(
+        "kind,n_antennas,n_paths,want",
+        [("mmwave", 4, 3, 12.0), ("mmwave", 16, 2, 32.0), ("rayleigh", 4, 3, 4.0),
+         ("rayleigh", 8, 1, 8.0)],
+    )
+    def test_stated_values(self, kind, n_antennas, n_paths, want):
+        assert channel.mean_energy(kind, n_antennas, n_paths) == want
+
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="awgn"):
+            channel.mean_energy("awgn", 4, 3)
+
+    @pytest.mark.parametrize("kind", channel.CHANNEL_KINDS)
+    def test_sample_energy_matches_stated_mean(self, kind):
+        # 2**18 rows; the stated mean lies within 5 standard errors
+        n, n_antennas, n_paths = 2**18, 4, 3
+        rng = substream(7, 85)
+        if kind == channel.MMWAVE:
+            h = _mmwave_rows(n, n_paths, n_antennas, rng)
+        else:
+            h = channel.sample_rayleigh_batch(n, n_antennas, rng)
+        energy = np.sum(np.abs(h) ** 2, axis=1)
+        se = energy.std(ddof=1) / np.sqrt(n)
+        assert abs(energy.mean() - channel.mean_energy(kind, n_antennas, n_paths)) < 5 * se

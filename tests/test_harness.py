@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom
 
 from beamlink import analysis, beamformer, channel, cli, harness, phase_opt, stbc
 from beamlink.rng import substream
@@ -172,10 +173,10 @@ class TestConfig:
                 harness.ExperimentConfig(**{**fields, **bad})
             return
         cfg = harness.ExperimentConfig(**fields)
-        # runner-specific domains, checked in this order: fig2 needs two
+        # runner-specific domains, checked in this order: fig2 needs three
         # realizations, fig3 two RF chains and a trial cap no lower than trials
         out_of_domain = {
-            harness.run_fig2: [("trials", cfg.trials < 2)],
+            harness.run_fig2: [("trials", cfg.trials < 3)],
             harness.run_fig3: [
                 ("n_antennas", cfg.n_antennas != 4),
                 ("max_trials", cfg.trials > cfg.max_trials),
@@ -811,12 +812,23 @@ class TestFig2:
         assert top["bpr-real"] > top["dft"]
 
     def test_rate_carries_the_array_gain(self, tmp_path):
+        # each point is the regression estimate of the rate at P*N_t/L on
+        # the control ||h||^2, of exact mean N_t*L
         cfg = _tiny_cfg(trials=1000)
         res = harness.run_fig2(cfg, tmp_path / "eq1")
-        quad_forms = harness.quadratic_forms(cfg)
-        for scheme, _, _, gamma0_db, value, _, _ in res.rows:
+        energy = np.empty(cfg.trials)
+        quad_forms = harness.quadratic_forms(cfg, energy)
+        x = energy - energy.mean()
+        for scheme, _, _, gamma0_db, value, half, n in res.rows:
             snr = 10.0 ** (gamma0_db / 10.0) * (cfg.n_antennas / cfg.n_paths)
-            assert value == float(np.log2(1.0 + snr * quad_forms[scheme]).mean())
+            rate = np.log2(1.0 + snr * quad_forms[scheme])
+            y = rate - rate.mean()
+            beta = np.sum(x * y) / np.sum(x * x)
+            want = rate.mean() - beta * (energy.mean() - 12.0)
+            residual = np.sum(y * y) - beta * np.sum(x * y)
+            assert value == pytest.approx(want, rel=1e-14)
+            assert half == pytest.approx(analysis.Z95 * np.sqrt(residual / (n - 2) / n), rel=1e-12)
+            assert n == cfg.trials
         assert "rate uses P*N_t/L = P*1.33333" in res.notes
         # the rate reads no normalization mode, so fig2 names none and its
         # bytes do not depend on it
@@ -852,10 +864,13 @@ class TestFig2:
             n_antennas=n_antennas, n_rf=n_antennas // 2, schemes=beamformer.SCHEMES,
             trials=2 * harness.TRIAL_BLOCK + 100,
         )
-        want = harness.quadratic_forms(cfg)
+        want_energy = np.empty(cfg.trials)
+        want = harness.quadratic_forms(cfg, want_energy)
         for rows in (1000, harness.TRIAL_BLOCK + 1):
             monkeypatch.setattr(harness, "_STAGE_ENTRIES", rows * n_antennas)
-            got = harness.quadratic_forms(cfg)
+            energy = np.empty(cfg.trials)
+            got = harness.quadratic_forms(cfg, energy)
+            assert energy.tobytes() == want_energy.tobytes(), rows
             for scheme in cfg.schemes:
                 assert got[scheme].tobytes() == want[scheme].tobytes(), (rows, scheme)
 
@@ -894,6 +909,72 @@ class TestFig2:
             tracemalloc.stop()
         assert peak < budget, (peak, budget)
 
+    @pytest.mark.parametrize("kind", channel.CHANNEL_KINDS)
+    def test_energy_is_each_realization_norm(self, kind):
+        # the stage writes ||h||^2 of every realization, over two blocks,
+        # and writing it changes no gain
+        cfg = _tiny_cfg(
+            channel_kind=kind, n_antennas=16, n_rf=8, trials=harness.TRIAL_BLOCK + 100
+        )
+        energy = np.full(cfg.trials, np.nan)
+        got = harness.quadratic_forms(cfg, energy)
+        rows = np.concatenate([
+            _block_rows(cfg, n, rng)
+            for n, rng in harness._blocks(cfg.trials, cfg.seed, harness._PURPOSE_FIG2)
+        ])
+        np.testing.assert_allclose(energy, np.linalg.norm(rows, axis=1) ** 2, rtol=1e-13)
+        # a row's energy has the same bits in a tile of one row
+        alone = [harness._row_energy(rows[i : i + 1])[0] for i in range(0, cfg.trials, 97)]
+        assert np.array(alone).tobytes() == energy[::97].tobytes()
+        want = harness.quadratic_forms(cfg)
+        for scheme in cfg.schemes:
+            assert got[scheme].tobytes() == want[scheme].tobytes(), scheme
+
+    @pytest.mark.parametrize("kind,mu", [("mmwave", 12.0), ("rayleigh", 4.0)])
+    def test_telemetry_names_the_control(self, tmp_path, kind, mu):
+        cfg = _tiny_cfg(channel_kind=kind, trials=3000)
+        res = harness.run_fig2(cfg, tmp_path)
+        control = res.telemetry["control"]
+        assert control["exact_mean"] == mu
+        # the sample mean of ||h||^2 lies near its exact mean
+        assert abs(control["sample_mean"] - mu) < 0.1 * mu
+        assert f"each mean is regressed on the control ||h||^2, of exact mean {mu:g}" in res.notes
+        points = res.telemetry["points"]
+        assert [(p["scheme"], p["gamma0_db"]) for p in points] == [r[:1] + r[3:4] for r in res.rows]
+        for p, row in zip(points, res.rows):
+            # the control tracks every rate, so the slope is positive and
+            # the regression interval is narrower than the plain one
+            assert p["beta"] > 0
+            assert 0 < row[5] < p["plain_half_width"]
+        json.dumps(res.telemetry)
+
+    def test_interval_covers_the_long_run_mean(self, tmp_path):
+        # 200 seeds of a 256-draw fig2, 4 points each, against a 2**17-draw
+        # mean whose own standard error is under 3% of a half-width. A
+        # point's miss count is Binomial(200, 0.05) if its interval holds;
+        # it must lie in [lo, hi], each tail of that law outside it holding
+        # at most 1e-3 / 8, a family-wise level of 1e-3 over both tails of
+        # 4 points (Bonferroni). Over 2000 seeds the points missed 4.4-5.2%
+        # of the time. Dropping the sqrt(1/n) of the half-width makes every
+        # interval sqrt(256) times wider, so no point is ever missed, which
+        # the region rejects: the check has power both ways.
+        base = dict(snr_grid_db=(0.0, 20.0), schemes=("dft", "bpr-real"))
+        long_run = harness.run_fig2(_tiny_cfg(trials=2**17, seed=10**6, **base), tmp_path / "ref")
+        truth = np.array([row[4] for row in long_run.rows])
+        seeds, alpha = 200, 1e-3
+        lo = int(binom.ppf(alpha / 8, seeds, 0.05))
+        hi = int(binom.isf(alpha / 8, seeds, 0.05))
+        misses = np.zeros(len(truth), dtype=int)
+        wide_misses = np.zeros(len(truth), dtype=int)
+        for seed in range(seeds):
+            res = harness.run_fig2(_tiny_cfg(trials=256, seed=seed, **base), tmp_path / str(seed))
+            value = np.array([row[4] for row in res.rows])
+            half = np.array([row[5] for row in res.rows])
+            misses += np.abs(value - truth) > half
+            wide_misses += np.abs(value - truth) > half * np.sqrt(256)
+        assert np.all((lo <= misses) & (misses <= hi)), (misses, lo, hi)
+        assert not np.all((lo <= wide_misses) & (wide_misses <= hi)), wide_misses
+
     def test_shared_greedy_matches_single_scheme_runs(self):
         array8 = dict(trials=3000, n_antennas=8, n_rf=4)
         both = harness.quadratic_forms(
@@ -904,15 +985,18 @@ class TestFig2:
             np.testing.assert_array_equal(both[scheme], alone[scheme])
 
     def test_rejects_single_realization(self, tmp_path):
-        # one realization has no sample standard deviation, so no half width
-        cfg = _tiny_cfg(trials=1)
-        for runner in (harness.run_fig2, harness.run_all):
-            out = tmp_path / runner.__name__
+        # a fitted slope leaves n - 2 degrees of freedom to the residual, so
+        # one or two realizations give no half width
+        for trials in (1, 2):
+            cfg = _tiny_cfg(trials=trials)
+            for runner in (harness.run_fig2, harness.run_all):
+                out = tmp_path / f"{runner.__name__}-{trials}"
+                with pytest.raises(ValueError, match=r"\btrials >= 3\b"):
+                    runner(cfg, out)
+                assert not out.exists()
             with pytest.raises(ValueError, match=r"\btrials\b"):
-                runner(cfg, out)
-            assert not out.exists()
-        with pytest.raises(ValueError, match=r"\btrials\b"):
-            harness.quadratic_forms(cfg)
+                harness.quadratic_forms(cfg)
+        assert len(harness.run_fig2(_tiny_cfg(trials=3), tmp_path / "three").rows) == 6
 
 
 class TestFig3:
@@ -1156,7 +1240,8 @@ class TestDeterminism:
     # SHA-256 of CLI outputs recorded before a change meant to leave every
     # output unchanged; such a change must keep them. The fig3 pins were
     # last re-recorded when every fig3 point came to share one unit-noise
-    # draw per block. The runs cover the
+    # draw per block, and the fig2 pins when each fig2 mean became a
+    # regression estimate on ||h||^2. The runs cover the
     # criterion-9 command, Rayleigh 4-QAM with the stopping rule past one
     # block, q=4 greedy with hadamard and bpr-complex (in one block and in
     # two, where the rounding of bpr-real at 0 dB shows a change in the
@@ -1172,7 +1257,7 @@ class TestDeterminism:
                 {
                     "table1.csv": "ee04aad6c99c0f889881ef36ef9cc6e40db340b85f0be38d5aa81b4a80e31f88",
                     "fig1.csv": "bd5ff135c39a8e45660656a420eca3856b4e5b02f2838dbcdbc68c832a75ac63",
-                    "fig2.csv": "6fdba8403e17740ef539962a9b45be3cdf7866278ada1f9986fc2249a9c4d919",
+                    "fig2.csv": "50808dcc5d884a1dc65245db8d8718bb262bc861f376a1b114bc86fbc0e2ee69",
                     "fig3.csv": "2e14ecda9a22095275d545f98f072a540a0e63c3ede146c4154a0be941906ea0",
                 },
                 id="criterion9",
@@ -1184,7 +1269,7 @@ class TestDeterminism:
                 {
                     "table1.csv": "ee04aad6c99c0f889881ef36ef9cc6e40db340b85f0be38d5aa81b4a80e31f88",
                     "fig1.csv": "f1e6a5f7ce3a6d178408822f529baab7d4bb42d107c1489c634db9b776ca3926",
-                    "fig2.csv": "b18e2084c1b4669fc2acf43ec4f41e954e32661b62243839adc2244e45dadd59",
+                    "fig2.csv": "9a7a1c114d955e589db18e984274f06992d63e994c148b2441d283008c51bf26",
                     "fig3.csv": "cbf26b18fe4279bb858a1bf28456f3a754c174b0329c1b541017f0fccfcd6474",
                 },
                 id="rayleigh-4qam",
@@ -1192,13 +1277,13 @@ class TestDeterminism:
             pytest.param(
                 ("fig2", "--trials", "2000", "--seed", "2"),
                 {"n_antennas": 16, "n_rf": 8},
-                {"fig2.csv": "9f6059406606e7eb04951eb3f0b810a983fad4e28c8986509677caf6539e5450"},
+                {"fig2.csv": "2453f8cf02255f5e6e62bd92cacc7afdce279a3a011438ba1c29c401c3919d6a"},
                 id="fig2-array16",
             ),
             pytest.param(
                 ("fig2", "--trials", "20000", "--seed", "2"),
                 {"n_antennas": 16, "n_rf": 8},
-                {"fig2.csv": "b997b18ff782710478f6f755d72e28b5544cbfe98688b98a1e6e1cd7668ccd07"},
+                {"fig2.csv": "1c2a7fe136f5774e1b89dd244bce3c423ffb2e779d11d40172ab2b2d1119fb13"},
                 id="fig2-array16-two-blocks",
             ),
             pytest.param(
@@ -1471,6 +1556,14 @@ class TestConditionalSim:
         ) == (2055, 80_000)
 
 
+def _libc_without_mallopt(name):
+    return object()
+
+
+def _libc_not_found(name):
+    raise OSError(f"cannot load {name!r}")
+
+
 class TestCli:
     def _run(self, *args):
         return subprocess.run(
@@ -1606,3 +1699,24 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         reloaded = json.loads((out / "config.json").read_text())
         assert reloaded["seed"] == 123
+
+    @pytest.mark.parametrize("cdll", [_libc_without_mallopt, _libc_not_found])
+    def test_main_runs_where_libc_has_no_mallopt(self, tmp_path, monkeypatch, cdll):
+        # the heap-top pad is skipped where the C library has no mallopt,
+        # or cannot be loaded, and the run goes on as before
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        assert cli.main(["fig2", "--trials", "200", "--out", str(tmp_path)]) == 0
+        assert len((tmp_path / "fig2.csv").read_text().splitlines()) == 1 + 4 * 9
+
+    def test_main_pads_the_heap_top(self, tmp_path, monkeypatch):
+        calls = []
+
+        class _Libc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: _Libc())
+        assert cli.main(["table1", "--out", str(tmp_path)]) == 0
+        # M_TOP_PAD is glibc's parameter -2
+        assert calls == [(-2, 4 << 20)]
