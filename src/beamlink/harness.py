@@ -24,8 +24,8 @@ stage never holds a block of ``F^H h``, nor a block of geometric
 channel rows; each tile is released before the next is formed, and
 each block before the next is drawn. Every ``F^H h`` is summed antenna
 by antenna, so no BLAS call runs in the block loop. fig2's stage also
-writes each row's ``||h||^2``, the control of its regression estimate
-(:func:`run_fig2`).
+writes each row's ``||h||^2``, the control of its regression estimate,
+and :func:`quadratic_forms` returns it beside the gains (:func:`run_fig2`).
 No BLAS worker thread spins beside it either: the package root,
 ``beamlink/__init__.py``, loads numpy with one OpenBLAS thread unless
 the caller sets a count, and the manifest records the process's thread
@@ -96,6 +96,10 @@ FIG1_ANGLES = 721
 # no physical link lies beyond this; near 3080 dB, 10**(snr/10) overflows a float
 MAX_ABS_SNR_DB = 300.0
 
+_INT_FIELDS = (
+    "n_antennas", "n_rf", "n_paths", "modulation", "trials", "max_trials", "target_errors", "seed",
+)
+
 
 @dataclass
 class ExperimentConfig:
@@ -128,16 +132,16 @@ class ExperimentConfig:
         self.snr_grid_db = tuple(float(v) for v in snrs)
         self.schemes = _items("schemes", self.schemes, str, "scheme names")
         self.validate()
+        # a numpy integer would pass validate but not json.dumps
+        for name in _INT_FIELDS:
+            setattr(self, name, int(getattr(self, name)))
 
     @property
     def q(self) -> int:
         return int(np.log2(self.n_antennas))
 
     def validate(self) -> None:
-        for name in (
-            "n_antennas", "n_rf", "n_paths", "modulation",
-            "trials", "max_trials", "target_errors", "seed",
-        ):
+        for name in _INT_FIELDS:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -295,11 +299,10 @@ def _block_gains(
     demap the row. Each tile then skips each row whose limit lies below
     ``(1 - 1e-5)`` times its :func:`beamformer.bpr_floor`, a floor under
     the computed ``||rotated sum||^2`` whatever the greedy picks. The
-    greedy and the rotated sum run on the other rows alone, still one
-    call each per tile, with no rows if none is left; the rotated sum
-    forms their Sylvester sums again, with the bits the floor read. A
-    tile that keeps every row passes the tile itself, with no gathered
-    copy. The blockwise gains of a skipped row are left as the caller
+    greedy and the rotated sum run on a gathered copy of the other rows,
+    still one call each per tile, with no rows if none is left; the
+    rotated sum forms their Sylvester sums again, with the bits the floor
+    read. The blockwise gains of a skipped row are left as the caller
     set them, and fig3 sets ``+inf``; every other gain keeps its bits.
     The margin ``1e-5`` exceeds the ``2e-9`` that ``_ber_block``'s 1e-9
     edge takes off a squared gain by 5000 times, and the rounding of the
@@ -311,7 +314,8 @@ def _block_gains(
 
     fig2 also passes ``energy``, an array of the block's length, and each
     tile writes its rows' ``||h||^2`` into it (:func:`_row_energy`) while
-    the rows are live, so the channel is still formed once per tile.
+    the rows are live, so the channel is still formed once per tile; fig3
+    passes none.
     """
     n = len(next(iter(gains.values())))
     blockwise = any(scheme in beamformer.BPR_SCHEMES for scheme in gains)
@@ -323,11 +327,9 @@ def _block_gains(
             energy[rows] = _row_energy(part)
         near, rotated = slice(None), None
         if blockwise and limit is not None:
-            floor = beamformer.bpr_floor(cfg.q, part)
-            skip = limit[rows] < floor * (1.0 - _GAIN_MARGIN)
-            if skip.any():
-                near = np.flatnonzero(~skip)
-                gated = part[near]
+            skip = limit[rows] < beamformer.bpr_floor(cfg.q, part) * (1.0 - _GAIN_MARGIN)
+            near = np.flatnonzero(~skip)
+            gated = part[near]
         if blockwise:
             rotated = beamformer.bpr_rotated_sum(cfg.q, gated, *_batch_greedy_phases(gated, cfg.q))
         for scheme, out in gains.items():
@@ -559,6 +561,19 @@ class SweepResult:
     telemetry: dict = field(default_factory=dict)
 
 
+def _written(
+    out_dir: str | Path, name: str, header: str, rows: list[tuple], **extra
+) -> SweepResult:
+    """Write ``rows`` under ``header`` to ``<out_dir>/<name>.csv``, making
+    the directory if needed, and return them as runner ``name``'s result;
+    ``extra`` holds its notes and telemetry."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / f"{name}.csv"
+    _write_csv(path, header, rows)
+    return SweepResult(name=name, path=path, rows=rows, **extra)
+
+
 def _process_threads() -> int | None:
     """OS threads of this process (entries of ``/proc/self/task``), or None
     where that directory does not exist."""
@@ -600,16 +615,12 @@ def write_manifest(
 
 def run_table1(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
     """Per-entry power factor of every scheme at the configured q."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     q = cfg.q
     rows = []
     for scheme in beamformer.SCHEMES:
         xi_val = beamformer.xi(scheme, q) if scheme in beamformer.BPR_SCHEMES else None
         rows.append((scheme, q, beamformer.kappa(scheme, q), xi_val))
-    path = out_dir / "table1.csv"
-    _write_csv(path, "scheme,q,kappa,xi", rows)
-    return SweepResult(name="table1", path=path, rows=rows)
+    return _written(out_dir, "table1", "scheme,q,kappa,xi", rows)
 
 
 def run_fig1(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
@@ -620,8 +631,6 @@ def run_fig1(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
     grid angles ``phi1`` and ``phi2``. One selection serves both blockwise
     schemes, as in fig2.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     theta = np.linspace(-np.pi / 2, np.pi / 2, FIG1_ANGLES)
     h = _sample_channels(cfg, 1, substream(cfg.seed, _PURPOSE_FIG1))(slice(None))
     phases = ()
@@ -643,9 +652,7 @@ def run_fig1(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
             for k in range(bf.shape[1])
             for t, g in zip(theta, gains[:, k])
         ]
-    path = out_dir / "fig1.csv"
-    _write_csv(path, "scheme,column,theta_rad,gain,spread_rad", rows)
-    return SweepResult(name="fig1", path=path, rows=rows, notes=notes)
+    return _written(out_dir, "fig1", "scheme,column,theta_rad,gain,spread_rad", rows, notes=notes)
 
 
 def run_fig2(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
@@ -663,10 +670,7 @@ def run_fig2(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
     holds the control's exact and sample means and, per point, the
     slope ``beta`` and the plain sample mean's half width.
     """
-    energy = np.empty(cfg.trials)
-    quad_forms = quadratic_forms(cfg, energy)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    quad_forms, energy = quadratic_forms(cfg)
     eff_scale = cfg.n_antennas / cfg.n_paths
     mu = channel.mean_energy(cfg.channel_kind, cfg.n_antennas, cfg.n_paths)
     points = [(scheme, g) for scheme in cfg.schemes for g in cfg.snr_grid_db]
@@ -679,8 +683,6 @@ def run_fig2(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
         (scheme, None, "spectral_efficiency_bits", g, mean, half, cfg.trials)
         for (scheme, g), (mean, half, _, _) in zip(points, estimates)
     ]
-    path = out_dir / "fig2.csv"
-    _write_csv(path, CSV_HEADER, rows)
     notes = [
         f"rate uses P*N_t/L = P*{eff_scale:g}",
         f"each mean is regressed on the control ||h||^2, of exact mean {mu:g}",
@@ -696,30 +698,29 @@ def run_fig2(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
             for (scheme, g), (_, _, beta, plain) in zip(points, estimates)
         ],
     }
-    return SweepResult(name="fig2", path=path, rows=rows, notes=notes, telemetry=telemetry)
+    return _written(out_dir, "fig2", CSV_HEADER, rows, notes=notes, telemetry=telemetry)
 
 
-def quadratic_forms(
-    cfg: ExperimentConfig, energy: np.ndarray | None = None
-) -> dict[str, np.ndarray]:
+def quadratic_forms(cfg: ExperimentConfig) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """fig2's ``||F^H h||^2`` per realization for each scheme, on the
-    ``trials`` channel draws that every scheme shares.
+    ``trials`` channel draws that every scheme shares, and each
+    realization's ``||h||^2``, the control of fig2's estimate:
+    ``(forms, energy)``.
 
     Each block of draws passes through the block stage,
-    :func:`_block_gains`, which writes its gains straight into the
-    block's slice of the result, and is released before the next one is
-    drawn. If ``energy``, an array of ``trials`` entries, is given, the
-    stage also writes each realization's ``||h||^2`` into it.
+    :func:`_block_gains`, which writes its gains and energies straight
+    into the block's slices of the result, and is released before the
+    next one is drawn.
     """
     _check_fig2(cfg)
+    energy = np.empty(cfg.trials)
     quad_forms: dict[str, np.ndarray] = {s: np.empty(cfg.trials) for s in cfg.schemes}
     done = 0
     for n, rng in _blocks(cfg.trials, cfg.seed, _PURPOSE_FIG2):
         block = {scheme: qf[done : done + n] for scheme, qf in quad_forms.items()}
-        block_energy = None if energy is None else energy[done : done + n]
-        _block_gains(cfg, _sample_channels(cfg, n, rng), block, energy=block_energy)
+        _block_gains(cfg, _sample_channels(cfg, n, rng), block, energy=energy[done : done + n])
         done += n
-    return quad_forms
+    return quad_forms, energy
 
 
 def monotonicity_notes(scheme: str, curve: list[tuple[float, float, float]]) -> list[str]:
@@ -781,8 +782,6 @@ def run_fig3(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
     """Monte-Carlo bit error rate of each scheme over the SNR grid, on
     channel draws shared by every point (:func:`ber_grid`)."""
     grid, n_blocks = ber_grid(cfg)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = [
         (p.scheme, cfg.modulation, "ber", p.gamma0_db, p.ber, p.half_width, p.trials)
         for p in grid
@@ -807,9 +806,7 @@ def run_fig3(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
             for p in grid
         ],
     }
-    path = out_dir / "fig3.csv"
-    _write_csv(path, CSV_HEADER, rows)
-    return SweepResult(name="fig3", path=path, rows=rows, notes=notes, telemetry=telemetry)
+    return _written(out_dir, "fig3", CSV_HEADER, rows, notes=notes, telemetry=telemetry)
 
 
 def run_recorded(

@@ -220,10 +220,11 @@ def _grid_projection(p: np.ndarray, size: int) -> np.ndarray:
 
     With ``x + j y = p``: ``x`` for one rotation, ``|x|`` for two,
     ``max(|x|, |y|)`` for four and ``max(|x|, |y|, (|x| + |y|) sqrt(1/2))``
-    for eight. From sixteen on, the grid's symmetries fold ``p`` into the
-    first octant, ``hi >= lo >= 0``, and the maximum runs over the
-    ``size / 8 + 1`` grid angles ``theta`` in ``[0, pi/4]`` of
-    ``hi cos(theta) + lo sin(theta)``.
+    for eight. For four and from sixteen on, the grid's symmetries fold
+    ``p`` into the first octant, ``hi >= lo >= 0``, and the maximum runs
+    over the ``size // 8 + 1`` grid angles ``theta`` in ``[0, pi/4]`` of
+    ``hi cos(theta) + lo sin(theta)``; for four that is ``theta = 0``
+    alone, ``hi = max(|x|, |y|)``.
     """
     if size == 1:
         return p.real.copy()
@@ -232,8 +233,6 @@ def _grid_projection(p: np.ndarray, size: int) -> np.ndarray:
         return x
     y = np.abs(p.imag)
     best = np.maximum(x, y)
-    if size == 4:
-        return best
     if size == 8:
         x += y
         x *= np.sqrt(0.5)

@@ -262,7 +262,7 @@ def test_criterion_8_spectral_efficiency_ordering(tmp_path):
         trials=10_000,
         seed=30,
     )
-    quad_forms = harness.quadratic_forms(cfg)
+    quad_forms, _ = harness.quadratic_forms(cfg)
     gamma30 = 10.0**3
     eff = cfg.n_antennas / cfg.n_paths
     rates = {

@@ -209,6 +209,22 @@ class TestConfig:
         assert restored == cfg
         assert restored.content_hash() == cfg.content_hash()
 
+    def test_numpy_integers_are_stored_as_python_ints(self, tmp_path):
+        # numpy integers pass validation; kept as they came, they broke the
+        # JSON of the hash, the config file and the manifest
+        plain = _tiny_cfg(trials=4000, seed=3)
+        mixed = _tiny_cfg(trials=np.int64(4000), seed=np.uint64(3), n_antennas=np.int32(4))
+        assert mixed.to_dict() == plain.to_dict()
+        assert all(type(getattr(mixed, name)) is int for name in harness._INT_FIELDS)
+        assert mixed.content_hash() == plain.content_hash()
+        mixed.to_json(tmp_path / "mixed.json")
+        plain.to_json(tmp_path / "plain.json")
+        assert (tmp_path / "mixed.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+        harness.run_recorded(mixed, tmp_path / "run", (harness.run_table1,))
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["config_sha256"] == plain.content_hash()
+        assert list(manifest["files"]) == ["table1.csv"]
+
     def test_malformed_json_names_the_file(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text('{"seed": 1,')
@@ -546,48 +562,20 @@ class TestGainGate:
         cfg, h, link = _gate_block("rayleigh", 4, 0)
         assert harness._gain_limits(cfg, _active(cfg, [("dft", 10.0)]), link[2]) is None
 
-    def test_tile_that_keeps_every_row_is_passed_itself(self, monkeypatch):
-        # an infinite limit keeps every row: the greedy and the rotated sum
-        # get each tile's own array, with no gathered copy, and one tile
-        # with a finite limit row still gets a gathered copy of the others
-        cfg, h, link = _gate_block("mmwave", 4, 3)
-        tile = harness._STAGE_ENTRIES // cfg.n_antennas
-        limit = np.full(h.shape[0], np.inf)
-        limit[tile + 5] = -1.0
-        tiles, greedy_rows, summed_rows = [], [], []
-
-        def channels(rows):
-            tiles.append(h[rows].copy())
-            return tiles[-1]
-
-        def greedy(h, q, _fn=harness._batch_greedy_phases):
-            greedy_rows.append(h)
-            return _fn(h, q)
-
-        def rotated_sum(q, h, idx1, idx2, _fn=beamformer.bpr_rotated_sum):
-            summed_rows.append(h)
-            return _fn(q, h, idx1, idx2)
-
-        monkeypatch.setattr(harness, "_batch_greedy_phases", greedy)
-        monkeypatch.setattr(beamformer, "bpr_rotated_sum", rotated_sum)
-        gains = {scheme: np.full(h.shape[0], np.inf) for scheme in cfg.schemes}
-        harness._block_gains(cfg, channels, gains, limit)
-        assert len(tiles) == len(greedy_rows) == len(summed_rows) == 2
-        assert greedy_rows[0] is summed_rows[0] is tiles[0]
-        assert greedy_rows[1] is summed_rows[1] is not tiles[1]
-        assert len(greedy_rows[1]) == tile - 1
-        full = _stage_gains(cfg, cfg.schemes, h)
-        for scheme in beamformer.BPR_SCHEMES:
-            full[scheme][tile + 5] = np.inf
-        for scheme in cfg.schemes:
-            np.testing.assert_array_equal(gains[scheme], full[scheme])
-
     @pytest.mark.parametrize("kind", channel.CHANNEL_KINDS)
-    @pytest.mark.parametrize("snr_db", [0.0, 10.0, 17.5, 30.0])
-    def test_gated_gains_equal_the_full_stage_on_computed_rows(self, kind, snr_db):
+    @pytest.mark.parametrize("limit_at", [0.0, 10.0, 17.5, 30.0, "inf", "inf-but-one"])
+    def test_gated_gains_equal_the_full_stage_on_computed_rows(self, kind, limit_at):
+        # the limits of every scheme running at one SNR; or an infinite
+        # limit, which keeps every row, with or without a limit of -1 on
+        # one row of the second tile, which skips that row alone
         cfg, h, link = _gate_block(kind, 4, 1)
-        active = _active(cfg, [(scheme, snr_db) for scheme in cfg.schemes])
-        limit = harness._gain_limits(cfg, active, link[2])
+        if isinstance(limit_at, float):
+            active = _active(cfg, [(scheme, limit_at) for scheme in cfg.schemes])
+            limit = harness._gain_limits(cfg, active, link[2])
+        else:
+            limit = np.full(h.shape[0], np.inf)
+            if limit_at == "inf-but-one":
+                limit[harness._STAGE_ENTRIES // cfg.n_antennas + 5] = -1.0
         full = _stage_gains(cfg, cfg.schemes, h)
         gated = _stage_gains(cfg, cfg.schemes, h, limit)
         floor = beamformer.bpr_floor(2, h)
@@ -598,8 +586,14 @@ class TestGainGate:
                 assert np.all(gated[scheme][~computed] == np.inf)
             else:
                 np.testing.assert_array_equal(gated[scheme], full[scheme])
-        # zero rows are always computed, and the gate skips some rows
-        assert computed[::331].all() and not computed.all()
+        # zero rows are always computed; the limits of running points skip
+        # some rows, and an infinite limit none but the row set to -1
+        assert computed[::331].all()
+        skipped = np.count_nonzero(~computed)
+        if isinstance(limit_at, float):
+            assert skipped > 0
+        else:
+            assert skipped == (limit_at == "inf-but-one")
 
     @pytest.mark.parametrize("kind", channel.CHANNEL_KINDS)
     @pytest.mark.parametrize("order", [4, 64])
@@ -717,6 +711,16 @@ class TestTracedNames:
         assert all(type(errors) is int for errors in ber_results)
 
 
+@pytest.mark.parametrize("name", ["table1", "fig1", "fig2", "fig3"])
+def test_runner_makes_its_directory_and_writes_its_csv(tmp_path, name):
+    # each runner called alone, into a nested directory not made yet
+    out = tmp_path / "a" / "b"
+    res = getattr(harness, f"run_{name}")(_tiny_cfg(), out)
+    assert res.name == name
+    assert res.path == out / f"{name}.csv"
+    assert res.path.read_text().count("\n") == len(res.rows) + 1
+
+
 class TestTable1:
     def test_values_and_file(self, tmp_path):
         cfg = _tiny_cfg()
@@ -816,8 +820,7 @@ class TestFig2:
         # the control ||h||^2, of exact mean N_t*L
         cfg = _tiny_cfg(trials=1000)
         res = harness.run_fig2(cfg, tmp_path / "eq1")
-        energy = np.empty(cfg.trials)
-        quad_forms = harness.quadratic_forms(cfg, energy)
+        quad_forms, energy = harness.quadratic_forms(cfg)
         x = energy - energy.mean()
         for scheme, _, _, gamma0_db, value, half, n in res.rows:
             snr = 10.0 ** (gamma0_db / 10.0) * (cfg.n_antennas / cfg.n_paths)
@@ -864,12 +867,10 @@ class TestFig2:
             n_antennas=n_antennas, n_rf=n_antennas // 2, schemes=beamformer.SCHEMES,
             trials=2 * harness.TRIAL_BLOCK + 100,
         )
-        want_energy = np.empty(cfg.trials)
-        want = harness.quadratic_forms(cfg, want_energy)
+        want, want_energy = harness.quadratic_forms(cfg)
         for rows in (1000, harness.TRIAL_BLOCK + 1):
             monkeypatch.setattr(harness, "_STAGE_ENTRIES", rows * n_antennas)
-            energy = np.empty(cfg.trials)
-            got = harness.quadratic_forms(cfg, energy)
+            got, energy = harness.quadratic_forms(cfg)
             assert energy.tobytes() == want_energy.tobytes(), rows
             for scheme in cfg.schemes:
                 assert got[scheme].tobytes() == want[scheme].tobytes(), (rows, scheme)
@@ -877,7 +878,7 @@ class TestFig2:
     def test_stage_streams_its_blocks_in_bounded_memory(self):
         # fig2-array16's config, N = 16, at 32768 and 65536 draws. The stage
         # forms each tile's rows from the block's paths, so its peak less
-        # its output stays under 4.5 MiB, and a block more changes it by
+        # its output (the gains and the energies) stays under 4.5 MiB, and a block more changes it by
         # at most 64 KiB. A stage that drew each block's 4 MiB of channel
         # rows whole read 8.4 MiB.
         transient = []
@@ -885,19 +886,19 @@ class TestFig2:
             cfg = harness.ExperimentConfig(n_antennas=16, n_rf=8, trials=trials)
             tracemalloc.start()
             try:
-                out = harness.quadratic_forms(cfg)
+                out, energy = harness.quadratic_forms(cfg)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            transient.append(peak - sum(qf.nbytes for qf in out.values()))
+            transient.append(peak - energy.nbytes - sum(qf.nbytes for qf in out.values()))
         assert max(transient) <= 4.5 * 2**20, transient
         assert abs(transient[1] - transient[0]) <= 64 * 2**10, transient
 
     def test_stage_memory_stays_within_three_blocks(self):
         # fig2-array16's config: N = 16, 32768 mmwave draws in two blocks
-        # of 4 MiB of channel entries. The output takes a quarter of a block,
-        # a draw under two blocks, and the staged block with one tile's work
-        # under two. A stage that holds the phases, the rotated sums and the
+        # of 4 MiB of channel entries. The output, gains and energies, takes
+        # under a third of a block, a draw under two blocks, and the staged
+        # block with one tile's work under two. A stage that holds the phases, the rotated sums and the
         # four F^H h of a whole block, beside the next draw, peaked at 18 MiB.
         cfg = harness.ExperimentConfig(n_antennas=16, n_rf=8, trials=2 * harness.TRIAL_BLOCK)
         budget = 3 * harness.TRIAL_BLOCK * cfg.n_antennas * np.dtype(complex).itemsize
@@ -911,13 +912,11 @@ class TestFig2:
 
     @pytest.mark.parametrize("kind", channel.CHANNEL_KINDS)
     def test_energy_is_each_realization_norm(self, kind):
-        # the stage writes ||h||^2 of every realization, over two blocks,
-        # and writing it changes no gain
+        # the stage writes ||h||^2 of every realization, over two blocks
         cfg = _tiny_cfg(
             channel_kind=kind, n_antennas=16, n_rf=8, trials=harness.TRIAL_BLOCK + 100
         )
-        energy = np.full(cfg.trials, np.nan)
-        got = harness.quadratic_forms(cfg, energy)
+        _, energy = harness.quadratic_forms(cfg)
         rows = np.concatenate([
             _block_rows(cfg, n, rng)
             for n, rng in harness._blocks(cfg.trials, cfg.seed, harness._PURPOSE_FIG2)
@@ -926,9 +925,6 @@ class TestFig2:
         # a row's energy has the same bits in a tile of one row
         alone = [harness._row_energy(rows[i : i + 1])[0] for i in range(0, cfg.trials, 97)]
         assert np.array(alone).tobytes() == energy[::97].tobytes()
-        want = harness.quadratic_forms(cfg)
-        for scheme in cfg.schemes:
-            assert got[scheme].tobytes() == want[scheme].tobytes(), scheme
 
     @pytest.mark.parametrize("kind,mu", [("mmwave", 12.0), ("rayleigh", 4.0)])
     def test_telemetry_names_the_control(self, tmp_path, kind, mu):
@@ -977,11 +973,11 @@ class TestFig2:
 
     def test_shared_greedy_matches_single_scheme_runs(self):
         array8 = dict(trials=3000, n_antennas=8, n_rf=4)
-        both = harness.quadratic_forms(
+        both, _ = harness.quadratic_forms(
             _tiny_cfg(schemes=("bpr-real", "bpr-complex"), **array8)
         )
         for scheme in ("bpr-real", "bpr-complex"):
-            alone = harness.quadratic_forms(_tiny_cfg(schemes=(scheme,), **array8))
+            alone, _ = harness.quadratic_forms(_tiny_cfg(schemes=(scheme,), **array8))
             np.testing.assert_array_equal(both[scheme], alone[scheme])
 
     def test_rejects_single_realization(self, tmp_path):
@@ -1507,7 +1503,7 @@ class TestRankingStability:
             cfg = _tiny_cfg(
                 schemes=("dft", "bpr-real"), trials=1000, seed=block_seed
             )
-            qf = harness.quadratic_forms(cfg)
+            qf, _ = harness.quadratic_forms(cfg)
             rates = {s: analysis.spectral_efficiency(qf[s], gamma30 * eff) for s in qf}
             assert (rates["bpr-real"] - rates["dft"]).mean() > 0
 

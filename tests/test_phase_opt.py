@@ -445,6 +445,13 @@ class TestGridProjection:
         # a new array: the kernel adds to it in place
         assert not np.shares_memory(got, p)
 
+    def test_size_four_is_the_larger_part_exactly(self):
+        # the octant fold of four rotations runs over theta = 0 alone
+        rng = substream(4, 71)
+        p = np.concatenate([rng.standard_normal(4000) + 1j * rng.standard_normal(4000), [0.0]])
+        want = np.maximum(np.abs(p.real), np.abs(p.imag))
+        assert phase_opt._grid_projection(p, 4).tobytes() == want.tobytes()
+
 
 def _replayed_slot_scores(h, phi, slots, grids):
     """Replays a selection slot by slot. Returns, per slot and row, the
