@@ -2,9 +2,11 @@
 
 Verbs map one-to-one onto the harness runners; every run writes its
 config snapshot, CSV outputs and a manifest into the output directory.
-Each value flag sets one config field, and the config's own validation
-is the only check of its value. Failures print a machine-readable error
-record to stderr and exit nonzero.
+Each value flag sets one config field over the ``--config`` file's,
+before the config's own validation, the only check of a value: a flag
+overrides its field even where the file's own value would be rejected.
+Failures print a machine-readable error record to stderr and exit
+nonzero.
 """
 
 from __future__ import annotations
@@ -72,12 +74,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> harness.ExperimentConfig:
-    config = harness.ExperimentConfig
-    data = (config.from_json(args.config) if args.config else config()).to_dict()
+    data = harness.config_fields(args.config) if args.config else {}
     for name, parse, _ in _FLAGS.values():
         if getattr(args, name) is not None:
             data[name] = parse(getattr(args, name))
-    return config.from_dict(data)
+    return harness.ExperimentConfig.from_dict(data)
 
 
 # glibc's mallopt parameter M_TOP_PAD: the bytes kept above the heap top

@@ -131,20 +131,12 @@ class ExperimentConfig:
         snrs = _items("snr_grid_db", self.snr_grid_db, Real, "numbers")
         self.snr_grid_db = tuple(float(v) for v in snrs)
         self.schemes = _items("schemes", self.schemes, str, "scheme names")
-        self.validate()
-        # a numpy integer would pass validate but not json.dumps
-        for name in _INT_FIELDS:
-            setattr(self, name, int(getattr(self, name)))
-
-    @property
-    def q(self) -> int:
-        return int(np.log2(self.n_antennas))
-
-    def validate(self) -> None:
         for name in _INT_FIELDS:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            # a numpy integer would not pass json.dumps
+            setattr(self, name, int(value))
         n = self.n_antennas
         if n < 2 or n & (n - 1):
             raise ValueError("n_antennas must be a power of two, at least 2")
@@ -180,6 +172,10 @@ class ExperimentConfig:
         if self.normalization not in stbc.NORM_MODES:
             raise ValueError(f"unknown normalization mode {self.normalization!r}")
 
+    @property
+    def q(self) -> int:
+        return int(np.log2(self.n_antennas))
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -195,22 +191,29 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        text = Path(path).read_text()
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"config file {path}: expected a JSON object, got malformed JSON ({exc})"
-            ) from exc
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"config file {path}: expected a JSON object, got {type(data).__name__}"
-            )
-        return cls.from_dict(data)
+        """The config of the JSON file at ``path`` (:func:`config_fields`),
+        validated as it stands; the CLI instead overlays its flags on the
+        file's fields before the one validation."""
+        return cls.from_dict(config_fields(path))
 
     def content_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
+
+
+def config_fields(path: str | Path) -> dict:
+    """The fields of the JSON config file at ``path``, not yet validated,
+    so that the CLI can overlay its flags on them before the config
+    checks the result once (:meth:`ExperimentConfig.from_dict`)."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(
+            f"config file {path}: expected a JSON object, got malformed JSON ({exc})"
+        ) from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"config file {path}: expected a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _items(name: str, value, kind: type, what: str) -> tuple:
@@ -439,7 +442,7 @@ def _gain_limits(
     return widest * widest / min(scales)
 
 
-def ber_grid(cfg: ExperimentConfig) -> tuple[list[BerPoint], int]:
+def ber_grid(cfg: ExperimentConfig) -> list[BerPoint]:
     """Run the stopping-rule Monte Carlo for every fig3 point of ``cfg``,
     each scheme at each SNR, scheme-major, on shared draws.
 
@@ -457,8 +460,9 @@ def ber_grid(cfg: ExperimentConfig) -> tuple[list[BerPoint], int]:
     count and the target error count, or at the trial cap; at least one
     block runs.
 
-    Returns the points, with their Wilson half-widths, and the number of
-    channel blocks drawn.
+    Returns the points, with their Wilson half-widths, and nothing else.
+    Every point runs from block 0, so ``max(p.blocks for p in grid)``
+    channel blocks were drawn.
     """
     _check_fig3(cfg)
     points = stbc.make_constellation(cfg.modulation)
@@ -468,13 +472,10 @@ def ber_grid(cfg: ExperimentConfig) -> tuple[list[BerPoint], int]:
         for g in cfg.snr_grid_db
     ]
     active = grid  # the points still running
-    n_blocks = 0
     for b, (n, rng) in enumerate(_blocks(cfg.max_trials, cfg.seed, _PURPOSE_FIG3_CHANNEL)):
-        n_blocks += 1
-        schemes = tuple(dict.fromkeys(p.scheme for p in active))
         link = _link_draw(n, cfg.modulation, substream(cfg.seed, _PURPOSE_FIG3, b))
         limit = _gain_limits(cfg, active, link[2])
-        gains = {scheme: np.full(n, np.inf) for scheme in schemes}
+        gains = {scheme: np.full(n, np.inf) for scheme in dict.fromkeys(p.scheme for p in active)}
         _block_gains(cfg, _sample_channels(cfg, n, rng), gains, limit)
         for p in active:
             p.bit_errors += _ber_block(gains[p.scheme], points, p.amplitude, link)
@@ -491,7 +492,7 @@ def ber_grid(cfg: ExperimentConfig) -> tuple[list[BerPoint], int]:
         n_bits = p.trials * bits_per_cw
         lo, hi = analysis.wilson_interval(p.bit_errors, n_bits)
         p.ber, p.half_width = p.bit_errors / n_bits, (hi - lo) / 2.0
-    return grid, n_blocks
+    return grid
 
 
 def radiated_power(cfg: ExperimentConfig, scheme: str) -> float:
@@ -522,7 +523,7 @@ def _ber_point(cfg: ExperimentConfig, scheme: str, gamma0_db: float) -> tuple[fl
     Returns (ber, wilson_half_width, codeword_trials), equal bit for bit
     to that point's row of the whole grid.
     """
-    (p,), _ = ber_grid(replace(cfg, schemes=(scheme,), snr_grid_db=(gamma0_db,)))
+    (p,) = ber_grid(replace(cfg, schemes=(scheme,), snr_grid_db=(gamma0_db,)))
     return p.ber, p.half_width, p.trials
 
 
@@ -530,19 +531,13 @@ def _ber_point(cfg: ExperimentConfig, scheme: str, gamma0_db: float) -> tuple[fl
 # output plumbing
 
 
-def _format(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
-    return str(value)
-
-
 def _write_csv(path: Path, header: str, rows: list[tuple]) -> None:
+    """Write ``rows`` under ``header``, each value as ``str`` gives it and
+    None as an empty field. ``str`` of a Python float or an ``np.float64``
+    is the shortest text that reads back as the same double; an
+    ``np.float32`` would print at its own, shorter precision."""
     lines = [header]
-    lines += [",".join(_format(v) for v in row) for row in rows]
+    lines += [",".join("" if v is None else str(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -781,7 +776,7 @@ def _check_fig3(cfg: ExperimentConfig) -> None:
 def run_fig3(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
     """Monte-Carlo bit error rate of each scheme over the SNR grid, on
     channel draws shared by every point (:func:`ber_grid`)."""
-    grid, n_blocks = ber_grid(cfg)
+    grid = ber_grid(cfg)
     rows = [
         (p.scheme, cfg.modulation, "ber", p.gamma0_db, p.ber, p.half_width, p.trials)
         for p in grid
@@ -796,7 +791,7 @@ def run_fig3(cfg: ExperimentConfig, out_dir: str | Path) -> SweepResult:
         notes.extend(monotonicity_notes(scheme, curve))
     notes.extend(_capped_notes(grid))
     telemetry = {
-        "channel_blocks": n_blocks,
+        "channel_blocks": max(p.blocks for p in grid),
         "radiated_power": {scheme: radiated_power(cfg, scheme) for scheme in cfg.schemes},
         "points": [
             {
@@ -815,9 +810,9 @@ def run_recorded(
     runners: tuple[Callable[[ExperimentConfig, Path], SweepResult], ...],
 ) -> list[SweepResult]:
     """Run ``runners`` in order into ``out_dir``, then write the config
-    snapshot and a manifest with the wall time of each runner."""
+    snapshot and a manifest with the wall time of each runner; each
+    runner makes ``out_dir`` as it writes its file (:func:`_written`)."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     results = []
     runner_wall_s = {}

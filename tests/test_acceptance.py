@@ -241,7 +241,7 @@ def test_criterion_7_ber_gap_reproduction():
             seed=2024,
             normalization=mode,
         )
-        grid, _ = harness.ber_grid(cfg)
+        grid = harness.ber_grid(cfg)
         curves = {s: [(p.gamma0_db, p.ber) for p in grid if p.scheme == s] for s in cfg.schemes}
         gaps[mode] = harness.measure_gap_db(curves["bpr-real"], curves["dft"], 1e-2)
     elapsed = time.perf_counter() - start

@@ -1084,7 +1084,7 @@ class TestFig3:
         # the grid's in the golden variant's scale as well as in amplitude
         for schemes in (("dft", "bpr-real"), beamformer.SCHEMES):
             cfg = _tiny_cfg(schemes=schemes, **self._MIXED_STOPS)
-            grid, _ = harness.ber_grid(cfg)
+            grid = harness.ber_grid(cfg)
             assert {p.stop for p in grid} == {"target", "cap"}
             assert len({p.blocks for p in grid}) > 1
             for p in grid:
@@ -1144,14 +1144,14 @@ class TestFig3:
             return link_draw(n, order, rng)
 
         monkeypatch.setattr(harness, "_link_draw", counting)
-        grid, n_blocks = harness.ber_grid(cfg)
+        grid = harness.ber_grid(cfg)
+        n_blocks = max(p.blocks for p in grid)
         sizes = [n for n, _ in harness._blocks(cfg.max_trials, cfg.seed, 0)]
         expected = [
             (n, cfg.modulation, substream(cfg.seed, harness._PURPOSE_FIG3, b).bit_generator.state)
             for b, n in enumerate(sizes[:n_blocks])
         ]
         assert draws == expected
-        assert n_blocks == max(p.blocks for p in grid)
         assert len({p.blocks for p in grid if p.scheme == schemes[0]}) > 1
 
     def test_manifest_records_each_point(self, tmp_path):
@@ -1232,6 +1232,21 @@ class TestDeterminism:
         r1 = harness.run_fig3(_tiny_cfg(seed=1), tmp_path / "s1")
         r2 = harness.run_fig3(_tiny_cfg(seed=2), tmp_path / "s2")
         assert r1.path.read_bytes() != r2.path.read_bytes()
+
+    # pinned bytes of each kind of value a runner writes: None is an empty
+    # field, and a Python or numpy float the shortest text of its double
+    @pytest.mark.parametrize(
+        "value,text",
+        [
+            (None, ""), (3, "3"), (np.int64(3), "3"), (np.uint8(7), "7"), (0.1, "0.1"),
+            (np.float64(0.1), "0.1"), (-0.0, "-0.0"), (math.nan, "nan"), (math.inf, "inf"),
+            (-math.inf, "-inf"), (5e-324, "5e-324"), (1e16, "1e+16"), ("dft", "dft"),
+        ],
+    )
+    def test_csv_value_text(self, tmp_path, value, text):
+        path = tmp_path / "one.csv"
+        harness._write_csv(path, "a,b", [(value, "x")])
+        assert path.read_bytes() == f"a,b\n{text},x\n".encode()
 
     # SHA-256 of CLI outputs recorded before a change meant to leave every
     # output unchanged; such a change must keep them. The fig3 pins were
@@ -1625,9 +1640,11 @@ class TestCli:
         assert "n_antenas" in record["message"]
 
     @pytest.mark.parametrize(
-        "content", ["3", '["n_rf", "seed"]', '{"seed": 1,'], ids=["number", "list", "malformed"]
+        "content,got",
+        [("3", "got int"), ('["n_rf", "seed"]', "got list"), ('{"seed": 1,', "got malformed")],
+        ids=["number", "list", "malformed"],
     )
-    def test_config_file_must_hold_an_object(self, tmp_path, content):
+    def test_config_file_must_hold_an_object(self, tmp_path, content, got):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(content)
         proc = self._run("table1", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
@@ -1635,7 +1652,27 @@ class TestCli:
         record = json.loads(proc.stderr.strip().splitlines()[-1])
         assert record["error"] == "ValueError"
         assert str(cfg_path) in record["message"]
-        assert "expected a JSON object" in record["message"]
+        assert f"expected a JSON object, {got}" in record["message"]
+
+    def test_flag_overrides_a_bad_file_field(self, tmp_path):
+        # flags overlay the file's fields before the config's one validation
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"trials": 0, "seed": 5}))
+        out = tmp_path / "out"
+        proc = self._run("table1", "--config", str(cfg_path), "--trials", "100", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        saved = json.loads((out / "config.json").read_text())
+        assert (saved["trials"], saved["seed"]) == (100, 5)
+
+    def test_bad_file_field_alone_names_the_field(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"trials": 0}))
+        proc = self._run("table1", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        record = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert record["error"] == "ValueError"
+        assert "trials" in record["message"]
+        assert not (tmp_path / "out").exists()
 
     # every value flag sets one config field, and the config's validation
     # rejects a bad value by that field's name
