@@ -211,17 +211,18 @@ def regression_means(ys, x: np.ndarray, mu: float) -> list[tuple[float, float, f
 
         beta = S_xy / S_xx
         mean = ybar - beta (xbar - mu)
-        half = Z95 sqrt((S_yy - beta S_xy) / (n - 2) / n)
+        half = Z95 sqrt(sum (y - ybar - beta (x - xbar))^2 / (n - 2) / n)
 
     and ``plain = Z95 sqrt(S_yy / (n - 1) / n)``, the half-width of the
     plain sample mean ``ybar``. Returns ``(mean, half, beta, plain)`` per
     ``y``. ``ys`` may be a generator: each ``y`` is released once
     centred, before the next is formed. No centred copy of ``x`` is
     held: the centred ``y`` sums to zero, so ``S_xy`` is the sum of ``x``
-    times the centred ``y``. A constant ``x`` gives ``beta = 0``, and a
-    residual sum that rounds below zero gives ``half = 0``. Every sum is
-    a numpy reduction, with no BLAS call, so no bit depends on the BLAS
-    build.
+    times the centred ``y``. The residual is summed term by term, not as
+    ``S_yy - beta S_xy``, which cancels to about ``eps S_yy`` where ``y``
+    is nearly a line in ``x``. A constant ``x`` gives ``beta = 0``.
+    Every sum is a numpy reduction, with no BLAS call, so no bit depends
+    on the BLAS build.
     """
     n = x.size
     if n < 3:
@@ -234,10 +235,11 @@ def regression_means(ys, x: np.ndarray, mu: float) -> list[tuple[float, float, f
         yc = y - y_bar
         del y  # from here only the centred copy of a generated sample is held
         s_xy = (x * yc).sum()
-        s_yy = np.square(yc, out=yc).sum()
-        del yc  # released before the next sample is formed
+        s_yy = np.square(yc).sum()
         beta = s_xy / s_xx if s_xx > 0.0 else 0.0
-        residual = max(s_yy - beta * s_xy, 0.0)
+        yc -= beta * (x - x_bar)
+        residual = np.square(yc, out=yc).sum()
+        del yc  # released before the next sample is formed
         estimates.append((
             float(y_bar - beta * (x_bar - mu)),
             float(Z95 * np.sqrt(residual / (n - 2) / n)),

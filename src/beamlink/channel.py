@@ -78,9 +78,11 @@ def plane_wave_sums(gains: np.ndarray, angles: np.ndarray, n_antennas: int) -> n
     return np.moveaxis(h, 0, -1)
 
 
-def _complex_normal(shape, rng: np.random.Generator, order: str = "C") -> np.ndarray:
+def complex_normal(shape, rng: np.random.Generator, order: str = "C") -> np.ndarray:
     """I.i.d. CN(0, 1) entries: the real parts are drawn first, then the imaginary,
     each scaled in place with the bits of ``(re + 1j * im) / np.sqrt(2.0)``.
+    It is the package's one CN(0, 1) draw: path gains, Rayleigh rows and
+    fig3's unit link noise.
 
     The draws are in C order whatever the memory ``order`` of the result,
     so its values do not depend on ``order``.
@@ -104,7 +106,7 @@ def sample_mmwave_batch(
     row slice (:func:`plane_wave_sums`), so one channel per seed is
     ``plane_wave_sums(*sample_mmwave_batch(1, ..., substream(seed)), n_antennas)[0]``.
     """
-    gains = _complex_normal((n_trials, n_paths), rng)
+    gains = complex_normal((n_trials, n_paths), rng)
     angles = rng.uniform(-np.pi / 2, np.pi / 2, (n_trials, n_paths))
     return gains, angles
 
@@ -118,7 +120,7 @@ def sample_rayleigh_batch(
     antenna-major buffer, laid out as :func:`plane_wave_sums` lays out
     its rows: ``h.T`` is C-contiguous, and no transposed copy is made.
     """
-    return _complex_normal((n_trials, n_antennas), rng, order="F")
+    return complex_normal((n_trials, n_antennas), rng, order="F")
 
 
 def mean_energy(kind: str, n_antennas: int, n_paths: int) -> float:

@@ -17,11 +17,12 @@ draws. One block stage, :func:`_block_gains`, reduces the block to
 ``||F^H h||^2`` per row and scheme, in row tiles, and writes the gains
 into arrays its caller passes: it forms one tile's rows, runs one
 greedy selection on them if a blockwise scheme needs it, then ``F^H h``
-once per scheme. The greedy hands its grid indices to the rotated sum
-(:func:`beamformer.bpr_rotated_sum`), and the two blockwise schemes
-differ only in a scalar, so one rotated sum per tile serves both. The
-stage never holds a block of ``F^H h``, nor a block of geometric
-channel rows; each tile is released before the next is formed, and
+once per fixed scheme. The greedy hands its grid indices to the rotated
+sum (:func:`beamformer.bpr_rotated_sum`), and the two blockwise schemes
+differ only in a scalar, so one squared norm of the rotated sum per row
+serves both, each times its ``|bpr_scale|^2``. Every squared row norm
+is one kernel, :func:`_row_norms`. The stage never holds a block of
+``F^H h``, nor a block of geometric channel rows; each tile is released before the next is formed, and
 each block before the next is drawn. Every ``F^H h`` is summed antenna
 by antenna, so no BLAS call runs in the block loop. fig2's stage also
 writes each row's ``||h||^2``, the control of its regression estimate,
@@ -33,9 +34,9 @@ count (``process_threads``).
 
 fig3's link needs nothing of a row but its gain: Alamouti combining
 turns each symbol into ``s + z / (A ||F^H h||)`` with unit noise ``z``,
-whatever ``F^H h`` is. So block b makes one draw of bits and unit noise
-from a second stream, and that draw serves every point, of every scheme
-and SNR, at the point's own gain and link amplitude. It is kept with
+whatever ``F^H h`` is. So block b makes one draw of label indices and
+unit noise from a second stream, and that draw serves every point, of
+every scheme and SNR, at the point's own gain and link amplitude. It is kept with
 each symbol's reach (:func:`stbc.noise_reach`), so a point demaps only
 the symbols that its gain and amplitude let the noise carry to a
 decision boundary. The points are therefore correlated, while each
@@ -189,13 +190,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return cls(**data)
 
-    @classmethod
-    def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        """The config of the JSON file at ``path`` (:func:`config_fields`),
-        validated as it stands; the CLI instead overlays its flags on the
-        file's fields before the one validation."""
-        return cls.from_dict(config_fields(path))
-
     def content_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
@@ -259,13 +253,8 @@ def _batch_greedy_phases(h: np.ndarray, q: int) -> np.ndarray:
     return phase_opt.greedy_bpr_indices(h, q)
 
 
-def _batch_equivalent_channels(
-    scheme: str, h: np.ndarray, cfg: ExperimentConfig, rotated: np.ndarray | None
-) -> np.ndarray:
-    """Per-row equivalent channels ``F^H h``; the blockwise schemes scale
-    ``rotated``, the rows' :func:`beamformer.bpr_rotated_sum`."""
-    if scheme in beamformer.BPR_SCHEMES:
-        return beamformer.bpr_scale(scheme, cfg.q) * rotated
+def _batch_equivalent_channels(scheme: str, h: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
+    """Per-row equivalent channels ``F^H h`` of a fixed-matrix scheme."""
     return beamformer.equivalent_channel(beamformer.build(scheme, cfg.q), h)
 
 
@@ -290,12 +279,13 @@ def _block_gains(
     ``_STAGE_ENTRIES`` channel entries (2048 rows at N = 16, 8192 at
     N = 4), and only the current tile's rows are ever formed. If any
     scheme is blockwise, one greedy selection and one
-    :func:`beamformer.bpr_rotated_sum` run on each tile; neither depends
-    on the golden variant, so they serve every blockwise scheme. Each
-    scheme's ``F^H h`` is reduced to its squared row norms at once, so no
-    stage output but the gains is ever held for a whole block. Every
-    kernel of the stage works row by row, so no bit of the result depends
-    on the tiling.
+    :func:`beamformer.bpr_rotated_sum` run on each tile; none depends on
+    the golden variant, so each blockwise gain is the rotated sum's
+    squared row norm times the scheme's ``|bpr_scale|^2``. Each fixed
+    scheme's ``F^H h`` is reduced at once, so no stage output but the
+    gains is ever held for a whole block. Every row norm is
+    :func:`_row_norms`, and every kernel of the stage works row by row,
+    so no bit of the result depends on the tiling.
 
     fig3 passes a ``limit`` per row (:func:`_gain_limits`): an unscaled
     ``||rotated sum||^2`` above which no running blockwise point can
@@ -316,7 +306,7 @@ def _block_gains(
     row.
 
     fig2 also passes ``energy``, an array of the block's length, and each
-    tile writes its rows' ``||h||^2`` into it (:func:`_row_energy`) while
+    tile writes its rows' ``||h||^2`` into it (:func:`_row_norms`) while
     the rows are live, so the channel is still formed once per tile; fig3
     passes none.
     """
@@ -327,25 +317,28 @@ def _block_gains(
         rows = slice(start, start + tile)
         part = gated = channels(rows)
         if energy is not None:
-            energy[rows] = _row_energy(part)
-        near, rotated = slice(None), None
+            energy[rows] = _row_norms(part)
+        near, norm = slice(None), None
         if blockwise and limit is not None:
             skip = limit[rows] < beamformer.bpr_floor(cfg.q, part) * (1.0 - _GAIN_MARGIN)
             near = np.flatnonzero(~skip)
             gated = part[near]
         if blockwise:
-            rotated = beamformer.bpr_rotated_sum(cfg.q, gated, *_batch_greedy_phases(gated, cfg.q))
+            idx = _batch_greedy_phases(gated, cfg.q)
+            norm = _row_norms(beamformer.bpr_rotated_sum(cfg.q, gated, *idx))
         for scheme, out in gains.items():
-            bpr = scheme in beamformer.BPR_SCHEMES
-            h_eq = _batch_equivalent_channels(scheme, gated if bpr else part, cfg, rotated)
-            out[rows][near if bpr else slice(None)] = np.sum(np.abs(h_eq) ** 2, axis=1)
+            if scheme in beamformer.BPR_SCHEMES:
+                out[rows][near] = abs(beamformer.bpr_scale(scheme, cfg.q)) ** 2 * norm
+            else:
+                out[rows] = _row_norms(_batch_equivalent_channels(scheme, part, cfg))
         # the tile is released before the next one is formed
-        del part, gated, rotated, h_eq
+        del part, gated, norm
 
 
-def _row_energy(h: np.ndarray) -> np.ndarray:
-    """``||h||^2`` per row of ``h``, summed antenna by antenna, so that no
-    bit depends on the number of rows or their layout."""
+def _row_norms(h: np.ndarray) -> np.ndarray:
+    """``||h||^2`` per row of ``h``, summed column by column as
+    ``re * re + im * im``, so that no bit depends on the number of rows or
+    their layout: the stage's one norm, of channel rows and of ``F^H h``."""
     out = np.zeros(h.shape[0])
     for m in range(h.shape[1]):
         col = h[:, m]
@@ -360,21 +353,18 @@ def _link_draw(
     """One block's link draw for ``n`` codewords of the order-M
     constellation: ``(sent, z, reach)``, each of shape ``(n, 2)``.
 
-    ``rng`` gives the bits of each codeword, then the real and then the
-    imaginary parts of its two symbols' unit noise ``z``. ``sent`` holds
-    the symbols' label indices, and ``reach`` is :func:`stbc.noise_reach`
-    of ``z``. The draw reads no channel: Alamouti combining over any
-    ``h_eq = (g1, g2)`` turns the received noise ``(n1, n2)`` into
-    ``z / ||h_eq||`` with ``z = U (n1, conj(n2))``, and
+    ``rng`` gives the two uniform label indices of each codeword,
+    ``sent``, then its two symbols' unit noise ``z``
+    (:func:`channel.complex_normal`: the real parts, then the imaginary
+    parts); ``reach`` is :func:`stbc.noise_reach` of ``z``. The draw reads
+    no channel: Alamouti combining over any ``h_eq = (g1, g2)`` turns the
+    received noise ``(n1, n2)`` into ``z / ||h_eq||`` with
+    ``z = U (n1, conj(n2))``, and
     ``U = [[g1, conj(g2)], [g2, -conj(g1)]] / ||h_eq||`` is unitary, so
     ``z`` is unit noise whatever ``h_eq`` is (Alamouti, IEEE JSAC 1998).
     """
-    k = stbc.bits_per_symbol(order)
-    bits = rng.integers(0, 2, (n, 2 * k), dtype=np.uint8)
-    sent = stbc.label_index(bits.reshape(n, 2, k)).astype(np.uint8)
-    z = np.empty(sent.shape, dtype=np.complex128)
-    np.multiply(rng.standard_normal(sent.shape), np.sqrt(0.5), out=z.real)
-    np.multiply(rng.standard_normal(sent.shape), np.sqrt(0.5), out=z.imag)
+    sent = rng.integers(0, order, (n, 2), dtype=np.uint8)
+    z = channel.complex_normal(sent.shape, rng)
     return sent, z, stbc.noise_reach(z, order)
 
 
@@ -447,12 +437,12 @@ def ber_grid(cfg: ExperimentConfig) -> list[BerPoint]:
     each scheme at each SNR, scheme-major, on shared draws.
 
     Block b draws its channels once from ``(seed, FIG3_CHANNEL, b)`` and
-    one :func:`_link_draw` of bits and unit noise from ``(seed, FIG3,
-    b)``. It reduces the channels to each still-active scheme's
+    one :func:`_link_draw` of label indices and unit noise from ``(seed,
+    FIG3, b)``. It reduces the channels to each still-active scheme's
     ``||F^H h||^2`` per row (:func:`_block_gains`), and every active
     point, of every scheme, decodes the link draw at its own gain and
     link amplitude (:func:`_ber_block`). So all points share channels,
-    bits and noise: they are correlated, while each point's interval
+    symbols and noise: they are correlated, while each point's interval
     holds on its own. The link is drawn first, so that the stage can
     skip the greedy on rows that no running blockwise point can demap
     (:func:`_gain_limits`); no count changes.

@@ -21,9 +21,8 @@ the equivalent channel ``h_eq`` gives each sent symbol plus
 ``z / (A ||h_eq||)``, where ``z`` is unit complex Gaussian noise
 whatever ``h_eq`` is, so one noise draw serves every channel and every
 amplitude; :func:`noise_reach` says how far that noise carries a
-symbol. Packing, the reach and slicing accept leading batch axes, so
-one call runs a block of codewords and a single codeword is a batch of
-one.
+symbol. The reach and slicing accept leading batch axes, so one call
+runs a block of codewords and a single codeword is a batch of one.
 """
 
 from __future__ import annotations
@@ -73,18 +72,6 @@ def make_constellation(order: int) -> np.ndarray:
 def bits_per_symbol(order: int) -> int:
     """Label length ``log2(M)`` of the constellation of order M."""
     return int(order).bit_length() - 1
-
-
-def label_index(bits: np.ndarray) -> np.ndarray:
-    """Label indices of the big-endian bit groups in the last axis of ``bits``,
-    as int64, packed by shifts and ORs."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    index = np.zeros(bits.shape[:-1], dtype=np.int64)
-    for j in range(bits.shape[-1]):
-        index <<= 1
-        index |= bits[..., j]
-    # a single group gives a scalar
-    return index[()]
 
 
 # set bits of every label index of the largest constellation

@@ -1,10 +1,11 @@
 """Reference link simulations that only the tests run.
 
-The explicit Alamouti link lives here: the codeword, the received rows
-``A h^H S + n``, the combine-and-demap decoder and the unit noise
-``z = U (n1, conj(n2))`` that combining leaves of ``n``. The harness's
-link draws ``z`` itself and reads only ``||h_eq||^2`` of a channel, and
-the tests check it against this explicit path. The simulators check
+The explicit Alamouti link lives here: the packing of source bits into
+label indices, the codeword, the received rows ``A h^H S + n``, the
+combine-and-demap decoder and the unit noise ``z = U (n1, conj(n2))``
+that combining leaves of ``n``. The harness's link draws label indices
+and ``z`` itself and reads only ``||h_eq||^2`` of a channel, and the
+tests check it against this explicit path. The simulators check
 the package's link against closed forms (criteria 5 and 6), so unlike
 :mod:`oracles` they run the package's own kernels: stbc's slicer and
 the harness's trial blocks and link. Their substream purpose tags, 4
@@ -19,6 +20,18 @@ from beamlink import analysis, channel, harness, stbc
 
 _PURPOSE_BPSK_CHECK = 4
 _PURPOSE_CONDITIONAL = 5
+
+
+def label_index(bits: np.ndarray) -> np.ndarray:
+    """Label indices of the big-endian bit groups in the last axis of ``bits``,
+    as int64, packed by shifts and ORs."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    index = np.zeros(bits.shape[:-1], dtype=np.int64)
+    for j in range(bits.shape[-1]):
+        index <<= 1
+        index |= bits[..., j]
+    # a single group gives a scalar
+    return index[()]
 
 
 def alamouti_codeword(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
@@ -39,7 +52,8 @@ def received_parts(
 
     ``x`` has shape ``(..., n_rows, t)`` and ``h`` shape ``(..., n_rows)``.
     The noise is i.i.d. CN(0, 1), its real parts drawn from ``rng``
-    before its imaginary parts, so one draw serves every amplitude.
+    before its imaginary parts, so one draw serves every amplitude; its
+    scaling has the bits of :func:`beamlink.channel.complex_normal`.
     """
     h = np.asarray(h)
     x = np.asarray(x)
@@ -49,9 +63,7 @@ def received_parts(
     clean = hc[..., 0, None] * x[..., 0, :]
     for row in range(1, x.shape[-2]):
         clean = clean + hc[..., row, None] * x[..., row, :]
-    noise = np.sqrt(0.5) * (
-        rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape)
-    )
+    noise = (rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape)) / np.sqrt(2.0)
     return clean, noise
 
 

@@ -364,6 +364,16 @@ class TestRegressionMeans:
         assert (mean, half, beta) == (a + b * mu, 0.0, b)
         assert plain > 0
 
+    def test_linear_response_with_inexact_sums_has_no_residual(self):
+        # y = a + b x on exponential x: the sums round, and the form
+        # S_yy - beta S_xy cancelled to about 1.3e-8 plain. The residual
+        # summed term by term stays at the rounding of each term
+        x = substream(0, 90).exponential(1.0, 5000)
+        ((mean, half, beta, plain),) = analysis.regression_means([1.5 - 0.75 * x], x, 1.0)
+        assert beta == pytest.approx(-0.75, rel=1e-14)
+        assert mean == pytest.approx(0.75, rel=1e-14)
+        assert half <= 1e-12 * plain
+
     def test_constant_response_has_zero_slope(self):
         x = substream(1, 90).exponential(2.0, 1000)
         ((mean, half, beta, plain),) = analysis.regression_means([np.full(1000, 0.5)], x, 2.0)

@@ -225,7 +225,7 @@ class TestSamplerBits:
         shape = (65536, 3)
         rng = substream(0, 80)
         want = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-        got = channel._complex_normal(shape, substream(0, 80))
+        got = channel.complex_normal(shape, substream(0, 80))
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_rayleigh_rows_keep_the_bits_of_the_row_major_draw(self):
@@ -241,7 +241,7 @@ class TestSamplerBits:
         # 2**17 rows of 3 paths: each path's step was np.exp(1j * phase)
         n = 2**17
         rng = substream(0, 81)
-        gains = channel._complex_normal((n, 3), rng)
+        gains = channel.complex_normal((n, 3), rng)
         angles = rng.uniform(-np.pi / 2, np.pi / 2, (n, 3))
         step = np.exp(1j * (2.0 * np.pi * channel.SPACING * np.sin(angles))).T
         wave = np.ascontiguousarray(gains.T)

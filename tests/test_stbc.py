@@ -17,6 +17,7 @@ from reference_sims import (
     alamouti_codebook,
     alamouti_codeword,
     decode_alamouti,
+    label_index,
     received_parts,
     transmit_receive,
     unit_noise,
@@ -31,8 +32,8 @@ def _transmit_block(sent, points, bf):
 class TestConstellations:
     def test_bpsk_mapping(self):
         points = stbc.make_constellation(2)
-        assert points[stbc.label_index([0])] == 1.0 + 0j
-        assert points[stbc.label_index([1])] == -1.0 + 0j
+        assert points[label_index([0])] == 1.0 + 0j
+        assert points[label_index([1])] == -1.0 + 0j
 
     def test_qpsk_unit_modulus(self):
         points = stbc.make_constellation(4)
@@ -55,7 +56,7 @@ class TestConstellations:
         weights = 1 << np.arange(k - 1, -1, -1)
         for shape in [(k,), (64, k), (16, 2, k), (3, 4, 2, k)]:
             bits = substream(order, 13).integers(0, 2, shape, dtype=np.uint8)
-            got = stbc.label_index(bits)
+            got = label_index(bits)
             want = bits @ weights
             assert got.dtype == want.dtype == np.int64
             assert np.shape(got) == np.shape(want) == shape[:-1]
@@ -67,9 +68,9 @@ class TestConstellations:
         labels = label_rows(order)
         assert stbc.bits_per_symbol(order) == labels.shape[1]
         assert len(set(points.tolist())) == order
-        np.testing.assert_array_equal(stbc.label_index(labels), np.arange(order))
+        np.testing.assert_array_equal(label_index(labels), np.arange(order))
         for i in range(order):
-            assert stbc.demap(points[stbc.label_index(labels[i])], order) == i
+            assert stbc.demap(points[label_index(labels[i])], order) == i
 
     @pytest.mark.parametrize("order", [16, 64])
     def test_gray_neighbours_differ_in_one_bit(self, order):
@@ -217,7 +218,7 @@ class TestEncode:
         # under eq1 the array sends F S; through h it arrives as S through F^H h
         points = stbc.make_constellation(4)
         bf = beamformer.build(beamformer.DFT, 2)
-        sent = stbc.label_index(np.array([[0, 1], [1, 0]]))
+        sent = label_index(np.array([[0, 1], [1, 0]]))
         s = alamouti_codeword(points[sent[0]], points[sent[1]])
         h = np.array([0.3 - 0.2j, -1.1 + 0.4j, 0.5j, 0.8])
         h_eq = beamformer.equivalent_channel(bf, h)
@@ -230,7 +231,7 @@ class TestEncode:
         points = stbc.make_constellation(4)
         bf = beamformer.build(beamformer.DFT, 2)
         kappa = beamformer.kappa(beamformer.DFT, 2)
-        x1 = _transmit_block(stbc.label_index(np.array([[0, 1], [1, 0]])), points, bf)
+        x1 = _transmit_block(label_index(np.array([[0, 1], [1, 0]])), points, bf)
         # eq10 carries no array gain N_t / L
         for n_antennas, n_paths in ((4, 3), (16, 1)):
             amp = stbc.link_amplitude(4.0, kappa, "eq10", n_antennas, n_paths)
@@ -249,7 +250,7 @@ class TestEncode:
         n = 4000
         for _ in range(n):
             bits = rng.integers(0, 2, 8).astype(np.uint8)
-            x = amp * _transmit_block(stbc.label_index(bits.reshape(2, 4)), points, bf)
+            x = amp * _transmit_block(label_index(bits.reshape(2, 4)), points, bf)
             total += np.linalg.norm(x) ** 2
         assert total / n == pytest.approx(4.0 * gamma0 * kappa, rel=0.05)
 
@@ -303,7 +304,7 @@ class TestDecode:
         for _ in range(50):
             h = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / np.sqrt(2)
             h_eq = beamformer.equivalent_channel(bf, h)
-            sent = stbc.label_index(rng.integers(0, 2, (2, k)).astype(np.uint8))
+            sent = label_index(rng.integers(0, 2, (2, k)).astype(np.uint8))
             x = _transmit_block(sent, points, bf)
             y = transmit_receive(x, h, rng, amplitude=1.5, sigma2=0.0)
             assert np.array_equal(decode_alamouti(y, h_eq, points, amplitude=1.5), sent)
@@ -318,7 +319,7 @@ class TestDecode:
             h_eq = beamformer.equivalent_channel(bf, h)
             if np.linalg.norm(h_eq) < 1e-6:
                 continue
-            sent = stbc.label_index(rng.integers(0, 2, (2, 2)).astype(np.uint8))
+            sent = label_index(rng.integers(0, 2, (2, 2)).astype(np.uint8))
             x = _transmit_block(sent, points, bf)
             y = transmit_receive(x, h, rng, amplitude=1.0, sigma2=0.5)
             fast = decode_alamouti(y, h_eq, points)
@@ -335,7 +336,7 @@ class TestDecode:
             h = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / np.sqrt(2)
             h_eq = beamformer.equivalent_channel(bf, h)
             bits = rng.integers(0, 2, 4).astype(np.uint8)
-            x = _transmit_block(stbc.label_index(bits.reshape(2, 2)), points, bf)
+            x = _transmit_block(label_index(bits.reshape(2, 2)), points, bf)
             y = transmit_receive(x, h, rng, amplitude=1.0, sigma2=1e8)
             decoded = decode_alamouti(y, h_eq, points)
             errors += np.count_nonzero(pair_label_rows(decoded[None], 4)[0] != bits)
@@ -353,7 +354,7 @@ class TestDecode:
         points = stbc.make_constellation(order)
         k = stbc.bits_per_symbol(order)
         bits = substream(0, 49).integers(0, 2, (3, 2 * k)).astype(np.uint8)
-        sent = stbc.label_index(bits.reshape(3, 2, k))
+        sent = label_index(bits.reshape(3, 2, k))
         h_eq = np.array([[0, 0], [0.8 - 0.3j, 0.2 + 0.9j], [0, 0]], dtype=complex)
         s = alamouti_codeword(points[sent[:, 0]], points[sent[:, 1]])
         y = transmit_receive(s, h_eq, substream(0, 50), amplitude=1.5, sigma2=0.0)
